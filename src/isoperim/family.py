@@ -24,8 +24,6 @@ from .errors import VolumeOutOfRangeError
 from .geometry import (ConvexPolygon, ErosionStructure, LargestBallSet,
                        RoundedBody, EPS_GEOM)
 
-RANK_ITERS = 60       # bisection depth for entry radii (machine precision)
-RADIUS_ITERS = 80     # bisection depth for the r <-> v inversion
 TOL_REL = 1e-9        # relative tolerance for areas and ranks
 
 
@@ -36,33 +34,37 @@ class MinimizerShape:
     kind is "disk", "stadium" or "rounded".  Disks carry center/radius,
     stadiums the two endpoints of their spine segment plus the ball
     radius, rounded shapes the eroded core dilated by `radius`.
-    curvature is the reciprocal arc radius (inf for the full domain).
+    curvature is the reciprocal arc radius (inf for the full domain) and
+    scale the domain's length scale, which sets the membership tolerance.
     """
 
     kind: str
     volume: float
     perimeter: float
     curvature: float
+    scale: float
     center: np.ndarray | None = None       # disk
     radius: float = 0.0                     # disk / stadium / rounded
     spine: np.ndarray | None = None         # stadium: (2, 2) endpoints
     body: RoundedBody | None = None         # rounded
 
     def contains(self, points, tol: float | None = None):
-        """Closed membership, vectorized over (..., 2) points."""
+        """Closed membership, vectorized over (..., 2) points.
+
+        The default tolerance is EPS_GEOM times the domain scale, the one
+        MinimizerFamily.member uses, so both agree at every scale.
+        """
+        if tol is None:
+            tol = EPS_GEOM * self.scale
         if self.kind == "disk":
-            scale = self.radius
             d = np.linalg.norm(np.asarray(points, dtype=float) - self.center, axis=-1)
         elif self.kind == "stadium":
-            scale = float(np.linalg.norm(self.spine[1] - self.spine[0])) + self.radius
             pts = np.atleast_2d(np.asarray(points, dtype=float))
             d = geometry._point_segment_distance(pts, self.spine[0], self.spine[1])
             if np.asarray(points).ndim == 1:
                 d = d[0]
         else:
             return geometry.contains(self.body, points, tol)
-        if tol is None:
-            tol = EPS_GEOM * max(scale, 1.0)
         return d <= self.radius + tol
 
     def as_dict(self):
@@ -121,23 +123,18 @@ class MinimizerFamily:
     def radius_for_volume(self, v):
         """Arc radius r with area(opening(domain, r)) = v, for v in [|H|, |Omega|].
 
-        Bisection on the strictly decreasing opening-area map; exact to
-        machine precision (the area is evaluated in closed form per
-        structure interval).  Accepts scalars or arrays.
+        Closed form: one searchsorted over the opening areas at the event
+        radii, then the quadratic A(r) + r P(r) + pi r^2 = v of that
+        interval (ErosionStructure.radius_for_area).  v = |Omega| (within
+        rounding) gives exactly r = 0, the domain itself.  Accepts scalars
+        or arrays.
         """
         scalar = np.isscalar(v) or np.asarray(v).ndim == 0
         v = np.atleast_1d(self._check_volume(v))
         if np.any(v < self.balls.hull_measure - self.tol_area):
             raise VolumeOutOfRangeError("volume below the ball-union area")
         v = np.clip(v, self.balls.hull_measure, self.v_max)
-        lo = np.zeros_like(v)                      # area(lo) = |Omega| >= v
-        hi = np.full_like(v, self.structure.r_star)  # area(hi) = |H| <= v
-        for _ in range(RADIUS_ITERS):
-            mid = 0.5 * (lo + hi)
-            big = self.structure.area_of_opening(mid) >= v
-            lo = np.where(big, mid, lo)
-            hi = np.where(big, hi, mid)
-        r = 0.5 * (lo + hi)
+        r = self.structure.radius_for_area(v)
         # the opening area plateaus at |Omega| within rounding; pin E(|Omega|)
         # to the domain itself (r exactly 0)
         r = np.where(v >= self.v_max * (1.0 - 1e-14), 0.0, r)
@@ -153,7 +150,7 @@ class MinimizerFamily:
             radius = float(np.sqrt(v / np.pi))
             return MinimizerShape(kind="disk", volume=v,
                                   perimeter=2.0 * np.sqrt(np.pi * v),
-                                  curvature=1.0 / radius,
+                                  curvature=1.0 / radius, scale=self.domain.scale,
                                   center=self._mid.copy(), radius=radius)
         if v <= balls.hull_measure:
             r = balls.inradius
@@ -162,13 +159,15 @@ class MinimizerFamily:
             spine = np.stack([self._mid - half, self._mid + half])
             return MinimizerShape(kind="stadium", volume=v,
                                   perimeter=2.0 * np.pi * r + 2.0 * ell,
-                                  curvature=1.0 / r, spine=spine, radius=r)
+                                  curvature=1.0 / r, scale=self.domain.scale,
+                                  spine=spine, radius=r)
         r = self.radius_for_volume(v)
         body = RoundedBody(core=self.structure.core_body(r), radius=r)
         perim = float(self.structure.perimeter_of_opening(r))
         curv = 1.0 / r if r > 0.0 else np.inf
         return MinimizerShape(kind="rounded", volume=v, perimeter=perim,
-                              curvature=curv, body=body, radius=r)
+                              curvature=curv, scale=self.domain.scale,
+                              body=body, radius=r)
 
     def perimeter(self, v):
         """P(E(v)); vectorized."""
@@ -238,9 +237,13 @@ class MinimizerFamily:
     def rank(self, points):
         """Smallest volume v with x in E(v) (the sentinel |Omega| outside).
 
-        Disk and stadium entries are closed-form; entries in the opening
-        regime bisect the largest radius r with dist(x, core(r)) <= r and
-        report the opening area there.
+        Disk and stadium entries are closed-form.  An entry in the opening
+        regime is the opening area at the exit radius of x, the largest r
+        with dist(x, core(r)) <= r (ErosionStructure.exit_radius): its
+        event interval is bracketed by exact membership tests at the event
+        radii and the radius solved from per-vertex quadratics there.  Work
+        runs in blocks of bounded size, so memory does not grow with the
+        number of points.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         scalar = np.asarray(points).ndim == 1
@@ -268,16 +271,8 @@ class MinimizerFamily:
 
         rnd = inside & ~disk & ~stad
         if np.any(rnd):
-            sub = pts[rnd]
-            lo = np.zeros(sub.shape[0])          # member at r = 0
-            hi = np.full(sub.shape[0], self.structure.r_star)
-            for _ in range(RANK_ITERS):
-                mid = 0.5 * (lo + hi)
-                ok = self.structure.distance_to_core(sub, mid) <= mid
-                lo = np.where(ok, mid, lo)
-                hi = np.where(ok, hi, mid)
-            out[rnd] = np.minimum(self.structure.area_of_opening(0.5 * (lo + hi)),
-                                  self.v_max)
+            radius = self.structure.exit_radius(pts[rnd])
+            out[rnd] = np.minimum(self.structure.area_of_opening(radius), self.v_max)
         return float(out[0]) if scalar else out
 
 

@@ -8,9 +8,9 @@ All functions are pure; the returned objects are treated as immutable.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DegenerateError, NonConvexError, RadiusTooLargeError
 
@@ -116,9 +116,11 @@ class RoundedBody:
 
 
 def _shoelace(vertices) -> float:
-    x = vertices[:, 0]
-    y = vertices[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    # about the first vertex, so that far-off coordinates do not cancel in
+    # the products; the closing term then vanishes
+    x = vertices[:, 0] - vertices[0, 0]
+    y = vertices[:, 1] - vertices[0, 1]
+    return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:]))
 
 
 def _edge_length_sum(vertices) -> float:
@@ -235,13 +237,49 @@ def polygon_measures(polygon: ConvexPolygon):
 # Offsetting every edge line inward by r keeps each eroded vertex on a fixed
 # affine path V(r) = Z + r*S until some edge length shrinks to zero.  The
 # radii at which edges vanish split [0, r*] into intervals with a constant
-# combinatorial structure; inside each interval the core area is quadratic
-# in r and the core perimeter affine.  One pass computes everything needed
-# for erosion at any radius, the inradius, and the set of incenter positions.
+# combinatorial structure (the straight skeleton of the polygon); inside
+# each interval the core area is quadratic in r and the core perimeter
+# affine, so the opening area A(r) + r P(r) + pi r^2 is a quadratic too.
+# One pass computes everything needed for erosion at any radius, the
+# inradius, and the set of incenter positions.
+
+CHUNK_ENTRIES = 1 << 16   # points x vertices per block of the per-point kernels
+
+
+class EventInterval(NamedTuple):
+    """Radii [r_lo, r_hi] over which the eroded core keeps its combinatorics.
+
+    ``edges`` indexes the polygon edges still active, in CCW order, and
+    ``normals`` / ``offsets`` are their lines.  Core vertex i lies between
+    edges[i] and edges[i+1] and moves on ``Z[i] + r * S[i]``.
+    """
+
+    r_lo: float
+    r_hi: float
+    edges: np.ndarray
+    Z: np.ndarray
+    S: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
 
 
 class ErosionStructure:
-    """Piecewise-affine description of all inner parallel bodies of a polygon."""
+    """Straight skeleton of a convex polygon: all its inner parallel bodies.
+
+    ``intervals`` are the K event intervals in order, ``breaks`` their K + 1
+    end radii from 0 to the inradius ``r_star``, and ``center_points`` the
+    incenter set (one point, or the two ends of a segment).
+
+    The build is event driven.  The active edges form a doubly linked list
+    and each keeps its length ``len0 + r * dlen`` and the radius at which
+    that length reaches zero, in (n,) arrays that every step scans for the
+    next event, so that the tie, length and parallel-edge rules see all
+    active edges as a full re-derivation would.  When edges vanish, only
+    the vertex that joins their surviving neighbours and the two edges
+    meeting there are recomputed, with the same formulas; every interval
+    is a snapshot of the active rows of the vertex array, and the Steiner
+    coefficients of all intervals come from one vectorised pass.
+    """
 
     def __init__(self, polygon: ConvexPolygon):
         self.polygon = polygon
@@ -250,73 +288,148 @@ class ErosionStructure:
 
     def _build(self):
         poly = self.polygon
-        n_all = poly.normals
-        d_all = poly.offsets
+        # vertices are solved about the vertex mean c, with the edge offsets
+        # taken from the centred vertices as validate_polygon does: far from
+        # the origin the offsets' rounding, amplified where lines meet at a
+        # small angle, would otherwise move the vertices
+        c = poly.vertices.mean(axis=0)
+        N, P = poly.normals, poly.vertices - c
+        D = 0.5 * (np.sum(N * P, axis=1) + np.sum(N * np.roll(P, -1, axis=0), axis=1))
+        n = len(D)
         tie = 1e-11 * self.scale
         eps_len = 1e-12 * self.scale
 
-        active = list(range(len(d_all)))
+        # vertex e joins edge e to edge nxt[e]; edge e runs from vertex
+        # prv[e] to vertex e along the tangent (-ny, nx).  Rows of ZS hold
+        # (Z, S) per vertex; dead edges keep an infinite length and vanish
+        # radius.
+        nxt = [*range(1, n), 0]
+        prv = [n - 1, *range(n - 1)]
+        alive = np.ones(n, dtype=bool)
+        count = n
+        ZS = np.empty((n, 4))
+        len0, dlen, vanish = np.empty(n), np.empty(n), np.empty(n)
+        nl, dl, zs = N.tolist(), D.tolist(), [None] * n
+
+        def set_vertex(a):
+            b = nxt[a]
+            (ax, ay), (bx, by) = nl[a], nl[b]
+            det = ax * by - ay * bx
+            if det <= 1e-14:
+                return False
+            zs[a] = ZS[a] = ((dl[a] * by - ay * dl[b]) / det,
+                             (ax * dl[b] - dl[a] * bx) / det,
+                             (-by + ay) / det, (-ax + bx) / det)
+            return True
+
+        def set_edge(e):
+            tx, ty = -nl[e][1], nl[e][0]
+            zx, zy, sx, sy = zs[e]
+            px, py, qx, qy = zs[prv[e]]
+            len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
+            dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
+            vanish[e] = -l0 / dl0 if dl0 < -1e-300 else np.inf
+
+        def drop(ks):
+            """Remove edges ks at once; False when a new vertex is degenerate."""
+            nonlocal count
+            heads = []
+            for k in ks:
+                p, q = prv[k], nxt[k]
+                nxt[p], prv[q] = q, p
+                heads.append(p)
+                alive[k] = False
+                len0[k], dlen[k], vanish[k] = np.inf, 0.0, np.inf
+            count -= len(ks)
+            if count < 3:
+                return True
+            heads = [p for p in dict.fromkeys(heads) if alive[p]]
+            if not all(set_vertex(p) for p in heads):
+                return False
+            for e in dict.fromkeys(e for p in heads for e in (p, nxt[p])):
+                set_edge(e)
+            return True
+
+        # adjacent edges (anti)parallel: the core is degenerate from the start
+        degenerate = not all(set_vertex(a) for a in range(n))
+        if not degenerate:
+            for e in range(n):
+                set_edge(e)
         r_cur = 0.0
-        intervals = []
-
-        while len(active) >= 3:
-            idx = np.array(active)
-            N = n_all[idx]
-            D = d_all[idx]
-            Nn = np.roll(N, -1, axis=0)
-            Dn = np.roll(D, -1, axis=0)
-            det = N[:, 0] * Nn[:, 1] - N[:, 1] * Nn[:, 0]
-            if np.any(det <= 1e-14):
-                break  # adjacent constraints (anti)parallel: core is degenerate
-            # vertex t between edges t and t+1: solve the 2x2 offset systems
-            Z = np.stack([(D * Nn[:, 1] - N[:, 1] * Dn) / det,
-                          (N[:, 0] * Dn - D * Nn[:, 0]) / det], axis=1)
-            S = np.stack([(-Nn[:, 1] + N[:, 1]) / det,
-                          (-N[:, 0] + Nn[:, 0]) / det], axis=1)
-            # edge t runs from vertex t-1 to vertex t along tangent (-ny, nx)
-            tang = np.stack([-N[:, 1], N[:, 0]], axis=1)
-            dZ = Z - np.roll(Z, 1, axis=0)
-            dS = S - np.roll(S, 1, axis=0)
-            len0 = np.sum(dZ * tang, axis=1)
-            dlen = np.sum(dS * tang, axis=1)
+        snaps = []
+        while not degenerate and count >= 3:
             cur_len = len0 + r_cur * dlen
-            if np.any(cur_len <= eps_len):
-                for k in np.nonzero(cur_len <= eps_len)[0][::-1]:
-                    del active[k]
-                continue  # redundant constraints pruned, re-derive structure
-            with np.errstate(divide="ignore"):
-                vanish = np.where(dlen < -1e-300, -len0 / dlen, np.inf)
-            r_next = float(np.min(vanish))
-            if not np.isfinite(r_next) or r_next <= r_cur + tie:
-                hit = vanish <= r_cur + tie
-                if not np.any(hit):
-                    break
-                for k in np.nonzero(hit)[0][::-1]:
-                    del active[k]
+            if cur_len.min() <= eps_len:
+                # redundant constraints
+                degenerate = not drop((cur_len <= eps_len).nonzero()[0].tolist())
                 continue
-
-            area_c = self._area_coeffs(Z, S)
-            intervals.append({
-                "r_lo": r_cur, "r_hi": r_next,
-                "normals": N, "offsets": D, "Z": Z, "S": S,
-                "area": area_c,
-                "perim": (float(np.sum(len0)), float(np.sum(dlen))),
-            })
-            for k in np.nonzero(vanish <= r_next + tie)[0][::-1]:
-                del active[k]
+            r_next = float(vanish.min())
+            if r_next == np.inf or r_next <= r_cur + tie:
+                hit = (vanish <= r_cur + tie).nonzero()[0]
+                if not hit.size:
+                    break
+                degenerate = not drop(hit.tolist())
+                continue
+            idx = alive.nonzero()[0]
+            snaps.append((r_cur, r_next, idx, ZS.take(idx, axis=0)))
+            degenerate = not drop((vanish <= r_next + tie).nonzero()[0].tolist())
             r_cur = r_next
 
-        if not intervals:
+        if not snaps:
             raise DegenerateError("polygon admits no interior offset structure")
-        self.intervals = intervals
         self.r_star = r_cur
-        self.breaks = np.array([iv["r_lo"] for iv in intervals] + [r_cur])
-        self._area_poly = np.array([iv["area"] for iv in intervals])
-        self._perim_poly = np.array([iv["perim"] for iv in intervals])
+        self.breaks = np.array([s[0] for s in snaps] + [r_cur])
+        sizes = np.array([len(s[2]) for s in snaps])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        ends = starts + sizes
+        edges = np.concatenate([s[2] for s in snaps])
+        ZSc = np.concatenate([s[3] for s in snaps])
+        Zc, Sc, Nc, Dc = ZSc[:, :2] + c, ZSc[:, 2:], N[edges], poly.offsets[edges]
+        self.intervals = [
+            EventInterval(lo, hi, edges[a:b], Zc[a:b], Sc[a:b], Nc[a:b], Dc[a:b])
+            for lo, hi, a, b in zip(self.breaks[:-1].tolist(), self.breaks[1:].tolist(),
+                                    starts.tolist(), ends.tolist())]
+
+        # Steiner coefficients of every interval in one pass, in t = r - r_lo:
+        # the shoelace of the core vertices V = V_lo + t S expands into
+        # area = a0 + a1 t + a2 t^2, and the perimeter is the sum of the edge
+        # lengths p0 + p1 t.  Expanding about the interval start (not r = 0)
+        # and the vertex mean keeps far-off points from cancelling.
+        succ = np.arange(1, len(edges) + 1)
+        succ[ends - 1] = starts
+        pred = np.arange(-1, len(edges) - 1)
+        pred[starts] = ends - 1
+        r_lo = self.breaks[:-1]
+        V0 = ZSc[:, :2] + np.repeat(r_lo, sizes)[:, None] * Sc
+        (vx, vy), (sx, sy) = V0.T, Sc.T
+        tx, ty = -Nc[:, 1], Nc[:, 0]
+
+        def total(x):
+            return np.add.reduceat(x, starts)
+
+        self._area_poly = 0.5 * np.stack([
+            total(vx * vy[succ] - vy * vx[succ]),
+            total(vx * sy[succ] - vy * sx[succ] + (sx * vy[succ] - sy * vx[succ])),
+            total(sx * sy[succ] - sy * sx[succ])], axis=1)
+        self._perim_poly = np.stack([
+            total((vx - vx[pred]) * tx + (vy - vy[pred]) * ty),
+            total((sx - sx[pred]) * tx + (sy - sy[pred]) * ty)], axis=1)
+        (a0, a1, a2), (p0, p1) = self._area_poly.T, self._perim_poly.T
+        # opening area A + r P + pi r^2 = c0 + c1 t + c2 t^2 per interval, and
+        # the running minimum of its values at the interval ends: the tie rule
+        # can leave rounding-sized steps at the breaks, which this keeps
+        # monotone
+        self._opening_poly = np.stack([
+            a0 + r_lo * (p0 + np.pi * r_lo),
+            a1 + p0 + r_lo * (p1 + 2.0 * np.pi),
+            a2 + p1 + np.pi], axis=1)
+        c0, c1, c2 = self._opening_poly.T
+        t_end = np.diff(self.breaks)
+        self._opening_at_ends = np.minimum.accumulate(c0 + t_end * (c1 + t_end * c2))
 
         # limit of the vertex paths at r*: the set of incenter positions
-        last = intervals[-1]
-        pts = last["Z"] + self.r_star * last["S"]
+        last = self.intervals[-1]
+        pts = last.Z + self.r_star * last.S
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         i, j = np.unravel_index(np.argmax(d2), d2.shape)
         if np.sqrt(d2[i, j]) <= EPS_GEOM * self.scale:
@@ -324,35 +437,32 @@ class ErosionStructure:
         else:
             self.center_points = np.stack([pts[i], pts[j]])
 
-    @staticmethod
-    def _area_coeffs(Z, S):
-        """Shoelace of V(r) = Z + r S expanded into area = a0 + a1 r + a2 r^2."""
-        Zn = np.roll(Z, -1, axis=0)
-        Sn = np.roll(S, -1, axis=0)
-
-        def cr(p, q):
-            return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-
-        a0 = 0.5 * float(np.sum(cr(Z, Zn)))
-        a1 = 0.5 * float(np.sum(cr(Z, Sn) + cr(S, Zn)))
-        a2 = 0.5 * float(np.sum(cr(S, Sn)))
-        return a0, a1, a2
-
     # -- queries ------------------------------------------------------------
 
     def interval_index(self, r):
         idx = np.searchsorted(self.breaks, r, side="right") - 1
         return np.clip(idx, 0, len(self.intervals) - 1)
 
+    def _blocks(self, idx):
+        """(interval, point indices) blocks of at most CHUNK_ENTRIES entries."""
+        order = np.argsort(idx, kind="stable")
+        ks, first = np.unique(idx[order], return_index=True)
+        for k, lo, hi in zip(ks, first, [*first[1:], len(order)]):
+            iv = self.intervals[k]
+            step = max(1, CHUNK_ENTRIES // len(iv.Z))
+            for s in range(lo, hi, step):
+                yield iv, order[s:min(s + step, hi)]
+
     def core_measures(self, r):
         """(area, perimeter) of the eroded core, vectorized over r in [0, r*]."""
         r = np.asarray(r, dtype=float)
         idx = self.interval_index(r)
+        t = r - self.breaks[idx]
         a = self._area_poly[idx]
         p = self._perim_poly[idx]
-        area = a[..., 0] + r * (a[..., 1] + r * a[..., 2])
-        perim = p[..., 0] + r * p[..., 1]
-        return np.maximum(area, 0.0), np.maximum(perim, 0.0)
+        area = a[..., 0] + t * (a[..., 1] + t * a[..., 2])
+        perim = p[..., 0] + t * p[..., 1]
+        return area, perim
 
     def area_of_opening(self, r):
         """Area of (eroded core) + r * disk, by the Steiner formula."""
@@ -365,35 +475,108 @@ class ErosionStructure:
         _, perim = self.core_measures(r)
         return perim + 2.0 * np.pi * r
 
+    def radius_for_area(self, area):
+        """Radius r in [0, r*] whose opening has the given area; vectorized.
+
+        The opening area decreases strictly from |Omega| at r = 0 to |H| at
+        r*.  One searchsorted over its values at the interval ends finds
+        the first interval that reaches the area; there the quadratic
+        c2 t^2 + c1 t + c0 = area in t = r - r_lo (c1, c2 <= 0) is solved by
+        the root formula without cancellation, t = 2 c / (sqrt(disc) - c1)
+        with c = c0 - area, and r clipped to the interval.
+        """
+        v = np.asarray(area, dtype=float)
+        k = np.searchsorted(-self._opening_at_ends, -v, side="left")
+        k = np.minimum(k, len(self.intervals) - 1)
+        poly = self._opening_poly
+        c0, c1, c2 = poly[k, 0], poly[k, 1], poly[k, 2]
+        c = np.maximum(c0 - v, 0.0)        # an area above the interval's start: t = 0
+        sq = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2 * c, 0.0))
+        t = 2.0 * c / np.maximum(sq - c1, 1e-300)
+        return np.clip(self.breaks[k] + t, self.breaks[k], self.breaks[k + 1])
+
     def core_vertices(self, r: float) -> np.ndarray:
         iv = self.intervals[int(self.interval_index(r))]
-        return iv["Z"] + r * iv["S"]
+        return iv.Z + r * iv.S
 
     def distance_to_core(self, points, r):
-        """Distance from points (m, 2) to the eroded core at per-point radii r."""
+        """Distance from points (m, 2) to the eroded core at per-point radii r.
+
+        Points are grouped by event interval and evaluated in blocks of at
+        most CHUNK_ENTRIES point-vertex pairs, so temporaries stay bounded
+        whatever the number of points.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.broadcast_to(np.asarray(r, dtype=float), (pts.shape[0],))
         out = np.empty(pts.shape[0])
-        idx = self.interval_index(r)
-        for k in np.unique(idx):
-            sel = idx == k
-            iv = self.intervals[k]
-            out[sel] = self._dist_group(pts[sel], r[sel], iv)
+        for iv, sel in self._blocks(self.interval_index(r)):
+            out[sel] = self._dist_block(pts[sel], r[sel], iv)
         return out
 
     @staticmethod
-    def _dist_group(pts, r, iv):
-        V = iv["Z"][None, :, :] + r[:, None, None] * iv["S"][None, :, :]
-        inside = np.max(pts @ iv["normals"].T - (iv["offsets"][None, :] - r[:, None]),
-                        axis=1) <= 0.0
-        W = np.roll(V, -1, axis=1)
-        seg = W - V
-        rel = pts[:, None, :] - V
-        denom = np.maximum(np.sum(seg * seg, axis=2), 1e-300)
-        t = np.clip(np.sum(rel * seg, axis=2) / denom, 0.0, 1.0)
-        proj = V + t[:, :, None] * seg
-        dmin = np.min(np.linalg.norm(pts[:, None, :] - proj, axis=2), axis=1)
-        return np.where(inside, 0.0, dmin)
+    def _dist_block(pts, r, iv):
+        rr = r[:, None]
+        px, py = pts[:, 0:1], pts[:, 1:2]
+        vx = iv.Z[:, 0] + rr * iv.S[:, 0]
+        vy = iv.Z[:, 1] + rr * iv.S[:, 1]
+        inside = np.max(pts @ iv.normals.T - (iv.offsets - rr), axis=1) <= 0.0
+        ex = np.roll(vx, -1, axis=1) - vx
+        ey = np.roll(vy, -1, axis=1) - vy
+        t = np.clip(((px - vx) * ex + (py - vy) * ey)
+                    / np.maximum(ex * ex + ey * ey, 1e-300), 0.0, 1.0)
+        dx = px - (vx + t * ex)
+        dy = py - (vy + t * ey)
+        return np.where(inside, 0.0, np.sqrt(np.min(dx * dx + dy * dy, axis=1)))
+
+    def exit_radius(self, points):
+        """Largest r with each point of the domain in the opening at r.
+
+        First the event interval of each point is bracketed by bisecting
+        over the break indices with exact membership tests
+        dist(x, core(b)) <= b, at most ceil(log2 K) of them.  Inside the
+        bracket [r_lo, r_hi], x lies in the disk of radius r about core
+        vertex i exactly for r between the roots of
+
+            (|S_i|^2 - 1) r^2 - 2 r (x - Z_i).S_i + |x - Z_i|^2 = 0,
+
+        whose discriminant factors as |S_i|^2 s_a s_b, with s_a, s_b >= 0 the
+        distances from x to the two edge lines meeting at the vertex.  Any
+        radius in the bracket at which x lies in such a disk keeps x in the
+        opening, and x leaves the opening through the arc of one vertex, so
+        the exit radius is the largest such radius (r_lo if there is none).
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        lo = np.zeros(len(pts), dtype=np.intp)       # member at breaks[lo]
+        hi = np.full(len(pts), len(self.intervals))  # not member at breaks[hi]
+        act = np.flatnonzero(hi - lo > 1)
+        while act.size:
+            mid = (lo[act] + hi[act]) // 2
+            rb = self.breaks[mid]
+            ok = self.distance_to_core(pts[act], rb) <= rb
+            lo[act[ok]] = mid[ok]
+            hi[act[~ok]] = mid[~ok]
+            act = act[hi[act] - lo[act] > 1]
+        out = np.empty(len(pts))
+        for iv, sel in self._blocks(lo):
+            out[sel] = self._exit_block(pts[sel], iv)
+        return out
+
+    @staticmethod
+    def _exit_block(pts, iv):
+        s = np.maximum(iv.offsets[None, :] - pts @ iv.normals.T, 0.0)
+        speed2 = np.sum(iv.S * iv.S, axis=1)
+        wx = pts[:, 0:1] - iv.Z[:, 0]
+        wy = pts[:, 1:2] - iv.Z[:, 1]
+        b = wx * iv.S[:, 0] + wy * iv.S[:, 1]
+        c = wx * wx + wy * wy
+        q = b + np.sqrt(speed2 * s * np.roll(s, -1, axis=1))
+        a = speed2 - 1.0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r_out = np.where(a > 0.0, q / a, np.inf)
+            r_in = np.where(q > 0.0, c / q, np.where(c > 0.0, np.inf, 0.0))
+        hit = (r_in <= iv.r_hi) & (r_out >= iv.r_lo)
+        best = np.max(np.where(hit, np.minimum(r_out, iv.r_hi), iv.r_lo), axis=1)
+        return np.maximum(best, iv.r_lo)
 
     def core_body(self, r: float) -> ErodedBody:
         """Eroded core at radius r with the degeneracy collapse policy applied."""
@@ -437,31 +620,37 @@ def erode(polygon: ConvexPolygon, r: float, structure: ErosionStructure | None =
 def largest_balls(polygon: ConvexPolygon, structure: ErosionStructure | None = None) -> LargestBallSet:
     """Inradius and incenter set of the polygon.
 
-    The inradius solves the linear program  max r  s.t.  n_i . x + r <= d_i
-    over the unit edge normals; the incenter set (a point or a segment) is
-    read off the erosion structure and cross-checked against the LP value.
+    Both are read off the erosion structure: the inradius r* is the radius
+    at which the core collapses and the incenter set (a point or a
+    segment) is the limit of the vertex paths there.  They are certified
+    in O(n) as the optimum of the linear program  max r  s.t.
+    n_i . x + r <= d_i  by LP duality at the structure's incenter c (the
+    midpoint of the set): c is feasible, n_i . c + r* <= d_i + tol for
+    every edge, and the unit normals of the constraints tight within tol
+    leave no angular gap wider than pi, so 0 lies in their convex hull
+    and no feasible (x, r) has r > r* + tol.  A failed certificate raises
+    DegenerateError.
     """
     struct = structure or ErosionStructure(polygon)
-    n = polygon.normals
-    res = linprog(c=[0.0, 0.0, -1.0],
-                  A_ub=np.hstack([n, np.ones((len(n), 1))]),
-                  b_ub=polygon.offsets,
-                  bounds=[(None, None), (None, None), (0.0, None)],
-                  method="highs")
-    if not res.success:
-        raise DegenerateError(f"inradius LP failed: {res.message}")
-    r_star = float(res.x[2])
-    if abs(r_star - struct.r_star) > 1e-7 * polygon.scale:
-        raise DegenerateError("inconsistent inradius between LP and offset structure")
-
+    r_star = struct.r_star
     pts = struct.center_points
+    midpoint = pts.mean(axis=0)
+    # 1e-7, not EPS_GEOM: in slivers and at near-parallel edges the vertex
+    # paths meet at small angles and blur the incenter beyond EPS_GEOM
+    tol = 1e-7 * polygon.scale
+    slack = polygon.offsets - polygon.normals @ midpoint - r_star
+    if np.min(slack) < -tol:
+        raise DegenerateError("inradius certificate failed: incenter violates an edge")
+    tight = polygon.normals[slack <= tol]
+    ang = np.sort(np.arctan2(tight[:, 1], tight[:, 0]))
+    if len(ang) < 2 or np.max(np.diff(ang, append=ang[0] + 2.0 * np.pi)) > np.pi + 1e-7:
+        raise DegenerateError("inradius certificate failed: tight edges leave a gap")
+
     if len(pts) == 1:
         centers = ErodedBody("point", pts, r_star, polygon.scale)
-        midpoint = pts[0]
         length = 0.0
     else:
         centers = ErodedBody("segment", pts, r_star, polygon.scale)
-        midpoint = 0.5 * (pts[0] + pts[1])
         length = float(np.linalg.norm(pts[1] - pts[0]))
     ball = np.pi * r_star * r_star
     return LargestBallSet(inradius=r_star, centers=centers, midpoint=midpoint,
