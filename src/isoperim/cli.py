@@ -135,7 +135,16 @@ def cmd_rearrange(args) -> int:
     return 0 if report.passed else EXIT_CHECK
 
 
+def _check_verify_counts(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if not 0 <= args.anneal <= oracle.ANNEAL_MAX_GRID:
+        raise ValueError(f"--anneal must be 0 (off) or a grid width from 1 to "
+                         f"{oracle.ANNEAL_MAX_GRID}, got {args.anneal}")
+
+
 def cmd_verify(args) -> int:
+    _check_verify_counts(args)
     domain = io.load_domain(args.domain)
     family = build_family(domain)
     v = _volume_from_args(args, family.v_max)

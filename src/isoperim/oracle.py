@@ -4,7 +4,7 @@ Two oracles: random area-matched convex competitors whose perimeter must
 never beat the candidate shape, and a fixed-area simulated annealing
 search on a binary pixel grid scored by a multi-direction Cauchy-Crofton
 perimeter estimate (pixel-edge counting would reward axis-aligned shapes;
-line sampling over eight lattice directions is rotation-robust).
+line sampling over sixteen lattice directions is rotation-robust).
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +20,8 @@ from .geometry import (ConvexPolygon, EPS_GEOM, _shoelace, _edge_length_sum,
 AREA_TOL_REL = 1e-6
 PERIMETER_SLACK = 1e-9
 SAMPLERS = ("hull", "halfplane", "disk")
+QHULL_RETRIES = 16        # Qhull failures one hull competitor may absorb
+ANNEAL_MAX_GRID = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +75,16 @@ def _hull_competitor(rng, family, v, k0=12, k_max=8192):
     dom = family.domain
     k = k0
     tries = 0
+    failures = 0
     while k <= k_max:
         pts = sample_points_in_polygon(rng, dom, k)
         try:
             hull = ConvexHull(pts)
-        except QhullError:
+        except QhullError as exc:
+            failures += 1
+            if failures > QHULL_RETRIES:
+                raise SamplerInfeasibleError(
+                    f"Qhull failed {failures} times on hulls of {k} points") from exc
             tries += 1
             continue
         verts = pts[hull.vertices]
@@ -283,32 +290,73 @@ def _transition_count(g, a, b) -> int:
     return int(np.count_nonzero(G ^ H))
 
 
+_PAD = 3  # widest stencil reach: every read of a grid cell's stencil stays in the buffer
+
+
+def _padded_buffer(grid):
+    """(bytearray, live 2-D bool view) of ``grid`` inside a zero margin of _PAD cells."""
+    padded = np.pad(np.asarray(grid).astype(bool), _PAD)
+    buf = bytearray(padded.tobytes())
+    return buf, np.frombuffer(buf, dtype=bool).reshape(padded.shape)
+
+
 class _CroftonCounter:
-    """Incrementally maintained transition counts for single-cell flips."""
+    """Transition counts of a binary grid, updated from a fixed flat stencil.
+
+    Cell (j, i) is byte ``(j + 3) * width + i + 3`` of ``buf``; the zero
+    margin is the outside, so stencil reads need no bounds checks.  Flat
+    offset ``b * width + a`` reaches the Crofton neighbour (a, b), and
+    ``g`` is a live boolean view of the grid.
+    """
 
     def __init__(self, grid, cell):
-        self.g = np.asarray(grid).astype(bool).copy()
-        self.cell = cell
-        self.counts = [_transition_count(self.g, a, b) for a, b in _CROFTON_DIRS]
+        g = np.asarray(grid).astype(bool)
+        self.counts = [_transition_count(g, a, b) for a, b in _CROFTON_DIRS]
+        self.buf, self.cells = _padded_buffer(g)
+        self.g = self.cells[_PAD:-_PAD, _PAD:-_PAD]
+        self.width = self.cells.shape[1]
+        self.coef = [float(w * (cell / ln)) for w, ln in zip(_CROFTON_W, _CROFTON_LEN)]
+        self.offsets = [int(b) * self.width + int(a) for a, b in _CROFTON_DIRS]
+        self.n4 = (1, -1, self.width, -self.width)
+        # flat q - p -> direction k when q is p's neighbour along direction k
+        self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}
 
-    def perimeter(self) -> float:
+    def index(self, j, i) -> int:
+        return (int(j) + _PAD) * self.width + int(i) + _PAD
+
+    def perimeter(self, counts=None) -> float:
         total = 0.0
-        for n, w, ln in zip(self.counts, _CROFTON_W, _CROFTON_LEN):
-            total += w * (self.cell / ln) * n
+        for c, n in zip(self.coef, self.counts if counts is None else counts):
+            total += c * n
         return 0.5 * total
 
+    def price(self, p, q):
+        """(counts, perimeter) once in-cell p leaves and out-cell q joins.
+
+        Per direction p leaving adds 2 (nb1 + nb2) - 2 and q joining adds
+        2 - 2 (nb1 + nb2), reading p as already out; the grid is untouched.
+        """
+        buf = self.buf
+        counts = [n + 2 * (buf[p + d] + buf[p - d] - buf[q + d] - buf[q - d])
+                  for n, d in zip(self.counts, self.offsets)]
+        k = self.adjacent.get(q - p)
+        if k is not None:
+            counts[k] += 2  # q's neighbour p has already left
+        return counts, self.perimeter(counts)
+
+    def commit(self, p, q, counts):
+        """Apply a swap priced by ``price``."""
+        self.buf[p] = 0
+        self.buf[q] = 1
+        self.counts = counts
+
     def flip(self, j, i):
-        ny, nx = self.g.shape
-        val = bool(self.g[j, i])
-        new = not val
-        for k, (a, b) in enumerate(_CROFTON_DIRS):
-            delta = 0
-            for sa, sb in ((a, b), (-a, -b)):
-                jj, ii = j + sb, i + sa
-                other = bool(self.g[jj, ii]) if 0 <= jj < ny and 0 <= ii < nx else False
-                delta += int(new ^ other) - int(val ^ other)
-            self.counts[k] += delta
-        self.g[j, i] = new
+        x = self.index(j, i)
+        buf = self.buf
+        sign = 1 if buf[x] else -1
+        self.counts = [n + sign * (2 * (buf[x + d] + buf[x - d]) - 2)
+                       for n, d in zip(self.counts, self.offsets)]
+        buf[x] ^= 1
 
 
 @dataclass(frozen=True)
@@ -347,11 +395,12 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
 
     Moves swap one boundary in-cell with one out-cell adjacent to the
     in-set, so the cell count is conserved exactly.  The energy is the
-    Crofton perimeter, updated incrementally.  Starts from a compact
+    Crofton perimeter: each swap is priced from the counter's stencil
+    and written back only when accepted.  Starts from a compact
     axis-aligned block at a seeded position.
     """
-    if grid_n > 256:
-        raise ValueError("desk-scale oracle: grid_n must be at most 256")
+    if grid_n > ANNEAL_MAX_GRID:
+        raise ValueError(f"desk-scale oracle: grid_n must be at most {ANNEAL_MAX_GRID}")
     schedule = schedule or AnnealSchedule()
     schedule.validate()
     rng = np.random.default_rng(seed)
@@ -372,42 +421,44 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
 
     grid = _seed_block(rng, mask, count)
     counter = _CroftonCounter(grid, h)
+    buf, n4 = counter.buf, counter.n4
+    mask_buf, mask_cells = _padded_buffer(mask)
     energy = counter.perimeter()
-    best = grid.copy()
+    current = energy
+    best = bytes(buf)
     best_energy = energy
     temp = schedule.t0_cells * h
     trace = np.empty(schedule.sweeps)
 
     for sweep in range(schedule.sweeps):
-        bd_in, bd_out = _boundaries(counter.g, mask)
-        if len(bd_in) == 0 or len(bd_out) == 0:
+        bd_in, bd_out = _boundaries(counter.cells, mask_cells)
+        n_in, n_out = len(bd_in), len(bd_out)
+        if n_in == 0 or n_out == 0:
             trace[sweep:] = energy
             break
-        moves = len(bd_in)
-        for _ in range(moves):
-            p = bd_in[rng.integers(len(bd_in))]
-            q = bd_out[rng.integers(len(bd_out))]
-            if not _valid_swap(counter.g, mask, p, q):
+        for _ in range(n_in):
+            p = bd_in[rng.integers(n_in)]
+            q = bd_out[rng.integers(n_out)]
+            if not _valid_swap(buf, mask_buf, n4, p, q):
                 continue
-            before = counter.perimeter()
-            counter.flip(*p)
-            counter.flip(*q)
-            delta = counter.perimeter() - before
+            counts, after = counter.price(p, q)
+            delta = after - current
             if delta <= 0.0 or rng.random() < np.exp(-delta / temp):
-                energy = before + delta
+                energy = current + delta
+                counter.commit(p, q, counts)
+                current = after
                 if energy < best_energy:
                     best_energy = energy
-                    best = counter.g.copy()
-            else:
-                counter.flip(*q)
-                counter.flip(*p)
+                    best = bytes(buf)
         trace[sweep] = energy
         temp *= schedule.ratio
         assert int(counter.g.sum()) == count  # swap moves conserve the count
 
-    assert int(best.sum()) == count
+    best_grid = np.frombuffer(best, dtype=bool).reshape(counter.cells.shape)
+    best_grid = best_grid[_PAD:-_PAD, _PAD:-_PAD].copy()
+    assert int(best_grid.sum()) == count
     origin = lo + 0.5 * h
-    return AnnealResult(grid=best, perimeter=float(best_energy), origin=origin,
+    return AnnealResult(grid=best_grid, perimeter=float(best_energy), origin=origin,
                         cell=h, in_count=count, seed=seed, energy_trace=trace,
                         temperature_final=float(temp))
 
@@ -430,35 +481,33 @@ def _seed_block(rng, mask, count):
 _N4 = np.array([(0, 1), (0, -1), (1, 0), (-1, 0)])
 
 
-def _boundaries(grid, mask):
-    """(in-cells with an out 4-neighbor, masked out-cells with an in 4-neighbor)."""
-    pad = np.pad(grid, 1)
-    nbr_out = np.zeros_like(grid, dtype=bool)
-    nbr_in = np.zeros_like(grid, dtype=bool)
+def _boundaries(cells, mask):
+    """Flat indices of in-cells with an out 4-neighbor and of masked out-cells
+    with an in 4-neighbor, in row-major order, on the zero-padded views."""
+    ny, nx = cells.shape
+    inner = cells[1:-1, 1:-1]
+    nbr_out = np.zeros_like(inner)
+    nbr_in = np.zeros_like(inner)
     for dj, di in _N4:
-        sl = pad[1 + dj: pad.shape[0] - 1 + dj, 1 + di: pad.shape[1] - 1 + di]
+        sl = cells[1 + dj: ny - 1 + dj, 1 + di: nx - 1 + di]
         nbr_out |= ~sl
         nbr_in |= sl
-    bd_in = np.argwhere(grid & nbr_out)
-    bd_out = np.argwhere(mask & ~grid & nbr_in)
-    return bd_in, bd_out
+    bd_in = np.zeros_like(cells)
+    bd_out = np.zeros_like(cells)
+    bd_in[1:-1, 1:-1] = inner & nbr_out
+    bd_out[1:-1, 1:-1] = mask[1:-1, 1:-1] & ~inner & nbr_in
+    return np.flatnonzero(bd_in).tolist(), np.flatnonzero(bd_out).tolist()
 
 
-def _has_neighbor(grid, j, i, value):
-    ny, nx = grid.shape
-    for dj, di in _N4:
-        jj, ii = j + dj, i + di
-        nb = bool(grid[jj, ii]) if 0 <= jj < ny and 0 <= ii < nx else False
-        if nb == value:
+def _has_neighbor(buf, n4, x, value):
+    for d in n4:
+        if buf[x + d] == value:
             return True
     return False
 
 
-def _valid_swap(grid, mask, p, q):
+def _valid_swap(buf, mask, n4, p, q):
     """Boundary swap stays valid against the current (possibly stale-listed) state."""
-    if not grid[p[0], p[1]] or grid[q[0], q[1]] or not mask[q[0], q[1]]:
+    if not buf[p] or buf[q] or not mask[q]:
         return False
-    if p[0] == q[0] and p[1] == q[1]:
-        return False
-    return (_has_neighbor(grid, p[0], p[1], False)
-            and _has_neighbor(grid, q[0], q[1], True))
+    return _has_neighbor(buf, n4, p, 0) and _has_neighbor(buf, n4, q, 1)

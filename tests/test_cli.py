@@ -159,6 +159,21 @@ def test_verify_with_anneal_writes_pgm(square_json, tmp_path):
     assert pgm[1].split() == ["32", "32"]
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--samples", "0", "--samples must be at least 1, got 0"),
+    ("--samples", "-5", "--samples must be at least 1, got -5"),
+    ("--anneal", "-4", "--anneal must be 0 (off) or a grid width from 1 to 256, got -4"),
+    ("--anneal", "257", "--anneal must be 0 (off) or a grid width from 1 to 256, got 257"),
+])
+def test_verify_rejects_bad_counts(square_json, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "out"
+    code = main(["verify", "--domain", square_json, "--volume", "0.9",
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()  # rejected before any work
+
+
 def test_outputs_deterministic(square_json, tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from isoperim import oracle as orc
 from isoperim.errors import SamplerInfeasibleError, ScheduleInvalidError
@@ -53,6 +54,19 @@ def test_hull_sampler(square_family):
     assert comp.kind == "polygon"
     assert comp.area == pytest.approx(0.9, abs=1e-6)
     assert square_family.domain.contains_point(comp.vertices).all()
+
+
+def test_hull_sampler_gives_up_when_qhull_keeps_failing(square_family, monkeypatch):
+    calls = []
+
+    def failing_hull(points):
+        calls.append(len(points))
+        raise QhullError("QH6154 initial simplex is flat")
+
+    monkeypatch.setattr(orc, "ConvexHull", failing_hull)
+    with pytest.raises(SamplerInfeasibleError, match="Qhull failed"):
+        orc.sample_competitor(square_family, 0.9, "hull", seed=7)
+    assert len(calls) == orc.QHULL_RETRIES + 1
 
 
 def test_halfplane_sampler(square_family):
