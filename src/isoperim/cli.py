@@ -29,6 +29,8 @@ EXIT_MISMATCH = 5
 EXIT_CHECK = 6
 
 ANNEAL_BAND = 0.05
+SWEEP_MAX_STEPS = 10_000
+LEVELS_MIN, LEVELS_MAX = 16, 4096
 
 
 def _volume_from_args(args, v_max) -> float:
@@ -72,17 +74,17 @@ def _parse_sweep(text):
         raise ValueError("sweep must be 'a:b:n'")
     a, b = float(parts[0]), float(parts[1])
     n = int(parts[2])
-    if n < 2:
-        raise ValueError("sweep needs at least 2 steps")
+    if not 2 <= n <= SWEEP_MAX_STEPS:
+        raise ValueError(f"--sweep needs 2 to {SWEEP_MAX_STEPS} steps, got {n}")
     if not a < b:
         raise ValueError("sweep needs a < b")
     return a, b, n
 
 
 def cmd_family(args) -> int:
+    a, b, n = _parse_sweep(args.sweep)
     domain = io.load_domain(args.domain)
     family = build_family(domain)
-    a, b, n = _parse_sweep(args.sweep)
     vs = np.linspace(a, b, n)
     if vs[0] <= 0.0 or vs[-1] > family.v_max:
         raise VolumeOutOfRangeError("sweep outside (0, |domain|]")
@@ -110,6 +112,9 @@ def cmd_family(args) -> int:
 
 
 def cmd_rearrange(args) -> int:
+    if not LEVELS_MIN <= args.levels <= LEVELS_MAX:
+        raise ValueError(f"--levels must be from {LEVELS_MIN} to {LEVELS_MAX}, "
+                         f"got {args.levels}")
     domain = io.load_domain(args.domain)
     family = build_family(domain)
     u = io.read_grid(args.grid, domain)

@@ -21,32 +21,39 @@ import numpy as np
 
 from . import geometry
 from .errors import VolumeOutOfRangeError
-from .geometry import (ConvexPolygon, ErosionStructure, LargestBallSet,
-                       RoundedBody, EPS_GEOM)
+from .geometry import (ConvexPolygon, ErodedBody, ErosionStructure,
+                       LargestBallSet, RoundedBody, EPS_GEOM)
 
 TOL_REL = 1e-9        # relative tolerance for areas and ranks
+KINDS = ("disk", "stadium", "rounded")
+STADIUM, ROUNDED = 1, 2                # regime indices into KINDS (0: disk)
 
 
 @dataclass(frozen=True, eq=False)
 class MinimizerShape:
-    """One member E(v) of the family, tagged by its construction.
+    """One member E(v) of the family: body = core + B_radius.
 
-    kind is "disk", "stadium" or "rounded".  Disks carry center/radius,
-    stadiums the two endpoints of their spine segment plus the ball
-    radius, rounded shapes the eroded core dilated by `radius`.
-    curvature is the reciprocal arc radius (inf for the full domain) and
-    scale the domain's length scale, which sets the membership tolerance.
+    kind names the regime.  A "disk" has a point core (the midpoint of
+    the incenter set), a "stadium" a segment core (a centred piece of the
+    incenter segment) dilated by the inradius, and a "rounded" shape the
+    eroded domain dilated by its erosion radius (the opening).  curvature
+    is 1 / radius (inf for the full domain).  The core carries the domain
+    scale, which sets the membership tolerance.
     """
 
     kind: str
     volume: float
     perimeter: float
     curvature: float
-    scale: float
-    center: np.ndarray | None = None       # disk
-    radius: float = 0.0                     # disk / stadium / rounded
-    spine: np.ndarray | None = None         # stadium: (2, 2) endpoints
-    body: RoundedBody | None = None         # rounded
+    body: RoundedBody
+
+    @property
+    def radius(self) -> float:
+        return self.body.radius
+
+    @property
+    def scale(self) -> float:
+        return self.body.core.scale
 
     def contains(self, points, tol: float | None = None):
         """Closed membership, vectorized over (..., 2) points.
@@ -54,29 +61,17 @@ class MinimizerShape:
         The default tolerance is EPS_GEOM times the domain scale, the one
         MinimizerFamily.member uses, so both agree at every scale.
         """
-        if tol is None:
-            tol = EPS_GEOM * self.scale
-        if self.kind == "disk":
-            d = np.linalg.norm(np.asarray(points, dtype=float) - self.center, axis=-1)
-        elif self.kind == "stadium":
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            d = geometry._point_segment_distance(pts, self.spine[0], self.spine[1])
-            if np.asarray(points).ndim == 1:
-                d = d[0]
-        else:
-            return geometry.contains(self.body, points, tol)
-        return d <= self.radius + tol
+        return geometry.contains(self.body, points, tol)
 
     def as_dict(self):
-        params: dict
+        core = self.body.core
         if self.kind == "disk":
-            params = {"center": self.center.tolist(), "radius": self.radius}
+            params = {"center": core.points[0].tolist()}
         elif self.kind == "stadium":
-            params = {"spine": self.spine.tolist(), "radius": self.radius}
+            params = {"spine": core.points.tolist()}
         else:
-            core = self.body.core
-            params = {"core_kind": core.kind, "core_points": core.points.tolist(),
-                      "radius": self.radius}
+            params = {"core_kind": core.kind, "core_points": core.points.tolist()}
+        params["radius"] = self.radius
         return {"type": self.kind, "v": self.volume, "perimeter": self.perimeter,
                 "curvature": None if not np.isfinite(self.curvature) else self.curvature,
                 "parameters": params}
@@ -142,97 +137,84 @@ class MinimizerFamily:
 
     # -- the family ----------------------------------------------------------
 
+    def _classify(self, v):
+        """Regime, arc radius rho and spine half-length of E(v) for checked v.
+
+        The regime indexes KINDS: the disk up to the largest ball's area
+        (rho = sqrt(v / pi)), the stadium up to the ball union's area
+        (rho = r*, a spine of half-length (v - pi r*^2) / (4 r*) on the
+        incenter segment), the opening beyond (rho from radius_for_volume).
+        The half-length is 0 outside the stadium.
+        """
+        v = np.atleast_1d(v)
+        balls = self.balls
+        regime = (v > balls.ball_measure).astype(np.intp) + (v > balls.hull_measure)
+        rho = np.sqrt(v / np.pi)
+        half = np.zeros_like(v)
+        stad = regime == STADIUM
+        r = balls.inradius
+        rho[stad] = r
+        half[stad] = 0.5 * ((v[stad] - np.pi * r * r) / (2.0 * r))
+        rnd = regime == ROUNDED
+        if np.any(rnd):
+            rho[rnd] = self.radius_for_volume(v[rnd])
+        return regime, rho, half
+
+    def _perimeter(self, regime, rho, half):
+        """Core perimeter plus 2 pi rho; a segment core counts twice."""
+        core = 4.0 * half
+        rnd = regime == ROUNDED
+        if np.any(rnd):
+            core[rnd] = self.structure.core_measures(rho[rnd])[1]
+        return core + 2.0 * np.pi * rho
+
     def minimizer(self, v: float) -> MinimizerShape:
         """The canonical minimizer E(v); v = |Omega| returns the domain itself."""
-        v = float(self._check_volume(v))
-        balls = self.balls
-        if v <= balls.ball_measure:
-            radius = float(np.sqrt(v / np.pi))
-            return MinimizerShape(kind="disk", volume=v,
-                                  perimeter=2.0 * np.sqrt(np.pi * v),
-                                  curvature=1.0 / radius, scale=self.domain.scale,
-                                  center=self._mid.copy(), radius=radius)
-        if v <= balls.hull_measure:
-            r = balls.inradius
-            ell = (v - np.pi * r * r) / (2.0 * r)
-            half = 0.5 * ell * self._axis
-            spine = np.stack([self._mid - half, self._mid + half])
-            return MinimizerShape(kind="stadium", volume=v,
-                                  perimeter=2.0 * np.pi * r + 2.0 * ell,
-                                  curvature=1.0 / r, scale=self.domain.scale,
-                                  spine=spine, radius=r)
-        r = self.radius_for_volume(v)
-        body = RoundedBody(core=self.structure.core_body(r), radius=r)
-        perim = float(self.structure.perimeter_of_opening(r))
-        curv = 1.0 / r if r > 0.0 else np.inf
-        return MinimizerShape(kind="rounded", volume=v, perimeter=perim,
-                              curvature=curv, scale=self.domain.scale,
-                              body=body, radius=r)
+        v = self._check_volume(float(v))
+        regime, rho, half = self._classify(v)
+        r, h, scale = float(rho[0]), float(half[0]), self.domain.scale
+        if regime[0] == ROUNDED:
+            core = self.structure.core_body(r)
+        elif h > 0.0:
+            core = ErodedBody("segment", np.stack([self._mid - h * self._axis,
+                                                   self._mid + h * self._axis]), r, scale)
+        else:
+            core = ErodedBody("point", self._mid[None, :].copy(), r, scale)
+        return MinimizerShape(kind=KINDS[regime[0]], volume=float(v),
+                              perimeter=float(self._perimeter(regime, rho, half)[0]),
+                              curvature=1.0 / r if r > 0.0 else np.inf,
+                              body=RoundedBody(core=core, radius=r))
 
     def perimeter(self, v):
         """P(E(v)); vectorized."""
-        scalar = np.isscalar(v) or np.asarray(v).ndim == 0
-        v = np.atleast_1d(self._check_volume(v))
-        out = np.empty_like(v)
-        disk = v <= self.balls.ball_measure
-        stad = (~disk) & (v <= self.balls.hull_measure)
-        rnd = ~disk & ~stad
-        out[disk] = 2.0 * np.sqrt(np.pi * v[disk])
-        r = self.balls.inradius
-        out[stad] = 2.0 * np.pi * r + (v[stad] - np.pi * r * r) / r
-        if np.any(rnd):
-            out[rnd] = self.structure.perimeter_of_opening(self.radius_for_volume(v[rnd]))
-        return float(out[0]) if scalar else out
+        out = self._perimeter(*self._classify(self._check_volume(v)))
+        return float(out[0]) if np.ndim(v) == 0 else out
 
     def curvature(self, v):
         """Reciprocal arc radius of the free boundary of E(v); inf at v = |Omega|."""
-        scalar = np.isscalar(v) or np.asarray(v).ndim == 0
-        v = np.atleast_1d(self._check_volume(v))
-        out = np.empty_like(v)
-        disk = v <= self.balls.ball_measure
-        stad = (~disk) & (v <= self.balls.hull_measure)
-        rnd = ~disk & ~stad
-        out[disk] = np.sqrt(np.pi / v[disk])
-        out[stad] = 1.0 / self.balls.inradius
-        if np.any(rnd):
-            r = self.radius_for_volume(v[rnd])
-            with np.errstate(divide="ignore"):
-                out[rnd] = np.where(r > 0.0, 1.0 / np.where(r > 0, r, 1.0), np.inf)
-        return float(out[0]) if scalar else out
+        _, rho, _ = self._classify(self._check_volume(v))
+        with np.errstate(divide="ignore"):
+            out = 1.0 / rho
+        return float(out[0]) if np.ndim(v) == 0 else out
 
     def member(self, v, points):
         """Closed membership x in E(v); v and points broadcast together."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        scalar = np.asarray(points).ndim == 1 and (np.isscalar(v) or np.asarray(v).ndim == 0)
-        v = np.broadcast_to(np.atleast_1d(self._check_volume(v)), (pts.shape[0],))
-        out = np.zeros(pts.shape[0], dtype=bool)
-        eps = self._eps
-        balls = self.balls
-        disk = v <= balls.ball_measure
-        stad = (~disk) & (v <= balls.hull_measure)
-        rnd = ~disk & ~stad
-        if np.any(disk):
-            radius = np.sqrt(v[disk] / np.pi)
-            d = np.linalg.norm(pts[disk] - self._mid, axis=1)
-            out[disk] = d <= radius + eps
-        if np.any(stad):
-            r = balls.inradius
-            ell = (v[stad] - np.pi * r * r) / (2.0 * r)
-            d = self._spine_distance(pts[stad], 0.5 * ell)
-            out[stad] = d <= r + eps
+        scalar = np.asarray(points).ndim == 1 and np.ndim(v) == 0
+        v = np.broadcast_to(self._check_volume(v), (pts.shape[0],))
+        regime, rho, half = self._classify(v)
+        a, b = self._spine_frame(pts)
+        d = np.hypot(np.maximum(np.abs(a) - half, 0.0), b)
+        rnd = regime == ROUNDED
         if np.any(rnd):
-            r = self.radius_for_volume(v[rnd])
-            d = self.structure.distance_to_core(pts[rnd], r)
-            out[rnd] = d <= r + eps
+            d[rnd] = self.structure.distance_to_core(pts[rnd], rho[rnd])
+        out = d <= rho + self._eps
         return bool(out[0]) if scalar else out
 
-    def _spine_distance(self, pts, half_len):
-        """Distance to the centered segment of per-point half length."""
+    def _spine_frame(self, pts):
+        """(along, across) coordinates of points in the incenter axis frame."""
         rel = pts - self._mid
-        a = rel @ self._axis
-        b = rel @ np.array([-self._axis[1], self._axis[0]])
-        excess = np.maximum(np.abs(a) - half_len, 0.0)
-        return np.hypot(excess, b)
+        return rel @ self._axis, rel @ np.array([-self._axis[1], self._axis[0]])
 
     def rank(self, points):
         """Smallest volume v with x in E(v) (the sentinel |Omega| outside).
@@ -253,9 +235,7 @@ class MinimizerFamily:
         eps = self._eps
 
         inside = self.structure.distance_to_core(pts, np.zeros(pts.shape[0])) <= eps
-        rel = pts - self._mid
-        a = rel @ self._axis
-        b = rel @ np.array([-self._axis[1], self._axis[0]])
+        a, b = self._spine_frame(pts)
         d_center = np.hypot(a, b)
         excess = np.maximum(np.abs(a) - 0.5 * balls.center_length, 0.0)
         d_spine = np.hypot(excess, b)

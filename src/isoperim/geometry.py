@@ -17,6 +17,7 @@ from .errors import DegenerateError, NonConvexError, RadiusTooLargeError
 EPS_GEOM = 1e-9       # length tolerance, relative to the domain scale
 EPS_AREA = 1e-12      # area tolerance, relative to scale**2
 DELTA_COLLAPSE = 1e-9
+CHUNK_ENTRIES = 1 << 16   # points x vertices per block of the per-point kernels
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +75,26 @@ class ErodedBody:
 
     def distance(self, points):
         """Euclidean distance from (..., 2) points to the body (0 inside)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         if self.kind == "empty":
-            d = np.full(pts.shape[0], np.inf)
+            d = np.full(pts.shape[:-1], np.inf)
         elif self.kind == "point":
             d = np.linalg.norm(pts - self.points[0], axis=-1)
         elif self.kind == "segment":
             d = _point_segment_distance(pts, self.points[0], self.points[1])
         else:
-            d = _point_polygon_distance(pts, self.points)
-        return d if np.asarray(points).ndim > 1 else float(d[0])
+            flat, v = pts.reshape(-1, 2), self.points
+            e = np.roll(v, -1, axis=0) - v
+            lens = np.maximum(np.linalg.norm(e, axis=1), 1e-300)
+            normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lens[:, None]
+            offsets = np.sum(normals * v, axis=1)
+            step = max(1, CHUNK_ENTRIES // len(v))
+            d = np.empty(len(flat))
+            for s in range(0, len(flat), step):
+                d[s:s + step] = _polygon_distance(flat[s:s + step], v[:, 0], v[:, 1],
+                                                  normals, offsets)
+            d = d.reshape(pts.shape[:-1])
+        return d if d.ndim else float(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,24 +146,22 @@ def _point_segment_distance(pts, a, b):
     return np.linalg.norm(pts - proj, axis=-1)
 
 
-def _point_polygon_distance(pts, vertices):
-    """Distance from points (m, 2) to a convex CCW polygon; 0 inside."""
-    nxt = np.roll(vertices, -1, axis=0)
-    edges = nxt - vertices
-    lens = np.linalg.norm(edges, axis=1)
-    keep = lens > 1e-300
-    v0 = vertices[keep]
-    ev = edges[keep]
-    el = lens[keep]
-    # outward normals for CCW orientation
-    nrm = np.stack([ev[:, 1], -ev[:, 0]], axis=1) / el[:, None]
-    off = np.sum(nrm * v0, axis=1)
-    inside = np.max(pts @ nrm.T - off, axis=1) <= 0.0
-    rel = pts[:, None, :] - v0[None, :, :]
-    t = np.clip(np.einsum("mkd,kd->mk", rel, ev) / (el**2), 0.0, 1.0)
-    proj = v0[None, :, :] + t[:, :, None] * ev[None, :, :]
-    dmin = np.min(np.linalg.norm(pts[:, None, :] - proj, axis=2), axis=1)
-    return np.where(inside, 0.0, dmin)
+def _polygon_distance(pts, vx, vy, normals, offsets):
+    """Distance kernel of points (m, 2) to convex CCW polygons, 0 inside.
+
+    Vertex coordinates vx, vy are (k,) for one polygon or (m, k) for one
+    polygon per point; the interior is normals . x <= offsets, with
+    offsets (k,) or (m, k) alike.
+    """
+    px, py = pts[:, 0:1], pts[:, 1:2]
+    inside = np.max(pts @ normals.T - offsets, axis=1) <= 0.0
+    ex = np.roll(vx, -1, axis=-1) - vx
+    ey = np.roll(vy, -1, axis=-1) - vy
+    t = np.clip(((px - vx) * ex + (py - vy) * ey)
+                / np.maximum(ex * ex + ey * ey, 1e-300), 0.0, 1.0)
+    dx = px - (vx + t * ex)
+    dy = py - (vy + t * ey)
+    return np.where(inside, 0.0, np.sqrt(np.min(dx * dx + dy * dy, axis=1)))
 
 
 def clip_halfplane(vertices, normal, offset):
@@ -242,8 +251,6 @@ def polygon_measures(polygon: ConvexPolygon):
 # affine, so the opening area A(r) + r P(r) + pi r^2 is a quadratic too.
 # One pass computes everything needed for erosion at any radius, the
 # inradius, and the set of incenter positions.
-
-CHUNK_ENTRIES = 1 << 16   # points x vertices per block of the per-point kernels
 
 
 class EventInterval(NamedTuple):
@@ -510,23 +517,11 @@ class ErosionStructure:
         r = np.broadcast_to(np.asarray(r, dtype=float), (pts.shape[0],))
         out = np.empty(pts.shape[0])
         for iv, sel in self._blocks(self.interval_index(r)):
-            out[sel] = self._dist_block(pts[sel], r[sel], iv)
+            rr = r[sel, None]
+            out[sel] = _polygon_distance(pts[sel], iv.Z[:, 0] + rr * iv.S[:, 0],
+                                         iv.Z[:, 1] + rr * iv.S[:, 1],
+                                         iv.normals, iv.offsets - rr)
         return out
-
-    @staticmethod
-    def _dist_block(pts, r, iv):
-        rr = r[:, None]
-        px, py = pts[:, 0:1], pts[:, 1:2]
-        vx = iv.Z[:, 0] + rr * iv.S[:, 0]
-        vy = iv.Z[:, 1] + rr * iv.S[:, 1]
-        inside = np.max(pts @ iv.normals.T - (iv.offsets - rr), axis=1) <= 0.0
-        ex = np.roll(vx, -1, axis=1) - vx
-        ey = np.roll(vy, -1, axis=1) - vy
-        t = np.clip(((px - vx) * ex + (py - vy) * ey)
-                    / np.maximum(ex * ex + ey * ey, 1e-300), 0.0, 1.0)
-        dx = px - (vx + t * ex)
-        dy = py - (vy + t * ey)
-        return np.where(inside, 0.0, np.sqrt(np.min(dx * dx + dy * dy, axis=1)))
 
     def exit_radius(self, points):
         """Largest r with each point of the domain in the opening at r.

@@ -320,7 +320,14 @@ def bv_norm_estimate(u: GridFunction, levels: int = DEFAULT_LEVELS):
 
 @dataclass(eq=False)
 class RearrangementReport:
-    """Per-level diagnostics comparing u with its convex rearrangement."""
+    """Per-level diagnostics comparing u with its convex rearrangement.
+
+    passed is the verdict: equimeasurability, the BV inequality and
+    level-set convexity must all hold.  ustar_continuous (the sampled
+    distribution of u strictly decreases, so its decreasing
+    rearrangement u* has no jumps) is an advisory indicator of the
+    input, not part of the verdict.
+    """
 
     thresholds: np.ndarray
     mu_u: np.ndarray
@@ -341,7 +348,7 @@ class RearrangementReport:
 
     @property
     def passed(self) -> bool:
-        return self.equimeasurable_pass and self.bv_pass
+        return self.equimeasurable_pass and self.bv_pass and self.convexity_pass
 
     def as_dict(self):
         return {

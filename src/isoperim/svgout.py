@@ -62,31 +62,6 @@ def _rounded_boundary_path(body: RoundedBody) -> str:
     return " ".join(cmds)
 
 
-def shape_path(shape: MinimizerShape) -> str:
-    """SVG path (lines and arcs) for a minimizer boundary."""
-    if shape.kind == "disk":
-        body = RoundedBody(core=__point_core(shape.center, shape.radius),
-                           radius=shape.radius)
-        return _rounded_boundary_path(body)
-    if shape.kind == "stadium":
-        body = RoundedBody(core=__segment_core(shape.spine, shape.radius),
-                           radius=shape.radius)
-        return _rounded_boundary_path(body)
-    return _rounded_boundary_path(shape.body)
-
-
-def __point_core(center, radius):
-    from .geometry import ErodedBody
-    return ErodedBody("point", np.asarray(center, dtype=float)[None, :],
-                      radius, max(1.0, float(radius)))
-
-
-def __segment_core(spine, radius):
-    from .geometry import ErodedBody
-    return ErodedBody("segment", np.asarray(spine, dtype=float), radius,
-                      max(1.0, float(radius)))
-
-
 def _polygon_path(vertices) -> str:
     parts = [f"M {_f(vertices[0, 0])} {_f(vertices[0, 1])}"]
     parts += [f"L {_f(p[0])} {_f(p[1])}" for p in vertices[1:]]
@@ -110,14 +85,14 @@ def _document(domain: ConvexPolygon, body: str, pad_frac=0.05) -> str:
 
 def shape_svg(domain: ConvexPolygon, shape: MinimizerShape) -> str:
     body = (f'<path d="{_polygon_path(domain.vertices)}" stroke="#888"/>\n'
-            f'<path d="{shape_path(shape)}" stroke="#c02" />')
+            f'<path d="{_rounded_boundary_path(shape.body)}" stroke="#c02" />')
     return _document(domain, body)
 
 
 def family_svg(domain: ConvexPolygon, shapes) -> str:
     rows = [f'<path d="{_polygon_path(domain.vertices)}" stroke="#888"/>']
-    for k, shape in enumerate(shapes):
-        rows.append(f'<path d="{shape_path(shape)}" stroke="#c02" '
+    for shape in shapes:
+        rows.append(f'<path d="{_rounded_boundary_path(shape.body)}" stroke="#c02" '
                     f'stroke-opacity="0.6"/>')
     return _document(domain, "\n".join(rows))
 

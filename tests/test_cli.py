@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isoperim import io as iio
-from isoperim.cli import main
+from isoperim.cli import _parse_sweep, main
 from isoperim.geometry import validate_polygon
 
 from conftest import SQUARE, RECT21, cone_grid
@@ -96,6 +96,40 @@ def test_family_usage_error(rect_json):
     assert main(["family", "--domain", rect_json, "--sweep", "0.5:1.9:1"]) == 2
     assert main(["family", "--domain", rect_json, "--sweep", "junk"]) == 2
     assert main(["family", "--domain", rect_json, "--sweep", "0.5:3.5:10"]) == 4
+
+
+@pytest.mark.parametrize("steps", ["1", "0", "-3", "10001"])
+def test_family_rejects_bad_step_counts(square_json, tmp_path, capsys, steps):
+    out = tmp_path / "out"
+    code = main(["family", "--domain", square_json, "--sweep", f"0.2:0.9:{steps}",
+                 "--out", str(out)])
+    assert code == 2
+    assert (capsys.readouterr().err.strip()
+            == f"error: --sweep needs 2 to 10000 steps, got {steps}")
+    assert not out.exists()  # rejected before any work
+
+
+def test_count_bounds_are_inclusive(square_json, tmp_path, capsys):
+    assert _parse_sweep("0.2:0.9:2") == (0.2, 0.9, 2)
+    assert _parse_sweep("0.2:0.9:10000") == (0.2, 0.9, 10000)
+    for levels in ("16", "4096"):
+        # the count passes; the missing grid file is what fails
+        assert main(["rearrange", "--domain", square_json,
+                     "--grid", str(tmp_path / "missing.grid"), "--levels", levels,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "missing.grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["-3", "0", "15", "4097"])
+def test_rearrange_rejects_bad_level_counts(square_json, tmp_path, capsys, levels):
+    out = tmp_path / "out"
+    code = main(["rearrange", "--domain", square_json,
+                 "--grid", str(tmp_path / "never-read.grid"),
+                 "--levels", levels, "--out", str(out)])
+    assert code == 2
+    assert (capsys.readouterr().err.strip()
+            == f"error: --levels must be from 16 to 4096, got {levels}")
+    assert not out.exists()  # rejected before any work
 
 
 def test_rearrange_command(square_json, tmp_path):

@@ -257,6 +257,23 @@ def test_rank_memory_is_bounded():
     assert peak < 64 * 2**20
 
 
+def test_shape_contains_memory_is_bounded():
+    poly = geo.validate_polygon(ellipse_polygon(1, 256))
+    f = build_family(poly)
+    shape = f.minimizer(0.9 * f.v_max)
+    assert shape.body.core.kind == "polygon"
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(poly.vertices.min(axis=0), poly.vertices.max(axis=0), (16384, 2))
+    tracemalloc.start()
+    try:
+        inside = shape.contains(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.array_equal(inside, f.member(0.9 * f.v_max, pts))
+
+
 def test_trace_targets_resolve():
     # perfbench/tracing.py wraps these names through vars(owner)[attr]
     spec = importlib.util.spec_from_file_location(

@@ -51,7 +51,7 @@ def test_radius_for_volume_rect(rect_family):
 def test_minimizer_disk_case(square_family):
     shape = square_family.minimizer(np.pi / 4)
     assert shape.kind == "disk"
-    assert np.allclose(shape.center, [0.5, 0.5], atol=1e-9)
+    assert np.allclose(shape.body.core.points[0], [0.5, 0.5], atol=1e-9)
     assert shape.radius == pytest.approx(0.5, rel=1e-12)
     assert shape.perimeter == pytest.approx(np.pi, rel=1e-12)
 
@@ -61,18 +61,25 @@ def test_minimizer_stadium_case(rect_family):
     assert shape.kind == "stadium"
     ell = 1.2 - np.pi / 4
     assert shape.perimeter == pytest.approx(np.pi + 2 * ell, rel=1e-12)
-    spine = shape.spine[np.argsort(shape.spine[:, 0])]
+    core = shape.body.core.points
+    spine = core[np.argsort(core[:, 0])]
     assert np.allclose(spine, [[1.0 - ell / 2, 0.5], [1.0 + ell / 2, 0.5]], atol=1e-9)
 
 
-def test_minimizer_rounded_case(square_family):
+def test_minimizer_rounded_case(square_family, rect_family):
     shape = square_family.minimizer(0.9)
     assert shape.kind == "rounded"
     assert shape.radius == pytest.approx(R9, abs=1e-12)
     assert shape.perimeter == pytest.approx(P9, abs=1e-9)
-    area, perim = geo.rounded_measures(shape.body)
-    assert area == pytest.approx(0.9, abs=square_family.tol_area)
-    assert perim == pytest.approx(shape.perimeter, rel=1e-12)
+    # every kind is core + B_radius, measured by the same Steiner formula
+    for fam, v, kind in ((square_family, 0.9, "rounded"), (square_family, 0.5, "disk"),
+                         (rect_family, 0.5, "disk"), (rect_family, 1.2, "stadium"),
+                         (rect_family, 1.9, "rounded")):
+        shape = fam.minimizer(v)
+        assert shape.kind == kind
+        area, perim = geo.rounded_measures(shape.body)
+        assert area == pytest.approx(v, abs=fam.tol_area)
+        assert perim == pytest.approx(shape.perimeter, rel=1e-12)
 
 
 def test_minimizer_out_of_range(square_family):
@@ -216,12 +223,7 @@ def test_shapes_convex_and_inside_domain(rect_family):
     for v in (0.4, 1.0, 1.2, 1.6, 1.95):
         shape = rect_family.minimizer(v)
         # arc centers stay a radius away from every domain edge
-        if shape.kind == "disk":
-            centers = shape.center[None, :]
-        elif shape.kind == "stadium":
-            centers = shape.spine
-        else:
-            centers = shape.body.core.points
+        centers = shape.body.core.points
         slack = centers @ dom.normals.T + shape.radius - dom.offsets
         assert np.max(slack) <= 1e-9 * dom.scale
         # convexity: membership is closed under midpoints

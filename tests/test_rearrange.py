@@ -211,6 +211,19 @@ def test_report_cone(square, square_family):
         assert np.all(per >= 0.98 * floor - 4 * h)
 
 
+def test_report_verdict_needs_convex_levels(square):
+    # two separate bumps: the middle level sets are two disjoint disks
+    u0 = GridFunction.for_domain(square, 96)
+    c = u0.centers()
+    bumps = [np.clip(1.0 - np.linalg.norm(c - m, axis=-1) / 0.2, 0.0, None)
+             for m in ((0.28, 0.5), (0.72, 0.5))]
+    u = u0.with_values(np.where(u0.inside_mask, np.maximum(*bumps), 0.0))
+    rep = rr.rearrangement_report(u, u, 32)
+    assert rep.equimeasurable_pass and rep.bv_pass
+    assert not rep.convexity_pass
+    assert not rep.passed and not rep.as_dict()["passed"]
+
+
 def test_report_frame_mismatch(square, square_family):
     u = cone_grid(square, 64)
     other = GridFunction.for_domain(square, 32)
