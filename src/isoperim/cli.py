@@ -125,7 +125,7 @@ def cmd_rearrange(args) -> int:
     io.dump_json(report.as_dict(), os.path.join(out, "report.json"))
     io.write_report_csv(report, os.path.join(out, "report.csv"))
     top = float(ut.values.max(initial=0.0))
-    levels = np.linspace(0.0, top if top > 0 else 1.0, 12 + 2)[1:-1]
+    levels = rearrange._threshold_grid(top if top > 0 else 1.0, 12)
     contour_sets = [rearrange.level_contour_points(ut, t) for t in levels]
     with open(os.path.join(out, "levels.svg"), "w") as fh:
         fh.write(svgout.contours_svg(domain, contour_sets))

@@ -201,8 +201,8 @@ class MinimizerFamily:
         """Closed membership x in E(v); v and points broadcast together."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         scalar = np.asarray(points).ndim == 1 and np.ndim(v) == 0
-        v = np.broadcast_to(self._check_volume(v), (pts.shape[0],))
-        regime, rho, half = self._classify(v)
+        regime, rho, half = (np.broadcast_to(x, (pts.shape[0],))
+                             for x in self._classify(self._check_volume(v)))
         a, b = self._spine_frame(pts)
         d = np.hypot(np.maximum(np.abs(a) - half, 0.0), b)
         rnd = regime == ROUNDED

@@ -39,8 +39,7 @@ def _round_floats(obj):
 
 def dump_json(obj, path):
     with open(path, "w") as fh:
-        json.dump(_round_floats(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(obj) + "\n")
 
 
 def json_text(obj) -> str:

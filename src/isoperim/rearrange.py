@@ -147,11 +147,8 @@ class Profile:
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
-        k = np.maximum(np.ceil(v / self.cell_area - 1e-12).astype(int), 1)
-        out = np.where(k <= len(self.steps),
-                       np.take(self.steps, np.minimum(k, len(self.steps)) - 1,
-                               mode="clip") if len(self.steps) else 0.0,
-                       0.0)
+        k = np.ceil(v / self.cell_area - 1e-12).astype(int)
+        out = np.append(self.steps, 0.0)[np.clip(k, 1, len(self.steps) + 1) - 1]
         return float(out) if out.ndim == 0 else out
 
     def oscillation(self, v_lo, v_hi) -> float:
@@ -220,8 +217,8 @@ _SEG1_ALT[10] = (0, 1)
 _SEG2_ALT[10] = (2, 3)
 
 
-def _marching_squares(values, origin, spacing, t, want_points=False):
-    """Total iso-contour length of {values > t}, optionally with crossings.
+def _marching_squares(values, origin, spacing, t):
+    """(total iso-contour length, (m, 2) edge crossings) of {values > t}.
 
     The value field is padded with one ring of zeros so contours close at
     the grid edge.  Lengths are in physical units.
@@ -236,7 +233,7 @@ def _marching_squares(values, origin, spacing, t, want_points=False):
     case = (ab + 2 * bb + 4 * cb + 8 * db).astype(int)
     mixed = (case > 0) & (case < 15)
     if not np.any(mixed):
-        return (0.0, np.empty((0, 2))) if want_points else 0.0
+        return 0.0, np.empty((0, 2))
 
     jj, ii = np.nonzero(mixed)
     x0 = origin[0] + (ii - 1.0) * dx   # pad ring shifts sample indices by one
@@ -271,26 +268,22 @@ def _marching_squares(values, origin, spacing, t, want_points=False):
         return np.where(valid, length, 0.0)
 
     total = float(np.sum(seg_len(s1)) + np.sum(seg_len(s2)))
-    if not want_points:
-        return total
     has = np.zeros((4, len(cs)), dtype=bool)
     for s in (s1, s2):
         valid = s[:, 0] >= 0
         has[s[valid, 0], cols[valid]] = True
         has[s[valid, 1], cols[valid]] = True
-    pts = np.stack([ex[has], ey[has]], axis=1)
-    return total, pts
+    return total, np.stack([ex[has], ey[has]], axis=1)
 
 
 def level_perimeter(u: GridFunction, t: float) -> float:
     """Marching-squares boundary length of {u > t}."""
-    return _marching_squares(u.values, u.origin, u.spacing, t)
+    return _marching_squares(u.values, u.origin, u.spacing, t)[0]
 
 
 def level_contour_points(u: GridFunction, t: float) -> np.ndarray:
     """All edge-crossing points of the iso-contour at t, as an (m, 2) array."""
-    _, pts = _marching_squares(u.values, u.origin, u.spacing, t, want_points=True)
-    return pts
+    return _marching_squares(u.values, u.origin, u.spacing, t)[1]
 
 
 def _threshold_grid(max_value: float, levels: int) -> np.ndarray:
@@ -306,12 +299,19 @@ def bv_norm_estimate(u: GridFunction, levels: int = DEFAULT_LEVELS):
     """
     if levels < 16:
         raise ValueError("levels must be at least 16")
-    l1 = float(np.sum(np.abs(u.values))) * u.cell_area
     top = float(u.values.max(initial=0.0))
     if top <= 0.0:
         return 0.0, 0.0, 0.0
     ts = _threshold_grid(top, levels)
-    per = np.array([level_perimeter(u, t) for t in ts])
+    return _coarea(u, ts, np.array([level_perimeter(u, t) for t in ts]))
+
+
+def _coarea(u: GridFunction, ts: np.ndarray, per: np.ndarray):
+    """(l1, tv, bv) of u from contour lengths per at ts = _threshold_grid(max u, L)."""
+    top = float(u.values.max(initial=0.0))
+    if top <= 0.0:
+        return 0.0, 0.0, 0.0
+    l1 = float(np.sum(np.abs(u.values))) * u.cell_area
     t_ext = np.concatenate([[0.0], ts, [top]])
     p_ext = np.concatenate([[per[0]], per, [0.0]])
     tv = float(np.trapezoid(p_ext, t_ext))
@@ -388,8 +388,12 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
 
     Both functions are measured with the same estimators; the BV check
     allows a 2 percent estimator tolerance and the per-level
-    equimeasurability defect is bounded by 4 h (P + 1).
+    equimeasurability defect is bounded by 4 h (P + 1).  Each (function,
+    threshold) is marched once; u_tilde's BV reuses per_ut when max u_tilde
+    = max u, since the two threshold grids then coincide.
     """
+    if levels < 16:
+        raise ValueError("levels must be at least 16")
     if not u.same_frame(ut):
         raise DomainMismatchError("report requires matching grids")
     h = float(np.max(u.spacing))
@@ -398,16 +402,18 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     mu_u = np.array([distribution(u, t) for t in ts])
     mu_ut = np.array([distribution(ut, t) for t in ts])
     per_u = np.array([level_perimeter(u, t) for t in ts])
-    per_ut = np.array([level_perimeter(ut, t) for t in ts])
+    per_ut, conv_defect = np.empty((2, len(ts)))
+    for k, t in enumerate(ts):
+        per_ut[k], pts = _marching_squares(ut.values, ut.origin, ut.spacing, t)
+        conv_defect[k] = _hull_area(pts) - mu_ut[k]
     eq_defect = np.abs(mu_u - mu_ut)
     eq_bound = EQ_DEFECT_FACTOR * h * (per_u + 1.0)
-    conv_defect = np.empty(len(ts))
     conv_bound = CONVEXITY_FACTOR * h * np.maximum(per_ut, 1.0)
-    for k, t in enumerate(ts):
-        pts = level_contour_points(ut, t)
-        conv_defect[k] = _hull_area(pts) - mu_ut[k]
-    bv_u = bv_norm_estimate(u, levels)
-    bv_ut = bv_norm_estimate(ut, levels)
+    bv_u = _coarea(u, ts, per_u)
+    if float(ut.values.max(initial=0.0)) == top:
+        bv_ut = _coarea(ut, ts, per_ut)
+    else:
+        bv_ut = bv_norm_estimate(ut, levels)
     eq_pass = bool(np.all(eq_defect <= eq_bound))
     bv_pass = bool(bv_ut[2] <= bv_u[2] * (1.0 + BV_TOL_REL))
     conv_pass = bool(np.all(conv_defect <= conv_bound))

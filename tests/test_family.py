@@ -105,6 +105,25 @@ def test_member_examples(square_family):
     assert square_family.member(1.0, (1.0, 1.0))
 
 
+def test_member_classifies_a_scalar_volume_once(square_family, monkeypatch):
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-0.1, 1.1, size=(500, 2))
+    for v in (0.2, 0.9, 1.0):
+        assert np.array_equal(square_family.member(v, pts),
+                              square_family.member(np.full(len(pts), v), pts))
+    seen = []
+    fam = type(square_family)
+    solve = fam.radius_for_volume
+
+    def spy(self, v):
+        seen.append(np.size(v))
+        return solve(self, v)
+
+    monkeypatch.setattr(fam, "radius_for_volume", spy)
+    square_family.member(0.9, pts)
+    assert seen == [1]
+
+
 def test_rank_examples(square_family):
     assert square_family.rank((0.5, 0.5)) == pytest.approx(0.0, abs=1e-12)
     assert square_family.rank((0.5, 0.75)) == pytest.approx(np.pi * 0.0625, abs=1e-9)

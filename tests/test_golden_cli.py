@@ -1,10 +1,14 @@
-"""Pinned CLI outputs of the minimizer and family subcommands.
+"""Pinned CLI outputs of the minimizer, family and rearrange subcommands.
 
 The hashes cover every regime of the family: the disk on the unit
 square, the stadium and a rounded shape with a segment-like core on the
 2x1 rectangle, a rounded shape with a polygon core on a 64-gon ellipse,
 and a rectangle sweep that crosses both seams.  Any change in the
 shape record, its JSON form or its SVG path shows up as a changed hash.
+
+The rearrange hashes cover six Gaussian bumps on the unit square, once
+where max u_tilde < max u (the report's two threshold grids differ) and
+once where the maxima are equal (the grids coincide).
 """
 
 import hashlib
@@ -14,8 +18,10 @@ import os
 import numpy as np
 import pytest
 
+from isoperim import io
 from isoperim.cli import main
 from isoperim.geometry import polygon_measures, validate_polygon
+from isoperim.rearrange import GridFunction
 
 from conftest import RECT21, SQUARE
 
@@ -48,6 +54,39 @@ FAMILY_GOLDEN = {
     "family.svg": "c51dd33fe40eebe16136548e0f70c70790b909959d8253e3f4d6872c55d17c7e",
 }
 
+# six bumps of width 0.08, as in perfbench's bump_grid: a jittered 3 x 2
+# lattice has one top sample, which no cell center near the incenter
+# reaches, while the plain lattice is mirror symmetric, so its top
+# sample comes in pairs and u_tilde reaches it at every even grid width
+LATTICE = [(x, y) for y in (0.3, 0.7) for x in (0.2, 0.5, 0.8)]
+JITTERED = [(0.172, 0.31), (0.455, 0.285), (0.768, 0.297),
+            (0.183, 0.723), (0.476, 0.675), (0.838, 0.728)]
+
+REARRANGE_GOLDEN = {
+    (48, "jittered"): (False, {
+        "u_tilde.grid": "a37aadef6c726535f522e993434fe625673e725af365ad001ee9c6f939804d51",
+        "report.json": "40a42dd9abf88e000e5c923fefc1d629b4ebd937420abc96da2da6f331ece52b",
+        "report.csv": "be0ac31bf39bb51f31e305ef3f796a4099181c96511c4ce8bd1804a04035b551",
+        "levels.svg": "d627c457926f5be552d236000edb5338d183518fe47fc7f7fabcdb2a62513ed6"}),
+    (64, "lattice"): (True, {
+        "u_tilde.grid": "130d80851a743a92b721f5a279231a27f72a9f37057a0048937364049a73a13a",
+        "report.json": "b781cf9fb7a37bfa0e1a5d7ac61ace8e90eeb15c31ace030b0753df0f894709f",
+        "report.csv": "1eb49b0bda21200bb8e67a3b70690a60593fe4c987313576d4a84e1131ad21f0",
+        "levels.svg": "eb1596de4cddea6cd8be2ec3068209c877d19c360ad9d566eec9ccff8d4e8a2c"}),
+}
+
+
+def _bump_grid(n, centers):
+    """Bump sum on the for_domain(square, n) grid, rounded to 12 decimals
+    so that the grid file does not depend on the last bit of exp."""
+    frame = GridFunction.for_domain(validate_polygon(SQUARE), n)
+    c = frame.centers()
+    values = np.zeros(c.shape[:2])
+    for center in centers:
+        values += np.exp(-np.sum((c - center) ** 2, axis=-1) / (2.0 * 0.08 ** 2))
+    values[~frame.inside_mask] = 0.0
+    return frame.with_values(np.round(values, 12))
+
 
 def _domain_file(tmp_path, name):
     path = tmp_path / f"{name}.json"
@@ -78,3 +117,19 @@ def test_family_sweep_outputs_pinned(tmp_path):
     rows = open(os.path.join(out, "family.csv")).read().splitlines()[1:]
     assert {row.split(",")[1] for row in rows} == {"disk", "stadium", "rounded"}
     assert _hashes(out, FAMILY_GOLDEN) == FAMILY_GOLDEN
+
+
+@pytest.mark.parametrize("n,centers", list(REARRANGE_GOLDEN),
+                         ids=[f"{c}-{n}" for n, c in REARRANGE_GOLDEN])
+def test_rearrange_outputs_pinned(tmp_path, n, centers):
+    maxima_equal, golden = REARRANGE_GOLDEN[(n, centers)]
+    u = _bump_grid(n, JITTERED if centers == "jittered" else LATTICE)
+    grid = str(tmp_path / "u.grid")
+    io.write_grid(u, grid)
+    out = str(tmp_path / "out")
+    assert main(["rearrange", "--domain", _domain_file(tmp_path, "square"),
+                 "--grid", grid, "--levels", "64", "--out", out]) == 0
+    ut = io.read_grid(os.path.join(out, "u_tilde.grid"), u.domain)
+    assert bool(ut.values.max() == u.values.max()) is maxima_equal
+    assert ut.values.max() <= u.values.max()
+    assert _hashes(out, golden) == golden

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,39 @@ def test_report_frame_mismatch(square, square_family):
     other = GridFunction.for_domain(square, 32)
     with pytest.raises(DomainMismatchError):
         rr.rearrangement_report(u, other, 32)
+
+
+@pytest.mark.parametrize("levels", [-3, 0, 1, 15])
+def test_report_rejects_few_levels_first(square, levels):
+    u = cone_grid(square, 32)
+    with pytest.raises(ValueError, match="levels must be at least 16"):
+        rr.rearrangement_report(u, u, levels)
+
+
+@pytest.mark.parametrize("scale,passes", [(1.0, 2), (0.5, 3), (0.0, 2)],
+                         ids=["equal-max", "lower-max", "zero"])
+def test_report_marches_each_level_once(square, monkeypatch, scale, passes):
+    # the report marches u and u_tilde once per threshold; u_tilde's BV
+    # needs its own thresholds only when its maximum differs from u's
+    u = cone_grid(square, 32)
+    ut = u.with_values(scale * u.values)
+    levels = 24
+    march = rr._marching_squares
+    crossings = []
+
+    def spy(*args):
+        # at most one level's crossings (the loop's last) are alive
+        assert sum(ref() is not None for ref in crossings) <= 1
+        length, pts = march(*args)
+        crossings.append(weakref.ref(pts))
+        return length, pts
+
+    monkeypatch.setattr(rr, "_marching_squares", spy)
+    rep = rr.rearrangement_report(u, ut, levels)
+    assert len(crossings) == passes * levels
+    assert rep.bv_u == rr.bv_norm_estimate(u, levels)
+    assert rep.bv_ut == rr.bv_norm_estimate(ut, levels)
+    assert np.array_equal(rep.per_ut, [rr.level_perimeter(ut, t) for t in rep.thresholds])
 
 
 def test_composition_monotone_property(square, square_family):
