@@ -240,11 +240,11 @@ def test_report_rejects_few_levels_first(square, levels):
         rr.rearrangement_report(u, u, levels)
 
 
-@pytest.mark.parametrize("scale,passes", [(1.0, 2), (0.5, 3), (0.0, 2)],
+@pytest.mark.parametrize("scale,passes", [(1.0, 3), (0.5, 3), (0.0, 2)],
                          ids=["equal-max", "lower-max", "zero"])
 def test_report_marches_each_level_once(square, monkeypatch, scale, passes):
-    # the report marches u and u_tilde once per threshold; u_tilde's BV
-    # needs its own thresholds only when its maximum differs from u's
+    # the report marches u and u_tilde once per threshold of u, and u_tilde
+    # once more per threshold of its own for its BV (none when it is zero)
     u = cone_grid(square, 32)
     ut = u.with_values(scale * u.values)
     levels = 24
