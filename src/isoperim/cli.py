@@ -126,7 +126,8 @@ def cmd_rearrange(args) -> int:
     io.write_report_csv(report, os.path.join(out, "report.csv"))
     top = float(ut.values.max(initial=0.0))
     levels = rearrange._threshold_grid(top if top > 0 else 1.0, 12)
-    contour_sets = [rearrange.level_contour_points(ut, t) for t in levels]
+    contour_sets = [pts for _, pts in rearrange.march_levels(ut.values, ut.origin,
+                                                             ut.spacing, levels)]
     with open(os.path.join(out, "levels.svg"), "w") as fh:
         fh.write(svgout.contours_svg(domain, contour_sets))
     if args.json:

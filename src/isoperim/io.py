@@ -55,10 +55,6 @@ def load_domain(path) -> ConvexPolygon:
     return validate_polygon(data["vertices"])
 
 
-def save_domain(polygon: ConvexPolygon, path):
-    dump_json({"vertices": polygon.vertices.tolist()}, path)
-
-
 def read_grid(path, domain: ConvexPolygon) -> GridFunction:
     """Parse a grid text file and bind it to a domain."""
     with open(path) as fh:

@@ -12,9 +12,20 @@ generalized inverse of the distribution function.
 Total variation is estimated through the coarea formula: the threshold
 integral of marching-squares contour lengths.  Linear interpolation on
 cell edges avoids the axis-alignment bias of pixel-edge counting.
+
+All thresholds are marched in one sweep.  A cell is mixed at threshold t
+exactly when its corner min <= t < its corner max, so two searchsorted
+calls give every cell its range of mixed levels (span-space selection:
+Livnat, Shen & Johnson, IEEE TVCG 1996) and only the mixed (cell, level)
+pairs are marched, level by level in row-major cell order, in blocks of
+at most CHUNK_PAIRS pairs (a level with more is a block of its own).  A
+block's cells are those still mixed from the last block plus those whose
+range starts in it.  Each level's length and crossings are bitwise those
+of a full-grid pass.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -28,6 +39,7 @@ DEFAULT_LEVELS = 256
 EQ_DEFECT_FACTOR = 4.0     # equimeasurability bound: 4 h (P + 1)
 CONVEXITY_FACTOR = 2.0     # hull-area defect bound: 2 h P
 BV_TOL_REL = 0.02
+CHUNK_PAIRS = 4096         # (cell, level) pairs marched at once by march_levels
 
 
 @dataclass(eq=False)
@@ -103,8 +115,9 @@ class GridFunction:
         return np.stack([X, Y], axis=-1)
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.origin.copy(), self.spacing.copy(),
-                            np.asarray(values, dtype=float), self.domain)
+        values = np.asarray(values, dtype=float)
+        return GridFunction(self.origin.copy(), self.spacing.copy(), values, self.domain,
+                            self._inside if values.shape == self.values.shape else None)
 
     def same_frame(self, other: "GridFunction") -> bool:
         return (self.values.shape == other.values.shape
@@ -199,91 +212,106 @@ def convex_rearrangement(u: GridFunction, family: MinimizerFamily) -> GridFuncti
 # cell edges (B bottom, R right, T top, L left = 0..3).  Saddle cells (5, 10)
 # are disambiguated by the sign of the center average.
 
-_SEG1 = np.full((16, 2), -1, dtype=int)
-_SEG2 = np.full((16, 2), -1, dtype=int)
+# _SEGMENTS[case + 16 * center_above]: the edges (p, q, r, s) of the cell's
+# segments (p, q) and (r, s), -1 where there is no segment
+_SEGMENTS = np.full((32, 4), -1)
 for _case, _pair in {1: (0, 3), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
                      7: (3, 2), 8: (2, 3), 9: (0, 2), 11: (1, 2), 12: (3, 1),
                      13: (0, 1), 14: (0, 3)}.items():
-    _SEG1[_case] = _pair
-_SEG1[5] = (0, 1)   # center above: segments (B,R) and (T,L)
-_SEG2[5] = (2, 3)
-_SEG1[10] = (0, 3)  # center above: segments (B,L) and (R,T)
-_SEG2[10] = (1, 2)
-_SEG1_ALT = _SEG1.copy()
-_SEG2_ALT = _SEG2.copy()
-_SEG1_ALT[5] = (0, 3)
-_SEG2_ALT[5] = (1, 2)
-_SEG1_ALT[10] = (0, 1)
-_SEG2_ALT[10] = (2, 3)
+    _SEGMENTS[[_case, _case + 16], :2] = _pair
+_SEGMENTS[[5, 26]] = (0, 3, 1, 2)   # (B,L) and (R,T)
+_SEGMENTS[[10, 21]] = (0, 1, 2, 3)  # (B,R) and (T,L)
 # _CROSSED[edge, case]: the edge's two corners differ, so a segment ends on it
 _CROSSED = np.array([[k >> i & 1 != k >> j & 1 for k in range(16)]
                      for i, j in ((0, 1), (1, 2), (3, 2), (0, 3))])
 
 
-def _marching_squares(values, origin, spacing, t):
-    """(total iso-contour length, (m, 2) edge crossings) of {values > t}.
+def march_levels(values, origin, spacing, ts):
+    """Yield (iso-contour length, (m, 2) edge crossings) of {values > t}
+    for each t of the ascending thresholds ts.
 
     The value field is padded with one ring of zeros so contours close at
     the grid edge.  Lengths are in physical units.
     """
+    ts = np.asarray(ts, dtype=float)
+    if np.any(np.diff(ts) < 0.0):
+        raise ValueError("thresholds must be ascending")
     dx, dy = float(spacing[0]), float(spacing[1])
-    V = np.pad(values, 1)
-    a = V[:-1, :-1]
-    b = V[:-1, 1:]
-    c = V[1:, 1:]
-    d = V[1:, :-1]
-    ab, bb, cb, db = a > t, b > t, c > t, d > t
-    case = (ab.view(np.uint8) | bb.view(np.uint8) << 1
-            | cb.view(np.uint8) << 2 | db.view(np.uint8) << 3)
-    mixed = (case > 0) & (case < 15)
-    if not np.any(mixed):
-        return 0.0, np.empty((0, 2))
+    V = np.pad(values, 1).ravel()
+    w = values.shape[1] + 2
+    # cell p has corners a, b, c, d at V[p], V[p+1], V[p+w+1], V[p+w]; the
+    # cells past the last column wrap through zero padding and never mix
+    corners = V[:-w - 1], V[1:-w], V[w + 1:], V[w:-1]
+    # cell p is mixed at level k exactly when lo[p] <= k < hi[p], the first
+    # levels at or above its corner min and its corner max
+    narrow = np.min_scalar_type(len(ts))
+    lo, hi = (np.searchsorted(ts, reduce(op, corners)).astype(narrow)
+              for op in (np.minimum, np.maximum))
+    cells = np.flatnonzero(lo < hi)
+    cells = cells[np.argsort(lo[cells], kind="stable")]   # by first mixed level
+    lo, hi = lo[cells], hi[cells]
+    count = np.cumsum(np.bincount(lo, minlength=len(ts) + 1)
+                      - np.bincount(hi, minlength=len(ts) + 1))
+    first = np.concatenate([[0], np.cumsum(count[:-1])])   # pairs before level k
+    k0, act = 0, np.empty(0, np.intp)
+    while k0 < len(ts):
+        # levels k0 <= k < k1: at most CHUNK_PAIRS pairs, or one whole level;
+        # act: the cells mixed at one of them, carried over or entering now
+        k1 = max(k0 + 1, int(np.searchsorted(first, first[k0] + CHUNK_PAIRS, "right")) - 1)
+        entering = np.arange(*np.searchsorted(lo, np.array([k0, k1], lo.dtype)))
+        act = np.concatenate([act[hi[act] > k0], entering])
+        act = act[np.argsort(cells[act])]   # row-major
+        start = np.maximum(lo[act], k0)
+        n = np.minimum(hi[act], k1) - start
+        ends = np.cumsum(n, dtype=np.intp)
+        p = np.repeat(cells[act], n)
+        lev = (np.arange(len(p)) + np.repeat(start - ends + n, n)).astype(narrow)
+        order = np.argsort(lev, kind="stable")   # level-major, row-major cells
+        p, t = p[order], ts[lev[order]]
 
-    jj, ii = np.divmod(np.flatnonzero(mixed), mixed.shape[1])
-    x0 = origin[0] + (ii - 1.0) * dx   # pad ring shifts sample indices by one
-    y0 = origin[1] + (jj - 1.0) * dy
-    av, bv, cv, dv = a[jj, ii], b[jj, ii], c[jj, ii], d[jj, ii]
-    cs = case[jj, ii]
+        jj, ii = np.divmod(p, w)
+        x0 = origin[0] + (ii - 1.0) * dx   # pad ring shifts sample indices by one
+        y0 = origin[1] + (jj - 1.0) * dy
+        av, bv, cv, dv = V[p], V[p + 1], V[p + w + 1], V[p + w]
+        cs = ((av > t).view(np.uint8) | (bv > t).view(np.uint8) << 1
+              | (cv > t).view(np.uint8) << 2 | (dv > t).view(np.uint8) << 3)
 
-    def frac(p, q):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = (t - p) / (q - p)
-        return np.clip(np.nan_to_num(f, nan=0.5), 0.0, 1.0)
+        def frac(p, q):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = (t - p) / (q - p)
+            return np.clip(np.nan_to_num(f, nan=0.5), 0.0, 1.0)
 
-    ex = np.stack([x0 + dx * frac(av, bv),            # B
-                   x0 + dx,                           # R
-                   x0 + dx * frac(dv, cv),            # T
-                   x0 + np.zeros_like(x0)])           # L
-    ey = np.stack([y0 + np.zeros_like(y0),
-                   y0 + dy * frac(bv, cv),
-                   y0 + dy,
-                   y0 + dy * frac(av, dv)])
+        ex = np.stack([x0 + dx * frac(av, bv),            # B
+                       x0 + dx,                           # R
+                       x0 + dx * frac(dv, cv),            # T
+                       x0 + np.zeros_like(x0)])           # L
+        ey = np.stack([y0 + np.zeros_like(y0),
+                       y0 + dy * frac(bv, cv),
+                       y0 + dy,
+                       y0 + dy * frac(av, dv)])
 
-    center_above = (av + bv + cv + dv) > 4.0 * t
-    s1 = np.where(center_above[None, :].T, _SEG1[cs], _SEG1_ALT[cs])
-    s2 = np.where(center_above[None, :].T, _SEG2[cs], _SEG2_ALT[cs])
-    cols = np.arange(len(cs))
-
-    def seg_len(s):
-        valid = s[:, 0] >= 0
-        p0 = np.where(valid, s[:, 0], 0)
-        p1 = np.where(valid, s[:, 1], 0)
-        length = np.hypot(ex[p1, cols] - ex[p0, cols], ey[p1, cols] - ey[p0, cols])
-        return np.where(valid, length, 0.0)
-
-    total = float(np.sum(seg_len(s1)) + np.sum(seg_len(s2)))
-    has = np.flatnonzero(_CROSSED[:, cs])
-    return total, np.stack([ex.ravel()[has], ey.ravel()[has]], axis=1)
+        center_above = (av + bv + cv + dv) > 4.0 * t
+        seg = np.take(_SEGMENTS, cs + (center_above.view(np.uint8) << 4), axis=0)
+        at = np.maximum(seg, 0).T * len(cs) + np.arange(len(cs))   # into ex.ravel()
+        dxy = [np.take(e, at[1::2]) - np.take(e, at[0::2]) for e in (ex, ey)]
+        seg_len = np.where(seg[:, 0::2].T >= 0, np.hypot(*dxy), 0.0)
+        crossed = np.take(_CROSSED, cs, axis=1)
+        for k in range(k0, k1):   # one np.sum per level keeps a full-grid pass's bits
+            s = slice(first[k] - first[k0], first[k + 1] - first[k0])   # level k
+            c = crossed[:, s]
+            yield (float(np.sum(seg_len[0, s]) + np.sum(seg_len[1, s])),
+                   np.stack([ex[:, s][c], ey[:, s][c]], axis=1))
+        k0 = k1
 
 
 def level_perimeter(u: GridFunction, t: float) -> float:
     """Marching-squares boundary length of {u > t}."""
-    return _marching_squares(u.values, u.origin, u.spacing, t)[0]
+    return next(march_levels(u.values, u.origin, u.spacing, [t]))[0]
 
 
 def level_contour_points(u: GridFunction, t: float) -> np.ndarray:
     """All edge-crossing points of the iso-contour at t, as an (m, 2) array."""
-    return _marching_squares(u.values, u.origin, u.spacing, t)[1]
+    return next(march_levels(u.values, u.origin, u.spacing, [t]))[1]
 
 
 def _threshold_grid(max_value: float, levels: int) -> np.ndarray:
@@ -303,7 +331,8 @@ def bv_norm_estimate(u: GridFunction, levels: int = DEFAULT_LEVELS):
     if top <= 0.0:
         return 0.0, 0.0, 0.0
     ts = _threshold_grid(top, levels)
-    return _coarea(u, ts, np.array([level_perimeter(u, t) for t in ts]))
+    sweep = march_levels(u.values, u.origin, u.spacing, ts)
+    return _coarea(u, ts, np.array([length for length, _ in sweep]))
 
 
 def _coarea(u: GridFunction, ts: np.ndarray, per: np.ndarray):
@@ -399,16 +428,15 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     ts = _threshold_grid(top if top > 0 else 1.0, levels)
     mu_u = np.array([distribution(u, t) for t in ts])
     mu_ut = np.array([distribution(ut, t) for t in ts])
-    per_u = np.array([level_perimeter(u, t) for t in ts])
+    per_u = np.array([length for length, _ in march_levels(u.values, u.origin,
+                                                            u.spacing, ts)])
+    bv_u, bv_ut = _coarea(u, ts, per_u), bv_norm_estimate(ut, levels)
     per_ut, conv_defect = np.empty((2, len(ts)))
-    for k, t in enumerate(ts):
-        per_ut[k], pts = _marching_squares(ut.values, ut.origin, ut.spacing, t)
+    for k, (per_ut[k], pts) in enumerate(march_levels(ut.values, ut.origin, ut.spacing, ts)):
         conv_defect[k] = _hull_area(pts) - mu_ut[k]
     eq_defect = np.abs(mu_u - mu_ut)
     eq_bound = EQ_DEFECT_FACTOR * h * (per_u + 1.0)
     conv_bound = CONVEXITY_FACTOR * h * np.maximum(per_ut, 1.0)
-    bv_u = _coarea(u, ts, per_u)
-    bv_ut = bv_norm_estimate(ut, levels)
     eq_pass = bool(np.all(eq_defect <= eq_bound))
     bv_pass = bool(bv_ut[2] <= bv_u[2] * (1.0 + BV_TOL_REL))
     conv_pass = bool(np.all(conv_defect <= conv_bound))

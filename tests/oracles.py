@@ -1,9 +1,10 @@
-"""Reference implementations of the exact layer, kept as test oracles.
+"""Reference implementations, kept as test oracles.
 
 Each one solves the same problem as the library by an independent,
 slower route: the erosion structure by re-deriving every vertex from
 scratch after each event, the r <-> v inversion and the rank by
-bisection, and the inradius by a linear program.
+bisection, the inradius by a linear program, and marching squares by
+one full-grid pass per threshold.
 """
 
 import numpy as np
@@ -147,3 +148,80 @@ def lp_inradius(polygon):
                                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(res.x[2]) * polygon.scale
+
+
+_SEG1 = np.full((16, 2), -1, dtype=int)
+_SEG2 = np.full((16, 2), -1, dtype=int)
+for _case, _pair in {1: (0, 3), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
+                     7: (3, 2), 8: (2, 3), 9: (0, 2), 11: (1, 2), 12: (3, 1),
+                     13: (0, 1), 14: (0, 3)}.items():
+    _SEG1[_case] = _pair
+_SEG1[5] = (0, 1)   # center above: segments (B,R) and (T,L)
+_SEG2[5] = (2, 3)
+_SEG1[10] = (0, 3)  # center above: segments (B,L) and (R,T)
+_SEG2[10] = (1, 2)
+_SEG1_ALT = _SEG1.copy()
+_SEG2_ALT = _SEG2.copy()
+_SEG1_ALT[5] = (0, 3)
+_SEG2_ALT[5] = (1, 2)
+_SEG1_ALT[10] = (0, 1)
+_SEG2_ALT[10] = (2, 3)
+# _CROSSED[edge, case]: the edge's two corners differ, so a segment ends on it
+_CROSSED = np.array([[k >> i & 1 != k >> j & 1 for k in range(16)]
+                     for i, j in ((0, 1), (1, 2), (3, 2), (0, 3))])
+
+
+def _marching_squares(values, origin, spacing, t):
+    """(total iso-contour length, (m, 2) edge crossings) of {values > t}.
+
+    The value field is padded with one ring of zeros so contours close at
+    the grid edge.  Lengths are in physical units.
+    """
+    dx, dy = float(spacing[0]), float(spacing[1])
+    V = np.pad(values, 1)
+    a = V[:-1, :-1]
+    b = V[:-1, 1:]
+    c = V[1:, 1:]
+    d = V[1:, :-1]
+    ab, bb, cb, db = a > t, b > t, c > t, d > t
+    case = (ab.view(np.uint8) | bb.view(np.uint8) << 1
+            | cb.view(np.uint8) << 2 | db.view(np.uint8) << 3)
+    mixed = (case > 0) & (case < 15)
+    if not np.any(mixed):
+        return 0.0, np.empty((0, 2))
+
+    jj, ii = np.divmod(np.flatnonzero(mixed), mixed.shape[1])
+    x0 = origin[0] + (ii - 1.0) * dx   # pad ring shifts sample indices by one
+    y0 = origin[1] + (jj - 1.0) * dy
+    av, bv, cv, dv = a[jj, ii], b[jj, ii], c[jj, ii], d[jj, ii]
+    cs = case[jj, ii]
+
+    def frac(p, q):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = (t - p) / (q - p)
+        return np.clip(np.nan_to_num(f, nan=0.5), 0.0, 1.0)
+
+    ex = np.stack([x0 + dx * frac(av, bv),            # B
+                   x0 + dx,                           # R
+                   x0 + dx * frac(dv, cv),            # T
+                   x0 + np.zeros_like(x0)])           # L
+    ey = np.stack([y0 + np.zeros_like(y0),
+                   y0 + dy * frac(bv, cv),
+                   y0 + dy,
+                   y0 + dy * frac(av, dv)])
+
+    center_above = (av + bv + cv + dv) > 4.0 * t
+    s1 = np.where(center_above[None, :].T, _SEG1[cs], _SEG1_ALT[cs])
+    s2 = np.where(center_above[None, :].T, _SEG2[cs], _SEG2_ALT[cs])
+    cols = np.arange(len(cs))
+
+    def seg_len(s):
+        valid = s[:, 0] >= 0
+        p0 = np.where(valid, s[:, 0], 0)
+        p1 = np.where(valid, s[:, 1], 0)
+        length = np.hypot(ex[p1, cols] - ex[p0, cols], ey[p1, cols] - ey[p0, cols])
+        return np.where(valid, length, 0.0)
+
+    total = float(np.sum(seg_len(s1)) + np.sum(seg_len(s2)))
+    has = np.flatnonzero(_CROSSED[:, cs])
+    return total, np.stack([ex.ravel()[has], ey.ravel()[has]], axis=1)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ from isoperim import rearrange as rr
 from isoperim.errors import DomainMismatchError
 from isoperim.rearrange import GridFunction
 
+import oracles
 from conftest import cone_grid, disk_indicator_grid
 
 
@@ -240,30 +242,98 @@ def test_report_rejects_few_levels_first(square, levels):
         rr.rearrangement_report(u, u, levels)
 
 
-@pytest.mark.parametrize("scale,passes", [(1.0, 3), (0.5, 3), (0.0, 2)],
+@pytest.mark.parametrize("scale,sweeps", [(1.0, 3), (0.5, 3), (0.0, 2)],
                          ids=["equal-max", "lower-max", "zero"])
-def test_report_marches_each_level_once(square, monkeypatch, scale, passes):
-    # the report marches u and u_tilde once per threshold of u, and u_tilde
-    # once more per threshold of its own for its BV (none when it is zero)
+def test_report_marches_each_level_once(square, monkeypatch, scale, sweeps):
+    # the report sweeps u and u_tilde once over the thresholds of u, and
+    # u_tilde once more over its own for its BV (none when it is zero)
     u = cone_grid(square, 32)
     ut = u.with_values(scale * u.values)
     levels = 24
-    march = rr._marching_squares
-    crossings = []
+    march = rr.march_levels
+    calls, crossings = [], []
 
     def spy(*args):
-        # at most one level's crossings (the loop's last) are alive
-        assert sum(ref() is not None for ref in crossings) <= 1
-        length, pts = march(*args)
-        crossings.append(weakref.ref(pts))
-        return length, pts
+        calls.append(args)
+        for length, pts in march(*args):
+            # at most one level's crossings (the consumer's last) are alive
+            assert sum(ref() is not None for ref in crossings) <= 1
+            crossings.append(weakref.ref(pts))
+            yield length, pts
 
-    monkeypatch.setattr(rr, "_marching_squares", spy)
+    monkeypatch.setattr(rr, "march_levels", spy)
     rep = rr.rearrangement_report(u, ut, levels)
-    assert len(crossings) == passes * levels
+    assert len(calls) == sweeps
+    assert len(crossings) == sweeps * levels
     assert rep.bv_u == rr.bv_norm_estimate(u, levels)
     assert rep.bv_ut == rr.bv_norm_estimate(ut, levels)
     assert np.array_equal(rep.per_ut, [rr.level_perimeter(ut, t) for t in rep.thresholds])
+
+
+def _sweep_grids(rng, count):
+    """(values, thresholds) on grids from 1 x 1 to 29 x 29: uniform random,
+    integer-valued, rounded normal and 0/1, with thresholds on sample values."""
+    for i in range(count):
+        shape = tuple(rng.integers(1, 30, size=2))
+        values = [rng.random(shape), rng.integers(0, 5, shape).astype(float),
+                  np.round(rng.normal(size=shape), 1),
+                  (rng.random(shape) < 0.5).astype(float)][i % 4]
+        ts = np.concatenate([rng.choice(values.ravel(), 4),
+                             rng.uniform(values.min() - 0.1, values.max() + 0.1, 6)])
+        yield values, np.sort(ts)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, rr.CHUNK_PAIRS])
+def test_march_levels_matches_full_grid_passes(monkeypatch, chunk):
+    # blocks of 1 and 7 pairs split the sweep at nearly every level
+    monkeypatch.setattr(rr, "CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(chunk)
+    for values, ts in _sweep_grids(rng, 120):
+        origin, spacing = rng.normal(size=2), rng.uniform(0.1, 2.0, 2)
+        got = list(rr.march_levels(values, origin, spacing, ts))
+        assert len(got) == len(ts)
+        for t, (length, pts) in zip(ts, got):
+            ref_length, ref_pts = oracles._marching_squares(values, origin, spacing, t)
+            assert length == ref_length and type(length) is float
+            assert pts.shape == ref_pts.shape and np.array_equal(pts, ref_pts)
+
+
+def test_march_levels_rejects_descending_thresholds():
+    with pytest.raises(ValueError, match="ascending"):
+        next(rr.march_levels(np.ones((3, 3)), (0.0, 0.0), (1.0, 1.0), [0.5, 0.2]))
+
+
+def test_report_memory_is_bounded(square, square_family):
+    # the sweep holds level ranges of live cells and one block of pairs,
+    # not per-cell copies of the four corners
+    frame = GridFunction.for_domain(square, 256)
+    c = frame.centers()
+    values = sum(np.exp(-np.sum((c - m) ** 2, axis=-1) / (2.0 * 0.08 ** 2))
+                 for m in ((0.2, 0.3), (0.5, 0.3), (0.8, 0.3), (0.2, 0.7), (0.5, 0.7)))
+    u = frame.with_values(np.where(frame.inside_mask, values, 0.0))
+    ut = rr.convex_rearrangement(u, square_family)
+    tracemalloc.start()
+    try:
+        rr.rearrangement_report(u, ut, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
+def test_with_values_keeps_the_inside_mask(square, monkeypatch):
+    u = cone_grid(square, 48)
+    calls = []
+    contains = type(square).contains_point
+    monkeypatch.setattr(type(square), "contains_point",
+                        lambda self, pts: calls.append(len(pts)) or contains(self, pts))
+    ut = u.with_values(0.5 * u.values)
+    assert ut.inside_mask is u.inside_mask and calls == []
+    bad = ut.values.copy()
+    bad[0, 0] = 1.0   # corner cell center is outside the domain
+    with pytest.raises(DomainMismatchError):
+        u.with_values(bad)
+    assert calls == []
 
 
 def test_composition_monotone_property(square, square_family):
