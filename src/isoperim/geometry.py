@@ -7,6 +7,10 @@ Steiner area/perimeter formulas for a convex core dilated by a disk.
 All functions are pure; the returned objects are treated as immutable.
 """
 
+import heapq
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -249,8 +253,10 @@ def polygon_measures(polygon: ConvexPolygon):
 # combinatorial structure (the straight skeleton of the polygon); inside
 # each interval the core area is quadratic in r and the core perimeter
 # affine, so the opening area A(r) + r P(r) + pi r^2 is a quadratic too.
-# One pass computes everything needed for erosion at any radius, the
-# inradius, and the set of incenter positions.
+# The build visits each event once, with two heaps instead of scans, and
+# keeps each skeleton vertex once with the intervals it lives in; the
+# Steiner sums are carried from interval to interval by the terms of the
+# vertex pairs that change.
 
 
 class EventInterval(NamedTuple):
@@ -270,22 +276,96 @@ class EventInterval(NamedTuple):
     offsets: np.ndarray
 
 
+class EventIntervals(Sequence):
+    """The K event intervals as a read-only sequence, each built when asked for.
+
+    Rows are the skeleton vertices, each stored once and sorted by edge;
+    a row belongs to interval k when ``born <= k < dies``, so interval k
+    is one mask over the rows.
+    """
+
+    def __init__(self, breaks, edges, Z, S, normals, offsets, born, dies):
+        self._breaks = breaks.tolist()
+        self._rows = edges, Z, S, normals, offsets
+        self._born, self._dies = born, dies
+
+    def __len__(self):
+        return len(self._breaks) - 1
+
+    def __getitem__(self, k):
+        k = operator.index(k)
+        K = len(self._breaks) - 1
+        if k < 0:
+            k += K
+        if not 0 <= k < K:
+            raise IndexError("event interval index out of range")
+        sel = ((self._born <= k) & (self._dies > k)).nonzero()[0]
+        edges, Z, S, normals, offsets = self._rows
+        return EventInterval(self._breaks[k], self._breaks[k + 1], edges.take(sel),
+                             Z.take(sel, axis=0), S.take(sel, axis=0),
+                             normals.take(sel, axis=0), offsets.take(sel))
+
+
+def _length_bound(len0, dlen, eps_len):
+    """A radius below the first r with len0 + r*dlen <= eps_len in floats.
+
+    For dlen < 0 the rounded length is nonincreasing in r, so the rule
+    holds from some radius on.  The quotient below misses it by a few
+    rounding errors, relative to itself and to eps_len / |dlen|; the
+    bound stays below by 1e-15 (about 9 units in the last place) of both.
+    It is inf or NaN when the quotient overflows: no finite radius then
+    reaches eps_len.
+    """
+    q = (len0 - eps_len) / -dlen
+    return q - 1e-15 * (abs(q) + eps_len / -dlen)
+
+
+def _farthest_pair(pts):
+    """(i, j, d) of the first farthest pair of pts in row-major order.
+
+    Rows are scanned in blocks of at most CHUNK_ENTRIES pairs, so the
+    squared distances never take more than one block's memory.
+    """
+    m = len(pts)
+    step = max(1, CHUNK_ENTRIES // m)
+    x, y = pts[:, 0], pts[:, 1]
+    best, i, j = -1.0, 0, 0
+    for s in range(0, m, step):
+        dx = x[s:s + step, None] - x
+        dy = y[s:s + step, None] - y
+        d2 = dx * dx + dy * dy
+        k = int(np.argmax(d2))
+        if d2.flat[k] > best:
+            best = float(d2.flat[k])
+            i, j = divmod(k, m)
+            i += s
+    return i, j, math.sqrt(best)
+
+
 class ErosionStructure:
     """Straight skeleton of a convex polygon: all its inner parallel bodies.
 
-    ``intervals`` are the K event intervals in order, ``breaks`` their K + 1
-    end radii from 0 to the inradius ``r_star``, and ``center_points`` the
-    incenter set (one point, or the two ends of a segment).
+    ``intervals`` are the K event intervals in order, built on demand,
+    ``breaks`` their K + 1 end radii from 0 to the inradius ``r_star``,
+    and ``center_points`` the incenter set (one point, or the two ends of
+    a segment).
 
-    The build is event driven.  The active edges form a doubly linked list
-    and each keeps its length ``len0 + r * dlen`` and the radius at which
-    that length reaches zero, in (n,) arrays that every step scans for the
-    next event, so that the tie, length and parallel-edge rules see all
-    active edges as a full re-derivation would.  When edges vanish, only
-    the vertex that joins their surviving neighbours and the two edges
-    meeting there are recomputed, with the same formulas; every interval
-    is a snapshot of the active rows of the vertex array, and the Steiner
-    coefficients of all intervals come from one vectorised pass.
+    The build is event driven and does O(log n) work per dropped edge.
+    The active edges form a doubly linked list; each keeps its length
+    ``len0 + r * dlen`` and sits in two heaps with lazy deletion, one
+    keyed by the radius at which its length reaches zero and one by a
+    lower bound of the radius at which it reaches ``eps_len``.  Each
+    step applies the length rule, then the tie rule, then takes the next
+    event, with the exact predicates a full re-derivation would use: the
+    length rule tests the edges whose bound has passed (and every edge
+    when it is set), and drops are applied in ascending edge order.
+    When edges vanish, only the vertex that joins their surviving
+    neighbours and the two edges meeting there are recomputed.  Each
+    skeleton vertex is stored once (at most 2n rows), with the intervals
+    in which it is born and dies.  The Steiner sums of an interval are
+    those of the previous one moved to its start radius, less the terms
+    of the vertex pairs that disappear and plus those that appear, all
+    evaluated there from the vertex-mean-centred rows.
     """
 
     def __init__(self, polygon: ConvexPolygon):
@@ -306,17 +386,28 @@ class ErosionStructure:
         tie = 1e-11 * self.scale
         eps_len = 1e-12 * self.scale
 
-        # vertex e joins edge e to edge nxt[e]; edge e runs from vertex
-        # prv[e] to vertex e along the tangent (-ny, nx).  Rows of ZS hold
-        # (Z, S) per vertex; dead edges keep an infinite length and vanish
-        # radius.
+        # vertex a joins edge a to edge nxt[a]; edge e runs from vertex
+        # prv[e] to vertex e along the tangent (-ny, nx).  zs[a] is the
+        # current (Z, S) of vertex a and row[a] its index in rows; pair[e]
+        # holds the two rows whose shoelace and length terms edge e adds
+        # to the running sums.  A heap entry (key, e, ver) is stale once
+        # edge e changed version, which it also does when it dies.
+        nl, dl = N.tolist(), D.tolist()
+        tl = [(-y, x) for x, y in nl]
         nxt = [*range(1, n), 0]
         prv = [n - 1, *range(n - 1)]
-        alive = np.ones(n, dtype=bool)
-        count = n
-        ZS = np.empty((n, 4))
-        len0, dlen, vanish = np.empty(n), np.empty(n), np.empty(n)
-        nl, dl, zs = N.tolist(), D.tolist(), [None] * n
+        alive, ver = [True] * n, [0] * n
+        len0, dlen = [0.0] * n, [0.0] * n
+        zs, row, pair = [None] * n, [0] * n, [None] * n
+        # (edge, Z, S, born) and dies per skeleton vertex; dies is n (more
+        # than any interval index) while the vertex lives
+        rows, dies = [], []
+        vanish_heap, length_heap = [], []
+        pending = set()        # edges whose length bound has been passed
+        # running sums: 2*area (a0, a1, a2) and perimeter (p0, p1) about r
+        # = anchor; breaks and the sums recorded at each interval start
+        sums, anchor, r_cur, count = [0.0] * 5, 0.0, 0.0, n
+        breaks, coefs = [], []
 
         def set_vertex(a):
             b = nxt[a]
@@ -324,29 +415,79 @@ class ErosionStructure:
             det = ax * by - ay * bx
             if det <= 1e-14:
                 return False
-            zs[a] = ZS[a] = ((dl[a] * by - ay * dl[b]) / det,
-                             (ax * dl[b] - dl[a] * bx) / det,
-                             (-by + ay) / det, (-ax + bx) / det)
+            v = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
+                 (-by + ay) / det, (-ax + bx) / det)
+            if zs[a] is not None:
+                dies[row[a]] = len(breaks)
+            zs[a], row[a] = v, len(rows)
+            rows.append((a, *v, len(breaks)))
+            dies.append(n)
             return True
 
+        def add_terms(e, sign):
+            (px, py, psx, psy), (vx, vy, vsx, vsy) = pair[e]
+            tx, ty = tl[e]
+            r = r_cur
+            ax, ay, bx, by = px + r * psx, py + r * psy, vx + r * vsx, vy + r * vsy
+            a0, a1, a2, p0, p1 = sums
+            sums[:] = (a0 + sign * (ax * by - ay * bx),
+                       a1 + sign * (ax * vsy - ay * vsx + (psx * by - psy * bx)),
+                       a2 + sign * (psx * vsy - psy * vsx),
+                       p0 + sign * ((bx - ax) * tx + (by - ay) * ty),
+                       p1 + sign * ((vsx - psx) * tx + (vsy - psy) * ty))
+
         def set_edge(e):
-            tx, ty = -nl[e][1], nl[e][0]
-            zx, zy, sx, sy = zs[e]
-            px, py, qx, qy = zs[prv[e]]
+            tx, ty = tl[e]
+            p, v = zs[prv[e]], zs[e]
+            zx, zy, sx, sy = v
+            px, py, qx, qy = p
             len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
             dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
-            vanish[e] = -l0 / dl0 if dl0 < -1e-300 else np.inf
+            if pair[e] is not None:
+                add_terms(e, -1.0)
+            pair[e] = (p, v)
+            add_terms(e, 1.0)
+            ver[e] += 1
+            pending.discard(e)
+            if dl0 < -1e-300 and -l0 / dl0 < math.inf:
+                heapq.heappush(vanish_heap, (-l0 / dl0, e, ver[e]))
+            if l0 + r_cur * dl0 <= eps_len:
+                pending.add(e)
+            elif dl0 < 0.0:
+                key = _length_bound(l0, dl0, eps_len)
+                if key < math.inf:
+                    heapq.heappush(length_heap, (key, e, ver[e]))
+
+        def pop_through(heap, r):
+            """Live edges whose key in heap is at most r, popped."""
+            out = []
+            while heap and heap[0][0] <= r:
+                _, e, v = heapq.heappop(heap)
+                if ver[e] == v:
+                    out.append(e)
+            return out
+
+        def move_anchor():
+            nonlocal anchor
+            d = r_cur - anchor
+            a0, a1, a2, p0, p1 = sums
+            sums[:] = a0 + (a1 + a2 * d) * d, a1 + 2.0 * a2 * d, a2, p0 + p1 * d, p1
+            anchor = r_cur
 
         def drop(ks):
             """Remove edges ks at once; False when a new vertex is degenerate."""
             nonlocal count
+            move_anchor()
             heads = []
             for k in ks:
                 p, q = prv[k], nxt[k]
                 nxt[p], prv[q] = q, p
                 heads.append(p)
                 alive[k] = False
-                len0[k], dlen[k], vanish[k] = np.inf, 0.0, np.inf
+                ver[k] += 1
+                pending.discard(k)
+                dies[row[k]] = len(breaks)
+                add_terms(k, -1.0)
             count -= len(ks)
             if count < 3:
                 return True
@@ -362,65 +503,51 @@ class ErosionStructure:
         if not degenerate:
             for e in range(n):
                 set_edge(e)
-        r_cur = 0.0
-        snaps = []
         while not degenerate and count >= 3:
-            cur_len = len0 + r_cur * dlen
-            if cur_len.min() <= eps_len:
+            if length_heap and length_heap[0][0] <= r_cur:
+                pending.update(pop_through(length_heap, r_cur))
+            hit = pending and sorted(e for e in pending if len0[e] + r_cur * dlen[e] <= eps_len)
+            if hit:
                 # redundant constraints
-                degenerate = not drop((cur_len <= eps_len).nonzero()[0].tolist())
+                degenerate = not drop(hit)
                 continue
-            r_next = float(vanish.min())
-            if r_next == np.inf or r_next <= r_cur + tie:
-                hit = (vanish <= r_cur + tie).nonzero()[0]
-                if not hit.size:
-                    break
-                degenerate = not drop(hit.tolist())
+            while vanish_heap and ver[vanish_heap[0][1]] != vanish_heap[0][2]:
+                heapq.heappop(vanish_heap)
+            if not vanish_heap:
+                break
+            r_next = vanish_heap[0][0]
+            if r_next <= r_cur + tie:
+                degenerate = not drop(sorted(pop_through(vanish_heap, r_cur + tie)))
                 continue
-            idx = alive.nonzero()[0]
-            snaps.append((r_cur, r_next, idx, ZS.take(idx, axis=0)))
-            degenerate = not drop((vanish <= r_next + tie).nonzero()[0].tolist())
+            move_anchor()
+            breaks.append(r_cur)
+            coefs.append(tuple(sums))
             r_cur = r_next
+            degenerate = not drop(sorted(pop_through(vanish_heap, r_next + tie)))
 
-        if not snaps:
+        if not breaks:
             raise DegenerateError("polygon admits no interior offset structure")
         self.r_star = r_cur
-        self.breaks = np.array([s[0] for s in snaps] + [r_cur])
-        sizes = np.array([len(s[2]) for s in snaps])
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        ends = starts + sizes
-        edges = np.concatenate([s[2] for s in snaps])
-        ZSc = np.concatenate([s[3] for s in snaps])
-        Zc, Sc, Nc, Dc = ZSc[:, :2] + c, ZSc[:, 2:], N[edges], poly.offsets[edges]
-        self.intervals = [
-            EventInterval(lo, hi, edges[a:b], Zc[a:b], Sc[a:b], Nc[a:b], Dc[a:b])
-            for lo, hi, a, b in zip(self.breaks[:-1].tolist(), self.breaks[1:].tolist(),
-                                    starts.tolist(), ends.tolist())]
+        self.breaks = np.array(breaks + [r_cur])
 
-        # Steiner coefficients of every interval in one pass, in t = r - r_lo:
-        # the shoelace of the core vertices V = V_lo + t S expands into
-        # area = a0 + a1 t + a2 t^2, and the perimeter is the sum of the edge
-        # lengths p0 + p1 t.  Expanding about the interval start (not r = 0)
-        # and the vertex mean keeps far-off points from cancelling.
-        succ = np.arange(1, len(edges) + 1)
-        succ[ends - 1] = starts
-        pred = np.arange(-1, len(edges) - 1)
-        pred[starts] = ends - 1
+        # every vertex that lives in some interval, sorted by edge: within
+        # an interval the rows then come in CCW order from the lowest edge
+        tab = np.array(rows)
+        born, dies = tab[:, 5].astype(np.intp), np.array(dies)
+        keep = np.flatnonzero(born < np.minimum(dies, len(breaks)))
+        keep = keep[np.argsort(tab[keep, 0], kind="stable")]
+        edges = tab[keep, 0].astype(np.intp)
+        self.intervals = EventIntervals(self.breaks, edges, tab[keep, 1:3] + c, tab[keep, 3:5],
+                                        N[edges], poly.offsets[edges], born[keep], dies[keep])
+
+        # Steiner coefficients per interval in t = r - r_lo: area = a0 + a1 t
+        # + a2 t^2 and perimeter p0 + p1 t.  Expanding about the interval
+        # start (not r = 0) and the vertex mean keeps far-off points from
+        # cancelling.
+        coefs = np.array(coefs)
         r_lo = self.breaks[:-1]
-        V0 = ZSc[:, :2] + np.repeat(r_lo, sizes)[:, None] * Sc
-        (vx, vy), (sx, sy) = V0.T, Sc.T
-        tx, ty = -Nc[:, 1], Nc[:, 0]
-
-        def total(x):
-            return np.add.reduceat(x, starts)
-
-        self._area_poly = 0.5 * np.stack([
-            total(vx * vy[succ] - vy * vx[succ]),
-            total(vx * sy[succ] - vy * sx[succ] + (sx * vy[succ] - sy * vx[succ])),
-            total(sx * sy[succ] - sy * sx[succ])], axis=1)
-        self._perim_poly = np.stack([
-            total((vx - vx[pred]) * tx + (vy - vy[pred]) * ty),
-            total((sx - sx[pred]) * tx + (sy - sy[pred]) * ty)], axis=1)
+        self._area_poly = 0.5 * coefs[:, :3]
+        self._perim_poly = coefs[:, 3:]
         (a0, a1, a2), (p0, p1) = self._area_poly.T, self._perim_poly.T
         # opening area A + r P + pi r^2 = c0 + c1 t + c2 t^2 per interval, and
         # the running minimum of its values at the interval ends: the tie rule
@@ -437,9 +564,8 @@ class ErosionStructure:
         # limit of the vertex paths at r*: the set of incenter positions
         last = self.intervals[-1]
         pts = last.Z + self.r_star * last.S
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        i, j = np.unravel_index(np.argmax(d2), d2.shape)
-        if np.sqrt(d2[i, j]) <= EPS_GEOM * self.scale:
+        i, j, d = _farthest_pair(pts)
+        if d <= EPS_GEOM * self.scale:
             self.center_points = pts.mean(axis=0)[None, :]
         else:
             self.center_points = np.stack([pts[i], pts[j]])
@@ -589,9 +715,8 @@ class ErosionStructure:
             keep = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) > EPS_GEOM * scale
             cleaned = pts[keep] if keep.sum() >= 3 else pts
             return ErodedBody("polygon", cleaned, r, scale)
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        i, j = np.unravel_index(np.argmax(d2), d2.shape)
-        if np.sqrt(d2[i, j]) < EPS_GEOM * scale:
+        i, j, d = _farthest_pair(pts)
+        if d < EPS_GEOM * scale:
             return ErodedBody("point", pts.mean(axis=0)[None, :], r, scale)
         return ErodedBody("segment", np.stack([pts[i], pts[j]]), r, scale)
 

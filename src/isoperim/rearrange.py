@@ -176,6 +176,12 @@ def distribution(u: GridFunction, t: float) -> float:
     return int(np.count_nonzero(u.values > t)) * u.cell_area
 
 
+def _distributions(u: GridFunction, ts) -> np.ndarray:
+    """distribution(u, t) at every threshold of ts, from one sort of u."""
+    v = np.sort(u.values, axis=None)
+    return (v.size - np.searchsorted(v, ts, side="right")) * u.cell_area
+
+
 def decreasing_rearrangement(u: GridFunction) -> Profile:
     """Sort positive samples descending; step widths are one cell area."""
     pos = u.values[u.values > 0.0]
@@ -426,8 +432,7 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     h = float(np.max(u.spacing))
     top = float(u.values.max(initial=0.0))
     ts = _threshold_grid(top if top > 0 else 1.0, levels)
-    mu_u = np.array([distribution(u, t) for t in ts])
-    mu_ut = np.array([distribution(ut, t) for t in ts])
+    mu_u, mu_ut = _distributions(u, ts), _distributions(ut, ts)
     per_u = np.array([length for length, _ in march_levels(u.values, u.origin,
                                                             u.spacing, ts)])
     bv_u, bv_ut = _coarea(u, ts, per_u), bv_norm_estimate(ut, levels)

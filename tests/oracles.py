@@ -2,13 +2,19 @@
 
 Each one solves the same problem as the library by an independent,
 slower route: the erosion structure by re-deriving every vertex from
-scratch after each event, the r <-> v inversion and the rank by
-bisection, the inradius by a linear program, and marching squares by
-one full-grid pass per threshold.
+scratch after each event, and by scanning all edges at every event;
+the r <-> v inversion and the rank by bisection, the inradius by a
+linear program, and marching squares by one full-grid pass per
+threshold.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
+
+from isoperim import geometry as geo
+from isoperim.errors import DegenerateError
 
 RADIUS_ITERS = 80     # bisection depth for the r <-> v inversion
 RANK_ITERS = 60       # bisection depth for entry radii (machine precision)
@@ -64,6 +70,157 @@ def rederived_intervals(polygon):
             del active[k]
         r_cur = r_next
     return intervals, r_cur
+
+
+def scan_structure(polygon):
+    """The erosion structure by a full scan of all edges at every event.
+
+    The event rules are those of ``ErosionStructure``; every step scans
+    the (n,) length and vanish-radius arrays, every interval is a
+    snapshot of the active vertex rows, and the Steiner coefficients come
+    from one vectorised pass over all snapshots.  Returns a namespace
+    with the list ``intervals``, ``breaks``, ``r_star``, ``center_points``
+    and the per-interval ``_area_poly`` / ``_perim_poly``; raises
+    DegenerateError like the library.
+    """
+    poly = polygon
+    # vertices are solved about the vertex mean c, with the edge offsets
+    # taken from the centred vertices as validate_polygon does: far from
+    # the origin the offsets' rounding, amplified where lines meet at a
+    # small angle, would otherwise move the vertices
+    c = poly.vertices.mean(axis=0)
+    N, P = poly.normals, poly.vertices - c
+    D = 0.5 * (np.sum(N * P, axis=1) + np.sum(N * np.roll(P, -1, axis=0), axis=1))
+    n = len(D)
+    tie = 1e-11 * poly.scale
+    eps_len = 1e-12 * poly.scale
+
+    # vertex e joins edge e to edge nxt[e]; edge e runs from vertex
+    # prv[e] to vertex e along the tangent (-ny, nx).  Rows of ZS hold
+    # (Z, S) per vertex; dead edges keep an infinite length and vanish
+    # radius.
+    nxt = [*range(1, n), 0]
+    prv = [n - 1, *range(n - 1)]
+    alive = np.ones(n, dtype=bool)
+    count = n
+    ZS = np.empty((n, 4))
+    len0, dlen, vanish = np.empty(n), np.empty(n), np.empty(n)
+    nl, dl, zs = N.tolist(), D.tolist(), [None] * n
+
+    def set_vertex(a):
+        b = nxt[a]
+        (ax, ay), (bx, by) = nl[a], nl[b]
+        det = ax * by - ay * bx
+        if det <= 1e-14:
+            return False
+        zs[a] = ZS[a] = ((dl[a] * by - ay * dl[b]) / det,
+                         (ax * dl[b] - dl[a] * bx) / det,
+                         (-by + ay) / det, (-ax + bx) / det)
+        return True
+
+    def set_edge(e):
+        tx, ty = -nl[e][1], nl[e][0]
+        zx, zy, sx, sy = zs[e]
+        px, py, qx, qy = zs[prv[e]]
+        len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
+        dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
+        vanish[e] = -l0 / dl0 if dl0 < -1e-300 else np.inf
+
+    def drop(ks):
+        """Remove edges ks at once; False when a new vertex is degenerate."""
+        nonlocal count
+        heads = []
+        for k in ks:
+            p, q = prv[k], nxt[k]
+            nxt[p], prv[q] = q, p
+            heads.append(p)
+            alive[k] = False
+            len0[k], dlen[k], vanish[k] = np.inf, 0.0, np.inf
+        count -= len(ks)
+        if count < 3:
+            return True
+        heads = [p for p in dict.fromkeys(heads) if alive[p]]
+        if not all(set_vertex(p) for p in heads):
+            return False
+        for e in dict.fromkeys(e for p in heads for e in (p, nxt[p])):
+            set_edge(e)
+        return True
+
+    # adjacent edges (anti)parallel: the core is degenerate from the start
+    degenerate = not all(set_vertex(a) for a in range(n))
+    if not degenerate:
+        for e in range(n):
+            set_edge(e)
+    r_cur = 0.0
+    snaps = []
+    while not degenerate and count >= 3:
+        cur_len = len0 + r_cur * dlen
+        if cur_len.min() <= eps_len:
+            # redundant constraints
+            degenerate = not drop((cur_len <= eps_len).nonzero()[0].tolist())
+            continue
+        r_next = float(vanish.min())
+        if r_next == np.inf or r_next <= r_cur + tie:
+            hit = (vanish <= r_cur + tie).nonzero()[0]
+            if not hit.size:
+                break
+            degenerate = not drop(hit.tolist())
+            continue
+        idx = alive.nonzero()[0]
+        snaps.append((r_cur, r_next, idx, ZS.take(idx, axis=0)))
+        degenerate = not drop((vanish <= r_next + tie).nonzero()[0].tolist())
+        r_cur = r_next
+
+    if not snaps:
+        raise DegenerateError("polygon admits no interior offset structure")
+    out = SimpleNamespace(r_star=r_cur)
+    out.breaks = np.array([s[0] for s in snaps] + [r_cur])
+    sizes = np.array([len(s[2]) for s in snaps])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    ends = starts + sizes
+    edges = np.concatenate([s[2] for s in snaps])
+    ZSc = np.concatenate([s[3] for s in snaps])
+    Zc, Sc, Nc, Dc = ZSc[:, :2] + c, ZSc[:, 2:], N[edges], poly.offsets[edges]
+    out.intervals = [
+        geo.EventInterval(lo, hi, edges[a:b], Zc[a:b], Sc[a:b], Nc[a:b], Dc[a:b])
+        for lo, hi, a, b in zip(out.breaks[:-1].tolist(), out.breaks[1:].tolist(),
+                                starts.tolist(), ends.tolist())]
+
+    # Steiner coefficients of every interval in one pass, in t = r - r_lo:
+    # the shoelace of the core vertices V = V_lo + t S expands into
+    # area = a0 + a1 t + a2 t^2, and the perimeter is the sum of the edge
+    # lengths p0 + p1 t.  Expanding about the interval start (not r = 0)
+    # and the vertex mean keeps far-off points from cancelling.
+    succ = np.arange(1, len(edges) + 1)
+    succ[ends - 1] = starts
+    pred = np.arange(-1, len(edges) - 1)
+    pred[starts] = ends - 1
+    r_lo = out.breaks[:-1]
+    V0 = ZSc[:, :2] + np.repeat(r_lo, sizes)[:, None] * Sc
+    (vx, vy), (sx, sy) = V0.T, Sc.T
+    tx, ty = -Nc[:, 1], Nc[:, 0]
+
+    def total(x):
+        return np.add.reduceat(x, starts)
+
+    out._area_poly = 0.5 * np.stack([
+        total(vx * vy[succ] - vy * vx[succ]),
+        total(vx * sy[succ] - vy * sx[succ] + (sx * vy[succ] - sy * vx[succ])),
+        total(sx * sy[succ] - sy * sx[succ])], axis=1)
+    out._perim_poly = np.stack([
+        total((vx - vx[pred]) * tx + (vy - vy[pred]) * ty),
+        total((sx - sx[pred]) * tx + (sy - sy[pred]) * ty)], axis=1)
+
+    # limit of the vertex paths at r*: the set of incenter positions
+    last = out.intervals[-1]
+    pts = last.Z + out.r_star * last.S
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    if np.sqrt(d2[i, j]) <= geo.EPS_GEOM * poly.scale:
+        out.center_points = pts.mean(axis=0)[None, :]
+    else:
+        out.center_points = np.stack([pts[i], pts[j]])
+    return out
 
 
 def core_measures(polygon, interval, r):

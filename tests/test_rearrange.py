@@ -40,6 +40,18 @@ def test_distribution_indicator(square):
     assert rr.distribution(full, 0.5) == pytest.approx(1.0, abs=4 * u.spacing[0])
 
 
+def test_distributions_match_distribution(square):
+    # one sort for all thresholds: the same counts as one full-grid pass each,
+    # at sample values (ties), between them, at 0 and above the maximum
+    rng = np.random.default_rng(8)
+    cone = cone_grid(square, 37)
+    steps = cone.with_values(np.round(4.0 * cone.values, 0))
+    for u in (cone, steps, disk_indicator_grid(square, 29, (0.4, 0.6), 0.3)):
+        ts = np.concatenate([[0.0], np.unique(u.values), rng.uniform(0.0, 2.0, 50)])
+        got = rr._distributions(u, ts)
+        assert got.tolist() == [rr.distribution(u, float(t)) for t in ts]
+
+
 def test_distribution_cone(square):
     u = cone_grid(square, 128)
     h = float(u.spacing[0])
