@@ -519,7 +519,7 @@ class ErosionStructure:
             if r_next <= r_cur + tie:
                 degenerate = not drop(sorted(pop_through(vanish_heap, r_cur + tie)))
                 continue
-            move_anchor()
+            # every drop ends with anchor == r_cur, so the sums are current
             breaks.append(r_cur)
             coefs.append(tuple(sums))
             r_cur = r_next

@@ -169,17 +169,17 @@ class Profile:
         return float(self(max(v_lo, 0.0)) - self(v_hi))
 
 
-def distribution(u: GridFunction, t: float) -> float:
-    """mu(t) = |{u > t}| by strict cell counting; right-continuous in t."""
-    if t < 0.0:
+def distribution(u: GridFunction, t):
+    """mu(t) = |{u > t}| by strict cell counting; right-continuous in t.
+
+    t is one threshold or an array of them; one sort of u serves them all.
+    """
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0.0):
         raise ValueError("threshold must be nonnegative")
-    return int(np.count_nonzero(u.values > t)) * u.cell_area
-
-
-def _distributions(u: GridFunction, ts) -> np.ndarray:
-    """distribution(u, t) at every threshold of ts, from one sort of u."""
     v = np.sort(u.values, axis=None)
-    return (v.size - np.searchsorted(v, ts, side="right")) * u.cell_area
+    mu = (v.size - np.searchsorted(v, ts, side="right")) * u.cell_area
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def decreasing_rearrangement(u: GridFunction) -> Profile:
@@ -432,7 +432,7 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     h = float(np.max(u.spacing))
     top = float(u.values.max(initial=0.0))
     ts = _threshold_grid(top if top > 0 else 1.0, levels)
-    mu_u, mu_ut = _distributions(u, ts), _distributions(ut, ts)
+    mu_u, mu_ut = distribution(u, ts), distribution(ut, ts)
     per_u = np.array([length for length, _ in march_levels(u.values, u.origin,
                                                             u.spacing, ts)])
     bv_u, bv_ut = _coarea(u, ts, per_u), bv_norm_estimate(ut, levels)

@@ -38,18 +38,20 @@ def test_distribution_indicator(square):
     # indicator of the whole domain: measure 1 within a boundary cell layer
     full = u.with_values(u.inside_mask.astype(float))
     assert rr.distribution(full, 0.5) == pytest.approx(1.0, abs=4 * u.spacing[0])
+    with pytest.raises(ValueError):
+        rr.distribution(u, np.array([0.5, -0.1]))
+    _assert_counts_every_threshold(disk_indicator_grid(square, 29, (0.4, 0.6), 0.3))
 
 
-def test_distributions_match_distribution(square):
-    # one sort for all thresholds: the same counts as one full-grid pass each,
+def _assert_counts_every_threshold(u):
+    # many thresholds from one sort: the counts of one full-grid pass each,
     # at sample values (ties), between them, at 0 and above the maximum
     rng = np.random.default_rng(8)
-    cone = cone_grid(square, 37)
-    steps = cone.with_values(np.round(4.0 * cone.values, 0))
-    for u in (cone, steps, disk_indicator_grid(square, 29, (0.4, 0.6), 0.3)):
-        ts = np.concatenate([[0.0], np.unique(u.values), rng.uniform(0.0, 2.0, 50)])
-        got = rr._distributions(u, ts)
-        assert got.tolist() == [rr.distribution(u, float(t)) for t in ts]
+    ts = np.concatenate([[0.0], np.unique(u.values), rng.uniform(0.0, 2.0, 50)])
+    got = rr.distribution(u, ts)
+    want = [int(np.count_nonzero(u.values > t)) * u.cell_area for t in ts]
+    assert got.tolist() == want
+    assert [rr.distribution(u, float(t)) for t in ts] == want
 
 
 def test_distribution_cone(square):
@@ -58,6 +60,9 @@ def test_distribution_cone(square):
     # {u > t} is the inner square of side 1 - 2t
     mu = rr.distribution(u, 0.25)
     assert mu == pytest.approx(0.25, abs=2 * (2 * h) * 4.0)
+    cone = cone_grid(square, 37)
+    _assert_counts_every_threshold(cone)
+    _assert_counts_every_threshold(cone.with_values(np.round(4.0 * cone.values, 0)))
 
 
 def test_profile_two_level(square):
