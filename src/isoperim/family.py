@@ -221,11 +221,10 @@ class MinimizerFamily:
 
         Disk and stadium entries are closed-form.  An entry in the opening
         regime is the opening area at the exit radius of x, the largest r
-        with dist(x, core(r)) <= r (ErosionStructure.exit_radius): its
-        event interval is bracketed by exact membership tests at the event
-        radii and the radius solved from per-vertex quadratics there.  Work
-        runs in blocks of bounded size, so memory does not grow with the
-        number of points.
+        with dist(x, core(r)) <= r (ErosionStructure.exit_radius), solved
+        from the per-vertex quadratics of every skeleton vertex over the
+        radii it lives.  Work runs in blocks of bounded size, so memory
+        does not grow with the number of points.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         scalar = np.asarray(points).ndim == 1

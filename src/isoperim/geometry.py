@@ -193,10 +193,15 @@ def clip_halfplane(vertices, normal, offset):
 def validate_polygon(vertices) -> ConvexPolygon:
     """Validate a vertex list and return a normalized CCW ConvexPolygon.
 
-    Rejects non-finite coordinates, duplicate vertices, collinear runs and
-    non-convex chains.  CW input is reversed (recorded on the result).
+    Rejects non-numeric or ragged input, non-finite coordinates, duplicate
+    vertices, collinear runs and non-convex chains: each turn must have a
+    sine above EPS_GEOM, whatever the edge lengths.  CW input is reversed
+    (recorded on the result).
     """
-    arr = np.asarray(vertices, dtype=float)
+    try:
+        arr = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError):
+        raise DegenerateError("vertices must be an (n, 2) array of numbers") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DegenerateError("vertices must be an (n, 2) array of points")
     if len(arr) < 3:
@@ -214,16 +219,16 @@ def validate_polygon(vertices) -> ConvexPolygon:
     if np.any(gaps <= EPS_GEOM * scale):
         raise DegenerateError("duplicate consecutive vertices")
 
-    reversed_input = False
+    # sine of the turn at each vertex: an absolute threshold on the cross
+    # products would reject every smooth polygon of a few thousand vertices
     e = np.roll(arr, -1, axis=0) - arr
-    cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-    thresh = EPS_GEOM * scale * scale
-    if np.all(cross < -thresh):
+    e1 = np.roll(e, -1, axis=0)
+    sine = (e[:, 0] * e1[:, 1] - e[:, 1] * e1[:, 0]) / (gaps * np.roll(gaps, -1))
+    reversed_input = bool(np.all(sine < -EPS_GEOM))
+    if reversed_input:
         arr = arr[::-1].copy()
-        reversed_input = True
         e = np.roll(arr, -1, axis=0) - arr
-        cross = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-    if not np.all(cross > thresh):
+    elif not np.all(sine > EPS_GEOM):
         raise NonConvexError("vertex chain is not strictly convex")
 
     area = _shoelace(arr)
@@ -399,8 +404,8 @@ class ErosionStructure:
         alive, ver = [True] * n, [0] * n
         len0, dlen = [0.0] * n, [0.0] * n
         zs, row, pair = [None] * n, [0] * n, [None] * n
-        # (edge, Z, S, born) and dies per skeleton vertex; dies is n (more
-        # than any interval index) while the vertex lives
+        # (edge, next edge, Z, S, born) and dies per skeleton vertex; dies
+        # is n (more than any interval index) while the vertex lives
         rows, dies = [], []
         vanish_heap, length_heap = [], []
         pending = set()        # edges whose length bound has been passed
@@ -420,7 +425,7 @@ class ErosionStructure:
             if zs[a] is not None:
                 dies[row[a]] = len(breaks)
             zs[a], row[a] = v, len(rows)
-            rows.append((a, *v, len(breaks)))
+            rows.append((a, b, *v, len(breaks)))
             dies.append(n)
             return True
 
@@ -533,12 +538,15 @@ class ErosionStructure:
         # every vertex that lives in some interval, sorted by edge: within
         # an interval the rows then come in CCW order from the lowest edge
         tab = np.array(rows)
-        born, dies = tab[:, 5].astype(np.intp), np.array(dies)
+        born, dies = tab[:, 6].astype(np.intp), np.array(dies)
         keep = np.flatnonzero(born < np.minimum(dies, len(breaks)))
         keep = keep[np.argsort(tab[keep, 0], kind="stable")]
-        edges = tab[keep, 0].astype(np.intp)
-        self.intervals = EventIntervals(self.breaks, edges, tab[keep, 1:3] + c, tab[keep, 3:5],
-                                        N[edges], poly.offsets[edges], born[keep], dies[keep])
+        edges, Z, S = tab[keep, 0].astype(np.intp), tab[keep, 2:4] + c, tab[keep, 4:6]
+        born, dies = born[keep], dies[keep]
+        # the rows as exit_radius reads them: edge, next edge, Z, S, born, dies
+        self._vertices = edges, tab[keep, 1].astype(np.intp), Z, S, born, dies
+        self.intervals = EventIntervals(self.breaks, edges, Z, S, N[edges], poly.offsets[edges],
+                                        born, dies)
 
         # Steiner coefficients per interval in t = r - r_lo: area = a0 + a1 t
         # + a2 t^2 and perimeter p0 + p1 t.  Expanding about the interval
@@ -575,16 +583,6 @@ class ErosionStructure:
     def interval_index(self, r):
         idx = np.searchsorted(self.breaks, r, side="right") - 1
         return np.clip(idx, 0, len(self.intervals) - 1)
-
-    def _blocks(self, idx):
-        """(interval, point indices) blocks of at most CHUNK_ENTRIES entries."""
-        order = np.argsort(idx, kind="stable")
-        ks, first = np.unique(idx[order], return_index=True)
-        for k, lo, hi in zip(ks, first, [*first[1:], len(order)]):
-            iv = self.intervals[k]
-            step = max(1, CHUNK_ENTRIES // len(iv.Z))
-            for s in range(lo, hi, step):
-                yield iv, order[s:min(s + step, hi)]
 
     def core_measures(self, r):
         """(area, perimeter) of the eroded core, vectorized over r in [0, r*]."""
@@ -642,62 +640,64 @@ class ErosionStructure:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.broadcast_to(np.asarray(r, dtype=float), (pts.shape[0],))
         out = np.empty(pts.shape[0])
-        for iv, sel in self._blocks(self.interval_index(r)):
-            rr = r[sel, None]
-            out[sel] = _polygon_distance(pts[sel], iv.Z[:, 0] + rr * iv.S[:, 0],
-                                         iv.Z[:, 1] + rr * iv.S[:, 1],
-                                         iv.normals, iv.offsets - rr)
+        idx = self.interval_index(r)
+        order = np.argsort(idx, kind="stable")
+        ks, first = np.unique(idx[order], return_index=True)
+        for k, lo, hi in zip(ks, first, [*first[1:], len(order)]):
+            iv = self.intervals[k]
+            step = max(1, CHUNK_ENTRIES // len(iv.Z))
+            for s in range(lo, hi, step):
+                sel = order[s:min(s + step, hi)]
+                rr = r[sel, None]
+                out[sel] = _polygon_distance(pts[sel], iv.Z[:, 0] + rr * iv.S[:, 0],
+                                             iv.Z[:, 1] + rr * iv.S[:, 1],
+                                             iv.normals, iv.offsets - rr)
         return out
 
     def exit_radius(self, points):
         """Largest r with each point of the domain in the opening at r.
 
-        First the event interval of each point is bracketed by bisecting
-        over the break indices with exact membership tests
-        dist(x, core(b)) <= b, at most ceil(log2 K) of them.  Inside the
-        bracket [r_lo, r_hi], x lies in the disk of radius r about core
-        vertex i exactly for r between the roots of
+        One pass over the skeleton vertices, each with the radii
+        [r_lo, r_hi] it lives over.  Point x lies in the disk of radius r
+        about vertex Z + r S exactly for r between the roots of
 
-            (|S_i|^2 - 1) r^2 - 2 r (x - Z_i).S_i + |x - Z_i|^2 = 0,
+            (|S|^2 - 1) r^2 - 2 r (x - Z).S + |x - Z|^2 = 0,
 
-        whose discriminant factors as |S_i|^2 s_a s_b, with s_a, s_b >= 0 the
-        distances from x to the two edge lines meeting at the vertex.  Any
-        radius in the bracket at which x lies in such a disk keeps x in the
-        opening, and x leaves the opening through the arc of one vertex, so
-        the exit radius is the largest such radius (r_lo if there is none).
+        whose discriminant factors as |S|^2 s_a s_b, with s_a, s_b >= 0 the
+        distances from x to the vertex's two edge lines.  A vertex alive at
+        r lies in core(r), so each radius of [r_lo, r_hi] between the roots
+        keeps x in the opening; and x leaves the opening through the arc of
+        a vertex alive there.  The exit radius is the largest such radius
+        over all vertices (0 if there is none).  Points go in blocks of at
+        most CHUNK_ENTRIES point-vertex pairs.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lo = np.zeros(len(pts), dtype=np.intp)       # member at breaks[lo]
-        hi = np.full(len(pts), len(self.intervals))  # not member at breaks[hi]
-        act = np.flatnonzero(hi - lo > 1)
-        while act.size:
-            mid = (lo[act] + hi[act]) // 2
-            rb = self.breaks[mid]
-            ok = self.distance_to_core(pts[act], rb) <= rb
-            lo[act[ok]] = mid[ok]
-            hi[act[~ok]] = mid[~ok]
-            act = act[hi[act] - lo[act] > 1]
-        out = np.empty(len(pts))
-        for iv, sel in self._blocks(lo):
-            out[sel] = self._exit_block(pts[sel], iv)
-        return out
-
-    @staticmethod
-    def _exit_block(pts, iv):
-        s = np.maximum(iv.offsets[None, :] - pts @ iv.normals.T, 0.0)
-        speed2 = np.sum(iv.S * iv.S, axis=1)
-        wx = pts[:, 0:1] - iv.Z[:, 0]
-        wy = pts[:, 1:2] - iv.Z[:, 1]
-        b = wx * iv.S[:, 0] + wy * iv.S[:, 1]
-        c = wx * wx + wy * wy
-        q = b + np.sqrt(speed2 * s * np.roll(s, -1, axis=1))
+        edges, next_edges, Z, S, born, dies = self._vertices
+        N, D = self.polygon.normals, self.polygon.offsets
+        (nax, nay), (nbx, nby) = N[edges].T, N[next_edges].T
+        da, db = D[edges], D[next_edges]
+        r_lo = self.breaks[born]
+        r_hi = self.breaks[np.minimum(dies, len(self.breaks) - 1)]
+        speed2 = np.sum(S * S, axis=1)
         a = speed2 - 1.0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r_out = np.where(a > 0.0, q / a, np.inf)
-            r_in = np.where(q > 0.0, c / q, np.where(c > 0.0, np.inf, 0.0))
-        hit = (r_in <= iv.r_hi) & (r_out >= iv.r_lo)
-        best = np.max(np.where(hit, np.minimum(r_out, iv.r_hi), iv.r_lo), axis=1)
-        return np.maximum(best, iv.r_lo)
+        out = np.empty(len(pts))
+        step = max(1, CHUNK_ENTRIES // len(Z))
+        for s in range(0, len(pts), step):
+            # elementwise, not a matmul: the bits then do not depend on the block
+            px, py = pts[s:s + step, 0:1], pts[s:s + step, 1:2]
+            s_a = np.maximum(da - (px * nax + py * nay), 0.0)
+            s_b = np.maximum(db - (px * nbx + py * nby), 0.0)
+            wx = px - Z[:, 0]
+            wy = py - Z[:, 1]
+            b = wx * S[:, 0] + wy * S[:, 1]
+            c = wx * wx + wy * wy
+            q = b + np.sqrt(speed2 * s_a * s_b)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                r_out = np.where(a > 0.0, q / a, np.inf)
+                r_in = np.where(q > 0.0, c / q, np.where(c > 0.0, np.inf, 0.0))
+            hit = (r_in <= r_hi) & (r_out >= r_lo)
+            out[s:s + step] = np.max(np.where(hit, np.minimum(r_out, r_hi), 0.0), axis=1)
+        return out
 
     def core_body(self, r: float) -> ErodedBody:
         """Eroded core at radius r with the degeneracy collapse policy applied."""

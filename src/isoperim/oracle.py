@@ -55,9 +55,8 @@ def _check_containment(domain: ConvexPolygon, comp: Competitor):
         raise SamplerInfeasibleError("competitor escapes the domain")
 
 
-def sample_points_in_polygon(rng, polygon: ConvexPolygon, n: int) -> np.ndarray:
-    """Uniform points via an area-weighted triangle fan."""
-    v = polygon.vertices
+def sample_points_in_polygon(rng, v: np.ndarray, n: int) -> np.ndarray:
+    """Uniform points in the convex polygon of vertices v, by an area-weighted fan."""
     tri_b = v[1:-1]
     tri_c = v[2:]
     a = v[0]
@@ -77,7 +76,7 @@ def _hull_competitor(rng, family, v, k0=12, k_max=8192):
     tries = 0
     failures = 0
     while k <= k_max:
-        pts = sample_points_in_polygon(rng, dom, k)
+        pts = sample_points_in_polygon(rng, dom.vertices, k)
         try:
             hull = ConvexHull(pts)
         except QhullError as exc:
@@ -136,11 +135,7 @@ def _disk_competitor(rng, family, v):
         center = feasible.points[0] + rng.random() * (feasible.points[1]
                                                       - feasible.points[0])
     else:
-        poly = ConvexPolygon(vertices=feasible.points,
-                             normals=family.domain.normals,
-                             offsets=family.domain.offsets,
-                             scale=family.domain.scale)
-        center = sample_points_in_polygon(rng, poly, 1)[0]
+        center = sample_points_in_polygon(rng, feasible.points, 1)[0]
     return Competitor(kind="disk", area=v, perimeter=2.0 * np.pi * radius,
                       center=center, radius=radius,
                       provenance={"sampler": "disk"})

@@ -69,10 +69,30 @@ def test_minimizer_parse_errors(tmp_path, square_json):
     assert main(["minimizer", "--domain", square_json]) == 2  # no volume flag
 
 
-def test_minimizer_geometry_error(tmp_path):
-    bad = tmp_path / "collinear.json"
-    bad.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [2, 0], [1, 1]]}))
+@pytest.mark.parametrize("vertices", [
+    [[0, 0], [1, 0], [2, 0], [1, 1]],       # collinear run
+    5,
+    {"a": 1},
+    [[0, 0], [1, 0], [1, {}]],
+    [[0, 0], [1, 0], ["x", 1]],
+    [[0, 0], [1, 0], [1, 1, 1]],            # ragged rows
+], ids=["collinear", "number", "object", "object-entry", "string-entry", "ragged"])
+def test_minimizer_geometry_error(tmp_path, capsys, vertices):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": vertices}))
     assert main(["minimizer", "--domain", str(bad), "--volume", "0.5"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_minimizer_on_a_4096_gon(tmp_path, capsys):
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    domain = tmp_path / "ngon.json"
+    domain.write_text(json.dumps({"vertices": np.stack([np.cos(theta), np.sin(theta)],
+                                                       axis=1).tolist()}))
+    out = str(tmp_path / "out")
+    assert main(["minimizer", "--domain", str(domain), "--volume-fraction", "0.9999999",
+                 "--out", out]) == 0
+    assert "case=rounded" in capsys.readouterr().out
 
 
 def test_family_command(rect_json, tmp_path):

@@ -240,12 +240,8 @@ BUILD_BYTES_PER_VERTEX = 3600
 @pytest.mark.parametrize("kind", ["ellipse", "regular"])
 def test_structure_memory_is_linear(kind):
     n = 4096
-    verts = ellipse_polygon(0, n, jitter=0.3) if kind == "ellipse" else regular_polygon(n)
-    # validate_polygon wants every turn above 1e-9 scale^2, which no n-gon
-    # meets from about n = 3100 on; it is relaxed for the validation alone
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geo, "EPS_GEOM", 1e-12)
-        poly = geo.validate_polygon(verts)
+    poly = geo.validate_polygon(ellipse_polygon(0, n, jitter=0.3) if kind == "ellipse"
+                                else regular_polygon(n))
     tracemalloc.start()
     try:
         s = geo.ErosionStructure(poly)
@@ -356,6 +352,26 @@ def test_rank_matches_bisection(poly):
     event_rnd = rnd[len(inner):len(inner) + len(event)]
     assert_exits_agree(f, event[event_rnd], s.exit_radius(event[event_rnd]),
                        radii[event_rnd])
+
+
+@pytest.mark.parametrize("kind", ["ellipse", "regular"])
+def test_exit_radius_matches_bisection_1024(kind):
+    n = 1024
+    poly = geo.validate_polygon(ellipse_polygon(4, n) if kind == "ellipse"
+                                else regular_polygon(n))
+    f = build_family(poly)
+    s = f.structure
+    assert (len(s.intervals) > 1000) if kind == "ellipse" else (len(s.intervals) == 1)
+    rng = np.random.default_rng(6)
+    inner, event, radii, _, _ = probe_points(f, rng, m=256)
+    radius = s.exit_radius(inner)
+    assert_exits_agree(f, inner, radius, oracles.bisect_exit_radius(s, inner))
+    # event points outside the ball hull leave the opening at their radius
+    rnd = f.balls.centers.distance(event) > f.balls.inradius
+    assert_exits_agree(f, event[rnd], s.exit_radius(event[rnd]), radii[rnd])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "CHUNK_ENTRIES", 7)
+        assert np.array_equal(s.exit_radius(inner), radius)
 
 
 @PROPERTY

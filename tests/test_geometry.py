@@ -44,6 +44,20 @@ def test_validate_rejects_garbage():
         geo.validate_polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
 
 
+@pytest.mark.parametrize("n", [1000, 3100, 4096, 8192])
+def test_validate_accepts_smooth_ngons(n):
+    # the turn test is on the sine, so no vertex count is too many
+    theta = 2.0 * np.pi * np.arange(n) / n
+    verts = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    assert geo.validate_polygon(verts).n_vertices == n
+    assert geo.validate_polygon(verts[::-1]).reversed_input
+    # an edge midpoint makes a collinear run, and pulling it in a reflex vertex
+    mid = 0.5 * (verts[0] + verts[1])
+    for p in (mid, 0.999 * mid):
+        with pytest.raises(NonConvexError):
+            geo.validate_polygon(np.insert(verts, 1, p, axis=0))
+
+
 def test_hexagon_measures_against_fan_oracle():
     verts = [(np.cos(k * np.pi / 3), np.sin(k * np.pi / 3)) for k in range(6)]
     poly = geo.validate_polygon(verts)
