@@ -158,7 +158,8 @@ def _polygon_distance(pts, vx, vy, normals, offsets):
     offsets (k,) or (m, k) alike.
     """
     px, py = pts[:, 0:1], pts[:, 1:2]
-    inside = np.max(pts @ normals.T - offsets, axis=1) <= 0.0
+    # elementwise, not a matmul, so that a point's bits do not depend on its block
+    inside = np.max(px * normals[:, 0] + py * normals[:, 1] - offsets, axis=1) <= 0.0
     ex = np.roll(vx, -1, axis=-1) - vx
     ey = np.roll(vy, -1, axis=-1) - vy
     t = np.clip(((px - vx) * ex + (py - vy) * ey)
@@ -166,6 +167,19 @@ def _polygon_distance(pts, vx, vy, normals, offsets):
     dx = px - (vx + t * ex)
     dy = py - (vy + t * ey)
     return np.where(inside, 0.0, np.sqrt(np.min(dx * dx + dy * dy, axis=1)))
+
+
+def convex_hull(points):
+    """scipy's ConvexHull of points (m, 2), or None when Qhull rejects them.
+
+    scipy.spatial is imported on the first call, not with the package:
+    the exact layer never needs it.
+    """
+    from scipy.spatial import ConvexHull, QhullError
+    try:
+        return ConvexHull(points)
+    except QhullError:
+        return None
 
 
 def clip_halfplane(vertices, normal, offset):

@@ -7,20 +7,23 @@ perimeter estimate (pixel-edge counting would reward axis-aligned shapes;
 line sampling over sixteen lattice directions is rotation-robust).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import SamplerInfeasibleError, ScheduleInvalidError
 from .family import MinimizerFamily
 from .geometry import (ConvexPolygon, EPS_GEOM, _shoelace, _edge_length_sum,
-                       clip_halfplane, erode)
+                       clip_halfplane, convex_hull, erode)
 
 AREA_TOL_REL = 1e-6
 PERIMETER_SLACK = 1e-9
 SAMPLERS = ("hull", "halfplane", "disk")
 QHULL_RETRIES = 16        # Qhull failures one hull competitor may absorb
+HULL_K0 = 12              # the hull ladder's rungs are HULL_K0 * 2**j points
+HULL_K_MAX = 65536        # ... up to this many
+_RS_SMOOTH = math.gamma(5 / 3) * (2 / 3) ** (1 / 3)   # Renyi-Sulanke, smooth bodies
 ANNEAL_MAX_GRID = 256
 
 
@@ -55,35 +58,68 @@ def _check_containment(domain: ConvexPolygon, comp: Competitor):
         raise SamplerInfeasibleError("competitor escapes the domain")
 
 
-def sample_points_in_polygon(rng, v: np.ndarray, n: int) -> np.ndarray:
-    """Uniform points in the convex polygon of vertices v, by an area-weighted fan."""
-    tri_b = v[1:-1]
-    tri_c = v[2:]
-    a = v[0]
-    areas = 0.5 * np.abs((tri_b[:, 0] - a[0]) * (tri_c[:, 1] - a[1])
-                         - (tri_b[:, 1] - a[1]) * (tri_c[:, 0] - a[0]))
-    pick = rng.choice(len(areas), size=n, p=areas / areas.sum())
-    r1 = np.sqrt(rng.random(n))
-    r2 = rng.random(n)
-    return (a * (1 - r1)[:, None]
-            + tri_b[pick] * (r1 * (1 - r2))[:, None]
-            + tri_c[pick] * (r1 * r2)[:, None])
+class _Fan:
+    """Triangle fan of a convex polygon from its first vertex, for uniform points.
+
+    Triangles are picked by inverting the cumulative distribution of their
+    areas, the draws of ``Generator.choice(p=areas / areas.sum())`` without
+    its per-call checks.
+    """
+
+    def __init__(self, v: np.ndarray):
+        self.a, self.b, self.c = v[0], v[1:-1], v[2:]
+        areas = 0.5 * np.abs((self.b[:, 0] - self.a[0]) * (self.c[:, 1] - self.a[1])
+                             - (self.b[:, 1] - self.a[1]) * (self.c[:, 0] - self.a[0]))
+        cdf = np.cumsum(areas / areas.sum())
+        self.cdf = cdf / cdf[-1]
+
+    def sample(self, rng, n: int) -> np.ndarray:
+        pick = self.cdf.searchsorted(rng.random(n), side="right")
+        r1 = np.sqrt(rng.random(n))
+        r2 = rng.random(n)
+        return (self.a * (1 - r1)[:, None]
+                + self.b[pick] * (r1 * (1 - r2))[:, None]
+                + self.c[pick] * (r1 * r2)[:, None])
 
 
-def _hull_competitor(rng, family, v, k0=12, k_max=8192):
-    dom = family.domain
-    k = k0
+def _hull_start(domain: ConvexPolygon, ratio: float) -> int:
+    """First rung of the hull ladder at which the hull is expected to cover the ratio.
+
+    Efron's identity turns the expected hull vertex count N of k uniform
+    points into the expected missed share of the domain, N / k.  Renyi &
+    Sulanke (1963) give N for an r-gon, (2r/3) ln k, and for a smooth
+    body, Gamma(5/3) (2/3)^(1/3) (int kappa^(1/3) ds) k^(1/3) / |domain|^(1/3).
+    A polygon with many vertices behaves like a smooth body until k
+    resolves its corners, so the smaller count is taken.  The curvature
+    integral is the polygon's sum of turn^(1/3) * (mean adjacent edge
+    length)^(2/3), exact for regular polygons inscribed in a circle.
+    """
+    v = domain.vertices
+    edge = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+    prev = np.roll(domain.normals, 1, axis=0)
+    turn = np.arctan2(prev[:, 0] * domain.normals[:, 1] - prev[:, 1] * domain.normals[:, 0],
+                      np.sum(prev * domain.normals, axis=1))
+    affine = float(np.sum(np.cbrt(turn) * (0.5 * (edge + np.roll(edge, 1))) ** (2 / 3)))
+    smooth = _RS_SMOOTH * affine / _shoelace(v) ** (1 / 3)
+    k = HULL_K0
+    while (2 * k <= HULL_K_MAX
+           and min(smooth * k ** (1 / 3), 2.0 * len(v) / 3.0 * math.log(k)) > (1.0 - ratio) * k):
+        k *= 2
+    return k
+
+
+def _hull_competitor(rng, fan, v, k):
+    """Hull of k uniform points, k doubled until it reaches area v, then shrunk to v."""
     tries = 0
     failures = 0
-    while k <= k_max:
-        pts = sample_points_in_polygon(rng, dom.vertices, k)
-        try:
-            hull = ConvexHull(pts)
-        except QhullError as exc:
+    while k <= HULL_K_MAX:
+        pts = fan.sample(rng, k)
+        hull = convex_hull(pts)
+        if hull is None:
             failures += 1
             if failures > QHULL_RETRIES:
                 raise SamplerInfeasibleError(
-                    f"Qhull failed {failures} times on hulls of {k} points") from exc
+                    f"Qhull failed {failures} times on hulls of {k} points")
             tries += 1
             continue
         verts = pts[hull.vertices]
@@ -96,27 +132,60 @@ def _hull_competitor(rng, family, v, k0=12, k_max=8192):
         k *= 2
         tries += 1
     raise SamplerInfeasibleError(
-        f"hull of {k_max} points never reached area {v}")
+        f"hull of {k // 2} points never reached area {v}")
+
+
+def _chain(p, t, first, last, step):
+    """Projections and tangential coordinates from vertex first to last, by step."""
+    idx = (first + step * np.arange((step * (last - first)) % len(p) + 1)) % len(p)
+    return p[idx], t[idx]
+
+
+def _tied(p, i):
+    """(first, last) in CCW order of extreme vertex i and a neighbour tied with it."""
+    n = len(p)
+    if p[i - 1] == p[i]:
+        return (i - 1) % n, i
+    if p[(i + 1) % n] == p[i]:
+        return i, (i + 1) % n
+    return i, i
+
+
+def halfplane_cut(vertices: np.ndarray, normal: np.ndarray, v: float):
+    """(cut, c): the part of a convex CCW polygon with normal . x <= c, of area v.
+
+    The cut area A(c) has the chord length L(c) as its derivative.  Both
+    boundary chains from the lowest to the highest vertex along the
+    normal are linear between vertex projections, so L is linear between
+    the sorted projections, A is exact there by the trapezoid rule and
+    quadratic in between.  One root gives c, and the polygon is clipped
+    once.  Tied projections make zero-width intervals, which no search
+    lands in; a tied extreme edge enters as the chord at its end.
+    """
+    p = vertices @ normal
+    t = vertices @ np.array([-normal[1], normal[0]])
+    lo_first, lo_last = _tied(p, int(np.argmin(p)))
+    hi_first, hi_last = _tied(p, int(np.argmax(p)))
+    pa, ta = _chain(p, t, lo_last, hi_first, 1)     # right of the normal, CCW
+    pb, tb = _chain(p, t, lo_first, hi_last, -1)    # left of it, against CCW
+    brk = np.sort(p)
+    chord = np.interp(brk, pb, tb) - np.interp(brk, pa, ta)
+    width = np.diff(brk)
+    area = np.concatenate([[0.0], np.cumsum(0.5 * (chord[:-1] + chord[1:]) * width)])
+    k = min(int(np.searchsorted(area, v, side="right")) - 1,
+            int(np.flatnonzero(width > 0.0)[-1]))
+    d = v - area[k]
+    slope = (chord[k + 1] - chord[k]) / width[k]
+    root = chord[k] + np.sqrt(max(chord[k] * chord[k] + 2.0 * slope * d, 0.0))
+    s = min(2.0 * d / root, width[k]) if root > 0.0 else 0.0
+    c = float(brk[k] + s)
+    return clip_halfplane(vertices, normal, c), c
 
 
 def _halfplane_competitor(rng, family, v):
-    dom = family.domain
     theta = rng.uniform(0.0, 2.0 * np.pi)
-    n = np.array([np.cos(theta), np.sin(theta)])
-    proj = dom.vertices @ n
-    lo, hi = float(proj.min()), float(proj.max())
-    target_tol = 0.5 * AREA_TOL_REL * family.v_max
-    for _ in range(80):
-        c = 0.5 * (lo + hi)
-        cut = clip_halfplane(dom.vertices, n, c)
-        area = _shoelace(cut) if len(cut) >= 3 else 0.0
-        if abs(area - v) <= target_tol:
-            break
-        if area < v:
-            lo = c
-        else:
-            hi = c
-    cut = clip_halfplane(dom.vertices, n, 0.5 * (lo + hi))
+    cut, _ = halfplane_cut(family.domain.vertices,
+                           np.array([np.cos(theta), np.sin(theta)]), v)
     if len(cut) < 3:
         raise SamplerInfeasibleError("half-plane cut collapsed")
     return _polygon_competitor(cut, {"sampler": "halfplane", "theta": float(theta)})
@@ -135,25 +204,41 @@ def _disk_competitor(rng, family, v):
         center = feasible.points[0] + rng.random() * (feasible.points[1]
                                                       - feasible.points[0])
     else:
-        center = sample_points_in_polygon(rng, feasible.points, 1)[0]
+        center = _Fan(feasible.points).sample(rng, 1)[0]
     return Competitor(kind="disk", area=v, perimeter=2.0 * np.pi * radius,
                       center=center, radius=radius,
                       provenance={"sampler": "disk"})
 
 
+@dataclass(frozen=True, eq=False)
+class _Sweep:
+    """What the competitors of one (domain, volume) share: the fan and the first rung."""
+
+    fan: _Fan
+    hull_k0: int
+
+
+def _sweep(family: MinimizerFamily, v: float) -> _Sweep:
+    return _Sweep(_Fan(family.domain.vertices), _hull_start(family.domain, v / family.v_max))
+
+
 def sample_competitor(family: MinimizerFamily, v: float, sampler: str,
-                      seed) -> Competitor:
+                      seed, sweep: _Sweep | None = None) -> Competitor:
     """Draw one area-matched competitor inside the closed domain.
 
     Samplers: "hull" (convex hull of uniform points shrunk about its
-    centroid), "halfplane" (domain cut by a bisected half-plane), "disk"
-    (random feasible center, only when a disk of area v fits).
+    centroid; the point count starts at the rung whose expected hull
+    covers v), "halfplane" (the domain cut at the offset of area v, in
+    closed form), "disk" (random feasible center, only when a disk of
+    area v fits).  ``sweep`` carries what a sweep of competitors at this
+    volume shares; it is built when absent.
     """
     if not 0.0 < v < family.v_max:
         raise SamplerInfeasibleError("volume must be strictly inside (0, |domain|)")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if sampler == "hull":
-        comp = _hull_competitor(rng, family, v)
+        sweep = sweep or _sweep(family, v)
+        comp = _hull_competitor(rng, sweep.fan, v, sweep.hull_k0)
     elif sampler == "halfplane":
         comp = _halfplane_competitor(rng, family, v)
     elif sampler == "disk":
@@ -208,11 +293,12 @@ def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
         if v <= family.balls.ball_measure:
             samplers.append("disk")
     rng = np.random.default_rng(seed)
+    sweep = _sweep(family, v)
     gaps = np.empty(n_samples)
     violations = []
     for i in range(n_samples):
         name = samplers[i % len(samplers)]
-        comp = sample_competitor(family, v, name, rng)
+        comp = sample_competitor(family, v, name, rng, sweep)
         gap = comp.perimeter - p_min
         gaps[i] = gap
         if gap < -PERIMETER_SLACK:

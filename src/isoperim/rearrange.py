@@ -28,12 +28,10 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.spatial import QhullError
 
 from .errors import DomainMismatchError
 from .family import MinimizerFamily
-from .geometry import ConvexPolygon, polygon_measures
+from .geometry import ConvexPolygon, convex_hull, polygon_measures
 
 DEFAULT_LEVELS = 256
 EQ_DEFECT_FACTOR = 4.0     # equimeasurability bound: 4 h (P + 1)
@@ -409,12 +407,8 @@ class RearrangementReport:
 
 
 def _hull_area(points: np.ndarray) -> float:
-    if len(points) < 3:
-        return 0.0
-    try:
-        return float(ConvexHull(points).volume)
-    except QhullError:
-        return 0.0
+    hull = convex_hull(points) if len(points) >= 3 else None
+    return 0.0 if hull is None else float(hull.volume)
 
 
 def rearrangement_report(u: GridFunction, ut: GridFunction,

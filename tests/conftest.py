@@ -42,6 +42,19 @@ def random_polygon(rng, k=9, spread=1.0):
     raise RuntimeError("could not draw a valid random polygon")
 
 
+def ellipse_polygon(seed, n, aspect=2.0, jitter=0.4):
+    """n vertices on x^2 + (aspect y)^2 = 1 at jittered angles."""
+    rng = np.random.default_rng(seed)
+    theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
+    return np.stack([np.cos(theta), np.sin(theta) / aspect], axis=1)
+
+
+def regular_polygon(n):
+    """n vertices on the unit circle at equal angles."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
 def cone_grid(square_poly, n):
     """Distance-to-boundary of the unit square sampled on an n-wide grid."""
     u0 = GridFunction.for_domain(square_poly, n)

@@ -3,9 +3,9 @@
 Each one solves the same problem as the library by an independent,
 slower route: the erosion structure by re-deriving every vertex from
 scratch after each event, and by scanning all edges at every event;
-the r <-> v inversion and the rank by bisection, the inradius by a
-linear program, and marching squares by one full-grid pass per
-threshold.
+the r <-> v inversion, the rank and the half-plane competitor's cut
+offset by bisection, the inradius by a linear program, and marching
+squares by one full-grid pass per threshold.
 """
 
 from types import SimpleNamespace
@@ -15,9 +15,11 @@ from scipy.optimize import linprog
 
 from isoperim import geometry as geo
 from isoperim.errors import DegenerateError
+from isoperim.oracle import AREA_TOL_REL
 
 RADIUS_ITERS = 80     # bisection depth for the r <-> v inversion
 RANK_ITERS = 60       # bisection depth for entry radii (machine precision)
+HALFPLANE_ITERS = 80  # bisection cap for the half-plane cut offset
 
 
 def rederived_intervals(polygon):
@@ -284,6 +286,41 @@ def bisect_rank(family, points):
         r = bisect_exit_radius(family.structure, pts[rnd])
         out[rnd] = np.minimum(family.structure.area_of_opening(r), family.v_max)
     return out
+
+
+def bisect_halfplane_cut(vertices, normal, v, area_tol):
+    """(cut, lo, hi): the polygon clipped at normal . x <= c with area within
+    area_tol of v, c bisected between the extreme vertex projections.
+
+    [lo, hi] brackets the exact offset: the cut at lo is smaller than v
+    and the cut at hi larger.
+    """
+    proj = vertices @ normal
+    lo, hi = float(proj.min()), float(proj.max())
+    for _ in range(HALFPLANE_ITERS):
+        c = 0.5 * (lo + hi)
+        cut = geo.clip_halfplane(vertices, normal, c)
+        area = geo._shoelace(cut) if len(cut) >= 3 else 0.0
+        if abs(area - v) <= area_tol:
+            break
+        if area < v:
+            lo = c
+        else:
+            hi = c
+    return geo.clip_halfplane(vertices, normal, 0.5 * (lo + hi)), lo, hi
+
+
+def bisect_halfplane_competitor(rng, family, v):
+    """The half-plane sampler with a bisected offset: (cut, theta).
+
+    Draws theta as ``oracle`` does and bisects to half the sampler's area
+    tolerance.
+    """
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    normal = np.array([np.cos(theta), np.sin(theta)])
+    cut, _, _ = bisect_halfplane_cut(family.domain.vertices, normal, v,
+                                     0.5 * AREA_TOL_REL * family.v_max)
+    return cut, float(theta)
 
 
 def lp_inradius(polygon):

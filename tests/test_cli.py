@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,22 @@ def test_minimizer_command(square_json, tmp_path, capsys):
     assert data["curvature"] == pytest.approx(1 / R9, abs=1e-6)
     svg = open(os.path.join(out, "shape.svg")).read()
     assert svg.startswith("<svg") and " A " in svg
+
+
+def test_import_and_minimizer_load_no_scipy(square_json, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "import isoperim\n"
+            "from isoperim.cli import main\n"
+            "argv = ['minimizer', '--domain', sys.argv[1], '--volume', '0.9', '--out', sys.argv[2]]\n"
+            "assert main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code, square_json, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_minimizer_stadium(rect_json, tmp_path):

@@ -24,18 +24,11 @@ from isoperim.errors import DegenerateError, GeometryError, VolumeOutOfRangeErro
 from isoperim.family import TOL_REL, build_family
 
 import oracles
-from conftest import RECT21, SQUARE, random_polygon
+from conftest import RECT21, SQUARE, ellipse_polygon, random_polygon, regular_polygon
 
 ROOT = Path(__file__).resolve().parents[1]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
-
-
-def ellipse_polygon(seed, n, aspect=2.0, jitter=0.4):
-    """n vertices on x^2 + (aspect y)^2 = 1 at jittered angles."""
-    rng = np.random.default_rng(seed)
-    theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
-    return np.stack([np.cos(theta), np.sin(theta) / aspect], axis=1)
 
 
 @st.composite
@@ -109,11 +102,6 @@ def test_structure_matches_rederivation(poly):
             want_a, want_p, size_a, size_p = oracles.core_measures(poly, rv, r)
             assert abs(area - want_a) <= 1e-12 * size_a
             assert abs(perim - want_p) <= 1e-12 * size_p
-
-
-def regular_polygon(n):
-    theta = 2.0 * np.pi * np.arange(n) / n
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
 def assert_matches_full_scan(poly):
@@ -372,6 +360,18 @@ def test_exit_radius_matches_bisection_1024(kind):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geo, "CHUNK_ENTRIES", 7)
         assert np.array_equal(s.exit_radius(inner), radius)
+
+
+def test_distance_to_core_is_independent_of_block_size():
+    # points on the edges sit on the inside test's threshold
+    poly = geo.validate_polygon(regular_polygon(1024))
+    s = build_family(poly).structure
+    t = np.random.default_rng(8).random(1024)[:, None]
+    pts = poly.vertices + t * (np.roll(poly.vertices, -1, axis=0) - poly.vertices)
+    d = s.distance_to_core(pts, 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geo, "CHUNK_ENTRIES", 7)
+        assert np.array_equal(s.distance_to_core(pts, 0.0), d)
 
 
 @PROPERTY

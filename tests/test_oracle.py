@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
-from scipy.spatial import QhullError
 
 from isoperim import oracle as orc
 from isoperim.errors import SamplerInfeasibleError, ScheduleInvalidError
+from isoperim.family import build_family
+from isoperim.geometry import _shoelace, validate_polygon
+
+import oracles
+from conftest import ellipse_polygon, regular_polygon
 
 
 def _raster(shape_fn, n=256, lo=0.0, hi=1.0):
@@ -61,18 +65,100 @@ def test_hull_sampler_gives_up_when_qhull_keeps_failing(square_family, monkeypat
 
     def failing_hull(points):
         calls.append(len(points))
-        raise QhullError("QH6154 initial simplex is flat")
+        return None       # what convex_hull returns when Qhull rejects the points
 
-    monkeypatch.setattr(orc, "ConvexHull", failing_hull)
+    monkeypatch.setattr(orc, "convex_hull", failing_hull)
     with pytest.raises(SamplerInfeasibleError, match="Qhull failed"):
         orc.sample_competitor(square_family, 0.9, "hull", seed=7)
     assert len(calls) == orc.QHULL_RETRIES + 1
+
+
+def test_hull_ladder_starts_near_the_target(square_family):
+    sweep = orc._sweep(square_family, 0.9)
+    rng = np.random.default_rng(12)
+    comps = [orc.sample_competitor(square_family, 0.9, "hull", rng, sweep)
+             for _ in range(500)]
+    assert all({"sampler", "k", "tries"} <= c.provenance.keys() for c in comps)
+    assert np.mean([1 + c.provenance["tries"] for c in comps]) <= 1.5
+    assert all(c.provenance["k"] >= sweep.hull_k0 for c in comps)
+
+
+def test_hull_ladder_start_does_not_overshoot_smooth_domains():
+    # the polygon estimate with r = 256 would start near k = 15,000
+    fam = build_family(validate_polygon(ellipse_polygon(1, 256)))
+    assert orc._sweep(fam, 0.9 * fam.v_max).hull_k0 <= 384
+
+
+def test_hull_ladder_exhausted_raises(square_family, monkeypatch):
+    monkeypatch.setattr(orc, "HULL_K_MAX", 96)
+    with pytest.raises(SamplerInfeasibleError, match="never reached"):
+        orc.sample_competitor(square_family, 0.99, "hull", seed=3)
+
+
+def test_verify_minimality_smooth_domain_near_full():
+    # hulls of about 12,288 points are needed here
+    fam = build_family(validate_polygon(ellipse_polygon(1, 256)))
+    report = orc.verify_minimality(fam, 0.99 * fam.v_max, 16, seed=4)
+    assert report.passed
+    assert report.min_gap > 0.0
 
 
 def test_halfplane_sampler(square_family):
     comp = orc.sample_competitor(square_family, 0.9, "halfplane", seed=1)
     assert comp.area == pytest.approx(0.9, abs=1e-6)
     assert square_family.domain.contains_point(comp.vertices).all()
+
+
+def test_halfplane_sampler_clips_once(square_family, monkeypatch):
+    calls = []
+    clip = orc.clip_halfplane
+
+    def counting_clip(*args):
+        calls.append(args)
+        return clip(*args)
+
+    monkeypatch.setattr(orc, "clip_halfplane", counting_clip)
+    orc.sample_competitor(square_family, 0.9, "halfplane", seed=1)
+    assert len(calls) == 1
+
+
+HALFPLANE_POLYGONS = {
+    "triangle": [(0.0, 0.0), (1.0, 0.0), (0.3, 0.8)],
+    "square": [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+    "ellipse256": ellipse_polygon(1, 256),
+    "regular1024": regular_polygon(1024),
+}
+
+
+@pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (1e6, 1.0), (0.0, 1e-6), (0.0, 1e6)])
+@pytest.mark.parametrize("name", list(HALFPLANE_POLYGONS))
+def test_halfplane_cut_matches_bisection(name, shift, scale):
+    poly = validate_polygon(np.asarray(HALFPLANE_POLYGONS[name]) * scale + shift)
+    total = _shoelace(poly.vertices)
+    tol = orc.AREA_TOL_REL * total
+    theta = np.random.default_rng(len(poly.vertices)).uniform(0.0, 2.0 * np.pi)
+    # exact axis directions tie the projections of the square's and the triangle's edges
+    normals = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (np.cos(theta), np.sin(theta))]
+    for normal in np.asarray(normals):
+        for ratio in (1e-6, 0.01, 0.5, 0.9, 1.0 - 1e-6):
+            v = ratio * total
+            cut, c = orc.halfplane_cut(poly.vertices, normal, v)
+            ref, lo, hi = oracles.bisect_halfplane_cut(poly.vertices, normal, v, 0.5 * tol)
+            assert abs(_shoelace(cut) - v) <= tol
+            assert abs(_shoelace(cut) - _shoelace(ref)) <= tol
+            slack = 1e-9 * poly.scale
+            assert lo - slack <= c <= hi + slack
+            assert poly.contains_point(cut).all()
+
+
+def test_halfplane_sampler_matches_bisected_sampler(rect_family):
+    for seed in range(20):
+        comp = orc.sample_competitor(rect_family, 1.2, "halfplane", seed=seed)
+        cut, theta = oracles.bisect_halfplane_competitor(
+            np.random.default_rng(seed), rect_family, 1.2)
+        assert comp.provenance["theta"] == theta
+        assert comp.perimeter == pytest.approx(
+            orc._edge_length_sum(cut), abs=1e-5)
 
 
 def test_disk_sampler(square_family):
