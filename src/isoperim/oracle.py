@@ -388,6 +388,11 @@ class _CroftonCounter:
     margin is the outside, so stencil reads need no bounds checks.  Flat
     offset ``b * width + a`` reaches the Crofton neighbour (a, b), and
     ``g`` is a live boolean view of the grid.
+
+    ``sums`` keeps, per padded cell x, the stencil sum
+    ``sum_k coef_k * (buf[x + o_k] + buf[x - o_k])`` (cells beyond the
+    buffer read as outside), so a swap's perimeter change is read off
+    two entries by ``delta`` and only a committed swap updates them.
     """
 
     def __init__(self, grid, cell):
@@ -401,6 +406,8 @@ class _CroftonCounter:
         self.n4 = (1, -1, self.width, -self.width)
         # flat q - p -> direction k when q is p's neighbour along direction k
         self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}
+        self.adjacent_coef = {d: self.coef[k] for d, k in self.adjacent.items()}
+        self.sums = _stencil_sums(self.cells, self.coef).ravel().tolist()
 
     def index(self, j, i) -> int:
         return (int(j) + _PAD) * self.width + int(i) + _PAD
@@ -410,6 +417,17 @@ class _CroftonCounter:
         for c, n in zip(self.coef, self.counts if counts is None else counts):
             total += c * n
         return 0.5 * total
+
+    def delta(self, p, q) -> float:
+        """Perimeter change once in-cell p leaves and out-cell q joins.
+
+        Per direction, p leaving changes the perimeter by its neighbours'
+        weight less coef_k, and q joining by coef_k less its neighbours'
+        weight read with p already out: S[p] - S[q], plus coef_k when p
+        is q's neighbour along direction k.
+        """
+        sums = self.sums
+        return sums[p] - sums[q] + self.adjacent_coef.get(q - p, 0.0)
 
     def price(self, p, q):
         """(counts, perimeter) once in-cell p leaves and out-cell q joins.
@@ -426,10 +444,16 @@ class _CroftonCounter:
         return counts, self.perimeter(counts)
 
     def commit(self, p, q, counts):
-        """Apply a swap priced by ``price``."""
+        """Apply a swap priced by ``price``, and update the stencil sums around p and q."""
         self.buf[p] = 0
         self.buf[q] = 1
         self.counts = counts
+        sums = self.sums
+        for c, d in zip(self.coef, self.offsets):
+            sums[p + d] -= c
+            sums[p - d] -= c
+            sums[q + d] += c
+            sums[q - d] += c
 
     def flip(self, j, i):
         x = self.index(j, i)
@@ -438,6 +462,23 @@ class _CroftonCounter:
         self.counts = [n + sign * (2 * (buf[x + d] + buf[x - d]) - 2)
                        for n, d in zip(self.counts, self.offsets)]
         buf[x] ^= 1
+        sums = self.sums
+        for c, d in zip(self.coef, self.offsets):
+            sums[x + d] -= sign * c
+            sums[x - d] -= sign * c
+
+
+def _stencil_sums(cells, coef):
+    """sum_k coef_k * (cells[x + (a_k, b_k)] + cells[x - (a_k, b_k)]) at every cell x,
+    reading cells beyond the array as outside."""
+    ny, nx = cells.shape
+    ext = np.pad(cells.astype(float), _PAD)
+    sums = np.zeros((ny, nx))
+    for (a, b), c in zip(_CROFTON_DIRS, coef):
+        fwd = ext[_PAD + b:_PAD + b + ny, _PAD + a:_PAD + a + nx]
+        back = ext[_PAD - b:_PAD - b + ny, _PAD - a:_PAD - a + nx]
+        sums += c * (fwd + back)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -457,7 +498,11 @@ class AnnealSchedule:
 
 @dataclass(eq=False)
 class AnnealResult:
-    """Best state found by the fixed-area boundary-swap chain."""
+    """Best state found by the fixed-area boundary-swap chain.
+
+    ``proposals`` counts the drawn moves (one per boundary in-cell per
+    sweep, stale or not) and ``accepted`` the swaps taken.
+    """
 
     grid: np.ndarray
     perimeter: float
@@ -467,6 +512,8 @@ class AnnealResult:
     seed: int
     energy_trace: np.ndarray
     temperature_final: float
+    proposals: int
+    accepted: int
 
 
 def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
@@ -475,17 +522,61 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
     """Metropolis search for the minimal-perimeter pixel set of area v.
 
     Moves swap one boundary in-cell with one out-cell adjacent to the
-    in-set, so the cell count is conserved exactly.  The energy is the
-    Crofton perimeter: each swap is priced from the counter's stencil
-    and written back only when accepted.  Starts from a compact
-    axis-aligned block at a seeded position.
+    in-set, so the cell count is conserved exactly.  Each sweep draws all
+    its moves and acceptance limits at once (``_sweep_moves``).  The
+    energy is the Crofton perimeter: a proposal is decided on the
+    counter's kept stencil sums, and only an accepted swap is priced
+    into exact transition counts, whose perimeter is the energy of
+    record.  Starts from a compact axis-aligned block at a seeded
+    position.
     """
     if grid_n > ANNEAL_MAX_GRID:
         raise ValueError(f"desk-scale oracle: grid_n must be at most {ANNEAL_MAX_GRID}")
     schedule = schedule or AnnealSchedule()
     schedule.validate()
-    rng = np.random.default_rng(seed)
+    rng, mask, grid, h, origin = _anneal_start(domain, v, grid_n, seed)
+    count = int(grid.sum())
+    counter = _CroftonCounter(grid, h)
+    buf, n4, delta = counter.buf, counter.n4, counter.delta
+    mask_buf, mask_cells = _padded_buffer(mask)
+    energy = counter.perimeter()
+    best = bytes(buf)
+    best_energy = energy
+    temp = schedule.t0_cells * h
+    trace = np.empty(schedule.sweeps)
+    proposals = accepted = 0
 
+    for sweep in range(schedule.sweeps):
+        bd_in, bd_out = _boundaries(counter.cells, mask_cells)
+        if len(bd_in) == 0 or len(bd_out) == 0:
+            trace[sweep:] = energy
+            break
+        proposals += len(bd_in)
+        for p, q, limit in _sweep_moves(rng, bd_in, bd_out, temp):
+            if _valid_swap(buf, mask_buf, n4, p, q) and delta(p, q) <= limit:
+                counts, energy = counter.price(p, q)
+                counter.commit(p, q, counts)
+                accepted += 1
+                if energy < best_energy:
+                    best_energy = energy
+                    best = bytes(buf)
+        trace[sweep] = energy
+        temp *= schedule.ratio
+        assert int(counter.g.sum()) == count  # swap moves conserve the count
+
+    best_grid = _unpad(best, counter.cells.shape)
+    assert int(best_grid.sum()) == count
+    return AnnealResult(grid=best_grid, perimeter=float(best_energy), origin=origin,
+                        cell=h, in_count=count, seed=seed, energy_trace=trace,
+                        temperature_final=float(temp), proposals=proposals,
+                        accepted=accepted)
+
+
+def _anneal_start(domain, v, grid_n, seed):
+    """(rng, mask, grid, h, origin): the seeded generator, the domain mask on the
+    grid of cell side h over the bounding box, the start block of round(v / h^2)
+    cells, and the center of cell (0, 0)."""
+    rng = np.random.default_rng(seed)
     lo = domain.vertices.min(axis=0)
     hi = domain.vertices.max(axis=0)
     h = float(np.max(hi - lo)) / grid_n
@@ -499,49 +590,30 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
     count = int(round(v / (h * h)))
     if not 0 < count <= int(mask.sum()):
         raise ValueError("target area infeasible on this grid")
+    return rng, mask, _seed_block(rng, mask, count), h, lo + 0.5 * h
 
-    grid = _seed_block(rng, mask, count)
-    counter = _CroftonCounter(grid, h)
-    buf, n4 = counter.buf, counter.n4
-    mask_buf, mask_cells = _padded_buffer(mask)
-    energy = counter.perimeter()
-    current = energy
-    best = bytes(buf)
-    best_energy = energy
-    temp = schedule.t0_cells * h
-    trace = np.empty(schedule.sweeps)
 
-    for sweep in range(schedule.sweeps):
-        bd_in, bd_out = _boundaries(counter.cells, mask_cells)
-        n_in, n_out = len(bd_in), len(bd_out)
-        if n_in == 0 or n_out == 0:
-            trace[sweep:] = energy
-            break
-        for _ in range(n_in):
-            p = bd_in[rng.integers(n_in)]
-            q = bd_out[rng.integers(n_out)]
-            if not _valid_swap(buf, mask_buf, n4, p, q):
-                continue
-            counts, after = counter.price(p, q)
-            delta = after - current
-            if delta <= 0.0 or rng.random() < np.exp(-delta / temp):
-                energy = current + delta
-                counter.commit(p, q, counts)
-                current = after
-                if energy < best_energy:
-                    best_energy = energy
-                    best = bytes(buf)
-        trace[sweep] = energy
-        temp *= schedule.ratio
-        assert int(counter.g.sum()) == count  # swap moves conserve the count
+def _sweep_moves(rng, bd_in, bd_out, temp):
+    """One sweep's moves: (p, q, limit) for each boundary in-cell.
 
-    best_grid = np.frombuffer(best, dtype=bool).reshape(counter.cells.shape)
-    best_grid = best_grid[_PAD:-_PAD, _PAD:-_PAD].copy()
-    assert int(best_grid.sum()) == count
-    origin = lo + 0.5 * h
-    return AnnealResult(grid=best_grid, perimeter=float(best_energy), origin=origin,
-                        cell=h, in_count=count, seed=seed, energy_trace=trace,
-                        temperature_final=float(temp))
+    p and q are drawn uniformly from the sweep's boundary lists, in three
+    vectorised draws.  A move is taken when its perimeter change is at
+    most ``limit = -temp * log(U)``: the Metropolis rule
+    ``U < exp(-delta / temp)`` rearranged, so a change <= 0 is always
+    taken (U = 0 gives an infinite limit).
+    """
+    n_in, n_out = len(bd_in), len(bd_out)
+    ps = bd_in[rng.integers(n_in, size=n_in)].tolist()
+    qs = bd_out[rng.integers(n_out, size=n_in)].tolist()
+    with np.errstate(divide="ignore"):
+        limits = (-temp * np.log(rng.random(n_in))).tolist()
+    return zip(ps, qs, limits)
+
+
+def _unpad(buf, shape):
+    """Copy of the grid held in a padded byte buffer of the given 2-D shape."""
+    cells = np.frombuffer(buf, dtype=bool).reshape(shape)
+    return cells[_PAD:-_PAD, _PAD:-_PAD].copy()
 
 
 def _seed_block(rng, mask, count):
@@ -577,7 +649,7 @@ def _boundaries(cells, mask):
     bd_out = np.zeros_like(cells)
     bd_in[1:-1, 1:-1] = inner & nbr_out
     bd_out[1:-1, 1:-1] = mask[1:-1, 1:-1] & ~inner & nbr_in
-    return np.flatnonzero(bd_in).tolist(), np.flatnonzero(bd_out).tolist()
+    return np.flatnonzero(bd_in), np.flatnonzero(bd_out)
 
 
 def _has_neighbor(buf, n4, x, value):

@@ -4,8 +4,9 @@ Each one solves the same problem as the library by an independent,
 slower route: the erosion structure by re-deriving every vertex from
 scratch after each event, and by scanning all edges at every event;
 the r <-> v inversion, the rank and the half-plane competitor's cut
-offset by bisection, the inradius by a linear program, and marching
-squares by one full-grid pass per threshold.
+offset by bisection, the inradius by a linear program, marching
+squares by one full-grid pass per threshold, and the annealing chain by
+pricing every proposal from the stencil.
 """
 
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from isoperim import geometry as geo
+from isoperim import oracle as orc
 from isoperim.errors import DegenerateError
 from isoperim.oracle import AREA_TOL_REL
 
@@ -342,6 +344,49 @@ def lp_inradius(polygon):
                                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(res.x[2]) * polygon.scale
+
+
+def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
+    """``anneal_discrete`` with every valid proposal priced from the stencil.
+
+    Fed the same per-sweep draws, each proposal is priced into exact
+    transition counts and decided on ``after - current``, the perimeter
+    change between the counts' perimeters, instead of on the kept
+    stencil sums.
+    """
+    schedule = schedule or orc.AnnealSchedule()
+    rng, mask, grid, h, origin = orc._anneal_start(domain, v, grid_n, seed)
+    counter = orc._CroftonCounter(grid, h)
+    buf, n4 = counter.buf, counter.n4
+    mask_buf, mask_cells = orc._padded_buffer(mask)
+    current = counter.perimeter()
+    best, best_energy = bytes(buf), current
+    temp = schedule.t0_cells * h
+    trace = np.empty(schedule.sweeps)
+    proposals = accepted = 0
+    for sweep in range(schedule.sweeps):
+        bd_in, bd_out = orc._boundaries(counter.cells, mask_cells)
+        if len(bd_in) == 0 or len(bd_out) == 0:
+            trace[sweep:] = current
+            break
+        proposals += len(bd_in)
+        for p, q, limit in orc._sweep_moves(rng, bd_in, bd_out, temp):
+            if not orc._valid_swap(buf, mask_buf, n4, p, q):
+                continue
+            counts, after = counter.price(p, q)
+            if after - current <= limit:
+                counter.commit(p, q, counts)
+                current = after
+                accepted += 1
+                if current < best_energy:
+                    best, best_energy = bytes(buf), current
+        trace[sweep] = current
+        temp *= schedule.ratio
+    grid = orc._unpad(best, counter.cells.shape)
+    return orc.AnnealResult(grid=grid, perimeter=float(best_energy), origin=origin,
+                            cell=h, in_count=int(grid.sum()), seed=seed,
+                            energy_trace=trace, temperature_final=float(temp),
+                            proposals=proposals, accepted=accepted)
 
 
 _SEG1 = np.full((16, 2), -1, dtype=int)

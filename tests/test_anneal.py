@@ -2,9 +2,11 @@
 
 Each swap is priced from the counter's flat Crofton stencil without
 touching the grid. The property tests compare the priced counts with
-transition counts recomputed from scratch after the swap; the golden
+transition counts recomputed from scratch after the swap, and the kept
+stencil sums with a rebuild after a run of committed swaps; the golden
 tests pin whole seeded runs, so any change to the move sequence, the
-RNG draws or the float expressions shows up as a changed hash.
+RNG draws or the float expressions shows up as a changed hash, and the
+chain must equal the reference that prices every proposal.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from isoperim import oracle as orc
 
 DIRS = [(int(a), int(b)) for a, b in orc._CROFTON_DIRS]
@@ -72,10 +75,11 @@ def coupled_swaps(draw, direction, sign, place):
 
 
 def _is_valid_swap(grid, p, q):
-    counter = orc._CroftonCounter(grid, 1.0)
+    buf, cells = orc._padded_buffer(grid)
     mask_buf, _ = orc._padded_buffer(np.ones_like(grid))
-    return orc._valid_swap(counter.buf, mask_buf, counter.n4,
-                           counter.index(*p), counter.index(*q))
+    width = cells.shape[1]
+    p, q = ((j + orc._PAD) * width + i + orc._PAD for j, i in (p, q))
+    return orc._valid_swap(buf, mask_buf, (1, -1, width, -width), p, q)
 
 
 def _check_priced_swap(grid, p, q):
@@ -139,35 +143,91 @@ def test_counter_flip_matches_price():
     assert flipped.counts == counts
 
 
-# Results of anneal_discrete before the move pricing used the stencil
-# (each move then applied and undid trial flips on a 2-D array).
+def _check_kept_sums(counter, swaps):
+    """The kept stencil sums match a rebuild, and price each valid swap as ``price`` does."""
+    rebuilt = orc._stencil_sums(counter.cells, counter.coef).ravel()
+    kept = np.array(counter.sums)
+    assert np.max(np.abs(kept - rebuilt)) <= 1e-12 * np.max(rebuilt)
+    current = counter.perimeter()
+    for p, q in swaps:
+        _, after = counter.price(p, q)
+        assert abs(counter.delta(p, q) - (after - current)) <= 1e-12 * current
+
+
+@pytest.mark.parametrize("direction", range(len(DIRS)))
+@PROPERTY
+@given(data=st.data())
+def test_kept_sums_follow_commits(direction, data):
+    # a coupled swap, then random valid swaps committed one after another
+    sign = data.draw(st.sampled_from([1, -1]))
+    place = data.draw(st.sampled_from(["border", "interior"]))
+    grid, p, q = data.draw(coupled_swaps(direction, sign, place))
+    counter = orc._CroftonCounter(grid, 0.125)
+    mask_buf, _ = orc._padded_buffer(np.ones_like(grid))
+    swaps = [(counter.index(*p), counter.index(*q))]
+    assume(orc._valid_swap(counter.buf, mask_buf, counter.n4, *swaps[0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for _ in range(data.draw(st.integers(1, 12))):
+        _check_kept_sums(counter, swaps)
+        counter.commit(*swaps[0], counter.price(*swaps[0])[0])
+        cells = [counter.index(j, i) for j, i in
+                 zip(rng.integers(grid.shape[0], size=16), rng.integers(grid.shape[1], size=16))]
+        swaps = [m for m in zip(cells[::2], cells[1::2])
+                 if orc._valid_swap(counter.buf, mask_buf, counter.n4, *m)]
+        if not swaps:
+            break
+    _check_kept_sums(counter, swaps)
+    assert counter.counts == [orc._transition_count(counter.g, a, b) for a, b in DIRS]
+
+
+# Results of anneal_discrete with each sweep's moves drawn at once and
+# proposals decided on the kept stencil sums.
 GOLDEN = [
     ("square", 0.9, 16, None, 1, "3.374763350800708",
-     "27c321e280874077b9557215511a71ace012e61986852efb5af3b65d5ccd303a",
-     "3ba6605b40930878f69ee3fb55190a2d5b3951940bee28e66271a5c4090b82c2"),
+     "0da7d42e71aa55945bdabedbaf44ca8e07ea325cb76fac530a8dda30a5d55d20",
+     "e62108c612a551c22d0674124b0e3a6def1c046049f34a80d62e18f004b064c5"),
     ("square", 0.9, 16, None, 2, "3.374763350800708",
-     "f3712cdf45806db8f24d06f7c57df202be6851b7fba53cea1ae7a4648e1df457",
-     "345472a7aa28f8ba003c7251ce4ebcc6b685a4fe89051f9aeab3527e1ff15d82"),
-    ("square", 0.9, 32, None, 3, "3.4015145083204197",
-     "194cbe7bfd5452233cb6d55dbc60f4f8ae7e0ddf9861651f13f7eb4756bb9a73",
-     "a9aff91b7a9f621967c02307da3009237c7105ccbcfb6bb316edefb49cb6bbed"),
-    ("square", np.pi / 4, 32, None, 0, "3.1336501330594153",
-     "30eded1049bba3daa9766e8c3cbb2994104a900dc2f714cedc00246286ec6cbb",
-     "cf5bd8a291c7875d41806e009aa81c5e73b6a1a3b97e93fe668ba81ec3ff30d9"),
-    ("rect21", 1.9, 48, 200, 0, "5.391389606537464",
-     "5531cd51bd944e90ad8417097474d3ebe5d2b11e658e9640d44d988fae2359f9",
-     "1bb4a9b50dd31ecdb527089edc2615c99100b46834a058a0716289026c08ac0e"),
+     "49d96244f1b8e69ca0372fb21d53ce0ca5c0e0098aeeb8c16d134e563a412093",
+     "121d68b24a88c64a018cd58b38ee801eb5829b126d4c6b74f83410d295ba2797"),
+    ("square", 0.9, 32, None, 3, "3.3982596788822996",
+     "002e6e196d200c4bd774de210b6e302959c4574a0be48bf122ae95ccef4f652f",
+     "5529b5ffc520c2039cd290db6ac2e9388ea5a31a3d643f47fbdffb8ae407a12d"),
+    ("square", np.pi / 4, 32, None, 0, "3.1335099322042708",
+     "b6503a0ce81fd7a184d37df325522dbf4c3ebaab2e5e0fabafafb1dbc7c53ec2",
+     "a6b6441b5de823a92fe5138432f3f5a505543c4b721e635cdc8f10f84e99c454"),
+    ("rect21", 1.9, 48, 200, 0, "5.383995287128024",
+     "6e67d5447b58f4661b8ae943f8aea7b63dc27d8ba7ab6b0f1fe4f5b11bd81db7",
+     "71d4638c4aebef87f0680a8d95a1b3b71a0390b0099afeec6f2c4aafc837ee7c"),
 ]
+GOLDEN_IDS = [f"{g[0]}-{g[2]}-seed{g[4]}" for g in GOLDEN]
+
+
+def _golden_run(request, domain, v, grid_n, sweeps, seed, anneal=orc.anneal_discrete):
+    poly = request.getfixturevalue(domain)
+    schedule = orc.AnnealSchedule(sweeps=sweeps) if sweeps else None
+    return anneal(poly, v, grid_n, schedule, seed=seed)
 
 
 @pytest.mark.parametrize("domain,v,grid_n,sweeps,seed,perimeter,grid_sha,trace_sha",
-                         GOLDEN, ids=[f"{g[0]}-{g[2]}-seed{g[4]}" for g in GOLDEN])
+                         GOLDEN, ids=GOLDEN_IDS)
 def test_anneal_golden(request, domain, v, grid_n, sweeps, seed, perimeter,
                        grid_sha, trace_sha):
-    poly = request.getfixturevalue(domain)
-    schedule = orc.AnnealSchedule(sweeps=sweeps) if sweeps else None
-    res = orc.anneal_discrete(poly, v, grid_n, schedule, seed=seed)
+    res = _golden_run(request, domain, v, grid_n, sweeps, seed)
     assert repr(res.perimeter) == perimeter
     assert _sha(res.grid) == grid_sha
     assert _sha(res.energy_trace) == trace_sha
     assert res.grid.dtype == bool and res.grid.flags.c_contiguous
+
+
+@pytest.mark.parametrize("domain,v,grid_n,sweeps,seed", [g[:5] for g in GOLDEN],
+                         ids=GOLDEN_IDS)
+def test_anneal_matches_priced_chain(request, domain, v, grid_n, sweeps, seed):
+    res = _golden_run(request, domain, v, grid_n, sweeps, seed)
+    ref = _golden_run(request, domain, v, grid_n, sweeps, seed, oracles.priced_anneal)
+    assert np.array_equal(res.grid, ref.grid)
+    assert res.energy_trace.tobytes() == ref.energy_trace.tobytes()
+    assert res.perimeter == ref.perimeter
+    assert (res.proposals, res.accepted) == (ref.proposals, ref.accepted)
+    # the energy of record is the perimeter of exact counts
+    assert res.perimeter == orc.crofton_perimeter(res.grid, res.cell)
+    assert 0 < res.accepted <= res.proposals

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,17 @@ def test_halfplane_sampler_clips_once(square_family, monkeypatch):
     monkeypatch.setattr(orc, "clip_halfplane", counting_clip)
     orc.sample_competitor(square_family, 0.9, "halfplane", seed=1)
     assert len(calls) == 1
+
+
+def test_escaping_competitor_raises(square_family):
+    ellipse = build_family(validate_polygon(ellipse_polygon(2, 1024)))
+    for fam in (ellipse, square_family):
+        comp = orc.sample_competitor(fam, 0.5 * fam.v_max, "halfplane", seed=4)
+        orc._check_containment(fam.domain, comp)
+        grown = 1.001 * comp.vertices
+        for verts in (grown, grown[::-1]):
+            with pytest.raises(SamplerInfeasibleError, match="escapes"):
+                orc._check_containment(fam.domain, dataclasses.replace(comp, vertices=verts))
 
 
 HALFPLANE_POLYGONS = {
