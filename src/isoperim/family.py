@@ -219,6 +219,12 @@ class MinimizerFamily:
     def rank(self, points):
         """Smallest volume v with x in E(v) (the sentinel |Omega| outside).
 
+        Domain membership is ConvexPolygon.contains_point at EPS_GEOM *
+        scale.  Near a vertex of interior angle theta it admits points up
+        to that tolerance / sin(theta / 2) outside the domain; such a point
+        lies in no disk inside the domain, so its exit radius is 0 and its
+        rank the opening area at r = 0, |Omega| to rounding.
+
         Disk and stadium entries are closed-form.  An entry in the opening
         regime is the opening area at the exit radius of x, the largest r
         with dist(x, core(r)) <= r (ErosionStructure.exit_radius), solved
@@ -231,9 +237,8 @@ class MinimizerFamily:
         out = np.full(pts.shape[0], self.v_max)
         balls = self.balls
         r_star = balls.inradius
-        eps = self._eps
 
-        inside = self.structure.distance_to_core(pts, np.zeros(pts.shape[0])) <= eps
+        inside = self.domain.contains_point(pts, self._eps)
         a, b = self._spine_frame(pts)
         d_center = np.hypot(a, b)
         excess = np.maximum(np.abs(a) - 0.5 * balls.center_length, 0.0)

@@ -45,12 +45,24 @@ class ConvexPolygon:
         return len(self.vertices)
 
     def contains_point(self, points, tol=None):
-        """Closed membership test, vectorized over (..., 2) points."""
+        """Closed membership test, vectorized over (..., 2) points.
+
+        A point is a member when no edge line has it more than tol
+        outside, so near a vertex of interior angle theta the test reaches
+        up to tol / sin(theta / 2) from the polygon.  Points go in blocks
+        of at most CHUNK_ENTRIES point-edge pairs, and a point's result
+        does not depend on its block.
+        """
         if tol is None:
             tol = EPS_GEOM * self.scale
         pts = np.asarray(points, dtype=float)
-        viol = pts @ self.normals.T - self.offsets
-        return np.max(viol, axis=-1) <= tol
+        flat = pts.reshape(-1, 2)
+        out = np.empty(len(flat), dtype=bool)
+        step = max(1, CHUNK_ENTRIES // len(self.offsets))
+        for s in range(0, len(flat), step):
+            blk = flat[s:s + step]
+            out[s:s + step] = _excess(blk[:, 0:1], blk[:, 1:2], self.normals, self.offsets) <= tol
+        return out.reshape(pts.shape[:-1])[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +162,18 @@ def _point_segment_distance(pts, a, b):
     return np.linalg.norm(pts - proj, axis=-1)
 
 
+def _excess(px, py, normals, offsets):
+    """max_i (normals[i] . x - offsets[i]) of points (m, 1) px, py.
+
+    Elementwise, not a matmul, so that a point's bits do not depend on its
+    block; offsets are (k,) or (m, k).
+    """
+    e = px * normals[:, 0]
+    e += py * normals[:, 1]
+    e -= offsets
+    return e.max(axis=1)
+
+
 def _polygon_distance(pts, vx, vy, normals, offsets):
     """Distance kernel of points (m, 2) to convex CCW polygons, 0 inside.
 
@@ -158,8 +182,7 @@ def _polygon_distance(pts, vx, vy, normals, offsets):
     offsets (k,) or (m, k) alike.
     """
     px, py = pts[:, 0:1], pts[:, 1:2]
-    # elementwise, not a matmul, so that a point's bits do not depend on its block
-    inside = np.max(px * normals[:, 0] + py * normals[:, 1] - offsets, axis=1) <= 0.0
+    inside = _excess(px, py, normals, offsets) <= 0.0
     ex = np.roll(vx, -1, axis=-1) - vx
     ey = np.roll(vy, -1, axis=-1) - vy
     t = np.clip(((px - vx) * ex + (py - vy) * ey)
@@ -273,9 +296,9 @@ def polygon_measures(polygon: ConvexPolygon):
 # each interval the core area is quadratic in r and the core perimeter
 # affine, so the opening area A(r) + r P(r) + pi r^2 is a quadratic too.
 # The build visits each event once, with two heaps instead of scans, and
-# keeps each skeleton vertex once with the intervals it lives in; the
-# Steiner sums are carried from interval to interval by the terms of the
-# vertex pairs that change.
+# keeps each skeleton vertex once with the intervals it lives in.  The
+# event loop tracks only this topology; the Steiner sums are formed after
+# it from the life of each edge's vertex pair (_steiner_sums).
 
 
 class EventInterval(NamedTuple):
@@ -361,6 +384,72 @@ def _farthest_pair(pts):
     return i, j, math.sqrt(best)
 
 
+def _vertex_paths(N, D, a, b):
+    """Paths Z + r S of the vertices joining edge lines a and b, as (4, m).
+
+    Rows are Zx, Zy, Sx, Sy, where N[a] . x = D[a] - r and N[b] . x = D[b] - r
+    meet.  ErosionStructure._build solves one vertex at a time by the same
+    expressions, so the bits agree.
+    """
+    (ax, ay), (bx, by), da, db = N[a].T, N[b].T, D[a], D[b]
+    det = ax * by - ay * bx
+    return np.array([da * by - ay * db, ax * db - da * bx, ay - by, bx - ax]) / det
+
+
+def _steiner_sums(breaks, edges, paths, born, dies, pairs, tangents):
+    """Core area and perimeter per interval from the lives of the edge pairs.
+
+    Skeleton vertex i starts on edge ``edges[i]`` and moves on ``paths[:, i]``
+    = (Z, S) about the vertex mean; ``born`` and ``dies`` are the intervals
+    in which it appears and goes.  Edge e between the vertices (p, v) of
+    ``pairs`` adds the shoelace term p x v and its length (v - p) . t_e to
+    the sums while both live, from interval max(born) to min(dies).  Its
+    terms are evaluated at the start radius of the interval in which it
+    appears and of the one in which it goes, binned per interval, and the
+    running sums are carried from one interval start to the next by the
+    exact shift of the quadratic and the affine sum.  Nothing is expanded
+    about r = 0, where near-antiparallel edges (|S| about 1e8) would
+    cancel.  Returns (K, 5): twice the area a0, a1, a2 and the perimeter
+    p0, p1 in t = r - r_lo.
+    """
+    K = len(breaks) - 1
+    lo, hi = born[pairs].max(axis=1), dies[pairs].min(axis=1)
+
+    def binned(sel, k):
+        """The five terms of the pairs sel at r_lo[k], summed per interval k."""
+        p, v = pairs[sel].T
+        (px, py, psx, psy), (vx, vy, vsx, vsy) = paths[:, p], paths[:, v]
+        tx, ty = tangents[edges[v]].T
+        k = k[sel]
+        r = breaks[k]
+        ax, ay, bx, by = px + r * psx, py + r * psy, vx + r * vsx, vy + r * vsy
+        return np.array([np.bincount(k, w, K) for w in (
+            ax * by - ay * bx,
+            ax * vsy - ay * vsx + (psx * by - psy * bx),
+            psx * vsy - psy * vsx,
+            (bx - ax) * tx + (by - ay) * ty,
+            (vsx - psx) * tx + (vsy - psy) * ty)])
+
+    # births less deaths per interval, each term at the interval's start;
+    # a pair alive at r* goes after the last interval
+    live = lo < hi
+    da0, da1, da2, dp0, dp1 = binned(live, lo) - binned(live & (hi < K), hi)
+
+    # carry: the sums about r_k are those about r_{k-1} moved by
+    # d = r_k - r_{k-1}, plus the interval's own change
+    def before(x):
+        return np.concatenate([[0.0], x[:-1]])
+
+    r_lo = breaks[:-1]
+    d = r_lo - before(r_lo)
+    a2, p1 = np.cumsum(da2), np.cumsum(dp1)
+    a2_, p1_ = before(a2), before(p1)
+    a1 = np.cumsum(da1 + 2.0 * a2_ * d)
+    a0 = np.cumsum(da0 + (before(a1) + a2_ * d) * d)
+    p0 = np.cumsum(dp0 + p1_ * d)
+    return np.stack([a0, a1, a2, p0, p1], axis=1)
+
+
 class ErosionStructure:
     """Straight skeleton of a convex polygon: all its inner parallel bodies.
 
@@ -381,10 +470,13 @@ class ErosionStructure:
     When edges vanish, only the vertex that joins their surviving
     neighbours and the two edges meeting there are recomputed.  Each
     skeleton vertex is stored once (at most 2n rows), with the intervals
-    in which it is born and dies.  The Steiner sums of an interval are
-    those of the previous one moved to its start radius, less the terms
-    of the vertex pairs that disappear and plus those that appear, all
-    evaluated there from the vertex-mean-centred rows.
+    in which it is born and dies, and each edge records the vertex pair
+    at its ends whenever it is set.  The loop tracks only this topology.
+    After it, the Steiner sums come from the pair lives in O(n + K): each
+    pair's terms are taken at the start radius of the interval in which
+    it appears and of the one in which it goes, binned per interval,
+    and carried from interval to interval by the exact shift to each
+    start radius.
     """
 
     def __init__(self, polygon: ConvexPolygon):
@@ -404,29 +496,30 @@ class ErosionStructure:
         n = len(D)
         tie = 1e-11 * self.scale
         eps_len = 1e-12 * self.scale
+        inf, length_bound = math.inf, _length_bound
+        push, pop = heapq.heappush, heapq.heappop
 
         # vertex a joins edge a to edge nxt[a]; edge e runs from vertex
-        # prv[e] to vertex e along the tangent (-ny, nx).  zs[a] is the
-        # current (Z, S) of vertex a and row[a] its index in rows; pair[e]
-        # holds the two rows whose shoelace and length terms edge e adds
-        # to the running sums.  A heap entry (key, e, ver) is stale once
+        # prv[e] to vertex e along the tangent (-ny, nx).  Each skeleton
+        # vertex is one row: ends holds its two edges, and dies the interval
+        # in which it goes (n, more than any interval index, while it
+        # lives); marks[k] is the row count when interval k starts, which
+        # gives the interval a row appears in.  cur[a] is the (Z, S) of
+        # vertex a and row[a] its row.  pairs holds the rows (prv[e], e) of
+        # edge e each time it is set: the Steiner sums come from their
+        # lives after the loop.  A heap entry (key, e, ver) is stale once
         # edge e changed version, which it also does when it dies.
-        nl, dl = N.tolist(), D.tolist()
-        tl = [(-y, x) for x, y in nl]
+        T = N[:, ::-1] * [-1.0, 1.0]
+        nl, dl, tl = N.tolist(), D.tolist(), T.tolist()
         nxt = [*range(1, n), 0]
         prv = [n - 1, *range(n - 1)]
         alive, ver = [True] * n, [0] * n
         len0, dlen = [0.0] * n, [0.0] * n
-        zs, row, pair = [None] * n, [0] * n, [None] * n
-        # (edge, next edge, Z, S, born) and dies per skeleton vertex; dies
-        # is n (more than any interval index) while the vertex lives
-        rows, dies = [], []
+        cur, row, dies = [None] * n, [0] * n, []
+        ends, pairs = [], []
         vanish_heap, length_heap = [], []
         pending = set()        # edges whose length bound has been passed
-        # running sums: 2*area (a0, a1, a2) and perimeter (p0, p1) about r
-        # = anchor; breaks and the sums recorded at each interval start
-        sums, anchor, r_cur, count = [0.0] * 5, 0.0, 0.0, n
-        breaks, coefs = [], []
+        breaks, marks, r_cur, count = [], [], 0.0, n
 
         def set_vertex(a):
             b = nxt[a]
@@ -434,69 +527,46 @@ class ErosionStructure:
             det = ax * by - ay * bx
             if det <= 1e-14:
                 return False
-            v = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
-                 (-by + ay) / det, (-ax + bx) / det)
-            if zs[a] is not None:
+            if cur[a] is not None:
                 dies[row[a]] = len(breaks)
-            zs[a], row[a] = v, len(rows)
-            rows.append((a, b, *v, len(breaks)))
+            row[a] = len(dies)
+            cur[a] = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
+                      (ay - by) / det, (bx - ax) / det)
             dies.append(n)
+            ends.extend((a, b))
             return True
-
-        def add_terms(e, sign):
-            (px, py, psx, psy), (vx, vy, vsx, vsy) = pair[e]
-            tx, ty = tl[e]
-            r = r_cur
-            ax, ay, bx, by = px + r * psx, py + r * psy, vx + r * vsx, vy + r * vsy
-            a0, a1, a2, p0, p1 = sums
-            sums[:] = (a0 + sign * (ax * by - ay * bx),
-                       a1 + sign * (ax * vsy - ay * vsx + (psx * by - psy * bx)),
-                       a2 + sign * (psx * vsy - psy * vsx),
-                       p0 + sign * ((bx - ax) * tx + (by - ay) * ty),
-                       p1 + sign * ((vsx - psx) * tx + (vsy - psy) * ty))
 
         def set_edge(e):
             tx, ty = tl[e]
-            p, v = zs[prv[e]], zs[e]
-            zx, zy, sx, sy = v
-            px, py, qx, qy = p
+            p = prv[e]
+            px, py, qx, qy = cur[p]
+            zx, zy, sx, sy = cur[e]
             len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
             dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
-            if pair[e] is not None:
-                add_terms(e, -1.0)
-            pair[e] = (p, v)
-            add_terms(e, 1.0)
-            ver[e] += 1
+            pairs.extend((row[p], row[e]))
+            ver[e] = v = ver[e] + 1
             pending.discard(e)
-            if dl0 < -1e-300 and -l0 / dl0 < math.inf:
-                heapq.heappush(vanish_heap, (-l0 / dl0, e, ver[e]))
+            if dl0 < -1e-300 and -l0 / dl0 < inf:
+                push(vanish_heap, (-l0 / dl0, e, v))
             if l0 + r_cur * dl0 <= eps_len:
                 pending.add(e)
             elif dl0 < 0.0:
-                key = _length_bound(l0, dl0, eps_len)
-                if key < math.inf:
-                    heapq.heappush(length_heap, (key, e, ver[e]))
+                key = length_bound(l0, dl0, eps_len)
+                if key < inf:
+                    push(length_heap, (key, e, v))
 
         def pop_through(heap, r):
             """Live edges whose key in heap is at most r, popped."""
             out = []
             while heap and heap[0][0] <= r:
-                _, e, v = heapq.heappop(heap)
+                _, e, v = pop(heap)
                 if ver[e] == v:
                     out.append(e)
             return out
 
-        def move_anchor():
-            nonlocal anchor
-            d = r_cur - anchor
-            a0, a1, a2, p0, p1 = sums
-            sums[:] = a0 + (a1 + a2 * d) * d, a1 + 2.0 * a2 * d, a2, p0 + p1 * d, p1
-            anchor = r_cur
-
         def drop(ks):
             """Remove edges ks at once; False when a new vertex is degenerate."""
             nonlocal count
-            move_anchor()
             heads = []
             for k in ks:
                 p, q = prv[k], nxt[k]
@@ -506,9 +576,16 @@ class ErosionStructure:
                 ver[k] += 1
                 pending.discard(k)
                 dies[row[k]] = len(breaks)
-                add_terms(k, -1.0)
             count -= len(ks)
             if count < 3:
+                return True
+            if len(heads) == 1:
+                # one edge vanishes: its surviving neighbours meet at p
+                p = heads[0]
+                if not set_vertex(p):
+                    return False
+                set_edge(p)
+                set_edge(nxt[p])
                 return True
             heads = [p for p in dict.fromkeys(heads) if alive[p]]
             if not all(set_vertex(p) for p in heads):
@@ -523,24 +600,25 @@ class ErosionStructure:
             for e in range(n):
                 set_edge(e)
         while not degenerate and count >= 3:
-            if length_heap and length_heap[0][0] <= r_cur:
-                pending.update(pop_through(length_heap, r_cur))
+            while length_heap and length_heap[0][0] <= r_cur:
+                _, e, v = pop(length_heap)
+                if ver[e] == v:
+                    pending.add(e)
             hit = pending and sorted(e for e in pending if len0[e] + r_cur * dlen[e] <= eps_len)
             if hit:
                 # redundant constraints
                 degenerate = not drop(hit)
                 continue
             while vanish_heap and ver[vanish_heap[0][1]] != vanish_heap[0][2]:
-                heapq.heappop(vanish_heap)
+                pop(vanish_heap)
             if not vanish_heap:
                 break
             r_next = vanish_heap[0][0]
             if r_next <= r_cur + tie:
                 degenerate = not drop(sorted(pop_through(vanish_heap, r_cur + tie)))
                 continue
-            # every drop ends with anchor == r_cur, so the sums are current
             breaks.append(r_cur)
-            coefs.append(tuple(sums))
+            marks.append(len(dies))
             r_cur = r_next
             degenerate = not drop(sorted(pop_through(vanish_heap, r_next + tie)))
 
@@ -548,25 +626,35 @@ class ErosionStructure:
             raise DegenerateError("polygon admits no interior offset structure")
         self.r_star = r_cur
         self.breaks = np.array(breaks + [r_cur])
+        K = len(breaks)
 
-        # every vertex that lives in some interval, sorted by edge: within
-        # an interval the rows then come in CCW order from the lowest edge
-        tab = np.array(rows)
-        born, dies = tab[:, 6].astype(np.intp), np.array(dies)
-        keep = np.flatnonzero(born < np.minimum(dies, len(breaks)))
-        keep = keep[np.argsort(tab[keep, 0], kind="stable")]
-        edges, Z, S = tab[keep, 0].astype(np.intp), tab[keep, 2:4] + c, tab[keep, 4:6]
-        born, dies = born[keep], dies[keep]
-        # the rows as exit_radius reads them: edge, next edge, Z, S, born, dies
-        self._vertices = edges, tab[keep, 1].astype(np.intp), Z, S, born, dies
-        self.intervals = EventIntervals(self.breaks, edges, Z, S, N[edges], poly.offsets[edges],
-                                        born, dies)
-
+        # every row's path, by the expressions of set_vertex, and the
+        # intervals in which it appears and goes (K if it lives at r*, so
+        # that breaks[dies] is the radius at which it goes)
+        ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+        paths = _vertex_paths(N, D, ends[:, 0], ends[:, 1])
+        born = np.searchsorted(marks, np.arange(len(dies)), side="right")
+        dies = np.minimum(dies, K)
         # Steiner coefficients per interval in t = r - r_lo: area = a0 + a1 t
         # + a2 t^2 and perimeter p0 + p1 t.  Expanding about the interval
         # start (not r = 0) and the vertex mean keeps far-off points from
         # cancelling.
-        coefs = np.array(coefs)
+        pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        coefs = _steiner_sums(self.breaks, ends[:, 0], paths, born, dies, pairs, T)
+
+        # every vertex that lives in some interval, sorted by edge: within
+        # an interval the rows then come in CCW order from the lowest edge
+        keep = np.flatnonzero(born < dies)
+        keep = keep[np.argsort(ends[keep, 0], kind="stable")]
+        edges = ends[keep, 0]
+        Z = np.ascontiguousarray(paths[:2, keep].T) + c
+        S = np.ascontiguousarray(paths[2:, keep].T)
+        born, dies = born[keep], dies[keep]
+        # the rows as exit_radius reads them: edge, next edge, Z, S, born, dies
+        self._vertices = edges, ends[keep, 1], Z, S, born, dies
+        self.intervals = EventIntervals(self.breaks, edges, Z, S, N[edges], poly.offsets[edges],
+                                        born, dies)
+
         r_lo = self.breaks[:-1]
         self._area_poly = 0.5 * coefs[:, :3]
         self._perim_poly = coefs[:, 3:]
@@ -614,11 +702,6 @@ class ErosionStructure:
         r = np.asarray(r, dtype=float)
         area, perim = self.core_measures(r)
         return area + r * perim + np.pi * r * r
-
-    def perimeter_of_opening(self, r):
-        r = np.asarray(r, dtype=float)
-        _, perim = self.core_measures(r)
-        return perim + 2.0 * np.pi * r
 
     def radius_for_area(self, area):
         """Radius r in [0, r*] whose opening has the given area; vectorized.
@@ -691,7 +774,7 @@ class ErosionStructure:
         (nax, nay), (nbx, nby) = N[edges].T, N[next_edges].T
         da, db = D[edges], D[next_edges]
         r_lo = self.breaks[born]
-        r_hi = self.breaks[np.minimum(dies, len(self.breaks) - 1)]
+        r_hi = self.breaks[dies]
         speed2 = np.sum(S * S, axis=1)
         a = speed2 - 1.0
         out = np.empty(len(pts))

@@ -55,6 +55,12 @@ def regular_polygon(n):
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
+def perimeter_of_opening(structure, r):
+    """Perimeter of the opening at radius r: core perimeter + 2 pi r."""
+    r = np.asarray(r, dtype=float)
+    return structure.core_measures(r)[1] + 2.0 * np.pi * r
+
+
 def cone_grid(square_poly, n):
     """Distance-to-boundary of the unit square sampled on an n-wide grid."""
     u0 = GridFunction.for_domain(square_poly, n)

@@ -13,7 +13,7 @@ from isoperim import oracle as orc
 from isoperim import rearrange as rr
 from isoperim.family import build_family
 
-from conftest import cone_grid, disk_indicator_grid, random_polygon
+from conftest import cone_grid, disk_indicator_grid, perimeter_of_opening, random_polygon
 
 R9 = float(np.sqrt(0.1 / (4.0 - np.pi)))       # solves 1 - (4 - pi) r^2 = 0.9
 P9 = 4.0 - (8.0 - 2.0 * np.pi) * R9
@@ -44,7 +44,7 @@ def test_criterion_2_seam_continuity(rect_family):
     vb, vh = f.balls.ball_measure, f.balls.hull_measure
     disk_at_b = 2.0 * np.sqrt(np.pi * vb)
     stadium = lambda v: 2.0 * np.pi * r + (v - np.pi * r * r) / r
-    rounded_at_h = float(f.structure.perimeter_of_opening(f.radius_for_volume(vh)))
+    rounded_at_h = float(perimeter_of_opening(f.structure, f.radius_for_volume(vh)))
     seam_b = abs(disk_at_b - stadium(vb))
     seam_h = abs(stadium(vh) - rounded_at_h)
     # curvature decreases with v while the minimizer is a growing free disk,

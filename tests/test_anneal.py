@@ -30,8 +30,10 @@ def _sha(arr) -> str:
 
 
 def _random_grid(draw, ny, nx):
-    bits = draw(st.lists(st.booleans(), min_size=ny * nx, max_size=ny * nx))
-    return np.array(bits, dtype=bool).reshape(ny, nx)
+    # one draw of packed bytes, not one boolean per cell
+    size = (ny * nx + 7) // 8
+    packed = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=np.uint8)
+    return np.unpackbits(packed, count=ny * nx).astype(bool).reshape(ny, nx)
 
 
 @st.composite

@@ -144,6 +144,31 @@ def test_structure_matches_full_scan(poly):
     assert_matches_full_scan(poly)
 
 
+# where its nearly antiparallel edges become adjacent the last vertex moves
+# at |S| about 1e8, so the Steiner sums carry their largest terms there
+PENTAGON = [(0.0, 0.0), (1.0, 0.0), (2.0, 1e-8), (2.0, 1.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-6, 0.0), (1e6, 0.0), (1.0, 1e6),
+                                           (1e-6, 1e6)])
+def test_near_antiparallel_pentagon_matches_full_scan(scale, offset):
+    # offset in units of the pentagon's own size, as in convex_polygons
+    poly = geo.validate_polygon(scale * (np.asarray(PENTAGON) + offset * np.hypot(2.0, 1.0)))
+    s, ref = assert_matches_full_scan(poly)
+    assert np.max(np.abs(s.intervals[-1].S)) > 1e7
+    # the core area and perimeter at both ends of every interval, to the
+    # rounding of the domain's own measures; sums expanded about r = 0
+    # would miss by far more
+    ends = np.stack([np.zeros(len(ref.intervals)), np.diff(ref.breaks)], axis=1)
+
+    def at_ends(coefs):
+        return np.array([np.polyval(c[::-1], t) for c, t in zip(coefs, ends)])
+
+    area, perim = geo.polygon_measures(poly)
+    assert np.max(np.abs(at_ends(s._area_poly) - at_ends(ref._area_poly))) <= 1e-12 * area
+    assert np.max(np.abs(at_ends(s._perim_poly) - at_ends(ref._perim_poly))) <= 1e-12 * perim
+
+
 @pytest.mark.parametrize("kind", ["ellipse", "regular"])
 def test_structure_matches_full_scan_1024(kind):
     verts = ellipse_polygon(4, 1024) if kind == "ellipse" else regular_polygon(1024)
@@ -363,15 +388,19 @@ def test_exit_radius_matches_bisection_1024(kind):
 
 
 def test_distance_to_core_is_independent_of_block_size():
-    # points on the edges sit on the inside test's threshold
+    # points on the edges sit on the inside test's threshold, and on the
+    # threshold of the domain's membership test at tolerance 0
     poly = geo.validate_polygon(regular_polygon(1024))
     s = build_family(poly).structure
     t = np.random.default_rng(8).random(1024)[:, None]
     pts = poly.vertices + t * (np.roll(poly.vertices, -1, axis=0) - poly.vertices)
     d = s.distance_to_core(pts, 0.0)
+    inside = poly.contains_point(pts, 0.0)
+    assert 0 < np.count_nonzero(inside) < len(pts)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geo, "CHUNK_ENTRIES", 7)
         assert np.array_equal(s.distance_to_core(pts, 0.0), d)
+        assert np.array_equal(poly.contains_point(pts, 0.0), inside)
 
 
 @PROPERTY
@@ -461,6 +490,7 @@ def test_trace_targets_resolve():
         f = family.build_family(poly)       # looked up where the tracer patched it
         f.rank(np.array([[0.0, 0.0], [0.9, 0.0], [0.0, 0.45]]))
         f.minimizer(0.95 * f.v_max)
+        f.member(0.95 * f.v_max, np.array([[0.0, 0.0], [0.9, 0.0]]))
     names = {span[0] for span in tracer.spans}
     assert {"family.build_family", "geometry.ErosionStructure", "geometry.largest_balls",
             "family.rank", "family.minimizer", "family.radius_for_volume",

@@ -5,7 +5,7 @@ from isoperim import geometry as geo
 from isoperim.errors import VolumeOutOfRangeError
 from isoperim.family import build_family
 
-from conftest import random_polygon
+from conftest import perimeter_of_opening, random_polygon
 
 R9 = float(np.sqrt(0.1 / (4.0 - np.pi)))          # solves 1 - (4-pi) r^2 = 0.9
 P9 = 4.0 - (8.0 - 2.0 * np.pi) * R9
@@ -212,8 +212,26 @@ def test_perimeter_seam_continuity(rect_family):
     stadium_formula = 2.0 * np.pi * r + (vb - np.pi * r * r) / r
     assert abs(disk_formula - stadium_formula) <= 1e-9
     stadium_at_h = 2.0 * np.pi * r + (vh - np.pi * r * r) / r
-    rounded_at_h = float(f.structure.perimeter_of_opening(f.radius_for_volume(vh)))
+    rounded_at_h = float(perimeter_of_opening(f.structure, f.radius_for_volume(vh)))
     assert abs(stadium_at_h - rounded_at_h) <= 1e-9
+
+
+def test_rank_beside_a_sharp_vertex_is_the_domain_area():
+    # the half-plane membership reaches eps / sin(theta / 2) beyond a vertex
+    # of interior angle theta, farther than eps from the domain; no disk
+    # inside the domain holds such a point, so its rank is |Omega|
+    poly = geo.validate_polygon([(0.0, 0.0), (1.0, 0.0), (0.5, 0.05)])
+    f = build_family(poly)
+    eps = geo.EPS_GEOM * poly.scale
+    u = poly.normals[-1] + poly.normals[0]       # outward bisector at vertex 0
+    u /= np.linalg.norm(u)
+    reach = eps / np.dot(poly.normals[0], u)     # eps / sin(theta / 2), about 20 eps
+    t = np.linspace(2.0 * eps, 0.99 * reach, 16)
+    pts = poly.vertices[0] + t[:, None] * u
+    assert np.all(poly.contains_point(pts))
+    assert np.all(f.structure.distance_to_core(pts, 0.0) > eps)
+    assert np.all(f.structure.exit_radius(pts) == 0.0)
+    assert np.all(np.abs(f.rank(pts) - f.v_max) <= 1e-14 * f.v_max)
 
 
 def test_perimeter_monotone_and_floor(rect_family):
