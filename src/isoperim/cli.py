@@ -20,7 +20,7 @@ import numpy as np
 from . import io, oracle, rearrange, svgout
 from .errors import (DomainMismatchError, GeometryError,
                      VolumeOutOfRangeError)
-from .family import build_family
+from .family import KINDS, build_family
 
 EXIT_PARSE = 2
 EXIT_GEOMETRY = 3
@@ -88,16 +88,18 @@ def cmd_family(args) -> int:
     vs = np.linspace(a, b, n)
     if vs[0] <= 0.0 or vs[-1] > family.v_max:
         raise VolumeOutOfRangeError("sweep outside (0, |domain|]")
-    rows = []
-    shapes = []
-    for v in vs:
-        shape = family.minimizer(float(v))
-        rows.append((shape.volume, shape.kind, shape.radius, shape.perimeter,
-                     shape.curvature))
-        shapes.append(shape)
+    # every row from one classification of the whole sweep; only the drawn
+    # shapes are built
+    vs = family._check_volume(vs)
+    regime, rho, half = family._classify(vs)
+    perimeter = family._perimeter(regime, rho, half)
+    with np.errstate(divide="ignore"):
+        curvature = np.where(rho > 0.0, 1.0 / rho, np.inf)
+    rows = list(zip(vs.tolist(), [KINDS[k] for k in regime], rho.tolist(),
+                    perimeter.tolist(), curvature.tolist()))
     out = _outdir(args)
     io.write_family_csv(rows, os.path.join(out, "family.csv"))
-    keep = shapes[:: max(1, len(shapes) // 24)]
+    keep = [family.minimizer(v) for v in vs[:: max(1, n // 24)]]
     with open(os.path.join(out, "family.svg"), "w") as fh:
         fh.write(svgout.family_svg(domain, keep))
     if args.json:

@@ -205,24 +205,6 @@ def convex_hull(points):
         return None
 
 
-def clip_halfplane(vertices, normal, offset):
-    """Clip a convex CCW polygon to the half-plane {x : normal . x <= offset}.
-
-    Returns a (k, 2) array; k may be 0 when nothing survives.
-    """
-    s = vertices @ np.asarray(normal, dtype=float) - offset
-    out = []
-    n = len(vertices)
-    for i in range(n):
-        j = (i + 1) % n
-        if s[i] <= 0.0:
-            out.append(vertices[i])
-        if (s[i] < 0.0 < s[j]) or (s[j] < 0.0 < s[i]):
-            t = s[i] / (s[i] - s[j])
-            out.append(vertices[i] + t * (vertices[j] - vertices[i]))
-    return np.array(out, dtype=float).reshape(-1, 2)
-
-
 # ---------------------------------------------------------------------------
 # validation and plain measures
 

@@ -5,17 +5,23 @@ never beat the candidate shape, and a fixed-area simulated annealing
 search on a binary pixel grid scored by a multi-direction Cauchy-Crofton
 perimeter estimate (pixel-edge counting would reward axis-aligned shapes;
 line sampling over sixteen lattice directions is rotation-robust).
+
+Competitors are drawn in blocks: a block takes its random numbers in one
+draw, cuts all its half-planes in one array pass, and measures and
+checks its polygons by segmented reductions over their vertices, stored
+back to back.  Only the Qhull call of a hull competitor is made one at a
+time.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SamplerInfeasibleError, ScheduleInvalidError
 from .family import MinimizerFamily
-from .geometry import (ConvexPolygon, EPS_GEOM, _shoelace, _edge_length_sum,
-                       clip_halfplane, convex_hull, erode)
+from .geometry import EPS_GEOM, ConvexPolygon, _shoelace, convex_hull, erode
 
 AREA_TOL_REL = 1e-6
 PERIMETER_SLACK = 1e-9
@@ -23,6 +29,7 @@ SAMPLERS = ("hull", "halfplane", "disk")
 QHULL_RETRIES = 16        # Qhull failures one hull competitor may absorb
 HULL_K0 = 12              # the hull ladder's rungs are HULL_K0 * 2**j points
 HULL_K_MAX = 65536        # ... up to this many
+BLOCK_POINTS = 1 << 14    # first-rung hull points, or half-plane rows x domain vertices, per block
 _RS_SMOOTH = math.gamma(5 / 3) * (2 / 3) ** (1 / 3)   # Renyi-Sulanke, smooth bodies
 ANNEAL_MAX_GRID = 256
 
@@ -40,22 +47,22 @@ class Competitor:
     provenance: dict = field(default_factory=dict)
 
 
-def _polygon_competitor(vertices, provenance):
-    return Competitor(kind="polygon", area=_shoelace(vertices),
-                      perimeter=_edge_length_sum(vertices),
-                      vertices=vertices, provenance=provenance)
+def _measures(pts, counts):
+    """(areas, perimeters, starts) of CCW polygons stored back to back, with
+    counts[j] > 0 vertices each.
 
-
-def _check_containment(domain: ConvexPolygon, comp: Competitor):
-    eps = EPS_GEOM * domain.scale
-    if comp.kind == "polygon":
-        viol = comp.vertices @ domain.normals.T - domain.offsets
-        ok = np.max(viol) <= eps
-    else:
-        viol = comp.center @ domain.normals.T - domain.offsets + comp.radius
-        ok = np.max(viol) <= eps
-    if not ok:
-        raise SamplerInfeasibleError("competitor escapes the domain")
+    Each shoelace is taken about its polygon's first vertex, so that
+    far-off coordinates do not cancel; the closing term then vanishes.
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    nxt = np.arange(1, ends[-1] + 1)
+    nxt[ends - 1] = starts
+    rel = pts - np.repeat(pts[starts], counts, axis=0)
+    cross = rel[:, 0] * rel[nxt, 1] - rel[:, 1] * rel[nxt, 0]
+    edge = pts[nxt] - pts
+    length = np.sqrt(edge[:, 0] * edge[:, 0] + edge[:, 1] * edge[:, 1])
+    return 0.5 * np.add.reduceat(cross, starts), np.add.reduceat(length, starts), starts
 
 
 class _Fan:
@@ -74,12 +81,18 @@ class _Fan:
         self.cdf = cdf / cdf[-1]
 
     def sample(self, rng, n: int) -> np.ndarray:
-        pick = self.cdf.searchsorted(rng.random(n), side="right")
-        r1 = np.sqrt(rng.random(n))
-        r2 = rng.random(n)
-        return (self.a * (1 - r1)[:, None]
-                + self.b[pick] * (r1 * (1 - r2))[:, None]
-                + self.c[pick] * (r1 * r2)[:, None])
+        return self.place(rng.random(n), rng.random(n), rng.random(n))
+
+    def place(self, u_pick, u_r1, u_r2) -> np.ndarray:
+        """Points (..., 2) from three equal-shaped arrays of uniforms: the
+        triangle pick and the two barycentric draws."""
+        pick = self.cdf.searchsorted(u_pick, side="right")
+        r1 = np.sqrt(u_r1)
+        wa, wb, wc = 1 - r1, r1 * (1 - u_r2), r1 * u_r2
+        out = np.empty(pick.shape + (2,))
+        for d in (0, 1):     # one coordinate at a time: no length-2 inner loops
+            out[..., d] = self.a[d] * wa + self.b[pick, d] * wb + self.c[pick, d] * wc
+        return out
 
 
 def _hull_start(domain: ConvexPolygon, ratio: float) -> int:
@@ -108,147 +121,352 @@ def _hull_start(domain: ConvexPolygon, ratio: float) -> int:
     return k
 
 
-def _hull_competitor(rng, fan, v, k):
-    """Hull of k uniform points, k doubled until it reaches area v, then shrunk to v."""
-    tries = 0
-    failures = 0
-    while k <= HULL_K_MAX:
+def _hull_ladder(rng, fan, v, k, tries, failures):
+    """(vertices, k, tries): the hull ladder continued at rung k, after ``tries``
+    short or rejected hulls, ``failures`` of them rejected by Qhull.
+
+    A hull short of area v doubles k; a rejected one is drawn again.
+    """
+    while failures <= QHULL_RETRIES:
+        if k > HULL_K_MAX:
+            raise SamplerInfeasibleError(f"hull of {k // 2} points never reached area {v}")
         pts = fan.sample(rng, k)
         hull = convex_hull(pts)
         if hull is None:
             failures += 1
-            if failures > QHULL_RETRIES:
-                raise SamplerInfeasibleError(
-                    f"Qhull failed {failures} times on hulls of {k} points")
-            tries += 1
-            continue
-        verts = pts[hull.vertices]
-        area = _shoelace(verts)
-        if area >= v:
-            centroid = verts.mean(axis=0)
-            verts = centroid + np.sqrt(v / area) * (verts - centroid)
-            return _polygon_competitor(verts, {"sampler": "hull", "k": k,
-                                               "tries": tries})
-        k *= 2
+        else:
+            verts = pts[hull.vertices]
+            if _measures(verts, [len(verts)])[0][0] >= v:
+                return verts, k, tries
+            k *= 2
         tries += 1
-    raise SamplerInfeasibleError(
-        f"hull of {k // 2} points never reached area {v}")
-
-
-def _chain(p, t, first, last, step):
-    """Projections and tangential coordinates from vertex first to last, by step."""
-    idx = (first + step * np.arange((step * (last - first)) % len(p) + 1)) % len(p)
-    return p[idx], t[idx]
+    raise SamplerInfeasibleError(f"Qhull failed {failures} times on hulls of {k} points")
 
 
 def _tied(p, i):
-    """(first, last) in CCW order of extreme vertex i and a neighbour tied with it."""
-    n = len(p)
-    if p[i - 1] == p[i]:
-        return (i - 1) % n, i
-    if p[(i + 1) % n] == p[i]:
-        return i, (i + 1) % n
-    return i, i
+    """(first, last) in CCW order of each row's extreme vertex i and a neighbour tied with it."""
+    n = p.shape[1]
+    rows = np.arange(len(p))
+    prev, nxt = (i - 1) % n, (i + 1) % n
+    at, tied_prev = p[rows, i], p[rows, prev] == p[rows, i]
+    return (np.where(tied_prev, prev, i),
+            np.where(~tied_prev & (p[rows, nxt] == at), nxt, i))
 
 
-def halfplane_cut(vertices: np.ndarray, normal: np.ndarray, v: float):
-    """(cut, c): the part of a convex CCW polygon with normal . x <= c, of area v.
+def _chain_at(brk, ts, member):
+    """One boundary chain's tangential coordinate at every sorted projection brk.
+
+    ``member`` marks the chain's own vertices in the sorted order, where
+    their coordinates ``ts`` are taken as they are; in between they are
+    interpolated from the nearest own vertex on each side, which running
+    extrema over the sorted positions find.  This is ``np.interp`` over
+    the chain, row by row.
+    """
+    n = brk.shape[1]
+    pos = np.arange(n)
+    prev = np.maximum.accumulate(np.where(member, pos, -1), axis=1)
+    nxt = np.minimum.accumulate(np.where(member, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    prev, nxt = np.where(prev < 0, nxt, prev), np.where(nxt == n, prev, nxt)
+    p0, p1 = np.take_along_axis(brk, prev, 1), np.take_along_axis(brk, nxt, 1)
+    t0, t1 = np.take_along_axis(ts, prev, 1), np.take_along_axis(ts, nxt, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mid = (t1 - t0) / (p1 - p0) * (brk - p0) + t0
+    return np.where(brk == p1, t1, np.where(brk == p0, t0, mid))
+
+
+def _halfplane_cuts(vertices, normals, v):
+    """(slots, kept): the parts of a convex CCW polygon with normal . x <= c of area v,
+    one per row of normals.
 
     The cut area A(c) has the chord length L(c) as its derivative.  Both
-    boundary chains from the lowest to the highest vertex along the
-    normal are linear between vertex projections, so L is linear between
-    the sorted projections, A is exact there by the trapezoid rule and
-    quadratic in between.  One root gives c, and the polygon is clipped
-    once.  Tied projections make zero-width intervals, which no search
-    lands in; a tied extreme edge enters as the chord at its end.
+    boundary chains from the lowest to the highest vertex along a normal
+    are linear between vertex projections, so L is linear between the
+    sorted projections, A is exact there by the trapezoid rule and
+    quadratic in between; one root per row gives c.  Tied projections
+    make zero-width intervals, which no search lands in; a tied extreme
+    edge enters as the chord at its end.
+
+    slots (m, n, 2, 2) holds, per row and vertex i, vertex i and the
+    crossing of edge i -> i + 1 with the row's cut line; kept (m, n, 2)
+    marks the slots that the cut keeps, so ``slots[kept]`` lists every
+    cut's CCW vertices, back to back.
     """
-    p = vertices @ normal
-    t = vertices @ np.array([-normal[1], normal[0]])
-    lo_first, lo_last = _tied(p, int(np.argmin(p)))
-    hi_first, hi_last = _tied(p, int(np.argmax(p)))
-    pa, ta = _chain(p, t, lo_last, hi_first, 1)     # right of the normal, CCW
-    pb, tb = _chain(p, t, lo_first, hi_last, -1)    # left of it, against CCW
-    brk = np.sort(p)
-    chord = np.interp(brk, pb, tb) - np.interp(brk, pa, ta)
-    width = np.diff(brk)
-    area = np.concatenate([[0.0], np.cumsum(0.5 * (chord[:-1] + chord[1:]) * width)])
-    k = min(int(np.searchsorted(area, v, side="right")) - 1,
-            int(np.flatnonzero(width > 0.0)[-1]))
-    d = v - area[k]
-    slope = (chord[k + 1] - chord[k]) / width[k]
-    root = chord[k] + np.sqrt(max(chord[k] * chord[k] + 2.0 * slope * d, 0.0))
-    s = min(2.0 * d / root, width[k]) if root > 0.0 else 0.0
-    c = float(brk[k] + s)
-    return clip_halfplane(vertices, normal, c), c
+    m, n = len(normals), len(vertices)
+    rows = np.arange(m)
+    nx, ny = normals[:, 0:1], normals[:, 1:2]
+    p = nx * vertices[:, 0] + ny * vertices[:, 1]
+    t = nx * vertices[:, 1] - ny * vertices[:, 0]
+    lo_first, lo_last = _tied(p, p.argmin(axis=1))
+    hi_first, hi_last = _tied(p, p.argmax(axis=1))
+    idx = np.arange(n)
+    # right of the normal: CCW from the lowest to the highest vertex; left: against CCW
+    right = (idx - lo_last[:, None]) % n <= ((hi_first - lo_last) % n)[:, None]
+    left = (lo_first[:, None] - idx) % n <= ((lo_first - hi_last) % n)[:, None]
+    order = p.argsort(axis=1)
+    brk, ts = np.take_along_axis(p, order, 1), np.take_along_axis(t, order, 1)
+    chord = (_chain_at(brk, ts, np.take_along_axis(left, order, 1))
+             - _chain_at(brk, ts, np.take_along_axis(right, order, 1)))
+    width = np.diff(brk, axis=1)
+    area = np.zeros((m, n))
+    np.cumsum(0.5 * (chord[:, :-1] + chord[:, 1:]) * width, axis=1, out=area[:, 1:])
+    k = np.minimum(np.count_nonzero(area <= v, axis=1) - 1,
+                   n - 2 - np.argmax(width[:, ::-1] > 0.0, axis=1))
+    d = v - area[rows, k]
+    c0, w = chord[rows, k], width[rows, k]
+    slope = (chord[rows, k + 1] - c0) / w
+    root = c0 + np.sqrt(np.maximum(c0 * c0 + 2.0 * slope * d, 0.0))
+    slots = np.empty((m, n, 2, 2))
+    slots[:, :, 0] = vertices
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(root > 0.0, np.minimum(2.0 * d / root, w), 0.0)
+        side = p - (brk[rows, k] + s)[:, None]
+        after = np.roll(side, -1, axis=1)
+        frac = side / (side - after)
+        slots[:, :, 1] = vertices + frac[..., None] * (np.roll(vertices, -1, axis=0) - vertices)
+    crossing = ((side < 0.0) & (after > 0.0)) | ((after < 0.0) & (side > 0.0))
+    return slots, np.stack([side <= 0.0, crossing], axis=2)
 
 
-def _halfplane_competitor(rng, family, v):
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    cut, _ = halfplane_cut(family.domain.vertices,
-                           np.array([np.cos(theta), np.sin(theta)]), v)
-    if len(cut) < 3:
-        raise SamplerInfeasibleError("half-plane cut collapsed")
-    return _polygon_competitor(cut, {"sampler": "halfplane", "theta": float(theta)})
-
-
-def _disk_competitor(rng, family, v):
-    radius = float(np.sqrt(v / np.pi))
-    if radius > family.balls.inradius * (1.0 + 1e-12):
-        raise SamplerInfeasibleError("disk larger than the largest inscribed ball")
-    feasible = erode(family.domain, radius, family.structure)
-    if feasible.kind == "empty":
-        raise SamplerInfeasibleError("no feasible disk center")
-    if feasible.kind == "point":
-        center = feasible.points[0]
-    elif feasible.kind == "segment":
-        center = feasible.points[0] + rng.random() * (feasible.points[1]
-                                                      - feasible.points[0])
-    else:
-        center = _Fan(feasible.points).sample(rng, 1)[0]
-    return Competitor(kind="disk", area=v, perimeter=2.0 * np.pi * radius,
-                      center=center, radius=radius,
-                      provenance={"sampler": "disk"})
-
-
-@dataclass(frozen=True, eq=False)
 class _Sweep:
-    """What the competitors of one (domain, volume) share: the fan and the first rung."""
+    """What the competitors of one (domain, volume) share: the fan, the first
+    rung of the hull ladder and the disk centers."""
 
-    fan: _Fan
-    hull_k0: int
+    def __init__(self, family: MinimizerFamily, v: float):
+        self.family, self.v = family, float(v)
+        self.fan = _Fan(family.domain.vertices)
+        self.hull_k0 = _hull_start(family.domain, v / family.v_max)
+        self.area_tol = AREA_TOL_REL * family.v_max
+
+    @cached_property
+    def disk(self):
+        """(radius, uniforms per center, centers of an (m, uniforms) array), or
+        (radius, 0, why no disk of area v fits)."""
+        radius = float(np.sqrt(self.v / np.pi))
+        family = self.family
+        if radius > family.balls.inradius * (1.0 + 1e-12):
+            return radius, 0, "disk larger than the largest inscribed ball"
+        feasible = erode(family.domain, radius, family.structure)
+        pts = feasible.points
+        if feasible.kind == "empty":
+            return radius, 0, "no feasible disk center"
+        if feasible.kind == "point":
+            return radius, 0, lambda u: np.repeat(pts[:1], len(u), axis=0)
+        if feasible.kind == "segment":
+            return radius, 1, lambda u: pts[0] + u * (pts[1] - pts[0])
+        fan = _Fan(pts)
+        return radius, 3, lambda u: fan.place(u[:, 0], u[:, 1], u[:, 2])
+
+    @cached_property
+    def vertex_inside(self):
+        return self.family.domain.contains_point(self.family.domain.vertices)
 
 
-def _sweep(family: MinimizerFamily, v: float) -> _Sweep:
-    return _Sweep(_Fan(family.domain.vertices), _hull_start(family.domain, v / family.v_max))
+def _generators(seed):
+    """(first, retry): the generator of every competitor's first draws, and the
+    one its hull ladder continuations and Qhull retries draw from."""
+    if isinstance(seed, np.random.Generator):
+        return seed, seed.spawn(1)[0]
+    seq = np.random.SeedSequence(seed)
+    return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
+
+
+class _Block:
+    """Competitors start, start + 1, ... of a sweep, one entry each.
+
+    ``perimeter`` and ``area`` are NaN for a competitor that failed, and
+    ``errors`` maps its position in the block to the reason.  Polygons
+    keep their vertices back to back in the groups of ``polygons``, a
+    disk its center in ``centers``.
+    """
+
+    def __init__(self, start, samplers):
+        m = len(samplers)
+        self.start, self.samplers = start, samplers
+        self.perimeter, self.area = np.full(m, np.nan), np.full(m, np.nan)
+        self.k, self.tries = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+        self.theta, self.centers = np.full(m, np.nan), np.full((m, 2), np.nan)
+        self.radius = 0.0
+        self.polygons = []
+        self.errors = {}
+
+    def fail(self, rows, reason):
+        for j in rows:
+            self.errors.setdefault(int(j), reason)
+
+    def add_polygons(self, rows, pts, counts, inside, sweep):
+        """Measure and check the polygons of the competitors at rows, stored back
+        to back with per-vertex containment flags."""
+        if not len(rows):
+            return
+        area, perimeter, starts = _measures(pts, counts)
+        self.area[rows], self.perimeter[rows] = area, perimeter
+        self.polygons.append((rows, pts, starts, counts))
+        missed = np.abs(area - sweep.v) > sweep.area_tol
+        self.fail(rows[missed], "sampler missed the target area")
+        self.fail(rows[~np.logical_and.reduceat(inside, starts)], "competitor escapes the domain")
+
+    def raise_first(self):
+        if self.errors:
+            raise SamplerInfeasibleError(self.errors[min(self.errors)])
+
+    def provenance(self, j) -> dict:
+        name = str(self.samplers[j])
+        if name == "hull":
+            return {"sampler": name, "k": int(self.k[j]), "tries": int(self.tries[j])}
+        if name == "halfplane":
+            return {"sampler": name, "theta": float(self.theta[j])}
+        return {"sampler": name}
+
+    def competitor(self, j) -> Competitor:
+        if j in self.errors:
+            raise SamplerInfeasibleError(self.errors[j])
+        common = {"area": float(self.area[j]), "perimeter": float(self.perimeter[j]),
+                  "provenance": self.provenance(j)}
+        if self.samplers[j] == "disk":
+            return Competitor(kind="disk", center=self.centers[j], radius=self.radius, **common)
+        for rows, pts, starts, counts in self.polygons:
+            at = np.flatnonzero(rows == j)
+            if len(at):
+                s = starts[at[0]]
+                return Competitor(kind="polygon", vertices=pts[s:s + counts[at[0]]], **common)
+        raise AssertionError(f"competitor {j} has no polygon")
+
+
+def _hull_rows(block, rows, u, sweep, retry):
+    """Hull competitors at block positions rows, from their first-rung uniforms u.
+
+    A first rung whose hull falls short of v or that Qhull rejects goes on
+    up the ladder (``_hull_ladder``) with draws from ``retry``, in
+    competitor order.  Reached hulls are shrunk about their vertex mean to
+    area v.
+    """
+    k0, fan, v = sweep.hull_k0, sweep.fan, sweep.v
+    u = u.reshape(len(rows), 3, k0)
+    pts = fan.place(u[:, 0], u[:, 1], u[:, 2])
+    raw = []
+    for p in pts:
+        hull = convex_hull(p)
+        raw.append(None if hull is None else p[hull.vertices])
+    rejected = [verts is None for verts in raw]
+    got = [i for i, verts in enumerate(raw) if verts is not None]
+    if got:
+        first = np.concatenate([raw[i] for i in got])
+        areas = _measures(first, [len(raw[i]) for i in got])[0]
+        for i in np.asarray(got)[areas < v]:
+            raw[i] = None
+    block.k[rows] = k0
+    for i, j in enumerate(rows):
+        if raw[i] is None:
+            try:
+                raw[i], block.k[j], block.tries[j] = _hull_ladder(
+                    retry, fan, v, k0 if rejected[i] else 2 * k0, 1, int(rejected[i]))
+            except SamplerInfeasibleError as exc:
+                block.fail([j], str(exc))
+    reached = [i for i, verts in enumerate(raw) if verts is not None]
+    if not reached:
+        return
+    counts = np.array([len(raw[i]) for i in reached])
+    verts = np.concatenate([raw[i] for i in reached])
+    area, _, starts = _measures(verts, counts)
+    centroid = np.repeat(np.add.reduceat(verts, starts, axis=0) / counts[:, None], counts, axis=0)
+    verts = centroid + np.repeat(np.sqrt(v / area), counts)[:, None] * (verts - centroid)
+    block.add_polygons(rows[reached], verts, counts,
+                       sweep.family.domain.contains_point(verts), sweep)
+
+
+def _halfplane_rows(block, rows, u, sweep):
+    """Half-plane competitors at block positions rows, from one uniform each for the
+    normal angle: the domain cut at the offset of area v, in closed form."""
+    theta = 2.0 * np.pi * u
+    block.theta[rows] = theta
+    domain = sweep.family.domain
+    slots, kept = _halfplane_cuts(domain.vertices,
+                                  np.stack([np.cos(theta), np.sin(theta)], axis=1), sweep.v)
+    # the domain's own vertices are checked once; each cut adds two crossings
+    inside = np.empty(kept.shape, dtype=bool)
+    inside[:, :, 0] = sweep.vertex_inside
+    inside[:, :, 1] = True
+    crossing = kept[:, :, 1]
+    inside[crossing, 1] = domain.contains_point(slots[crossing, 1])
+    counts = kept.sum(axis=(1, 2))
+    whole = counts >= 3
+    block.fail(rows[~whole], "half-plane cut collapsed")
+    kept = kept[whole]
+    block.add_polygons(rows[whole], slots[whole][kept], counts[whole],
+                       inside[whole][kept], sweep)
+
+
+def _disk_rows(block, rows, u, sweep):
+    """Disk competitors of area v at block positions rows, uniform over the feasible centers."""
+    radius, per, centers = sweep.disk
+    block.radius = radius
+    if isinstance(centers, str):
+        block.fail(rows, centers)
+        return
+    block.centers[rows] = c = centers(u.reshape(len(rows), per))
+    block.area[rows], block.perimeter[rows] = sweep.v, 2.0 * np.pi * radius
+    domain = sweep.family.domain
+    inside = domain.contains_point(c, EPS_GEOM * domain.scale - radius)
+    block.fail(rows[~inside], "competitor escapes the domain")
+
+
+def _blocks(sweep: _Sweep, samplers, n_samples: int, seed):
+    """The competitors of a sweep, in blocks of at most BLOCK_POINTS first-rung
+    hull points or half-plane rows x domain vertices (and at least one competitor).
+
+    Competitor i uses ``samplers[i % len(samplers)]``.  Its first draws
+    come from the seed's generator in competitor order: 3 k0 uniforms for
+    a hull (the triangle picks of its first rung, then the two barycentric
+    draws), one for a half-plane normal angle, and 0, 1 or 3 for a disk
+    center on a point, a segment or a polygon of feasible centers.  A
+    block draws all of its competitors' at once.  Ladder continuations
+    and Qhull retries draw from a second generator spawned from the seed,
+    in competitor order.  So no competitor depends on the block size.
+    """
+    if not 0.0 < sweep.v < sweep.family.v_max:
+        raise SamplerInfeasibleError("volume must be strictly inside (0, |domain|)")
+    for name in samplers:
+        if name not in SAMPLERS:
+            raise ValueError(f"unknown sampler {name!r}")
+    rng, retry = _generators(seed)
+    uniforms = {"hull": 3 * sweep.hull_k0, "halfplane": 1,
+                "disk": sweep.disk[1] if "disk" in samplers else 0}
+    per = max(sweep.hull_k0 if "hull" in samplers else 1,
+              len(sweep.family.domain.vertices) if "halfplane" in samplers else 1)
+    size = max(1, BLOCK_POINTS // per)
+    cycle = np.array(samplers)
+    for start in range(0, n_samples, size):
+        names = cycle[np.arange(start, min(start + size, n_samples)) % len(cycle)]
+        offs = np.cumsum([0] + [uniforms[name] for name in names])
+        draws = rng.random(int(offs[-1]))
+        block = _Block(start, names)
+        for name in SAMPLERS:
+            rows = np.flatnonzero(names == name)
+            if not len(rows):
+                continue
+            u = np.stack([draws[o:o + uniforms[name]] for o in offs[rows]])
+            if name == "hull":
+                _hull_rows(block, rows, u, sweep, retry)
+            elif name == "halfplane":
+                _halfplane_rows(block, rows, u[:, 0], sweep)
+            else:
+                _disk_rows(block, rows, u, sweep)
+        yield block
 
 
 def sample_competitor(family: MinimizerFamily, v: float, sampler: str,
                       seed, sweep: _Sweep | None = None) -> Competitor:
-    """Draw one area-matched competitor inside the closed domain.
+    """Draw one area-matched competitor inside the closed domain: a sweep of one.
 
     Samplers: "hull" (convex hull of uniform points shrunk about its
-    centroid; the point count starts at the rung whose expected hull
+    vertex mean; the point count starts at the rung whose expected hull
     covers v), "halfplane" (the domain cut at the offset of area v, in
     closed form), "disk" (random feasible center, only when a disk of
-    area v fits).  ``sweep`` carries what a sweep of competitors at this
-    volume shares; it is built when absent.
+    area v fits).  ``seed`` is a seed or a Generator.  ``sweep`` is the
+    ``_Sweep`` of (family, v); it is built when absent.
     """
-    if not 0.0 < v < family.v_max:
-        raise SamplerInfeasibleError("volume must be strictly inside (0, |domain|)")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if sampler == "hull":
-        sweep = sweep or _sweep(family, v)
-        comp = _hull_competitor(rng, sweep.fan, v, sweep.hull_k0)
-    elif sampler == "halfplane":
-        comp = _halfplane_competitor(rng, family, v)
-    elif sampler == "disk":
-        comp = _disk_competitor(rng, family, v)
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    if abs(comp.area - v) > AREA_TOL_REL * family.v_max:
-        raise SamplerInfeasibleError("sampler missed the target area")
-    _check_containment(family.domain, comp)
-    return comp
+    block = next(_blocks(sweep or _Sweep(family, v), [sampler], 1, seed))
+    return block.competitor(0)
 
 
 @dataclass(eq=False)
@@ -285,26 +503,25 @@ def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
 
     A violation is a competitor perimeter more than 1e-9 below the
     candidate perimeter.  Violations are reported with full provenance
-    rather than raised.
+    rather than raised.  Competitors come in blocks (``_blocks``); the
+    first one that cannot be drawn, in sweep order, raises
+    SamplerInfeasibleError.
     """
     p_min = family.perimeter(v)
     if samplers is None:
         samplers = ["hull", "halfplane"]
         if v <= family.balls.ball_measure:
             samplers.append("disk")
-    rng = np.random.default_rng(seed)
-    sweep = _sweep(family, v)
     gaps = np.empty(n_samples)
     violations = []
-    for i in range(n_samples):
-        name = samplers[i % len(samplers)]
-        comp = sample_competitor(family, v, name, rng, sweep)
-        gap = comp.perimeter - p_min
-        gaps[i] = gap
-        if gap < -PERIMETER_SLACK:
-            violations.append({"index": i, "gap": float(gap),
-                               "perimeter": float(comp.perimeter),
-                               **comp.provenance})
+    for block in _blocks(_Sweep(family, v), samplers, n_samples, seed):
+        block.raise_first()
+        gap = block.perimeter - p_min
+        gaps[block.start:block.start + len(gap)] = gap
+        for j in np.flatnonzero(gap < -PERIMETER_SLACK):
+            violations.append({"index": block.start + int(j), "gap": float(gap[j]),
+                               "perimeter": float(block.perimeter[j]),
+                               **block.provenance(j)})
     counts, edges = np.histogram(gaps, bins=16)
     hist = {"edges": edges.tolist(), "counts": counts.tolist()}
     return MinimalityReport(volume=float(v), minimizer_perimeter=float(p_min),
@@ -454,18 +671,6 @@ class _CroftonCounter:
             sums[p - d] -= c
             sums[q + d] += c
             sums[q - d] += c
-
-    def flip(self, j, i):
-        x = self.index(j, i)
-        buf = self.buf
-        sign = 1 if buf[x] else -1
-        self.counts = [n + sign * (2 * (buf[x + d] + buf[x - d]) - 2)
-                       for n, d in zip(self.counts, self.offsets)]
-        buf[x] ^= 1
-        sums = self.sums
-        for c, d in zip(self.coef, self.offsets):
-            sums[x + d] -= sign * c
-            sums[x - d] -= sign * c
 
 
 def _stencil_sums(cells, coef):

@@ -149,10 +149,6 @@ class Profile:
     v_total: float
 
     @property
-    def support_measure(self) -> float:
-        return len(self.steps) * self.cell_area
-
-    @property
     def sup(self) -> float:
         return float(self.steps[0]) if len(self.steps) else 0.0
 
@@ -161,10 +157,6 @@ class Profile:
         k = np.ceil(v / self.cell_area - 1e-12).astype(int)
         out = np.append(self.steps, 0.0)[np.clip(k, 1, len(self.steps) + 1) - 1]
         return float(out) if out.ndim == 0 else out
-
-    def oscillation(self, v_lo, v_hi) -> float:
-        """Drop of u* over [v_lo, v_hi] (u* is nonincreasing)."""
-        return float(self(max(v_lo, 0.0)) - self(v_hi))
 
 
 def distribution(u: GridFunction, t):

@@ -61,6 +61,16 @@ def perimeter_of_opening(structure, r):
     return structure.core_measures(r)[1] + 2.0 * np.pi * r
 
 
+def support_measure(profile):
+    """Measure of {u > 0} of a decreasing rearrangement: one cell per step."""
+    return len(profile.steps) * profile.cell_area
+
+
+def oscillation(profile, v_lo, v_hi):
+    """Drop of u* over [v_lo, v_hi] (u* is nonincreasing)."""
+    return float(profile(max(v_lo, 0.0)) - profile(v_hi))
+
+
 def cone_grid(square_poly, n):
     """Distance-to-boundary of the unit square sampled on an n-wide grid."""
     u0 = GridFunction.for_domain(square_poly, n)

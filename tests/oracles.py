@@ -5,8 +5,10 @@ slower route: the erosion structure by re-deriving every vertex from
 scratch after each event, and by scanning all edges at every event;
 the r <-> v inversion, the rank and the half-plane competitor's cut
 offset by bisection, the inradius by a linear program, marching
-squares by one full-grid pass per threshold, and the annealing chain by
-pricing every proposal from the stencil.
+squares by one full-grid pass per threshold, the annealing chain by
+pricing every proposal from the stencil, and the competitor sweep one
+competitor at a time, each half-plane cut by a root per normal and a
+clip loop.
 """
 
 from types import SimpleNamespace
@@ -16,8 +18,8 @@ from scipy.optimize import linprog
 
 from isoperim import geometry as geo
 from isoperim import oracle as orc
-from isoperim.errors import DegenerateError
-from isoperim.oracle import AREA_TOL_REL
+from isoperim.errors import DegenerateError, SamplerInfeasibleError
+from isoperim.oracle import AREA_TOL_REL, Competitor
 
 RADIUS_ITERS = 80     # bisection depth for the r <-> v inversion
 RANK_ITERS = 60       # bisection depth for entry radii (machine precision)
@@ -290,6 +292,68 @@ def bisect_rank(family, points):
     return out
 
 
+def clip_halfplane(vertices, normal, offset):
+    """Clip a convex CCW polygon to the half-plane {x : normal . x <= offset}.
+
+    Returns a (k, 2) array; k may be 0 when nothing survives.
+    """
+    s = vertices @ np.asarray(normal, dtype=float) - offset
+    out = []
+    n = len(vertices)
+    for i in range(n):
+        j = (i + 1) % n
+        if s[i] <= 0.0:
+            out.append(vertices[i])
+        if (s[i] < 0.0 < s[j]) or (s[j] < 0.0 < s[i]):
+            t = s[i] / (s[i] - s[j])
+            out.append(vertices[i] + t * (vertices[j] - vertices[i]))
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def _chain(p, t, first, last, step):
+    """Projections and tangential coordinates from vertex first to last, by step."""
+    idx = (first + step * np.arange((step * (last - first)) % len(p) + 1)) % len(p)
+    return p[idx], t[idx]
+
+
+def _tied(p, i):
+    """(first, last) in CCW order of extreme vertex i and a neighbour tied with it."""
+    n = len(p)
+    if p[i - 1] == p[i]:
+        return (i - 1) % n, i
+    if p[(i + 1) % n] == p[i]:
+        return i, (i + 1) % n
+    return i, i
+
+
+def halfplane_cut(vertices, normal, v):
+    """(cut, c): the part of a convex CCW polygon with normal . x <= c, of area v.
+
+    The closed form of ``oracle._halfplane_cuts`` for one normal, with
+    ``np.interp`` along each boundary chain and one clip: the chord is
+    linear between the sorted vertex projections, the prefix areas are
+    exact there by the trapezoid rule, and one root gives c.
+    """
+    p = vertices @ normal
+    t = vertices @ np.array([-normal[1], normal[0]])
+    lo_first, lo_last = _tied(p, int(np.argmin(p)))
+    hi_first, hi_last = _tied(p, int(np.argmax(p)))
+    pa, ta = _chain(p, t, lo_last, hi_first, 1)     # right of the normal, CCW
+    pb, tb = _chain(p, t, lo_first, hi_last, -1)    # left of it, against CCW
+    brk = np.sort(p)
+    chord = np.interp(brk, pb, tb) - np.interp(brk, pa, ta)
+    width = np.diff(brk)
+    area = np.concatenate([[0.0], np.cumsum(0.5 * (chord[:-1] + chord[1:]) * width)])
+    k = min(int(np.searchsorted(area, v, side="right")) - 1,
+            int(np.flatnonzero(width > 0.0)[-1]))
+    d = v - area[k]
+    slope = (chord[k + 1] - chord[k]) / width[k]
+    root = chord[k] + np.sqrt(max(chord[k] * chord[k] + 2.0 * slope * d, 0.0))
+    s = min(2.0 * d / root, width[k]) if root > 0.0 else 0.0
+    c = float(brk[k] + s)
+    return clip_halfplane(vertices, normal, c), c
+
+
 def bisect_halfplane_cut(vertices, normal, v, area_tol):
     """(cut, lo, hi): the polygon clipped at normal . x <= c with area within
     area_tol of v, c bisected between the extreme vertex projections.
@@ -301,7 +365,7 @@ def bisect_halfplane_cut(vertices, normal, v, area_tol):
     lo, hi = float(proj.min()), float(proj.max())
     for _ in range(HALFPLANE_ITERS):
         c = 0.5 * (lo + hi)
-        cut = geo.clip_halfplane(vertices, normal, c)
+        cut = clip_halfplane(vertices, normal, c)
         area = geo._shoelace(cut) if len(cut) >= 3 else 0.0
         if abs(area - v) <= area_tol:
             break
@@ -309,7 +373,7 @@ def bisect_halfplane_cut(vertices, normal, v, area_tol):
             lo = c
         else:
             hi = c
-    return geo.clip_halfplane(vertices, normal, 0.5 * (lo + hi)), lo, hi
+    return clip_halfplane(vertices, normal, 0.5 * (lo + hi)), lo, hi
 
 
 def bisect_halfplane_competitor(rng, family, v):
@@ -323,6 +387,108 @@ def bisect_halfplane_competitor(rng, family, v):
     cut, _, _ = bisect_halfplane_cut(family.domain.vertices, normal, v,
                                      0.5 * AREA_TOL_REL * family.v_max)
     return cut, float(theta)
+
+
+def _polygon_competitor(vertices, provenance):
+    return Competitor(kind="polygon", area=geo._shoelace(vertices),
+                      perimeter=geo._edge_length_sum(vertices),
+                      vertices=vertices, provenance=provenance)
+
+
+def _hull_competitor(rng, retry, fan, v, k):
+    """Hull of k uniform points, k doubled until it reaches area v, then shrunk
+    to v; the first hull draws from rng, every later one from retry."""
+    tries = 0
+    failures = 0
+    while k <= orc.HULL_K_MAX:
+        pts = fan.sample(retry if tries else rng, k)
+        hull = orc.convex_hull(pts)
+        if hull is None:
+            failures += 1
+            if failures > orc.QHULL_RETRIES:
+                raise SamplerInfeasibleError(
+                    f"Qhull failed {failures} times on hulls of {k} points")
+            tries += 1
+            continue
+        verts = pts[hull.vertices]
+        area = geo._shoelace(verts)
+        if area >= v:
+            centroid = verts.mean(axis=0)
+            verts = centroid + np.sqrt(v / area) * (verts - centroid)
+            return _polygon_competitor(verts, {"sampler": "hull", "k": k,
+                                               "tries": tries})
+        k *= 2
+        tries += 1
+    raise SamplerInfeasibleError(
+        f"hull of {k // 2} points never reached area {v}")
+
+
+def _halfplane_competitor(rng, family, v):
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    cut, _ = halfplane_cut(family.domain.vertices,
+                           np.array([np.cos(theta), np.sin(theta)]), v)
+    if len(cut) < 3:
+        raise SamplerInfeasibleError("half-plane cut collapsed")
+    return _polygon_competitor(cut, {"sampler": "halfplane", "theta": float(theta)})
+
+
+def _disk_competitor(rng, family, v):
+    radius = float(np.sqrt(v / np.pi))
+    if radius > family.balls.inradius * (1.0 + 1e-12):
+        raise SamplerInfeasibleError("disk larger than the largest inscribed ball")
+    feasible = geo.erode(family.domain, radius, family.structure)
+    if feasible.kind == "empty":
+        raise SamplerInfeasibleError("no feasible disk center")
+    if feasible.kind == "point":
+        center = feasible.points[0]
+    elif feasible.kind == "segment":
+        center = feasible.points[0] + rng.random() * (feasible.points[1]
+                                                      - feasible.points[0])
+    else:
+        center = orc._Fan(feasible.points).sample(rng, 1)[0]
+    return Competitor(kind="disk", area=v, perimeter=2.0 * np.pi * radius,
+                      center=center, radius=radius,
+                      provenance={"sampler": "disk"})
+
+
+def _check_containment(domain, comp):
+    eps = geo.EPS_GEOM * domain.scale
+    if comp.kind == "polygon":
+        viol = comp.vertices @ domain.normals.T - domain.offsets
+    else:
+        viol = comp.center @ domain.normals.T - domain.offsets + comp.radius
+    if not np.max(viol) <= eps:
+        raise SamplerInfeasibleError("competitor escapes the domain")
+
+
+def sweep_competitors(family, v, n_samples, seed, samplers):
+    """The competitors of ``oracle.verify_minimality``, drawn one at a time.
+
+    Competitor i uses samplers[i % len(samplers)], with the draw layout of
+    ``oracle._blocks``: first draws from the seed's generator, hull ladder
+    continuations and Qhull retries from the spawned one.  Returns, per
+    competitor, its Competitor or the SamplerInfeasibleError it raised.
+    """
+    rng, retry = orc._generators(seed)
+    fan = orc._Fan(family.domain.vertices)
+    k0 = orc._hull_start(family.domain, v / family.v_max)
+    out = []
+    for i in range(n_samples):
+        name = samplers[i % len(samplers)]
+        try:
+            if name == "hull":
+                comp = _hull_competitor(rng, retry, fan, v, k0)
+            elif name == "halfplane":
+                comp = _halfplane_competitor(rng, family, v)
+            else:
+                comp = _disk_competitor(rng, family, v)
+            if abs(comp.area - v) > AREA_TOL_REL * family.v_max:
+                raise SamplerInfeasibleError("sampler missed the target area")
+            _check_containment(family.domain, comp)
+        except SamplerInfeasibleError as exc:
+            comp = exc
+        out.append(comp)
+    return out
 
 
 def lp_inradius(polygon):
@@ -387,6 +553,20 @@ def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
                             cell=h, in_count=int(grid.sum()), seed=seed,
                             energy_trace=trace, temperature_final=float(temp),
                             proposals=proposals, accepted=accepted)
+
+
+def flip(counter, j, i):
+    """Toggle cell (j, i) of a ``_CroftonCounter``, with its counts and stencil sums."""
+    x = counter.index(j, i)
+    buf = counter.buf
+    sign = 1 if buf[x] else -1
+    counter.counts = [n + sign * (2 * (buf[x + d] + buf[x - d]) - 2)
+                      for n, d in zip(counter.counts, counter.offsets)]
+    buf[x] ^= 1
+    sums = counter.sums
+    for c, d in zip(counter.coef, counter.offsets):
+        sums[x + d] -= sign * c
+        sums[x - d] -= sign * c
 
 
 _SEG1 = np.full((16, 2), -1, dtype=int)

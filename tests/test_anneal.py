@@ -138,8 +138,8 @@ def test_counter_flip_matches_price():
     grid = rng.random((12, 10)) < 0.5
     grid[3, 4], grid[4, 5] = True, False
     flipped = orc._CroftonCounter(grid, 0.1)
-    flipped.flip(3, 4)
-    flipped.flip(4, 5)
+    oracles.flip(flipped, 3, 4)
+    oracles.flip(flipped, 4, 5)
     priced = orc._CroftonCounter(grid, 0.1)
     counts, _ = priced.price(priced.index(3, 4), priced.index(4, 5))
     assert flipped.counts == counts
