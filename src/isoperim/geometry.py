@@ -192,17 +192,93 @@ def _polygon_distance(pts, vx, vy, normals, offsets):
     return np.where(inside, 0.0, np.sqrt(np.min(dx * dx + dy * dy, axis=1)))
 
 
-def convex_hull(points):
-    """scipy's ConvexHull of points (m, 2), or None when Qhull rejects them.
+def _measures(pts, counts):
+    """(areas, perimeters, starts) of CCW polygons stored back to back, with
+    counts[j] > 0 vertices each.
 
-    scipy.spatial is imported on the first call, not with the package:
-    the exact layer never needs it.
+    Each shoelace is taken about its polygon's first vertex, so that
+    far-off coordinates do not cancel; the closing term then vanishes.
     """
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return ConvexHull(points)
-    except QhullError:
-        return None
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    nxt = np.arange(1, ends[-1] + 1)
+    nxt[ends - 1] = starts
+    rel = pts - np.repeat(pts[starts], counts, axis=0)
+    cross = rel[:, 0] * rel[nxt, 1] - rel[:, 1] * rel[nxt, 0]
+    edge = pts[nxt] - pts
+    length = np.sqrt(edge[:, 0] * edge[:, 0] + edge[:, 1] * edge[:, 1])
+    return 0.5 * np.add.reduceat(cross, starts), np.add.reduceat(length, starts), starts
+
+
+def convex_hulls(points, counts):
+    """(vertices, hull_counts): the convex hulls of point sets stored back to back.
+
+    ``points`` (m, 2) holds the sets back to back, counts[s] points each.
+    ``vertices`` indexes ``points``: each hull's vertices in CCW order
+    from its leftmost-then-lowest point, back to back, hull_counts[s] of
+    them.  Points on a hull edge are not vertices, so a set with no area
+    gives at most two.
+
+    A segmented quickhull (Eddy 1977; Barber, Dobkin & Huhdanpaa 1996):
+    each set starts as the two directed edges between its leftmost-then-
+    lowest and rightmost-then-highest points.  Each round splits every
+    edge that has points outside it at the farthest of them (of tied
+    ones, the farthest along the edge) and keeps, grouped by edge, only
+    the points outside one of the two new edges.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    counts = np.asarray(counts, dtype=np.intp)
+    sets = np.flatnonzero(counts)
+    if not len(sets):
+        return np.empty(0, np.intp), np.zeros(len(counts), np.intp)
+    x, y = pts[:, 0], pts[:, 1]
+    at = (np.cumsum(counts) - counts)[sets]
+    own = np.repeat(np.arange(len(sets)), counts[sets])
+    pos = np.arange(len(x))
+
+    def extreme(fn, pad):   # leftmost-then-lowest (min) or rightmost-then-highest (max)
+        on = x == fn.reduceat(x, at)[own]
+        on &= y == fn.reduceat(np.where(on, y, pad), at)[own]
+        return np.minimum.reduceat(np.where(on, pos, len(x)), at)
+
+    a, b = extreme(np.minimum, np.inf), extreme(np.maximum, -np.inf)
+    # edges a -> b (lower chain) and b -> a (upper chain) per set, only the first if a == b
+    live = np.stack([np.ones(len(a), bool), a != b], 1).ravel()
+    ea, eb = np.stack([a, b], 1).ravel()[live], np.stack([b, a], 1).ravel()[live]
+    es = np.repeat(sets, 2)[live]
+    ax, ay = x[a][own], y[a][own]
+    d = (x - ax) * (y[b][own] - ay) - (y - ay) * (x[b][own] - ax)   # > 0: below a -> b
+    pe = (np.cumsum(live) - 1)[2 * own + (d < 0.0)]
+    pi, pd, px, py = pos, np.abs(d), x, y
+    while True:
+        # the points outside an edge, grouped by edge: index, edge, distance, coordinates
+        keep = np.flatnonzero(pd > 0.0)
+        if not len(keep):
+            return ea, np.bincount(es, minlength=len(counts))
+        order = keep[np.argsort(pe[keep], kind="stable")]
+        pi, pe, pd, px, py = pi[order], pe[order], pd[order], px[order], py[order]
+        head = pe != np.concatenate([[-1], pe[:-1]])
+        brk, grp = np.flatnonzero(head), np.cumsum(head) - 1
+        e = pe[brk]   # the open edge of each group, and its ends:
+        ax, ay, bx, by = x[ea[e]], y[ea[e]], x[eb[e]], y[eb[e]]
+        hit = np.flatnonzero(pd == np.maximum.reduceat(pd, brk)[grp])
+        if len(hit) > len(brk):   # ties: the one farthest along the edge, then the first
+            g = grp[hit]
+            along = (px[hit] - ax[g]) * (bx - ax)[g] + (py[hit] - ay[g]) * (by - ay)[g]
+            hit = hit[np.lexsort((-along, g))]
+            hit = hit[np.diff(grp[hit], prepend=-1) > 0]
+        c = pi[hit]
+        cx, cy = x[c], y[c]
+        # edge e splits into a -> c and c -> b, at positions new[e] and new[e] + 1
+        split = np.zeros(len(ea), np.intp)
+        split[e] = 1
+        new = np.arange(len(ea)) + np.cumsum(split) - split
+        ea, eb, es = (np.repeat(v, 1 + split) for v in (ea, eb, es))
+        ea[new[e] + 1], eb[new[e]] = c, c
+        d1 = (px - ax[grp]) * (cy - ay)[grp] - (py - ay[grp]) * (cx - ax)[grp]
+        d2 = (px - cx[grp]) * (by - cy)[grp] - (py - cy[grp]) * (bx - cx)[grp]
+        side = d1 <= 0.0
+        pe, pd = new[pe] + side, np.where(side, d2, d1)
 
 
 # ---------------------------------------------------------------------------

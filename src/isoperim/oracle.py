@@ -7,10 +7,10 @@ perimeter estimate (pixel-edge counting would reward axis-aligned shapes;
 line sampling over sixteen lattice directions is rotation-robust).
 
 Competitors are drawn in blocks: a block takes its random numbers in one
-draw, cuts all its half-planes in one array pass, and measures and
-checks its polygons by segmented reductions over their vertices, stored
-back to back.  Only the Qhull call of a hull competitor is made one at a
-time.
+draw, hulls all its first rungs in one ``geometry.convex_hulls`` call,
+cuts all its half-planes in one array pass, and measures and checks its
+polygons by segmented reductions over their vertices, stored back to
+back.  Only a hull that goes up the ladder is drawn and hulled alone.
 """
 
 import math
@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import SamplerInfeasibleError, ScheduleInvalidError
 from .family import MinimizerFamily
-from .geometry import EPS_GEOM, ConvexPolygon, _shoelace, convex_hull, erode
+from .geometry import EPS_GEOM, ConvexPolygon, _measures, _shoelace, convex_hulls, erode
 
 AREA_TOL_REL = 1e-6
 PERIMETER_SLACK = 1e-9
 SAMPLERS = ("hull", "halfplane", "disk")
-QHULL_RETRIES = 16        # Qhull failures one hull competitor may absorb
 HULL_K0 = 12              # the hull ladder's rungs are HULL_K0 * 2**j points
 HULL_K_MAX = 65536        # ... up to this many
 BLOCK_POINTS = 1 << 14    # first-rung hull points, or half-plane rows x domain vertices, per block
@@ -45,24 +44,6 @@ class Competitor:
     center: np.ndarray | None = None
     radius: float = 0.0
     provenance: dict = field(default_factory=dict)
-
-
-def _measures(pts, counts):
-    """(areas, perimeters, starts) of CCW polygons stored back to back, with
-    counts[j] > 0 vertices each.
-
-    Each shoelace is taken about its polygon's first vertex, so that
-    far-off coordinates do not cancel; the closing term then vanishes.
-    """
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    nxt = np.arange(1, ends[-1] + 1)
-    nxt[ends - 1] = starts
-    rel = pts - np.repeat(pts[starts], counts, axis=0)
-    cross = rel[:, 0] * rel[nxt, 1] - rel[:, 1] * rel[nxt, 0]
-    edge = pts[nxt] - pts
-    length = np.sqrt(edge[:, 0] * edge[:, 0] + edge[:, 1] * edge[:, 1])
-    return 0.5 * np.add.reduceat(cross, starts), np.add.reduceat(length, starts), starts
 
 
 class _Fan:
@@ -121,26 +102,18 @@ def _hull_start(domain: ConvexPolygon, ratio: float) -> int:
     return k
 
 
-def _hull_ladder(rng, fan, v, k, tries, failures):
-    """(vertices, k, tries): the hull ladder continued at rung k, after ``tries``
-    short or rejected hulls, ``failures`` of them rejected by Qhull.
-
-    A hull short of area v doubles k; a rejected one is drawn again.
-    """
-    while failures <= QHULL_RETRIES:
-        if k > HULL_K_MAX:
-            raise SamplerInfeasibleError(f"hull of {k // 2} points never reached area {v}")
+def _hull_ladder(rng, fan, v, k, tries):
+    """(vertices, area, k, tries): the hull ladder continued at rung k, after
+    ``tries`` short hulls.  A hull short of area v doubles k."""
+    while k <= HULL_K_MAX:
         pts = fan.sample(rng, k)
-        hull = convex_hull(pts)
-        if hull is None:
-            failures += 1
-        else:
-            verts = pts[hull.vertices]
-            if _measures(verts, [len(verts)])[0][0] >= v:
-                return verts, k, tries
-            k *= 2
+        idx, count = convex_hulls(pts, [k])
+        area = _measures(pts[idx], count)[0][0]
+        if area >= v:
+            return pts[idx], area, k, tries
+        k *= 2
         tries += 1
-    raise SamplerInfeasibleError(f"Qhull failed {failures} times on hulls of {k} points")
+    raise SamplerInfeasibleError(f"hull of {k // 2} points never reached area {v}")
 
 
 def _tied(p, i):
@@ -263,7 +236,7 @@ class _Sweep:
 
 def _generators(seed):
     """(first, retry): the generator of every competitor's first draws, and the
-    one its hull ladder continuations and Qhull retries draw from."""
+    one its hull ladder continuations draw from."""
     if isinstance(seed, np.random.Generator):
         return seed, seed.spawn(1)[0]
     seq = np.random.SeedSequence(seed)
@@ -335,42 +308,37 @@ class _Block:
 def _hull_rows(block, rows, u, sweep, retry):
     """Hull competitors at block positions rows, from their first-rung uniforms u.
 
-    A first rung whose hull falls short of v or that Qhull rejects goes on
-    up the ladder (``_hull_ladder``) with draws from ``retry``, in
-    competitor order.  Reached hulls are shrunk about their vertex mean to
-    area v.
+    The first rungs are hulled and measured in one call each.  A hull
+    short of area v goes on up the ladder (``_hull_ladder``) with draws
+    from ``retry``, in competitor order.  Reached hulls are shrunk about
+    their vertex mean to area v.
     """
     k0, fan, v = sweep.hull_k0, sweep.fan, sweep.v
     u = u.reshape(len(rows), 3, k0)
-    pts = fan.place(u[:, 0], u[:, 1], u[:, 2])
-    raw = []
-    for p in pts:
-        hull = convex_hull(p)
-        raw.append(None if hull is None else p[hull.vertices])
-    rejected = [verts is None for verts in raw]
-    got = [i for i, verts in enumerate(raw) if verts is not None]
-    if got:
-        first = np.concatenate([raw[i] for i in got])
-        areas = _measures(first, [len(raw[i]) for i in got])[0]
-        for i in np.asarray(got)[areas < v]:
-            raw[i] = None
+    pts = fan.place(u[:, 0], u[:, 1], u[:, 2]).reshape(-1, 2)
+    idx, counts = convex_hulls(pts, np.full(len(rows), k0))
+    area = _measures(pts[idx], counts)[0]
     block.k[rows] = k0
-    for i, j in enumerate(rows):
-        if raw[i] is None:
-            try:
-                raw[i], block.k[j], block.tries[j] = _hull_ladder(
-                    retry, fan, v, k0 if rejected[i] else 2 * k0, 1, int(rejected[i]))
-            except SamplerInfeasibleError as exc:
-                block.fail([j], str(exc))
-    reached = [i for i, verts in enumerate(raw) if verts is not None]
-    if not reached:
+    first = area >= v
+    verts, got = [pts[idx[np.repeat(first, counts)]]], [np.flatnonzero(first)]
+    for i in np.flatnonzero(~first):
+        j = rows[i]
+        try:
+            hull, area[i], block.k[j], block.tries[j] = _hull_ladder(retry, fan, v, 2 * k0, 1)
+        except SamplerInfeasibleError as exc:
+            block.fail([j], str(exc))
+            continue
+        verts.append(hull)
+        counts[i] = len(hull)
+        got.append([i])
+    got = np.concatenate(got)
+    if not len(got):
         return
-    counts = np.array([len(raw[i]) for i in reached])
-    verts = np.concatenate([raw[i] for i in reached])
-    area, _, starts = _measures(verts, counts)
+    verts, counts = np.concatenate(verts), counts[got]
+    starts = np.cumsum(counts) - counts
     centroid = np.repeat(np.add.reduceat(verts, starts, axis=0) / counts[:, None], counts, axis=0)
-    verts = centroid + np.repeat(np.sqrt(v / area), counts)[:, None] * (verts - centroid)
-    block.add_polygons(rows[reached], verts, counts,
+    verts = centroid + np.repeat(np.sqrt(v / area[got]), counts)[:, None] * (verts - centroid)
+    block.add_polygons(rows[got], verts, counts,
                        sweep.family.domain.contains_point(verts), sweep)
 
 
@@ -420,8 +388,8 @@ def _blocks(sweep: _Sweep, samplers, n_samples: int, seed):
     draws), one for a half-plane normal angle, and 0, 1 or 3 for a disk
     center on a point, a segment or a polygon of feasible centers.  A
     block draws all of its competitors' at once.  Ladder continuations
-    and Qhull retries draw from a second generator spawned from the seed,
-    in competitor order.  So no competitor depends on the block size.
+    draw from a second generator spawned from the seed, in competitor
+    order.  So no competitor depends on the block size.
     """
     if not 0.0 < sweep.v < sweep.family.v_max:
         raise SamplerInfeasibleError("volume must be strictly inside (0, |domain|)")
@@ -625,9 +593,6 @@ class _CroftonCounter:
         self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}
         self.adjacent_coef = {d: self.coef[k] for d, k in self.adjacent.items()}
         self.sums = _stencil_sums(self.cells, self.coef).ravel().tolist()
-
-    def index(self, j, i) -> int:
-        return (int(j) + _PAD) * self.width + int(i) + _PAD
 
     def perimeter(self, counts=None) -> float:
         total = 0.0

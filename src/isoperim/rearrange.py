@@ -31,13 +31,13 @@ import numpy as np
 
 from .errors import DomainMismatchError
 from .family import MinimizerFamily
-from .geometry import ConvexPolygon, convex_hull, polygon_measures
+from .geometry import ConvexPolygon, _measures, convex_hulls, polygon_measures
 
 DEFAULT_LEVELS = 256
 EQ_DEFECT_FACTOR = 4.0     # equimeasurability bound: 4 h (P + 1)
 CONVEXITY_FACTOR = 2.0     # hull-area defect bound: 2 h P
 BV_TOL_REL = 0.02
-CHUNK_PAIRS = 4096         # (cell, level) pairs marched at once by march_levels
+CHUNK_PAIRS = 4096         # (cell, level) pairs marched, or crossings hulled, at once
 
 
 @dataclass(eq=False)
@@ -398,9 +398,14 @@ class RearrangementReport:
         }
 
 
-def _hull_area(points: np.ndarray) -> float:
-    hull = convex_hull(points) if len(points) >= 3 else None
-    return 0.0 if hull is None else float(hull.volume)
+def _hull_areas(levels) -> np.ndarray:
+    """Hull area of each level's crossings, from one convex_hulls call."""
+    pts = np.concatenate(levels)
+    idx, counts = convex_hulls(pts, [len(p) for p in levels])
+    area = np.zeros(len(levels))
+    if len(idx):
+        area[counts > 0] = _measures(pts[idx], counts[counts > 0])[0]
+    return area
 
 
 def rearrangement_report(u: GridFunction, ut: GridFunction,
@@ -422,9 +427,18 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     per_u = np.array([length for length, _ in march_levels(u.values, u.origin,
                                                             u.spacing, ts)])
     bv_u, bv_ut = _coarea(u, ts, per_u), bv_norm_estimate(ut, levels)
-    per_ut, conv_defect = np.empty((2, len(ts)))
+    # u_tilde's levels are hulled in blocks of whole levels, at most
+    # CHUNK_PAIRS crossings each (a level with more is a block of its own)
+    per_ut, hull = np.empty((2, len(ts)))
+    block, size = [], 0
     for k, (per_ut[k], pts) in enumerate(march_levels(ut.values, ut.origin, ut.spacing, ts)):
-        conv_defect[k] = _hull_area(pts) - mu_ut[k]
+        if block and size + len(pts) > CHUNK_PAIRS:
+            hull[k - len(block):k] = _hull_areas(block)
+            block, size = [], 0
+        block.append(pts)
+        size += len(pts)
+    hull[len(ts) - len(block):] = _hull_areas(block)
+    conv_defect = hull - mu_ut
     eq_defect = np.abs(mu_u - mu_ut)
     eq_bound = EQ_DEFECT_FACTOR * h * (per_u + 1.0)
     conv_bound = CONVEXITY_FACTOR * h * np.maximum(per_ut, 1.0)

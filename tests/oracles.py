@@ -7,14 +7,15 @@ the r <-> v inversion, the rank and the half-plane competitor's cut
 offset by bisection, the inradius by a linear program, marching
 squares by one full-grid pass per threshold, the annealing chain by
 pricing every proposal from the stencil, and the competitor sweep one
-competitor at a time, each half-plane cut by a root per normal and a
-clip loop.
+competitor at a time, each hull by Qhull and each half-plane cut by a
+root per normal and a clip loop.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from isoperim import geometry as geo
 from isoperim import oracle as orc
@@ -399,18 +400,9 @@ def _hull_competitor(rng, retry, fan, v, k):
     """Hull of k uniform points, k doubled until it reaches area v, then shrunk
     to v; the first hull draws from rng, every later one from retry."""
     tries = 0
-    failures = 0
     while k <= orc.HULL_K_MAX:
         pts = fan.sample(retry if tries else rng, k)
-        hull = orc.convex_hull(pts)
-        if hull is None:
-            failures += 1
-            if failures > orc.QHULL_RETRIES:
-                raise SamplerInfeasibleError(
-                    f"Qhull failed {failures} times on hulls of {k} points")
-            tries += 1
-            continue
-        verts = pts[hull.vertices]
+        verts = pts[ConvexHull(pts).vertices]
         area = geo._shoelace(verts)
         if area >= v:
             centroid = verts.mean(axis=0)
@@ -466,7 +458,7 @@ def sweep_competitors(family, v, n_samples, seed, samplers):
 
     Competitor i uses samplers[i % len(samplers)], with the draw layout of
     ``oracle._blocks``: first draws from the seed's generator, hull ladder
-    continuations and Qhull retries from the spawned one.  Returns, per
+    continuations from the spawned one; every hull is Qhull's.  Returns, per
     competitor, its Competitor or the SamplerInfeasibleError it raised.
     """
     rng, retry = orc._generators(seed)
@@ -555,9 +547,14 @@ def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
                             proposals=proposals, accepted=accepted)
 
 
+def index(counter, j, i):
+    """Byte of cell (j, i) in a ``_CroftonCounter``'s padded buffer."""
+    return (int(j) + orc._PAD) * counter.width + int(i) + orc._PAD
+
+
 def flip(counter, j, i):
     """Toggle cell (j, i) of a ``_CroftonCounter``, with its counts and stencil sums."""
-    x = counter.index(j, i)
+    x = index(counter, j, i)
     buf = counter.buf
     sign = 1 if buf[x] else -1
     counter.counts = [n + sign * (2 * (buf[x + d] + buf[x - d]) - 2)

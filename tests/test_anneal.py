@@ -87,7 +87,7 @@ def _is_valid_swap(grid, p, q):
 def _check_priced_swap(grid, p, q):
     h = 0.125
     counter = orc._CroftonCounter(grid, h)
-    pi, qi = counter.index(*p), counter.index(*q)
+    pi, qi = oracles.index(counter, *p), oracles.index(counter, *q)
     before = list(counter.counts)
 
     counts, after = counter.price(pi, qi)
@@ -141,7 +141,7 @@ def test_counter_flip_matches_price():
     oracles.flip(flipped, 3, 4)
     oracles.flip(flipped, 4, 5)
     priced = orc._CroftonCounter(grid, 0.1)
-    counts, _ = priced.price(priced.index(3, 4), priced.index(4, 5))
+    counts, _ = priced.price(oracles.index(priced, 3, 4), oracles.index(priced, 4, 5))
     assert flipped.counts == counts
 
 
@@ -166,13 +166,13 @@ def test_kept_sums_follow_commits(direction, data):
     grid, p, q = data.draw(coupled_swaps(direction, sign, place))
     counter = orc._CroftonCounter(grid, 0.125)
     mask_buf, _ = orc._padded_buffer(np.ones_like(grid))
-    swaps = [(counter.index(*p), counter.index(*q))]
+    swaps = [(oracles.index(counter, *p), oracles.index(counter, *q))]
     assume(orc._valid_swap(counter.buf, mask_buf, counter.n4, *swaps[0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for _ in range(data.draw(st.integers(1, 12))):
         _check_kept_sums(counter, swaps)
         counter.commit(*swaps[0], counter.price(*swaps[0])[0])
-        cells = [counter.index(j, i) for j, i in
+        cells = [oracles.index(counter, j, i) for j, i in
                  zip(rng.integers(grid.shape[0], size=16), rng.integers(grid.shape[1], size=16))]
         swaps = [m for m in zip(cells[::2], cells[1::2])
                  if orc._valid_swap(counter.buf, mask_buf, counter.n4, *m)]

@@ -47,19 +47,26 @@ def test_minimizer_command(square_json, tmp_path, capsys):
 
 
 def test_import_and_minimizer_load_no_scipy(square_json, tmp_path):
+    # every subcommand, each in a fresh interpreter, runs without loading scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys\n"
+    grid_path = str(tmp_path / "cone.grid")
+    iio.write_grid(cone_grid(validate_polygon(SQUARE), 40), grid_path)
+    code = ("import json, sys\n"
             "import isoperim\n"
             "from isoperim.cli import main\n"
-            "argv = ['minimizer', '--domain', sys.argv[1], '--volume', '0.9', '--out', sys.argv[2]]\n"
-            "assert main(argv) == 0\n"
+            "assert main(json.loads(sys.argv[1])) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    proc = subprocess.run([sys.executable, "-c", code, square_json, str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    for argv in (["minimizer", "--volume", "0.9"],
+                 ["family", "--sweep", "0.2:0.9:8"],
+                 ["rearrange", "--grid", grid_path, "--levels", "32"],
+                 ["verify", "--volume", "0.9", "--samples", "300"]):
+        argv += ["--domain", square_json, "--out", str(tmp_path / argv[0])]
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]", argv[0]
 
 
 def test_minimizer_stadium(rect_json, tmp_path):

@@ -268,3 +268,53 @@ def test_regular_64gon_ball_nearly_fills():
     area, _ = geo.polygon_measures(poly)
     assert balls.hull_measure == pytest.approx(balls.ball_measure, rel=1e-9)
     assert 0 < area - balls.ball_measure < 12.0 / n**2
+
+
+def _hull_sets(rng, count):
+    """Point sets of 3 to 1000 points: uniform and normal, moved 1e6 of their
+    size from the origin, scaled by 1e-6 and 1e6, with duplicate points, and
+    marching-squares-like (half the points on one of 12 grid lines)."""
+    for _ in range(count):
+        n = int(rng.integers(3, 1001))
+        base = rng.random((n, 2))
+        grid = base.copy()
+        grid[: n // 2, 0] = rng.integers(0, 12, n // 2) / 12.0
+        grid[n // 2:, 1] = rng.integers(0, 12, n - n // 2) / 12.0
+        yield from (base, rng.normal(size=(n, 2)), base + 1e6, base - [1e6, -3e6],
+                    1e-6 * base, 1e6 * base,
+                    np.concatenate([base, base[rng.integers(0, n, n // 2)]]), grid)
+
+
+def test_convex_hulls_matches_qhull():
+    ConvexHull = pytest.importorskip("scipy.spatial").ConvexHull
+    rng = np.random.default_rng(5)
+    sets = list(_hull_sets(rng, 40))
+    for pts in sets:
+        idx, counts = geo.convex_hulls(pts, [len(pts)])
+        assert counts.tolist() == [len(idx)]
+        got, ref = pts[idx], pts[ConvexHull(pts).vertices]
+        # the same vertices in the same CCW cycle, from the leftmost-then-lowest
+        assert len(got) == len(ref)
+        assert np.array_equal(got[0], min(map(tuple, pts)))
+        at = np.flatnonzero((ref == got[0]).all(axis=1))
+        assert len(at) == 1 and np.array_equal(np.roll(ref, -at[0], axis=0), got)
+    # no area: 0, 1 or 2 points, repeated points and collinear sets
+    t, k = rng.random(50), rng.integers(-20, 20, 50)
+    flat = [np.empty((0, 2)), [[1.0, 2.0]], [[1.0, 2.0]] * 3, [[0.0, 0.0], [1.0, 1.0]],
+            np.stack([t, t], 1), np.stack([t, -t], 1), np.stack([t, 0 * t + 0.3], 1),
+            np.stack([0 * t - 2.0, 1e6 * t], 1), np.stack([k, 3 * k], 1) / 8.0]
+    for pts in flat:
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        idx, counts = geo.convex_hulls(pts, [len(pts)])
+        assert counts.tolist() == [len(idx)] and len(idx) <= min(2, len(pts))
+        if len(pts):
+            assert np.array_equal(pts[idx[0]], min(map(tuple, pts)))
+            assert np.array_equal(pts[idx[-1]], max(map(tuple, pts)))
+    # hulled together, every set gives what it gives alone, bit for bit
+    sets = [np.asarray(p, dtype=float).reshape(-1, 2) for p in flat] + sets
+    rng.shuffle(sets)
+    idx, counts = geo.convex_hulls(np.concatenate(sets), [len(p) for p in sets])
+    offsets, ends = np.cumsum([0] + [len(p) for p in sets]), np.cumsum(counts)
+    for pts, off, end, count in zip(sets, offsets, ends, counts):
+        alone, n = geo.convex_hulls(pts, [len(pts)])
+        assert n.tolist() == [count] and np.array_equal(idx[end - count:end] - off, alone)

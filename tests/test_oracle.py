@@ -63,19 +63,6 @@ def test_hull_sampler(square_family):
     assert square_family.domain.contains_point(comp.vertices).all()
 
 
-def test_hull_sampler_gives_up_when_qhull_keeps_failing(square_family, monkeypatch):
-    calls = []
-
-    def failing_hull(points):
-        calls.append(len(points))
-        return None       # what convex_hull returns when Qhull rejects the points
-
-    monkeypatch.setattr(orc, "convex_hull", failing_hull)
-    with pytest.raises(SamplerInfeasibleError, match="Qhull failed"):
-        orc.sample_competitor(square_family, 0.9, "hull", seed=7)
-    assert len(calls) == orc.QHULL_RETRIES + 1
-
-
 def test_hull_ladder_starts_near_the_target(square_family):
     sweep = orc._Sweep(square_family, 0.9)
     rng = np.random.default_rng(12)
@@ -260,20 +247,13 @@ def test_disks_at_the_ball_measure_match_reference_loop(request, fam_name, kind)
 
 def test_sweep_raises_for_the_same_competitors(square_family, monkeypatch):
     k0 = orc._Sweep(square_family, 0.9).hull_k0
-    hull = orc.convex_hull
-
-    def picky_hull(points):
-        return None if points[0, 0] < 0.3 else hull(points)
-
     monkeypatch.setattr(orc, "HULL_K_MAX", k0)       # a short first rung fails
-    monkeypatch.setattr(orc, "QHULL_RETRIES", 1)     # so do two rejected hulls
-    monkeypatch.setattr(orc, "convex_hull", picky_hull)
     samplers = ["hull", "halfplane"]
     got = _batched(square_family, 0.9, 300, 2, samplers)
     ref = oracles.sweep_competitors(square_family, 0.9, 300, 2, samplers)
     _assert_same_competitors(got, ref, square_family.perimeter(0.9))
     reasons = {str(c).split(" ")[0] for c in ref if isinstance(c, SamplerInfeasibleError)}
-    assert reasons == {"hull", "Qhull"}
+    assert reasons == {"hull"}
     first = next(i for i, c in enumerate(ref) if isinstance(c, SamplerInfeasibleError))
     with pytest.raises(SamplerInfeasibleError, match=str(ref[first])):
         orc.verify_minimality(square_family, 0.9, 300, seed=2, samplers=samplers)
@@ -308,7 +288,7 @@ def _sweep_peak(family, v, n_samples):
 
 
 def test_sweep_memory_does_not_grow_with_samples(square_family):
-    _sweep_peak(square_family, 0.9, 100)     # imports scipy.spatial outside the trace
+    _sweep_peak(square_family, 0.9, 100)     # one-time costs stay outside the trace
     small = _sweep_peak(square_family, 0.9, 1000)
     large = _sweep_peak(square_family, 0.9, 8000)
     # blocks hold at most BLOCK_POINTS first-rung points; only the gaps

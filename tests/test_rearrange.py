@@ -273,8 +273,10 @@ def test_report_marches_each_level_once(square, monkeypatch, scale, sweeps):
     def spy(*args):
         calls.append(args)
         for length, pts in march(*args):
-            # at most one level's crossings (the consumer's last) are alive
-            assert sum(ref() is not None for ref in crossings) <= 1
+            # at most one hull block's crossings are alive: one level, or
+            # whole levels of at most CHUNK_PAIRS crossings in all
+            alive = [ref() for ref in crossings if ref() is not None]
+            assert len(alive) <= 1 or sum(map(len, alive)) <= rr.CHUNK_PAIRS
             crossings.append(weakref.ref(pts))
             yield length, pts
 
