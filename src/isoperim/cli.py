@@ -30,6 +30,7 @@ EXIT_CHECK = 6
 
 ANNEAL_BAND = 0.05
 SWEEP_MAX_STEPS = 10_000
+SAMPLES_MAX = 10 ** 6
 LEVELS_MIN, LEVELS_MAX = 16, 4096
 
 
@@ -128,8 +129,8 @@ def cmd_rearrange(args) -> int:
     io.write_report_csv(report, os.path.join(out, "report.csv"))
     top = float(ut.values.max(initial=0.0))
     levels = rearrange._threshold_grid(top if top > 0 else 1.0, 12)
-    contour_sets = [pts for _, pts in rearrange.march_levels(ut.values, ut.origin,
-                                                             ut.spacing, levels)]
+    blocks = rearrange.march_levels(ut.values, ut.origin, ut.spacing, levels)
+    contour_sets = [s for _, pts, n in blocks for s in np.split(pts, np.cumsum(n)[:-1])]
     with open(os.path.join(out, "levels.svg"), "w") as fh:
         fh.write(svgout.contours_svg(domain, contour_sets))
     if args.json:
@@ -146,6 +147,8 @@ def cmd_rearrange(args) -> int:
 def _check_verify_counts(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    if args.samples > SAMPLES_MAX:
+        raise ValueError(f"--samples must be at most {SAMPLES_MAX}, got {args.samples}")
     if not 0 <= args.anneal <= oracle.ANNEAL_MAX_GRID:
         raise ValueError(f"--anneal must be 0 (off) or a grid width from 1 to "
                          f"{oracle.ANNEAL_MAX_GRID}, got {args.anneal}")

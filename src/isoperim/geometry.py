@@ -788,15 +788,18 @@ class ErosionStructure:
     def distance_to_core(self, points, r):
         """Distance from points (m, 2) to the eroded core at per-point radii r.
 
-        Points are grouped by event interval and evaluated in blocks of at
-        most CHUNK_ENTRIES point-vertex pairs, so temporaries stay bounded
-        whatever the number of points.
+        At r = 0 the core is the domain polygon, as in core_body(0); other
+        points are grouped by event interval and evaluated in blocks of at
+        most CHUNK_ENTRIES point-vertex pairs, so temporaries stay bounded.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.broadcast_to(np.asarray(r, dtype=float), (pts.shape[0],))
         out = np.empty(pts.shape[0])
-        idx = self.interval_index(r)
-        order = np.argsort(idx, kind="stable")
+        at0 = r == 0.0
+        if np.any(at0):
+            out[at0] = self.core_body(0.0).distance(pts[at0])
+        idx = np.where(at0, -1, self.interval_index(r))
+        order = np.argsort(idx, kind="stable")[np.count_nonzero(at0):]
         ks, first = np.unique(idx[order], return_index=True)
         for k, lo, hi in zip(ks, first, [*first[1:], len(order)]):
             iv = self.intervals[k]

@@ -20,8 +20,9 @@ Livnat, Shen & Johnson, IEEE TVCG 1996) and only the mixed (cell, level)
 pairs are marched, level by level in row-major cell order, in blocks of
 at most CHUNK_PAIRS pairs (a level with more is a block of its own).  A
 block's cells are those still mixed from the last block plus those whose
-range starts in it.  Each level's length and crossings are bitwise those
-of a full-grid pass.
+range starts in it.  Each level's length is bitwise that of a full-grid
+pass, and each crossed cell edge gives one crossing, from the cell whose
+bottom or left edge it is.  The report hulls one marcher block at a time.
 """
 
 from dataclasses import dataclass, field
@@ -31,13 +32,13 @@ import numpy as np
 
 from .errors import DomainMismatchError
 from .family import MinimizerFamily
-from .geometry import ConvexPolygon, _measures, convex_hulls, polygon_measures
+from .geometry import ConvexPolygon, _measures, convex_hulls
 
 DEFAULT_LEVELS = 256
 EQ_DEFECT_FACTOR = 4.0     # equimeasurability bound: 4 h (P + 1)
 CONVEXITY_FACTOR = 2.0     # hull-area defect bound: 2 h P
 BV_TOL_REL = 0.02
-CHUNK_PAIRS = 4096         # (cell, level) pairs marched, or crossings hulled, at once
+CHUNK_PAIRS = 4096         # (cell, level) pairs marched at once
 
 
 @dataclass(eq=False)
@@ -146,11 +147,6 @@ class Profile:
 
     steps: np.ndarray
     cell_area: float
-    v_total: float
-
-    @property
-    def sup(self) -> float:
-        return float(self.steps[0]) if len(self.steps) else 0.0
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -176,8 +172,7 @@ def decreasing_rearrangement(u: GridFunction) -> Profile:
     """Sort positive samples descending; step widths are one cell area."""
     pos = u.values[u.values > 0.0]
     steps = np.sort(pos)[::-1].copy()
-    return Profile(steps=steps, cell_area=u.cell_area,
-                   v_total=polygon_measures(u.domain)[0])
+    return Profile(steps=steps, cell_area=u.cell_area)
 
 
 def convex_rearrangement(u: GridFunction, family: MinimizerFamily) -> GridFunction:
@@ -217,14 +212,14 @@ for _case, _pair in {1: (0, 3), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
     _SEGMENTS[[_case, _case + 16], :2] = _pair
 _SEGMENTS[[5, 26]] = (0, 3, 1, 2)   # (B,L) and (R,T)
 _SEGMENTS[[10, 21]] = (0, 1, 2, 3)  # (B,R) and (T,L)
-# _CROSSED[edge, case]: the edge's two corners differ, so a segment ends on it
-_CROSSED = np.array([[k >> i & 1 != k >> j & 1 for k in range(16)]
-                     for i, j in ((0, 1), (1, 2), (3, 2), (0, 3))])
+# _CROSSED[case]: edges B and L have differing corners, so a segment ends on them
+_CROSSED = np.array([[k & 1 != k >> i & 1 for i in (1, 3)] for k in range(16)])
 
 
 def march_levels(values, origin, spacing, ts):
-    """Yield (iso-contour length, (m, 2) edge crossings) of {values > t}
-    for each t of the ascending thresholds ts.
+    """Yield (lengths, points, counts) per block of the ascending thresholds
+    ts: each level's iso-contour length of {values > t} and crossing count,
+    and the block's (m, 2) edge crossings in level order, each edge once.
 
     The value field is padded with one ring of zeros so contours close at
     the grid edge.  Lengths are in physical units.
@@ -291,22 +286,25 @@ def march_levels(values, origin, spacing, ts):
         at = np.maximum(seg, 0).T * len(cs) + np.arange(len(cs))   # into ex.ravel()
         dxy = [np.take(e, at[1::2]) - np.take(e, at[0::2]) for e in (ex, ey)]
         seg_len = np.where(seg[:, 0::2].T >= 0, np.hypot(*dxy), 0.0)
-        crossed = np.take(_CROSSED, cs, axis=1)
-        for k in range(k0, k1):   # one np.sum per level keeps a full-grid pass's bits
-            s = slice(first[k] - first[k0], first[k + 1] - first[k0])   # level k
-            c = crossed[:, s]
-            yield (float(np.sum(seg_len[0, s]) + np.sum(seg_len[1, s])),
-                   np.stack([ex[:, s][c], ey[:, s][c]], axis=1))
+        # one np.sum per level keeps a full-grid pass's bits
+        bounds = first[k0:k1 + 1] - first[k0]
+        lengths = np.array([np.sum(seg_len[0, i:j]) + np.sum(seg_len[1, i:j])
+                            for i, j in zip(bounds[:-1], bounds[1:])])
+        # the B and L rows of ex, ey; a crossed R or T edge is another cell's L or B
+        crossed = np.take(_CROSSED, cs, axis=0)
+        cum = np.concatenate([[0], np.cumsum(crossed.sum(axis=1))])
+        yield (lengths, np.stack([ex[::3].T[crossed], ey[::3].T[crossed]], axis=1),
+               np.diff(cum[bounds]))
         k0 = k1
 
 
 def level_perimeter(u: GridFunction, t: float) -> float:
     """Marching-squares boundary length of {u > t}."""
-    return next(march_levels(u.values, u.origin, u.spacing, [t]))[0]
+    return float(next(march_levels(u.values, u.origin, u.spacing, [t]))[0][0])
 
 
 def level_contour_points(u: GridFunction, t: float) -> np.ndarray:
-    """All edge-crossing points of the iso-contour at t, as an (m, 2) array."""
+    """The edge crossings of the iso-contour at t, each once, as an (m, 2) array."""
     return next(march_levels(u.values, u.origin, u.spacing, [t]))[1]
 
 
@@ -328,7 +326,7 @@ def bv_norm_estimate(u: GridFunction, levels: int = DEFAULT_LEVELS):
         return 0.0, 0.0, 0.0
     ts = _threshold_grid(top, levels)
     sweep = march_levels(u.values, u.origin, u.spacing, ts)
-    return _coarea(u, ts, np.array([length for length, _ in sweep]))
+    return _coarea(u, ts, np.concatenate([lengths for lengths, _, _ in sweep]))
 
 
 def _coarea(u: GridFunction, ts: np.ndarray, per: np.ndarray):
@@ -398,13 +396,12 @@ class RearrangementReport:
         }
 
 
-def _hull_areas(levels) -> np.ndarray:
+def _hull_areas(pts, counts) -> np.ndarray:
     """Hull area of each level's crossings, from one convex_hulls call."""
-    pts = np.concatenate(levels)
-    idx, counts = convex_hulls(pts, [len(p) for p in levels])
-    area = np.zeros(len(levels))
+    idx, hull = convex_hulls(pts, counts)
+    area = np.zeros(len(counts))
     if len(idx):
-        area[counts > 0] = _measures(pts[idx], counts[counts > 0])[0]
+        area[hull > 0] = _measures(pts[idx], hull[hull > 0])[0]
     return area
 
 
@@ -424,20 +421,15 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     top = float(u.values.max(initial=0.0))
     ts = _threshold_grid(top if top > 0 else 1.0, levels)
     mu_u, mu_ut = distribution(u, ts), distribution(ut, ts)
-    per_u = np.array([length for length, _ in march_levels(u.values, u.origin,
-                                                            u.spacing, ts)])
+    per_u = np.concatenate([lengths for lengths, _, _ in march_levels(u.values, u.origin,
+                                                                       u.spacing, ts)])
     bv_u, bv_ut = _coarea(u, ts, per_u), bv_norm_estimate(ut, levels)
-    # u_tilde's levels are hulled in blocks of whole levels, at most
-    # CHUNK_PAIRS crossings each (a level with more is a block of its own)
-    per_ut, hull = np.empty((2, len(ts)))
-    block, size = [], 0
-    for k, (per_ut[k], pts) in enumerate(march_levels(ut.values, ut.origin, ut.spacing, ts)):
-        if block and size + len(pts) > CHUNK_PAIRS:
-            hull[k - len(block):k] = _hull_areas(block)
-            block, size = [], 0
-        block.append(pts)
-        size += len(pts)
-    hull[len(ts) - len(block):] = _hull_areas(block)
+    # u_tilde's levels are hulled a marcher block at a time
+    per_ut, hull = [], []
+    for lengths, pts, counts in march_levels(ut.values, ut.origin, ut.spacing, ts):
+        per_ut.append(lengths)
+        hull.append(_hull_areas(pts, counts))
+    per_ut, hull = np.concatenate(per_ut), np.concatenate(hull)
     conv_defect = hull - mu_ut
     eq_defect = np.abs(mu_u - mu_ut)
     eq_bound = EQ_DEFECT_FACTOR * h * (per_u + 1.0)

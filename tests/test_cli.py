@@ -242,6 +242,9 @@ def test_verify_with_anneal_writes_pgm(square_json, tmp_path):
 @pytest.mark.parametrize("flag,value,message", [
     ("--samples", "0", "--samples must be at least 1, got 0"),
     ("--samples", "-5", "--samples must be at least 1, got -5"),
+    ("--samples", "1000001", "--samples must be at most 1000000, got 1000001"),
+    ("--samples", "10000000000000",
+     "--samples must be at most 1000000, got 10000000000000"),
     ("--anneal", "-4", "--anneal must be 0 (off) or a grid width from 1 to 256, got -4"),
     ("--anneal", "257", "--anneal must be 0 (off) or a grid width from 1 to 256, got 257"),
 ])

@@ -517,3 +517,16 @@ def test_shape_contains_agrees_with_member(scale):
         pts = f.balls.midpoint + t * direction
         pts = np.concatenate([pts, f.balls.midpoint + 1.001 * shape.radius * direction[:50]])
         assert np.array_equal(shape.contains(pts), f.member(v, pts))
+
+
+def test_member_at_full_volume_beside_a_nearly_flat_vertex():
+    # vertex 1 is nearly flat: the structure's r = 0 polygon, which meets
+    # its two edge lines, misses it by 7.2e-10 against an eps of 6.9e-10
+    verts = np.array([[0.0, 0.0], [0.14992854442813724, 0.17485287880129005],
+                      [0.2998570860324425, 0.3497057600238901],
+                      [0.12500421005498444, 0.49963430203071735],
+                      [-0.17485287880129005, 0.14992854442813724]])
+    f = build_family(geo.validate_polygon(verts))
+    assert np.array_equal(f.structure.distance_to_core(verts, 0.0), np.zeros(5))
+    assert np.all(f.member(f.v_max, verts))
+    assert np.array_equal(f.member(f.v_max, verts), f.minimizer(f.v_max).contains(verts))

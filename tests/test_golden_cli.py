@@ -67,12 +67,12 @@ REARRANGE_GOLDEN = {
         "u_tilde.grid": "a37aadef6c726535f522e993434fe625673e725af365ad001ee9c6f939804d51",
         "report.json": "40a42dd9abf88e000e5c923fefc1d629b4ebd937420abc96da2da6f331ece52b",
         "report.csv": "be0ac31bf39bb51f31e305ef3f796a4099181c96511c4ce8bd1804a04035b551",
-        "levels.svg": "d627c457926f5be552d236000edb5338d183518fe47fc7f7fabcdb2a62513ed6"}),
+        "levels.svg": "c6a8b05f670bd13f57efd966c2ad2b16c8ac79cfded09cfe240767a80c6db7b8"}),
     (64, "lattice"): (True, {
         "u_tilde.grid": "130d80851a743a92b721f5a279231a27f72a9f37057a0048937364049a73a13a",
         "report.json": "b781cf9fb7a37bfa0e1a5d7ac61ace8e90eeb15c31ace030b0753df0f894709f",
         "report.csv": "1eb49b0bda21200bb8e67a3b70690a60593fe4c987313576d4a84e1131ad21f0",
-        "levels.svg": "eb1596de4cddea6cd8be2ec3068209c877d19c360ad9d566eec9ccff8d4e8a2c"}),
+        "levels.svg": "6db0567a34087c707b20517f1264e30212590c0e9a789b0e8014780310814905"}),
 }
 
 

@@ -267,23 +267,26 @@ def test_report_marches_each_level_once(square, monkeypatch, scale, sweeps):
     u = cone_grid(square, 32)
     ut = u.with_values(scale * u.values)
     levels = 24
+    monkeypatch.setattr(rr, "CHUNK_PAIRS", 100)   # several blocks per sweep
     march = rr.march_levels
-    calls, crossings = [], []
+    calls, blocks, marched = [], [], []
 
     def spy(*args):
         calls.append(args)
-        for length, pts in march(*args):
-            # at most one hull block's crossings are alive: one level, or
-            # whole levels of at most CHUNK_PAIRS crossings in all
-            alive = [ref() for ref in crossings if ref() is not None]
-            assert len(alive) <= 1 or sum(map(len, alive)) <= rr.CHUNK_PAIRS
-            crossings.append(weakref.ref(pts))
-            yield length, pts
+        for lengths, pts, counts in march(*args):
+            # at most one earlier block's crossings are alive: the report
+            # hulls each marcher block as it comes
+            assert sum(ref() is not None for ref in blocks) <= 1
+            assert len(lengths) == len(counts) and np.sum(counts) == len(pts)
+            blocks.append(weakref.ref(pts))
+            marched.append(len(counts))
+            yield lengths, pts, counts
 
     monkeypatch.setattr(rr, "march_levels", spy)
     rep = rr.rearrangement_report(u, ut, levels)
     assert len(calls) == sweeps
-    assert len(crossings) == sweeps * levels
+    assert sum(marched) == sweeps * levels
+    assert scale == 0.0 or len(blocks) > sweeps
     assert rep.bv_u == rr.bv_norm_estimate(u, levels)
     assert rep.bv_ut == rr.bv_norm_estimate(ut, levels)
     assert np.array_equal(rep.per_ut, [rr.level_perimeter(ut, t) for t in rep.thresholds])
@@ -302,6 +305,37 @@ def _sweep_grids(rng, count):
         yield values, np.sort(ts)
 
 
+def _levels(blocks):
+    """(lengths, crossings per level) of march_levels' block records."""
+    blocks = list(blocks)
+    for lengths, pts, counts in blocks:
+        assert lengths.dtype == float and len(lengths) == len(counts)
+        assert np.sum(counts) == len(pts)
+    return (np.concatenate([lengths for lengths, _, _ in blocks]),
+            [level for _, pts, counts in blocks
+             for level in np.split(pts, np.cumsum(counts)[:-1])])
+
+
+def _keys(pts, a=0, b=1):
+    """Rows of pts as complex numbers, which sort by coordinate a, then b."""
+    return pts[:, a] + 1j * pts[:, b]
+
+
+def _all_near(ref, pts, ulps):
+    """Whether every row of ref lies within ulps (per coordinate) of a row
+    of pts.  A crossing and its twin from the other cell on its edge share
+    one coordinate exactly, so the twin is next to it when pts is sorted by
+    that coordinate, then the other."""
+    near = np.zeros(len(ref), bool)
+    for a, b in ((0, 1), (1, 0)):
+        key = np.sort(_keys(pts, a, b))
+        at = np.searchsorted(key, _keys(ref, a, b))
+        for k in (np.maximum(at - 1, 0), np.minimum(at, len(key) - 1)):
+            near |= ((np.abs(key[k].real - ref[:, a]) <= ulps[a])
+                     & (np.abs(key[k].imag - ref[:, b]) <= ulps[b]))
+    return bool(np.all(near))
+
+
 @pytest.mark.parametrize("chunk", [1, 7, rr.CHUNK_PAIRS])
 def test_march_levels_matches_full_grid_passes(monkeypatch, chunk):
     # blocks of 1 and 7 pairs split the sweep at nearly every level
@@ -309,12 +343,35 @@ def test_march_levels_matches_full_grid_passes(monkeypatch, chunk):
     rng = np.random.default_rng(chunk)
     for values, ts in _sweep_grids(rng, 120):
         origin, spacing = rng.normal(size=2), rng.uniform(0.1, 2.0, 2)
-        got = list(rr.march_levels(values, origin, spacing, ts))
-        assert len(got) == len(ts)
-        for t, (length, pts) in zip(ts, got):
+        lengths, levels = _levels(rr.march_levels(values, origin, spacing, ts))
+        assert len(lengths) == len(levels) == len(ts)
+        for t, length, pts in zip(ts, lengths, levels):
             ref_length, ref_pts = oracles._marching_squares(values, origin, spacing, t)
-            assert length == ref_length and type(length) is float
-            assert pts.shape == ref_pts.shape and np.array_equal(pts, ref_pts)
+            assert length == ref_length
+            # the reference has each crossing twice, once from each cell on
+            # its edge; the two copies differ by at most a few ulps
+            assert 2 * len(pts) == len(ref_pts)
+            assert np.all(np.isin(_keys(pts), _keys(ref_pts)))
+            if len(pts):
+                assert _all_near(ref_pts, pts, 4.0 * np.spacing(np.abs(ref_pts).max(axis=0)))
+
+
+@pytest.mark.parametrize("t,length", [(0.5, 4.0), (0.4, 4.4)],
+                         ids=["center-below", "center-above"])
+@pytest.mark.parametrize("values", [np.eye(2), np.eye(2)[::-1]], ids=["case5", "case10"])
+def test_march_levels_saddle_cells(values, t, length):
+    # samples 1 on one diagonal and 0 on the other: the cell between the
+    # four samples is a saddle, split at t = 0.5 (center average not above
+    # t) into two diamonds of side (1 - t) sqrt 2 about the 1-samples, and
+    # joined through the center at t = 0.4
+    lengths, (pts,) = _levels(rr.march_levels(values, (0.0, 0.0), (1.0, 1.0), [t]))
+    assert lengths[0] == pytest.approx(length * np.sqrt(2.0), rel=1e-14)
+    assert lengths[0] == oracles._marching_squares(values, (0.0, 0.0), (1.0, 1.0), t)[0]
+    ones = np.argwhere(values == 1.0)[:, ::-1]   # (i, j) of values[j, i]
+    step = (1.0 - t) * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    want = (ones[:, None, :] + step).reshape(-1, 2)
+    assert len(pts) == 8   # every crossing once
+    assert np.allclose(pts[np.lexsort(pts.T)], want[np.lexsort(want.T)], rtol=0, atol=1e-15)
 
 
 def test_march_levels_rejects_descending_thresholds():
