@@ -576,8 +576,10 @@ class _CroftonCounter:
 
     ``sums`` keeps, per padded cell x, the stencil sum
     ``sum_k coef_k * (buf[x + o_k] + buf[x - o_k])`` (cells beyond the
-    buffer read as outside), so a swap's perimeter change is read off
-    two entries by ``delta`` and only a committed swap updates them.
+    buffer read as outside), so a swap's perimeter change is
+    ``sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0)`` and only a
+    committed swap updates them.  ``nin`` keeps, per padded cell, its
+    count of in-cell 4-neighbours, and ``nin_cells`` is its live 2-D view.
     """
 
     def __init__(self, grid, cell):
@@ -593,23 +595,16 @@ class _CroftonCounter:
         self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}
         self.adjacent_coef = {d: self.coef[k] for d, k in self.adjacent.items()}
         self.sums = _stencil_sums(self.cells, self.coef).ravel().tolist()
+        ext = np.pad(self.cells, 1).astype(np.uint8)
+        nin = ext[:-2, 1:-1] + ext[2:, 1:-1] + ext[1:-1, :-2] + ext[1:-1, 2:]
+        self.nin = bytearray(nin.tobytes())
+        self.nin_cells = np.frombuffer(self.nin, dtype=np.uint8).reshape(nin.shape)
 
     def perimeter(self, counts=None) -> float:
         total = 0.0
         for c, n in zip(self.coef, self.counts if counts is None else counts):
             total += c * n
         return 0.5 * total
-
-    def delta(self, p, q) -> float:
-        """Perimeter change once in-cell p leaves and out-cell q joins.
-
-        Per direction, p leaving changes the perimeter by its neighbours'
-        weight less coef_k, and q joining by coef_k less its neighbours'
-        weight read with p already out: S[p] - S[q], plus coef_k when p
-        is q's neighbour along direction k.
-        """
-        sums = self.sums
-        return sums[p] - sums[q] + self.adjacent_coef.get(q - p, 0.0)
 
     def price(self, p, q):
         """(counts, perimeter) once in-cell p leaves and out-cell q joins.
@@ -626,7 +621,8 @@ class _CroftonCounter:
         return counts, self.perimeter(counts)
 
     def commit(self, p, q, counts):
-        """Apply a swap priced by ``price``, and update the stencil sums around p and q."""
+        """Apply a swap priced by ``price``, and update the stencil sums and
+        4-neighbour counts around p and q."""
         self.buf[p] = 0
         self.buf[q] = 1
         self.counts = counts
@@ -636,6 +632,17 @@ class _CroftonCounter:
             sums[p - d] -= c
             sums[q + d] += c
             sums[q - d] += c
+        nin = self.nin
+        for d in self.n4:
+            nin[p + d] -= 1
+            nin[q + d] += 1
+
+    def boundaries(self, mask_cells):
+        """Flat indices, in row-major order, of in-cells with an out 4-neighbour
+        and of masked out-cells with an in 4-neighbour."""
+        cells, nin = self.cells, self.nin_cells
+        return (np.flatnonzero(cells & (nin < 4)),
+                np.flatnonzero((mask_cells > cells) & (nin > 0)))
 
 
 def _stencil_sums(cells, coef):
@@ -695,19 +702,21 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
     in-set, so the cell count is conserved exactly.  Each sweep draws all
     its moves and acceptance limits at once (``_sweep_moves``).  The
     energy is the Crofton perimeter: a proposal is decided on the
-    counter's kept stencil sums, and only an accepted swap is priced
-    into exact transition counts, whose perimeter is the energy of
-    record.  Starts from a compact axis-aligned block at a seeded
-    position.
+    counter's kept stencil sums and 4-neighbour counts, and only an
+    accepted swap is priced into exact transition counts, whose
+    perimeter is the energy of record.  Starts from a compact
+    axis-aligned block at a seeded position.
     """
-    if grid_n > ANNEAL_MAX_GRID:
-        raise ValueError(f"desk-scale oracle: grid_n must be at most {ANNEAL_MAX_GRID}")
+    if (isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer))
+            or not 1 <= grid_n <= ANNEAL_MAX_GRID):
+        raise ScheduleInvalidError(f"desk-scale oracle: grid_n must be an integer from 1 to "
+                                   f"{ANNEAL_MAX_GRID}, got {grid_n!r}")
     schedule = schedule or AnnealSchedule()
     schedule.validate()
     rng, mask, grid, h, origin = _anneal_start(domain, v, grid_n, seed)
     count = int(grid.sum())
     counter = _CroftonCounter(grid, h)
-    buf, n4, delta = counter.buf, counter.n4, counter.delta
+    buf, nin, sums, adjacent_coef = counter.buf, counter.nin, counter.sums, counter.adjacent_coef
     mask_buf, mask_cells = _padded_buffer(mask)
     energy = counter.perimeter()
     best = bytes(buf)
@@ -717,13 +726,15 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
     proposals = accepted = 0
 
     for sweep in range(schedule.sweeps):
-        bd_in, bd_out = _boundaries(counter.cells, mask_cells)
+        bd_in, bd_out = counter.boundaries(mask_cells)
         if len(bd_in) == 0 or len(bd_out) == 0:
             trace[sweep:] = energy
             break
         proposals += len(bd_in)
         for p, q, limit in _sweep_moves(rng, bd_in, bd_out, temp):
-            if _valid_swap(buf, mask_buf, n4, p, q) and delta(p, q) <= limit:
+            # valid: p is in with an out 4-neighbour, q a masked out-cell with an in one
+            if (buf[p] and not buf[q] and mask_buf[q] and nin[p] < 4 and nin[q]
+                    and sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0) <= limit):
                 counts, energy = counter.price(p, q)
                 counter.commit(p, q, counts)
                 accepted += 1
@@ -732,7 +743,8 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
                     best = bytes(buf)
         trace[sweep] = energy
         temp *= schedule.ratio
-        assert int(counter.g.sum()) == count  # swap moves conserve the count
+        if np.count_nonzero(counter.g) != count:  # swap moves conserve the count
+            raise RuntimeError(f"anneal sweep {sweep} changed the cell count from {count}")
 
     best_grid = _unpad(best, counter.cells.shape)
     assert int(best_grid.sum()) == count
@@ -759,7 +771,7 @@ def _anneal_start(domain, v, grid_n, seed):
     mask = mask.reshape(ny, nx)
     count = int(round(v / (h * h)))
     if not 0 < count <= int(mask.sum()):
-        raise ValueError("target area infeasible on this grid")
+        raise ScheduleInvalidError("target area infeasible on this grid")
     return rng, mask, _seed_block(rng, mask, count), h, lo + 0.5 * h
 
 
@@ -799,38 +811,3 @@ def _seed_block(rng, mask, count):
     grid = grid.reshape(ny, nx)
     assert not np.any(grid & ~mask)
     return grid
-
-
-_N4 = np.array([(0, 1), (0, -1), (1, 0), (-1, 0)])
-
-
-def _boundaries(cells, mask):
-    """Flat indices of in-cells with an out 4-neighbor and of masked out-cells
-    with an in 4-neighbor, in row-major order, on the zero-padded views."""
-    ny, nx = cells.shape
-    inner = cells[1:-1, 1:-1]
-    nbr_out = np.zeros_like(inner)
-    nbr_in = np.zeros_like(inner)
-    for dj, di in _N4:
-        sl = cells[1 + dj: ny - 1 + dj, 1 + di: nx - 1 + di]
-        nbr_out |= ~sl
-        nbr_in |= sl
-    bd_in = np.zeros_like(cells)
-    bd_out = np.zeros_like(cells)
-    bd_in[1:-1, 1:-1] = inner & nbr_out
-    bd_out[1:-1, 1:-1] = mask[1:-1, 1:-1] & ~inner & nbr_in
-    return np.flatnonzero(bd_in), np.flatnonzero(bd_out)
-
-
-def _has_neighbor(buf, n4, x, value):
-    for d in n4:
-        if buf[x + d] == value:
-            return True
-    return False
-
-
-def _valid_swap(buf, mask, n4, p, q):
-    """Boundary swap stays valid against the current (possibly stale-listed) state."""
-    if not buf[p] or buf[q] or not mask[q]:
-        return False
-    return _has_neighbor(buf, n4, p, 0) and _has_neighbor(buf, n4, q, 1)

@@ -6,7 +6,8 @@ scratch after each event, and by scanning all edges at every event;
 the r <-> v inversion, the rank and the half-plane competitor's cut
 offset by bisection, the inradius by a linear program, marching
 squares by one full-grid pass per threshold, the annealing chain by
-pricing every proposal from the stencil, and the competitor sweep one
+pricing every proposal from the stencil and reading its boundary lists
+and swap validity from the grid bytes, and the competitor sweep one
 competitor at a time, each hull by Qhull and each half-plane cut by a
 root per normal and a clip loop.
 """
@@ -523,13 +524,13 @@ def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
     trace = np.empty(schedule.sweeps)
     proposals = accepted = 0
     for sweep in range(schedule.sweeps):
-        bd_in, bd_out = orc._boundaries(counter.cells, mask_cells)
+        bd_in, bd_out = _boundaries(counter.cells, mask_cells)
         if len(bd_in) == 0 or len(bd_out) == 0:
             trace[sweep:] = current
             break
         proposals += len(bd_in)
         for p, q, limit in orc._sweep_moves(rng, bd_in, bd_out, temp):
-            if not orc._valid_swap(buf, mask_buf, n4, p, q):
+            if not _valid_swap(buf, mask_buf, n4, p, q):
                 continue
             counts, after = counter.price(p, q)
             if after - current <= limit:
@@ -545,6 +546,56 @@ def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
                             cell=h, in_count=int(grid.sum()), seed=seed,
                             energy_trace=trace, temperature_final=float(temp),
                             proposals=proposals, accepted=accepted)
+
+
+_N4 = np.array([(0, 1), (0, -1), (1, 0), (-1, 0)])
+
+
+def _boundaries(cells, mask):
+    """Flat indices of in-cells with an out 4-neighbor and of masked out-cells
+    with an in 4-neighbor, in row-major order, on the zero-padded views,
+    by one stencil pass per neighbour."""
+    ny, nx = cells.shape
+    inner = cells[1:-1, 1:-1]
+    nbr_out = np.zeros_like(inner)
+    nbr_in = np.zeros_like(inner)
+    for dj, di in _N4:
+        sl = cells[1 + dj: ny - 1 + dj, 1 + di: nx - 1 + di]
+        nbr_out |= ~sl
+        nbr_in |= sl
+    bd_in = np.zeros_like(cells)
+    bd_out = np.zeros_like(cells)
+    bd_in[1:-1, 1:-1] = inner & nbr_out
+    bd_out[1:-1, 1:-1] = mask[1:-1, 1:-1] & ~inner & nbr_in
+    return np.flatnonzero(bd_in), np.flatnonzero(bd_out)
+
+
+def _has_neighbor(buf, n4, x, value):
+    for d in n4:
+        if buf[x + d] == value:
+            return True
+    return False
+
+
+def _valid_swap(buf, mask, n4, p, q):
+    """Boundary swap stays valid against the current (possibly stale-listed)
+    state, read from the grid bytes."""
+    if not buf[p] or buf[q] or not mask[q]:
+        return False
+    return _has_neighbor(buf, n4, p, 0) and _has_neighbor(buf, n4, q, 1)
+
+
+def delta(counter, p, q):
+    """Perimeter change once in-cell p leaves and out-cell q joins.
+
+    Per direction, p leaving changes the perimeter by its neighbours'
+    weight less coef_k, and q joining by coef_k less its neighbours'
+    weight read with p already out: S[p] - S[q], plus coef_k when p
+    is q's neighbour along direction k.  ``anneal_discrete`` reads the
+    same expression inline.
+    """
+    sums = counter.sums
+    return sums[p] - sums[q] + counter.adjacent_coef.get(q - p, 0.0)
 
 
 def index(counter, j, i):

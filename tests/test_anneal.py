@@ -2,8 +2,10 @@
 
 Each swap is priced from the counter's flat Crofton stencil without
 touching the grid. The property tests compare the priced counts with
-transition counts recomputed from scratch after the swap, and the kept
-stencil sums with a rebuild after a run of committed swaps; the golden
+transition counts recomputed from scratch after the swap, the kept
+stencil sums with a rebuild after a run of committed swaps, and the
+kept 4-neighbour counts and the boundary lists read off them with
+recounts along short seeded chains; the golden
 tests pin whole seeded runs, so any change to the move sequence, the
 RNG draws or the float expressions shows up as a changed hash, and the
 chain must equal the reference that prices every proposal.
@@ -15,9 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import convolve
 
 import oracles
+from conftest import SQUARE
 from isoperim import oracle as orc
+from isoperim.errors import ScheduleInvalidError
+from isoperim.geometry import validate_polygon
 
 DIRS = [(int(a), int(b)) for a, b in orc._CROFTON_DIRS]
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
@@ -81,7 +87,7 @@ def _is_valid_swap(grid, p, q):
     mask_buf, _ = orc._padded_buffer(np.ones_like(grid))
     width = cells.shape[1]
     p, q = ((j + orc._PAD) * width + i + orc._PAD for j, i in (p, q))
-    return orc._valid_swap(buf, mask_buf, (1, -1, width, -width), p, q)
+    return oracles._valid_swap(buf, mask_buf, (1, -1, width, -width), p, q)
 
 
 def _check_priced_swap(grid, p, q):
@@ -153,7 +159,7 @@ def _check_kept_sums(counter, swaps):
     current = counter.perimeter()
     for p, q in swaps:
         _, after = counter.price(p, q)
-        assert abs(counter.delta(p, q) - (after - current)) <= 1e-12 * current
+        assert abs(oracles.delta(counter, p, q) - (after - current)) <= 1e-12 * current
 
 
 @pytest.mark.parametrize("direction", range(len(DIRS)))
@@ -167,7 +173,7 @@ def test_kept_sums_follow_commits(direction, data):
     counter = orc._CroftonCounter(grid, 0.125)
     mask_buf, _ = orc._padded_buffer(np.ones_like(grid))
     swaps = [(oracles.index(counter, *p), oracles.index(counter, *q))]
-    assume(orc._valid_swap(counter.buf, mask_buf, counter.n4, *swaps[0]))
+    assume(oracles._valid_swap(counter.buf, mask_buf, counter.n4, *swaps[0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for _ in range(data.draw(st.integers(1, 12))):
         _check_kept_sums(counter, swaps)
@@ -175,11 +181,66 @@ def test_kept_sums_follow_commits(direction, data):
         cells = [oracles.index(counter, j, i) for j, i in
                  zip(rng.integers(grid.shape[0], size=16), rng.integers(grid.shape[1], size=16))]
         swaps = [m for m in zip(cells[::2], cells[1::2])
-                 if orc._valid_swap(counter.buf, mask_buf, counter.n4, *m)]
+                 if oracles._valid_swap(counter.buf, mask_buf, counter.n4, *m)]
         if not swaps:
             break
     _check_kept_sums(counter, swaps)
     assert counter.counts == [orc._transition_count(counter.g, a, b) for a, b in DIRS]
+
+
+TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+class _CheckedCounter(orc._CroftonCounter):
+    """The chain's counter, checking its kept 4-neighbour counts at every
+    sweep's boundary lists and every commit against fresh recounts and
+    the grid-byte reference."""
+
+    def check_counts(self):
+        cross = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        recount = convolve(self.cells.astype(int), cross, mode="constant")
+        assert np.array_equal(self.nin_cells, recount)
+
+    def boundaries(self, mask_cells):
+        self.check_counts()
+        bd_in, bd_out = super().boundaries(mask_cells)
+        ref_in, ref_out = oracles._boundaries(self.cells, mask_cells)
+        assert np.array_equal(bd_in, ref_in) and np.array_equal(bd_out, ref_out)
+        # an in-cell beside a cell outside the mask: the set touches the mask's edge
+        self.touched |= bool(np.any(self.cells & (convolve(
+            ~mask_cells, np.ones((3, 3), bool), mode="constant") > 0)))
+        return bd_in, bd_out
+
+    def commit(self, p, q, counts):
+        assert oracles._valid_swap(self.buf, self.mask_buf, self.n4, p, q)
+        self.adjacent_swaps += (q - p) in self.n4
+        super().commit(p, q, counts)
+        self.check_counts()
+
+
+@PROPERTY
+@given(shape=st.sampled_from(["square", "triangle"]), grid_n=st.integers(4, 12),
+       fill=st.floats(0.3, 0.9), seed=st.integers(0, 2**16))
+def test_kept_neighbour_counts_follow_the_chain(shape, grid_n, fill, seed):
+    # the chain runs with a counter that checks itself; fill is a share of the area
+    domain = validate_polygon(SQUARE if shape == "square" else TRIANGLE)
+    v = fill * (1.0 if shape == "square" else 0.5)
+    _, mask, _, _, _ = orc._anneal_start(domain, v, grid_n, seed)
+    counters = []
+
+    def checked(grid, cell):
+        counter = _CheckedCounter(grid, cell)
+        counter.mask_buf, _ = orc._padded_buffer(mask)
+        counter.touched, counter.adjacent_swaps = False, 0
+        counters.append(counter)
+        return counter
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(orc, "_CroftonCounter", checked)
+        res = orc.anneal_discrete(domain, v, grid_n, orc.AnnealSchedule(sweeps=40), seed=seed)
+    (counter,) = counters
+    assert res.accepted > 0
+    assert counter.touched and counter.adjacent_swaps > 0
 
 
 # Results of anneal_discrete with each sweep's moves drawn at once and
@@ -233,3 +294,21 @@ def test_anneal_matches_priced_chain(request, domain, v, grid_n, sweeps, seed):
     # the energy of record is the perimeter of exact counts
     assert res.perimeter == orc.crofton_perimeter(res.grid, res.cell)
     assert 0 < res.accepted <= res.proposals
+
+
+@pytest.mark.parametrize("grid_n", [0, -3, 2.5, 16.0, True, orc.ANNEAL_MAX_GRID + 1, "16"])
+def test_anneal_rejects_bad_grid_width(square, grid_n):
+    with pytest.raises(ScheduleInvalidError, match="grid_n must be an integer from 1 to 256"):
+        orc.anneal_discrete(square, 0.5, grid_n, seed=0)
+
+
+@pytest.mark.parametrize("v,grid_n", [(2.0, 16), (1e-4, 4)])
+def test_anneal_rejects_infeasible_area(square, v, grid_n):
+    # more cells than the mask holds, or none at all
+    with pytest.raises(ScheduleInvalidError, match="target area infeasible on this grid"):
+        orc.anneal_discrete(square, v, grid_n, seed=0)
+
+
+def test_anneal_accepts_numpy_grid_width(square):
+    res = orc.anneal_discrete(square, 0.5, np.int64(6), orc.AnnealSchedule(sweeps=5), seed=0)
+    assert res.in_count == 18
