@@ -4,22 +4,21 @@ Subcommands: ``minimizer`` (one shape), ``family`` (a volume sweep),
 ``rearrange`` (convex rearrangement of a grid function plus its report),
 ``verify`` (competitor sweep and optional annealing oracle).
 
-Exit codes: 0 success, 2 parse or usage error, 3 geometry error,
-4 volume out of range, 5 domain mismatch, 6 verification failure.
+Exit codes: 0 success, 2 parse or usage error (sampler and annealing
+schedule failures included), 3 geometry error, 4 volume out of range,
+5 domain mismatch, 6 verification failure.
 Outputs are deterministic for a fixed config and seed; numbers are
 pinned to 9 significant digits.
 """
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import io, oracle, rearrange, svgout
-from .errors import (DomainMismatchError, GeometryError,
-                     VolumeOutOfRangeError)
+from .errors import DomainMismatchError, GeometryError, VolumeOutOfRangeError
 from .family import KINDS, build_family
 
 EXIT_PARSE = 2
@@ -27,6 +26,9 @@ EXIT_GEOMETRY = 3
 EXIT_VOLUME = 4
 EXIT_MISMATCH = 5
 EXIT_CHECK = 6
+# the first entry whose class matches gives the exit code: most specific first
+_EXIT_CODES = ((VolumeOutOfRangeError, EXIT_VOLUME), (DomainMismatchError, EXIT_MISMATCH),
+               (GeometryError, EXIT_GEOMETRY), ((OSError, ValueError), EXIT_PARSE))
 
 ANNEAL_BAND = 0.05
 SWEEP_MAX_STEPS = 10_000
@@ -239,18 +241,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code else 0
     try:
         return args.func(args)
-    except VolumeOutOfRangeError as exc:
+    except (OSError, ValueError) as exc:   # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VOLUME
-    except DomainMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -107,10 +107,9 @@ class MinimizerFamily:
 
     # -- volume bookkeeping --------------------------------------------------
 
-    def _check_volume(self, v, allow_zero=False):
+    def _check_volume(self, v):
         v = np.asarray(v, dtype=float)
-        lo_ok = v >= -self.tol_area if allow_zero else v > 0.0
-        if not np.all(lo_ok & (v <= self.v_max * (1.0 + TOL_REL))):
+        if not np.all((v > 0.0) & (v <= self.v_max * (1.0 + TOL_REL))):
             raise VolumeOutOfRangeError(
                 f"volume outside (0, {self.v_max}]")
         return np.minimum(v, self.v_max)

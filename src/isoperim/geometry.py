@@ -288,10 +288,10 @@ def convex_hulls(points, counts):
 def validate_polygon(vertices) -> ConvexPolygon:
     """Validate a vertex list and return a normalized CCW ConvexPolygon.
 
-    Rejects non-numeric or ragged input, non-finite coordinates, duplicate
-    vertices, collinear runs and non-convex chains: each turn must have a
-    sine above EPS_GEOM, whatever the edge lengths.  CW input is reversed
-    (recorded on the result).
+    Rejects non-numeric or ragged input, non-finite coordinates, a span
+    whose square overflows, duplicate vertices, collinear runs and
+    non-convex chains: each turn must have a sine above EPS_GEOM, whatever
+    the edge lengths.  CW input is reversed (recorded on the result).
     """
     try:
         arr = np.asarray(vertices, dtype=float)
@@ -306,7 +306,11 @@ def validate_polygon(vertices) -> ConvexPolygon:
 
     lo = arr.min(axis=0)
     hi = arr.max(axis=0)
-    scale = float(np.linalg.norm(hi - lo))
+    with np.errstate(over="ignore"):
+        span = hi - lo
+        scale = float(np.linalg.norm(span))
+    if not math.isfinite(scale * scale):
+        raise DegenerateError(f"coordinate span {span.tolist()} overflows when squared")
     if scale <= 0.0:
         raise DegenerateError("all vertices coincide")
 
@@ -442,18 +446,6 @@ def _farthest_pair(pts):
     return i, j, math.sqrt(best)
 
 
-def _vertex_paths(N, D, a, b):
-    """Paths Z + r S of the vertices joining edge lines a and b, as (4, m).
-
-    Rows are Zx, Zy, Sx, Sy, where N[a] . x = D[a] - r and N[b] . x = D[b] - r
-    meet.  ErosionStructure._build solves one vertex at a time by the same
-    expressions, so the bits agree.
-    """
-    (ax, ay), (bx, by), da, db = N[a].T, N[b].T, D[a], D[b]
-    det = ax * by - ay * bx
-    return np.array([da * by - ay * db, ax * db - da * bx, ay - by, bx - ax]) / det
-
-
 def _steiner_sums(breaks, edges, paths, born, dies, pairs, tangents):
     """Core area and perimeter per interval from the lives of the edge pairs.
 
@@ -563,10 +555,11 @@ class ErosionStructure:
         # in which it goes (n, more than any interval index, while it
         # lives); marks[k] is the row count when interval k starts, which
         # gives the interval a row appears in.  cur[a] is the (Z, S) of
-        # vertex a and row[a] its row.  pairs holds the rows (prv[e], e) of
-        # edge e each time it is set: the Steiner sums come from their
-        # lives after the loop.  A heap entry (key, e, ver) is stale once
-        # edge e changed version, which it also does when it dies.
+        # vertex a, row[a] its row and zs every row's (Z, S), back to back.
+        # pairs holds the rows (prv[e], e) of edge e each time it is set:
+        # the Steiner sums come from their lives after the loop.  A heap
+        # entry (key, e, ver) is stale once edge e changed version, which
+        # it also does when it dies.
         T = N[:, ::-1] * [-1.0, 1.0]
         nl, dl, tl = N.tolist(), D.tolist(), T.tolist()
         nxt = [*range(1, n), 0]
@@ -574,7 +567,7 @@ class ErosionStructure:
         alive, ver = [True] * n, [0] * n
         len0, dlen = [0.0] * n, [0.0] * n
         cur, row, dies = [None] * n, [0] * n, []
-        ends, pairs = [], []
+        ends, pairs, zs = [], [], []
         vanish_heap, length_heap = [], []
         pending = set()        # edges whose length bound has been passed
         breaks, marks, r_cur, count = [], [], 0.0, n
@@ -588,8 +581,9 @@ class ErosionStructure:
             if cur[a] is not None:
                 dies[row[a]] = len(breaks)
             row[a] = len(dies)
-            cur[a] = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
-                      (ay - by) / det, (bx - ax) / det)
+            cur[a] = z = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
+                          (ay - by) / det, (bx - ax) / det)
+            zs.extend(z)
             dies.append(n)
             ends.extend((a, b))
             return True
@@ -686,11 +680,11 @@ class ErosionStructure:
         self.breaks = np.array(breaks + [r_cur])
         K = len(breaks)
 
-        # every row's path, by the expressions of set_vertex, and the
-        # intervals in which it appears and goes (K if it lives at r*, so
-        # that breaks[dies] is the radius at which it goes)
+        # every row's path as (4, rows): Zx, Zy, Sx, Sy, and the intervals
+        # in which it appears and goes (K if it lives at r*, so that
+        # breaks[dies] is the radius at which it goes)
         ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
-        paths = _vertex_paths(N, D, ends[:, 0], ends[:, 1])
+        paths = np.fromiter(zs, float, len(zs)).reshape(-1, 4).T
         born = np.searchsorted(marks, np.arange(len(dies)), side="right")
         dies = np.minimum(dies, K)
         # Steiner coefficients per interval in t = r - r_lo: area = a0 + a1 t
@@ -889,8 +883,6 @@ def erode(polygon: ConvexPolygon, r: float, structure: ErosionStructure | None =
     Monotone in r; collapses to a segment, point, or the empty body when the
     offset planes no longer bound a full-dimensional polygon.
     """
-    if r < 0.0:
-        raise ValueError("erosion radius must be nonnegative")
     struct = structure or ErosionStructure(polygon)
     return struct.core_body(float(r))
 

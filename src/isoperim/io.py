@@ -99,12 +99,9 @@ def write_family_csv(rows, path):
 
 
 def write_report_csv(report, path):
+    """CSV with one row per level; the columns are the keys of report.as_dict()["levels"]."""
+    levels = report.as_dict()["levels"]
     with open(path, "w") as fh:
-        fh.write("t,mu_u,mu_ut,per_u,per_ut,eq_defect,eq_bound,"
-                 "convexity_defect,convexity_bound\n")
-        for k in range(len(report.thresholds)):
-            vals = (report.thresholds[k], report.mu_u[k], report.mu_ut[k],
-                    report.per_u[k], report.per_ut[k], report.eq_defect[k],
-                    report.eq_bound[k], report.convexity_defect[k],
-                    report.convexity_bound[k])
-            fh.write(",".join(f"{x:.9g}" for x in vals) + "\n")
+        fh.write(",".join(levels[0]) + "\n")
+        for row in levels:
+            fh.write(",".join(f"{x:.9g}" for x in row.values()) + "\n")

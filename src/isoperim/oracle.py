@@ -14,7 +14,7 @@ back.  Only a hull that goes up the ladder is drawn and hulled alone.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -456,13 +456,7 @@ class MinimalityReport:
         return not self.violations
 
     def as_dict(self):
-        return {"volume": self.volume,
-                "minimizer_perimeter": self.minimizer_perimeter,
-                "n_samples": self.n_samples, "seed": self.seed,
-                "samplers": list(self.samplers),
-                "min_gap": self.min_gap, "mean_gap": self.mean_gap,
-                "gap_histogram": self.gap_histogram,
-                "violations": self.violations, "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
@@ -537,23 +531,7 @@ def crofton_perimeter(grid, cell: float) -> float:
     ``grid`` is (ny, nx) boolean (nonzero = inside); ``cell`` the pixel
     side length.  Cells beyond the array count as outside.
     """
-    g = np.asarray(grid).astype(bool)
-    if not g.any():
-        return 0.0
-    total = 0.0
-    for (a, b), w, ln in zip(_CROFTON_DIRS, _CROFTON_W, _CROFTON_LEN):
-        n = _transition_count(g, a, b)
-        total += w * (cell / ln) * n
-    return 0.5 * total
-
-
-def _transition_count(g, a, b) -> int:
-    """Pairs (p, p + (a, b)) with differing values, zero outside the grid."""
-    ny, nx = g.shape
-    pad_y, pad_x = abs(b), abs(a)
-    G = np.pad(g, ((pad_y, pad_y), (pad_x, pad_x)))
-    H = np.roll(np.roll(G, -b, axis=0), -a, axis=1)
-    return int(np.count_nonzero(G ^ H))
+    return _CroftonCounter(grid, cell).perimeter()
 
 
 _PAD = 3  # widest stencil reach: every read of a grid cell's stencil stays in the buffer
@@ -572,7 +550,9 @@ class _CroftonCounter:
     Cell (j, i) is byte ``(j + 3) * width + i + 3`` of ``buf``; the zero
     margin is the outside, so stencil reads need no bounds checks.  Flat
     offset ``b * width + a`` reaches the Crofton neighbour (a, b), and
-    ``g`` is a live boolean view of the grid.
+    ``g`` is a live boolean view of the grid.  Offsets are positive and reach
+    at most _PAD cells, so ``counts``, the differing flat pairs of ``buf``,
+    are the grid's: any other flat pair joins two margin cells.
 
     ``sums`` keeps, per padded cell x, the stencil sum
     ``sum_k coef_k * (buf[x + o_k] + buf[x - o_k])`` (cells beyond the
@@ -583,13 +563,13 @@ class _CroftonCounter:
     """
 
     def __init__(self, grid, cell):
-        g = np.asarray(grid).astype(bool)
-        self.counts = [_transition_count(g, a, b) for a, b in _CROFTON_DIRS]
-        self.buf, self.cells = _padded_buffer(g)
+        self.buf, self.cells = _padded_buffer(grid)
         self.g = self.cells[_PAD:-_PAD, _PAD:-_PAD]
         self.width = self.cells.shape[1]
         self.coef = [float(w * (cell / ln)) for w, ln in zip(_CROFTON_W, _CROFTON_LEN)]
         self.offsets = [int(b) * self.width + int(a) for a, b in _CROFTON_DIRS]
+        flat = self.cells.ravel()
+        self.counts = [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in self.offsets]
         self.n4 = (1, -1, self.width, -self.width)
         # flat q - p -> direction k when q is p's neighbour along direction k
         self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}

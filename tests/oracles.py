@@ -5,7 +5,8 @@ slower route: the erosion structure by re-deriving every vertex from
 scratch after each event, and by scanning all edges at every event;
 the r <-> v inversion, the rank and the half-plane competitor's cut
 offset by bisection, the inradius by a linear program, marching
-squares by one full-grid pass per threshold, the annealing chain by
+squares by one full-grid pass per threshold, the Crofton transition
+counts by shifting a padded copy of the grid, the annealing chain by
 pricing every proposal from the stencil and reading its boundary lists
 and swap validity from the grid bytes, and the competitor sweep one
 competitor at a time, each hull by Qhull and each half-plane cut by a
@@ -546,6 +547,14 @@ def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
                             cell=h, in_count=int(grid.sum()), seed=seed,
                             energy_trace=trace, temperature_final=float(temp),
                             proposals=proposals, accepted=accepted)
+
+
+def transition_count(g, a, b) -> int:
+    """Pairs (p, p + (a, b)) with differing values, zero outside the grid."""
+    pad_y, pad_x = abs(b), abs(a)
+    G = np.pad(g, ((pad_y, pad_y), (pad_x, pad_x)))
+    H = np.roll(np.roll(G, -b, axis=0), -a, axis=1)
+    return int(np.count_nonzero(G ^ H))
 
 
 _N4 = np.array([(0, 1), (0, -1), (1, 0), (-1, 0)])

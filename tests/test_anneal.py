@@ -101,7 +101,7 @@ def _check_priced_swap(grid, p, q):
     swapped = grid.copy()
     swapped[p] = False
     swapped[q] = True
-    assert counts == [orc._transition_count(swapped, a, b) for a, b in DIRS]
+    assert counts == [oracles.transition_count(swapped, a, b) for a, b in DIRS]
     assert after == orc.crofton_perimeter(swapped, h)
     # pricing leaves the state alone
     assert np.array_equal(counter.g, grid)
@@ -185,7 +185,7 @@ def test_kept_sums_follow_commits(direction, data):
         if not swaps:
             break
     _check_kept_sums(counter, swaps)
-    assert counter.counts == [orc._transition_count(counter.g, a, b) for a, b in DIRS]
+    assert counter.counts == [oracles.transition_count(counter.g, a, b) for a, b in DIRS]
 
 
 TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]

@@ -7,8 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isoperim import cli
 from isoperim import io as iio
 from isoperim.cli import _parse_sweep, main
+from isoperim.errors import (DegenerateError, DomainMismatchError, GeometryError,
+                             NonConvexError, RadiusTooLargeError,
+                             SamplerInfeasibleError, ScheduleInvalidError,
+                             VolumeOutOfRangeError)
 from isoperim.geometry import validate_polygon
 
 from conftest import SQUARE, RECT21, cone_grid
@@ -108,6 +113,36 @@ def test_minimizer_geometry_error(tmp_path, capsys, vertices):
     bad.write_text(json.dumps({"vertices": vertices}))
     assert main(["minimizer", "--domain", str(bad), "--volume", "0.5"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("side", [1e154, 1e308])
+def test_minimizer_rejects_overflowing_span(tmp_path, capsys, side):
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"vertices": (np.array(SQUARE) * side).tolist()}))
+    assert main(["minimizer", "--domain", str(bad), "--volume", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: coordinate span") and "duplicate" not in err
+
+
+@pytest.mark.parametrize("exc,code", [
+    (VolumeOutOfRangeError("v"), 4),
+    (DomainMismatchError("m"), 5),
+    (GeometryError("g"), 3),
+    (NonConvexError("n"), 3),
+    (DegenerateError("d"), 3),
+    (RadiusTooLargeError("r"), 3),
+    (SamplerInfeasibleError("s"), 2),
+    (ScheduleInvalidError("a"), 2),
+    (json.JSONDecodeError("j", "{", 0), 2),
+    (OSError("o"), 2),
+    (ValueError("x"), 2),
+], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x))
+def test_exit_code_per_error_class(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_minimizer", fail)
+    assert main(["minimizer", "--domain", "unread.json", "--volume", "0.5"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 def test_minimizer_on_a_4096_gon(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,18 @@ def test_validate_rejects_garbage():
         geo.validate_polygon([(0, 0), (0, 0), (1, 0), (1, 1)])
     with pytest.raises(NonConvexError):
         geo.validate_polygon([(0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)])
+
+
+@pytest.mark.parametrize("side", [1e154, 1e308])
+def test_validate_rejects_overflowing_span(side):
+    # the squared span overflows a double: name the span, with no numpy warning
+    corners = [(-side, -side), (side, -side), (side, side), (-side, side)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for verts in (np.array(SQUARE) * side, corners):
+            with pytest.raises(DegenerateError, match="coordinate span"):
+                geo.validate_polygon(verts)
+        assert geo.validate_polygon(np.array(SQUARE) * 1e153).n_vertices == 4
 
 
 @pytest.mark.parametrize("n", [1000, 3100, 4096, 8192])

@@ -9,6 +9,9 @@ shape record, its JSON form or its SVG path shows up as a changed hash.
 The rearrange hashes cover six Gaussian bumps on the unit square, once
 where max u_tilde < max u (the report's two threshold grids differ) and
 once where the maxima are equal (the grids coincide).
+
+The verify hashes cover the competitor sweep's report and the annealing
+oracle's best grid on the unit square.
 """
 
 import hashlib
@@ -75,6 +78,11 @@ REARRANGE_GOLDEN = {
         "levels.svg": "6db0567a34087c707b20517f1264e30212590c0e9a789b0e8014780310814905"}),
 }
 
+VERIFY_GOLDEN = {
+    "verify.json": "87d2094daa89d99e7cd2072b12d18fafd9645f858ea317bc71b8348747bff59a",
+    "anneal.pgm": "4aba332a71150b23043a4283be6f23cc90468c2c6baf3f62308e8f97f1039d15",
+}
+
 
 def _bump_grid(n, centers):
     """Bump sum on the for_domain(square, n) grid, rounded to 12 decimals
@@ -133,3 +141,12 @@ def test_rearrange_outputs_pinned(tmp_path, n, centers):
     assert bool(ut.values.max() == u.values.max()) is maxima_equal
     assert ut.values.max() <= u.values.max()
     assert _hashes(out, golden) == golden
+
+
+def test_verify_outputs_pinned(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["verify", "--domain", _domain_file(tmp_path, "square"),
+                 "--volume", "0.9", "--samples", "2000", "--seed", "1",
+                 "--anneal", "16", "--out", out]) == 0
+    assert json.load(open(os.path.join(out, "verify.json")))["ok"] is True
+    assert _hashes(out, VERIFY_GOLDEN) == VERIFY_GOLDEN

@@ -56,6 +56,32 @@ def test_crofton_counter_matches_batch():
         orc.crofton_perimeter(counter.g, h), abs=1e-12)
 
 
+def _edge_grids():
+    """Random grids with an in-cell on each of the four sides, single rows and
+    columns, and empty and full grids."""
+    rng = np.random.default_rng(5)
+    grids = []
+    for ny, nx in [(5, 7), (9, 4), (13, 13), (2, 3)]:
+        g = rng.random((ny, nx)) < 0.5
+        g[0, rng.integers(nx)] = g[-1, rng.integers(nx)] = True
+        g[rng.integers(ny), 0] = g[rng.integers(ny), -1] = True
+        grids.append(g)
+    for shape in [(1, 9), (9, 1), (1, 1)]:
+        grids += [rng.random(shape) < 0.5, np.ones(shape, dtype=bool)]
+    return grids + [np.zeros((6, 5), dtype=bool), np.ones((6, 5), dtype=bool)]
+
+
+@pytest.mark.parametrize("grid", _edge_grids(), ids=lambda g: "x".join(map(str, g.shape)))
+def test_flat_counts_match_shifted_counts(grid):
+    h = 0.125
+    counts = [oracles.transition_count(grid, int(a), int(b)) for a, b in orc._CROFTON_DIRS]
+    assert orc._CroftonCounter(grid, h).counts == counts
+    total = 0.0
+    for w, ln, n in zip(orc._CROFTON_W, orc._CROFTON_LEN, counts):
+        total += w * (h / ln) * n
+    assert orc.crofton_perimeter(grid, h) == 0.5 * total
+
+
 def test_hull_sampler(square_family):
     comp = orc.sample_competitor(square_family, 0.9, "hull", seed=7)
     assert comp.kind == "polygon"
