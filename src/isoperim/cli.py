@@ -79,6 +79,8 @@ def _parse_sweep(text):
     n = int(parts[2])
     if not 2 <= n <= SWEEP_MAX_STEPS:
         raise ValueError(f"--sweep needs 2 to {SWEEP_MAX_STEPS} steps, got {n}")
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("sweep ends must be finite")
     if not a < b:
         raise ValueError("sweep needs a < b")
     return a, b, n
@@ -88,9 +90,9 @@ def cmd_family(args) -> int:
     a, b, n = _parse_sweep(args.sweep)
     domain = io.load_domain(args.domain)
     family = build_family(domain)
-    vs = np.linspace(a, b, n)
-    if vs[0] <= 0.0 or vs[-1] > family.v_max:
+    if a <= 0.0 or b > family.v_max:
         raise VolumeOutOfRangeError("sweep outside (0, |domain|]")
+    vs = np.linspace(a, b, n)
     # every row from one classification of the whole sweep; only the drawn
     # shapes are built
     vs = family._check_volume(vs)
@@ -129,8 +131,7 @@ def cmd_rearrange(args) -> int:
     io.write_grid(ut, os.path.join(out, "u_tilde.grid"))
     io.dump_json(report.as_dict(), os.path.join(out, "report.json"))
     io.write_report_csv(report, os.path.join(out, "report.csv"))
-    top = float(ut.values.max(initial=0.0))
-    levels = rearrange._threshold_grid(top if top > 0 else 1.0, 12)
+    _, levels = rearrange._threshold_grid(ut.values, 12)
     blocks = rearrange.march_levels(ut.values, ut.origin, ut.spacing, levels)
     contour_sets = [s for _, pts, n in blocks for s in np.split(pts, np.cumsum(n)[:-1])]
     with open(os.path.join(out, "levels.svg"), "w") as fh:
@@ -147,6 +148,8 @@ def cmd_rearrange(args) -> int:
 
 
 def _check_verify_counts(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.samples > SAMPLES_MAX:

@@ -531,7 +531,7 @@ def crofton_perimeter(grid, cell: float) -> float:
     ``grid`` is (ny, nx) boolean (nonzero = inside); ``cell`` the pixel
     side length.  Cells beyond the array count as outside.
     """
-    return _CroftonCounter(grid, cell).perimeter()
+    return _CroftonCounts(grid, cell).perimeter()
 
 
 _PAD = 3  # widest stencil reach: every read of a grid cell's stencil stays in the buffer
@@ -544,8 +544,8 @@ def _padded_buffer(grid):
     return buf, np.frombuffer(buf, dtype=bool).reshape(padded.shape)
 
 
-class _CroftonCounter:
-    """Transition counts of a binary grid, updated from a fixed flat stencil.
+class _CroftonCounts:
+    """Transition counts of a binary grid and their weighted sum.
 
     Cell (j, i) is byte ``(j + 3) * width + i + 3`` of ``buf``; the zero
     margin is the outside, so stencil reads need no bounds checks.  Flat
@@ -553,13 +553,6 @@ class _CroftonCounter:
     ``g`` is a live boolean view of the grid.  Offsets are positive and reach
     at most _PAD cells, so ``counts``, the differing flat pairs of ``buf``,
     are the grid's: any other flat pair joins two margin cells.
-
-    ``sums`` keeps, per padded cell x, the stencil sum
-    ``sum_k coef_k * (buf[x + o_k] + buf[x - o_k])`` (cells beyond the
-    buffer read as outside), so a swap's perimeter change is
-    ``sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0)`` and only a
-    committed swap updates them.  ``nin`` keeps, per padded cell, its
-    count of in-cell 4-neighbours, and ``nin_cells`` is its live 2-D view.
     """
 
     def __init__(self, grid, cell):
@@ -570,6 +563,27 @@ class _CroftonCounter:
         self.offsets = [int(b) * self.width + int(a) for a, b in _CROFTON_DIRS]
         flat = self.cells.ravel()
         self.counts = [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in self.offsets]
+
+    def perimeter(self, counts=None) -> float:
+        total = 0.0
+        for c, n in zip(self.coef, self.counts if counts is None else counts):
+            total += c * n
+        return 0.5 * total
+
+
+class _CroftonCounter(_CroftonCounts):
+    """Transition counts of a binary grid, updated from a fixed flat stencil.
+
+    ``sums`` keeps, per padded cell x, the stencil sum
+    ``sum_k coef_k * (buf[x + o_k] + buf[x - o_k])`` (cells beyond the
+    buffer read as outside), so a swap's perimeter change is
+    ``sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0)`` and only a
+    committed swap updates them.  ``nin`` keeps, per padded cell, its
+    count of in-cell 4-neighbours, and ``nin_cells`` is its live 2-D view.
+    """
+
+    def __init__(self, grid, cell):
+        super().__init__(grid, cell)
         self.n4 = (1, -1, self.width, -self.width)
         # flat q - p -> direction k when q is p's neighbour along direction k
         self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}
@@ -579,12 +593,6 @@ class _CroftonCounter:
         nin = ext[:-2, 1:-1] + ext[2:, 1:-1] + ext[1:-1, :-2] + ext[1:-1, 2:]
         self.nin = bytearray(nin.tobytes())
         self.nin_cells = np.frombuffer(self.nin, dtype=np.uint8).reshape(nin.shape)
-
-    def perimeter(self, counts=None) -> float:
-        total = 0.0
-        for c, n in zip(self.coef, self.counts if counts is None else counts):
-            total += c * n
-        return 0.5 * total
 
     def price(self, p, q):
         """(counts, perimeter) once in-cell p leaves and out-cell q joins.

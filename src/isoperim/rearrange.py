@@ -11,7 +11,8 @@ generalized inverse of the distribution function.
 
 Total variation is estimated through the coarea formula: the threshold
 integral of marching-squares contour lengths.  Linear interpolation on
-cell edges avoids the axis-alignment bias of pixel-edge counting.
+cell edges avoids the axis-alignment bias of pixel-edge counting.  The
+report measures u and u_tilde on one threshold grid, u's.
 
 All thresholds are marched in one sweep.  A cell is mixed at threshold t
 exactly when its corner min <= t < its corner max, so two searchsorted
@@ -62,6 +63,8 @@ class GridFunction:
         self.origin = np.asarray(self.origin, dtype=float)
         self.spacing = np.asarray(self.spacing, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        if not (np.all(np.isfinite(self.origin)) and np.all(np.isfinite(self.spacing))):
+            raise ValueError("grid origin and spacing must be finite")
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-d array (ny, nx)")
         if np.any(self.spacing <= 0.0):
@@ -308,8 +311,10 @@ def level_contour_points(u: GridFunction, t: float) -> np.ndarray:
     return next(march_levels(u.values, u.origin, u.spacing, [t]))[1]
 
 
-def _threshold_grid(max_value: float, levels: int) -> np.ndarray:
-    return np.linspace(0.0, max_value, levels + 2)[1:-1]
+def _threshold_grid(values, levels: int):
+    """(top, ts): max values, or 1.0 if none is positive; `levels` ts in (0, top)."""
+    top = float(np.max(values, initial=0.0)) or 1.0
+    return top, np.linspace(0.0, top, levels + 2)[1:-1]
 
 
 def bv_norm_estimate(u: GridFunction, levels: int = DEFAULT_LEVELS):
@@ -321,19 +326,13 @@ def bv_norm_estimate(u: GridFunction, levels: int = DEFAULT_LEVELS):
     """
     if levels < 16:
         raise ValueError("levels must be at least 16")
-    top = float(u.values.max(initial=0.0))
-    if top <= 0.0:
-        return 0.0, 0.0, 0.0
-    ts = _threshold_grid(top, levels)
+    top, ts = _threshold_grid(u.values, levels)
     sweep = march_levels(u.values, u.origin, u.spacing, ts)
-    return _coarea(u, ts, np.concatenate([lengths for lengths, _, _ in sweep]))
+    return _coarea(u, ts, top, np.concatenate([lengths for lengths, _, _ in sweep]))
 
 
-def _coarea(u: GridFunction, ts: np.ndarray, per: np.ndarray):
-    """(l1, tv, bv) of u from contour lengths per at ts = _threshold_grid(max u, L)."""
-    top = float(u.values.max(initial=0.0))
-    if top <= 0.0:
-        return 0.0, 0.0, 0.0
+def _coarea(u: GridFunction, ts: np.ndarray, top: float, per: np.ndarray):
+    """(l1, tv, bv) of u from contour lengths per at (top, ts) = _threshold_grid(., L)."""
     l1 = float(np.sum(np.abs(u.values))) * u.cell_area
     t_ext = np.concatenate([[0.0], ts, [top]])
     p_ext = np.concatenate([[per[0]], per, [0.0]])
@@ -409,8 +408,9 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
                          levels: int = DEFAULT_LEVELS) -> RearrangementReport:
     """Check equimeasurability, the BV inequality and level-set convexity.
 
-    Both functions are measured with the same estimators; the BV check
-    allows a 2 percent estimator tolerance and the per-level
+    Both functions are marched once on u's threshold grid and measured
+    with the same estimators (both coarea integrals run up to max u); the
+    BV check allows a 2 percent estimator tolerance and the per-level
     equimeasurability defect is bounded by 4 h (P + 1).
     """
     if levels < 16:
@@ -418,18 +418,17 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     if not u.same_frame(ut):
         raise DomainMismatchError("report requires matching grids")
     h = float(np.max(u.spacing))
-    top = float(u.values.max(initial=0.0))
-    ts = _threshold_grid(top if top > 0 else 1.0, levels)
+    top, ts = _threshold_grid(u.values, levels)
     mu_u, mu_ut = distribution(u, ts), distribution(ut, ts)
     per_u = np.concatenate([lengths for lengths, _, _ in march_levels(u.values, u.origin,
                                                                        u.spacing, ts)])
-    bv_u, bv_ut = _coarea(u, ts, per_u), bv_norm_estimate(ut, levels)
     # u_tilde's levels are hulled a marcher block at a time
     per_ut, hull = [], []
     for lengths, pts, counts in march_levels(ut.values, ut.origin, ut.spacing, ts):
         per_ut.append(lengths)
         hull.append(_hull_areas(pts, counts))
     per_ut, hull = np.concatenate(per_ut), np.concatenate(hull)
+    bv_u, bv_ut = _coarea(u, ts, top, per_u), _coarea(ut, ts, top, per_ut)
     conv_defect = hull - mu_ut
     eq_defect = np.abs(mu_u - mu_ut)
     eq_bound = EQ_DEFECT_FACTOR * h * (per_u + 1.0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,59 @@ def test_exit_code_per_error_class(monkeypatch, capsys, exc, code):
     monkeypatch.setattr(cli, "cmd_minimizer", fail)
     assert main(["minimizer", "--domain", "unread.json", "--volume", "0.5"]) == code
     assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def _grid_text(dx="0.5", x0="-0.25", y0="-0.25", value="0", rows=4):
+    """A 4 x 4 grid over the unit square, one margin cell wide, with ``value``
+    at the inside cell (1, 1) and ``rows`` body rows."""
+    body = ["0 0 0 0", f"0 {value} 0 0", "0 0 0 0", "0 0 0 0"][:rows]
+    return "\n".join([f"4 4 {x0} {y0} {dx} 0.5", *body]) + "\n"
+
+
+def _domain_text(vertices):
+    return json.dumps({"vertices": vertices})
+
+
+_REARRANGE = ["rearrange", "--grid", "u.grid"]
+_MINIMIZER = ["minimizer", "--volume", "0.5"]
+
+
+@pytest.mark.parametrize("argv,files,code,message", [
+    (_REARRANGE, {"u.grid": _grid_text(dx="inf")}, 2, "grid origin and spacing must be finite"),
+    (_REARRANGE, {"u.grid": _grid_text(dx="nan")}, 2, "grid origin and spacing must be finite"),
+    (_REARRANGE, {"u.grid": _grid_text(x0="nan")}, 2, "grid origin and spacing must be finite"),
+    (_REARRANGE, {"u.grid": _grid_text(y0="-inf")}, 2, "grid origin and spacing must be finite"),
+    (_REARRANGE, {"u.grid": _grid_text(value="nan")}, 2, "grid values must be finite"),
+    (_REARRANGE, {"u.grid": _grid_text(value="inf")}, 2, "grid values must be finite"),
+    (_REARRANGE, {"u.grid": _grid_text(value="-1")}, 2, "grid values must be nonnegative"),
+    (_REARRANGE, {"u.grid": _grid_text(value="0 0")}, 2, "columns"),
+    (_REARRANGE, {"u.grid": _grid_text(rows=3)}, 2, "grid body is (3, 4), header says (4, 4)"),
+    (_MINIMIZER, {"domain.json": "{not json"}, 2, "line 1 column 2"),
+    (_MINIMIZER, {"domain.json": _domain_text([[0, 0], [2, 0], [1, 0.5], [2, 2], [0, 2]])},
+     3, "vertex chain is not strictly convex"),
+    (_MINIMIZER, {"domain.json": _domain_text([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]])},
+     3, "duplicate consecutive vertices"),
+    (["family", "--sweep=0.1:inf:10"], {}, 2, "sweep ends must be finite"),
+    (["family", "--sweep=nan:0.5:10"], {}, 2, "sweep ends must be finite"),
+    (["family", "--sweep=-1e308:1e308:10"], {}, 4, "sweep outside (0, |domain|]"),
+    (["verify", "--volume", "0.9", "--seed", "-1"], {}, 2, "--seed must be nonnegative, got -1"),
+], ids=["dx-inf", "dx-nan", "x0-nan", "y0-minus-inf", "value-nan", "value-inf",
+        "value-negative", "ragged-body", "short-body", "bad-json", "non-convex",
+        "coincident-vertices", "sweep-inf", "sweep-nan", "sweep-overflow", "seed-negative"])
+def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, files, code, message):
+    files = {"domain.json": _domain_text(SQUARE), **files}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a leaked warning is a failure
+        assert main(argv + ["--domain", str(tmp_path / "domain.json"),
+                            "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not out.exists()  # rejected before any work
 
 
 def test_minimizer_on_a_4096_gon(tmp_path, capsys):

@@ -7,8 +7,9 @@ and a rectangle sweep that crosses both seams.  Any change in the
 shape record, its JSON form or its SVG path shows up as a changed hash.
 
 The rearrange hashes cover six Gaussian bumps on the unit square, once
-where max u_tilde < max u (the report's two threshold grids differ) and
-once where the maxima are equal (the grids coincide).
+where max u_tilde < max u (the report integrates u_tilde's contour
+lengths on u's threshold grid past max u_tilde, up to max u) and once
+where the maxima are equal (bv_ut is then bv_norm_estimate(u_tilde)).
 
 The verify hashes cover the competitor sweep's report and the annealing
 oracle's best grid on the unit square.
@@ -68,7 +69,7 @@ JITTERED = [(0.172, 0.31), (0.455, 0.285), (0.768, 0.297),
 REARRANGE_GOLDEN = {
     (48, "jittered"): (False, {
         "u_tilde.grid": "a37aadef6c726535f522e993434fe625673e725af365ad001ee9c6f939804d51",
-        "report.json": "40a42dd9abf88e000e5c923fefc1d629b4ebd937420abc96da2da6f331ece52b",
+        "report.json": "10df9c39af8fa00ca0b7a8011a3a63b7646580c19d44bb24bbf5f4ad1b89efb4",
         "report.csv": "be0ac31bf39bb51f31e305ef3f796a4099181c96511c4ce8bd1804a04035b551",
         "levels.svg": "c6a8b05f670bd13f57efd966c2ad2b16c8ac79cfded09cfe240767a80c6db7b8"}),
     (64, "lattice"): (True, {

@@ -25,7 +25,9 @@ def test_crofton_axis_square():
     assert orc.crofton_perimeter(grid, h) == pytest.approx(2.0, rel=0.02)
 
 
-def test_crofton_disk():
+def test_crofton_disk(monkeypatch):
+    # a one-off perimeter reads the 16 counts and builds no annealing state
+    monkeypatch.setattr(orc, "_stencil_sums", None)
     grid, h = _raster(lambda X, Y: (X - 0.5) ** 2 + (Y - 0.5) ** 2 <= 0.09)
     assert orc.crofton_perimeter(grid, h) == pytest.approx(2 * np.pi * 0.3, rel=0.02)
 

@@ -28,6 +28,17 @@ def test_grid_validation(square, rect21):
         GridFunction(u.origin, u.spacing, u.values, rect21)
 
 
+@pytest.mark.parametrize("field,index,value", [
+    ("spacing", 0, np.inf), ("spacing", 1, np.nan), ("spacing", 0, -np.inf),
+    ("origin", 0, np.nan), ("origin", 1, -np.inf), ("origin", 0, np.inf)])
+def test_grid_rejects_nonfinite_frame(square, field, index, value):
+    u = GridFunction.for_domain(square, 16)
+    frame = {"origin": u.origin.copy(), "spacing": u.spacing.copy()}
+    frame[field][index] = value
+    with pytest.raises(ValueError, match="grid origin and spacing must be finite"):
+        GridFunction(frame["origin"], frame["spacing"], u.values, square)
+
+
 def test_distribution_indicator(square):
     u = disk_indicator_grid(square, 128, (0.5, 0.5), 0.25, antialias=False)
     mu = rr.distribution(u, 0.5)
@@ -259,11 +270,10 @@ def test_report_rejects_few_levels_first(square, levels):
         rr.rearrangement_report(u, u, levels)
 
 
-@pytest.mark.parametrize("scale,sweeps", [(1.0, 3), (0.5, 3), (0.0, 2)],
-                         ids=["equal-max", "lower-max", "zero"])
-def test_report_marches_each_level_once(square, monkeypatch, scale, sweeps):
-    # the report sweeps u and u_tilde once over the thresholds of u, and
-    # u_tilde once more over its own for its BV (none when it is zero)
+@pytest.mark.parametrize("scale", [1.0, 0.5, 0.0], ids=["equal-max", "lower-max", "zero"])
+def test_report_marches_each_level_once(square, monkeypatch, scale):
+    # the report sweeps u and u_tilde once each over the thresholds of u,
+    # and both BV norms come from those two sweeps
     u = cone_grid(square, 32)
     ut = u.with_values(scale * u.values)
     levels = 24
@@ -284,11 +294,16 @@ def test_report_marches_each_level_once(square, monkeypatch, scale, sweeps):
 
     monkeypatch.setattr(rr, "march_levels", spy)
     rep = rr.rearrangement_report(u, ut, levels)
-    assert len(calls) == sweeps
-    assert sum(marched) == sweeps * levels
-    assert scale == 0.0 or len(blocks) > sweeps
+    assert len(calls) == 2
+    assert sum(marched) == 2 * levels
+    assert scale == 0.0 or len(blocks) > 2
     assert rep.bv_u == rr.bv_norm_estimate(u, levels)
-    assert rep.bv_ut == rr.bv_norm_estimate(ut, levels)
+    l1 = float(np.sum(ut.values)) * ut.cell_area
+    tv = float(np.trapezoid([rep.per_ut[0], *rep.per_ut, 0.0],
+                            [0.0, *rep.thresholds, np.max(u.values)]))
+    assert rep.bv_ut == (l1, tv, l1 + tv)
+    if scale == 1.0:   # one grid serves both, so the library estimate agrees
+        assert rep.bv_ut == rr.bv_norm_estimate(ut, levels)
     assert np.array_equal(rep.per_ut, [rr.level_perimeter(ut, t) for t in rep.thresholds])
 
 
