@@ -9,6 +9,7 @@ pinned to 9 significant digits.
 """
 
 import json
+import warnings
 
 import numpy as np
 
@@ -63,7 +64,11 @@ def read_grid(path, domain: ConvexPolygon) -> GridFunction:
             raise ValueError("grid header must be 'nx ny x0 y0 dx dy'")
         nx, ny = int(header[0]), int(header[1])
         x0, y0, dx, dy = map(float, header[2:])
-        values = np.loadtxt(fh, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # an empty body, reported below
+            values = np.loadtxt(fh, ndmin=2)
+    if values.size == 0:
+        raise ValueError("grid file has no body")
     if values.shape != (ny, nx):
         raise ValueError(f"grid body is {values.shape}, header says {(ny, nx)}")
     return GridFunction(np.array([x0, y0]), np.array([dx, dy]), values, domain)
@@ -75,9 +80,7 @@ def write_grid(u: GridFunction, path):
         head = [repr(float(x)) for x in (u.origin[0], u.origin[1],
                                          u.spacing[0], u.spacing[1])]
         fh.write(f"{u.nx} {u.ny} " + " ".join(head) + "\n")
-        for row in u.values:
-            fh.write(" ".join(repr(float(x)) for x in row))
-            fh.write("\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in u.values.tolist())
 
 
 def write_pgm(grid, path):

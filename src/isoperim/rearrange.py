@@ -24,8 +24,17 @@ block's cells are those still mixed from the last block plus those whose
 range starts in it.  Each level's length is bitwise that of a full-grid
 pass, and each crossed cell edge gives one crossing, from the cell whose
 bottom or left edge it is.  The report hulls one marcher block at a time.
+
+The cost of a sweep is mostly per block, so blocks are as large as the
+report's memory bound allows.  A block's arrays live in one call and are
+dropped as soon as they are used.  At its peak, while it measures
+segments, a block holds about 140 bytes per pair: 64 for the crossing on
+each of the cell's four edges, the rest for segment edges, lengths and
+their temporaries.  Only its lengths, crossings (16 bytes each, about one
+per pair) and counts outlive the call.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -39,7 +48,7 @@ DEFAULT_LEVELS = 256
 EQ_DEFECT_FACTOR = 4.0     # equimeasurability bound: 4 h (P + 1)
 CONVEXITY_FACTOR = 2.0     # hull-area defect bound: 2 h P
 BV_TOL_REL = 0.02
-CHUNK_PAIRS = 4096         # (cell, level) pairs marched at once
+CHUNK_PAIRS = 12288        # (cell, level) pairs marched at once
 
 
 @dataclass(eq=False)
@@ -50,7 +59,10 @@ class GridFunction:
     ``origin + (i dx, j dy)`` with ``values[j, i]`` (row 0 = smallest y).
     Values at centers strictly outside the closed domain must be exactly 0
     and the grid must cover the domain bounding box with at least one cell
-    of margin.  Treat instances as immutable.
+    of margin.  The grid's span must not overflow when squared, and
+    16 sum(values) max(1, cell area, cell diagonal) must be finite, which
+    bounds the corner sums, the L1 norm and the coarea integral of the
+    report.  Treat instances as immutable.
     """
 
     origin: np.ndarray
@@ -69,10 +81,20 @@ class GridFunction:
             raise ValueError("values must be a 2-d array (ny, nx)")
         if np.any(self.spacing <= 0.0):
             raise ValueError("grid spacing must be positive")
+        with np.errstate(over="ignore"):
+            span = self.spacing * self.values.shape[::-1]
+            finite = np.isfinite([span @ span, *(self.origin + span)])
+        if not np.all(finite):
+            raise ValueError(f"grid span {span.tolist()} overflows when squared")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
         if np.any(self.values < 0.0):
             raise ValueError("grid values must be nonnegative")
+        with np.errstate(over="ignore"):
+            total = float(np.sum(self.values))
+        diagonal = float(np.hypot(*self.spacing))
+        if not math.isfinite(16.0 * total * max(1.0, self.cell_area, diagonal)):
+            raise ValueError("grid values too large: their BV estimate overflows")
         self._validate_domain()
 
     def _validate_domain(self):
@@ -208,7 +230,7 @@ def convex_rearrangement(u: GridFunction, family: MinimizerFamily) -> GridFuncti
 
 # _SEGMENTS[case + 16 * center_above]: the edges (p, q, r, s) of the cell's
 # segments (p, q) and (r, s), -1 where there is no segment
-_SEGMENTS = np.full((32, 4), -1)
+_SEGMENTS = np.full((32, 4), -1, np.int8)
 for _case, _pair in {1: (0, 3), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
                      7: (3, 2), 8: (2, 3), 9: (0, 2), 11: (1, 2), 12: (3, 1),
                      13: (0, 1), 14: (0, 3)}.items():
@@ -230,7 +252,6 @@ def march_levels(values, origin, spacing, ts):
     ts = np.asarray(ts, dtype=float)
     if np.any(np.diff(ts) < 0.0):
         raise ValueError("thresholds must be ascending")
-    dx, dy = float(spacing[0]), float(spacing[1])
     V = np.pad(values, 1).ravel()
     w = values.shape[1] + 2
     # cell p has corners a, b, c, d at V[p], V[p+1], V[p+w+1], V[p+w]; the
@@ -256,49 +277,67 @@ def march_levels(values, origin, spacing, ts):
         act = np.concatenate([act[hi[act] > k0], entering])
         act = act[np.argsort(cells[act])]   # row-major
         start = np.maximum(lo[act], k0)
-        n = np.minimum(hi[act], k1) - start
-        ends = np.cumsum(n, dtype=np.intp)
-        p = np.repeat(cells[act], n)
-        lev = (np.arange(len(p)) + np.repeat(start - ends + n, n)).astype(narrow)
-        order = np.argsort(lev, kind="stable")   # level-major, row-major cells
-        p, t = p[order], ts[lev[order]]
-
-        jj, ii = np.divmod(p, w)
-        x0 = origin[0] + (ii - 1.0) * dx   # pad ring shifts sample indices by one
-        y0 = origin[1] + (jj - 1.0) * dy
-        av, bv, cv, dv = V[p], V[p + 1], V[p + w + 1], V[p + w]
-        cs = ((av > t).view(np.uint8) | (bv > t).view(np.uint8) << 1
-              | (cv > t).view(np.uint8) << 2 | (dv > t).view(np.uint8) << 3)
-
-        def frac(p, q):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                f = (t - p) / (q - p)
-            return np.clip(np.nan_to_num(f, nan=0.5), 0.0, 1.0)
-
-        ex = np.stack([x0 + dx * frac(av, bv),            # B
-                       x0 + dx,                           # R
-                       x0 + dx * frac(dv, cv),            # T
-                       x0 + np.zeros_like(x0)])           # L
-        ey = np.stack([y0 + np.zeros_like(y0),
-                       y0 + dy * frac(bv, cv),
-                       y0 + dy,
-                       y0 + dy * frac(av, dv)])
-
-        center_above = (av + bv + cv + dv) > 4.0 * t
-        seg = np.take(_SEGMENTS, cs + (center_above.view(np.uint8) << 4), axis=0)
-        at = np.maximum(seg, 0).T * len(cs) + np.arange(len(cs))   # into ex.ravel()
-        dxy = [np.take(e, at[1::2]) - np.take(e, at[0::2]) for e in (ex, ey)]
-        seg_len = np.where(seg[:, 0::2].T >= 0, np.hypot(*dxy), 0.0)
-        # one np.sum per level keeps a full-grid pass's bits
-        bounds = first[k0:k1 + 1] - first[k0]
-        lengths = np.array([np.sum(seg_len[0, i:j]) + np.sum(seg_len[1, i:j])
-                            for i, j in zip(bounds[:-1], bounds[1:])])
-        # the B and L rows of ex, ey; a crossed R or T edge is another cell's L or B
-        crossed = np.take(_CROSSED, cs, axis=0)
-        cum = np.concatenate([[0], np.cumsum(crossed.sum(axis=1))])
-        yield (lengths, np.stack([ex[::3].T[crossed], ey[::3].T[crossed]], axis=1),
-               np.diff(cum[bounds]))
+        yield _march_block(V, w, origin, spacing, ts, cells[act], start,
+                           np.minimum(hi[act], k1) - start, first[k0:k1 + 1] - first[k0])
         k0 = k1
+
+
+def _march_block(V, w, origin, spacing, ts, cells, start, n, bounds):
+    """(lengths, points, counts) of one march_levels block: cell cells[i]
+    (row-major) is mixed at the n[i] levels from start[i] on, and the
+    block's level k has the pairs bounds[k]:bounds[k + 1] in level order.
+    Each array is dropped once used (see the module docstring)."""
+    dx, dy = float(spacing[0]), float(spacing[1])
+    last = np.cumsum(n, dtype=np.intp)
+    p = np.repeat(cells, n)
+    lev = (np.arange(len(p)) + np.repeat(start - last + n, n)).astype(start.dtype)
+    order = np.argsort(lev, kind="stable")   # level-major, row-major cells
+    p, t = p[order], ts[lev[order]]
+    del last, lev, order
+
+    av, bv, cv, dv = V[p], V[p + 1], V[p + w + 1], V[p + w]
+    cs = ((av > t).view(np.uint8) | (bv > t).view(np.uint8) << 1
+          | (cv > t).view(np.uint8) << 2 | (dv > t).view(np.uint8) << 3)
+    case = cs + (((av + bv + cv + dv) > 4.0 * t).view(np.uint8) << 4)   # center above t
+
+    # ex, ey: rows B, R, T, L hold the crossing on that edge of each pair's
+    # cell.  Only crossed edges are read, and there (t - a) / (b - a) lies
+    # in [0, 1] in floats.
+    ex, ey = np.empty((4, len(p))), np.empty((4, len(p)))
+    ex[3] = origin[0] + (p % w - 1.0) * dx   # pad ring shifts sample indices by one
+    ey[0] = origin[1] + (p // w - 1.0) * dy
+    del p
+    ex[1], ey[2] = ex[3] + dx, ey[0] + dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for out, base, h, a, b in ((ex[0], ex[3], dx, av, bv), (ey[1], ey[0], dy, bv, cv),
+                                   (ex[2], ex[3], dx, dv, cv), (ey[3], ey[0], dy, av, dv)):
+            np.subtract(t, a, out=out)
+            out /= b - a
+            out *= h
+            out += base
+    del av, bv, cv, dv, a, b, t
+
+    # every mixed cell has one segment and a saddle a second, from edge
+    # seg[:, 2 k] to edge seg[:, 2 k + 1]
+    seg = np.take(_SEGMENTS, case, axis=0)
+    seg_len = np.zeros((2, len(case)))
+    for k, sel in ((0, slice(None)), (1, np.flatnonzero(seg[:, 2] >= 0))):
+        at = seg[sel, 2 * k:2 * k + 2].T.astype(np.intp)   # into ex.ravel(), ey.ravel()
+        at *= len(case)
+        at += np.arange(len(case))[sel]
+        seg_len[k, sel] = np.hypot(*[np.diff(e.take(at), axis=0)[0] for e in (ex, ey)])
+    # one np.sum per level keeps a full-grid pass's bits
+    lengths = np.array([np.sum(seg_len[0, i:j]) + np.sum(seg_len[1, i:j])
+                        for i, j in zip(bounds[:-1], bounds[1:])])
+    del seg, seg_len
+
+    # the crossings on rows B and L of ex, ey (a crossed R or T edge is
+    # another cell's L or B): crossed[i] = 2 pair + (0 for B, 1 for L)
+    crossed = np.flatnonzero(np.take(_CROSSED, cs, axis=0))
+    at = crossed >> 1
+    at += (crossed & 1) * (3 * len(cs))
+    return (lengths, np.stack([ex.take(at), ey.take(at)], axis=1),
+            np.diff(np.searchsorted(crossed, 2 * bounds)))
 
 
 def level_perimeter(u: GridFunction, t: float) -> float:

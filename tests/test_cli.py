@@ -171,6 +171,9 @@ _MINIMIZER = ["minimizer", "--volume", "0.5"]
     (_REARRANGE, {"u.grid": _grid_text(value="-1")}, 2, "grid values must be nonnegative"),
     (_REARRANGE, {"u.grid": _grid_text(value="0 0")}, 2, "columns"),
     (_REARRANGE, {"u.grid": _grid_text(rows=3)}, 2, "grid body is (3, 4), header says (4, 4)"),
+    (_REARRANGE, {"u.grid": _grid_text(rows=0)}, 2, "grid file has no body"),
+    (_REARRANGE, {"u.grid": _grid_text(dx="1e308")}, 2, "overflows when squared"),
+    (_REARRANGE, {"u.grid": _grid_text(value="1e308")}, 2, "grid values too large"),
     (_MINIMIZER, {"domain.json": "{not json"}, 2, "line 1 column 2"),
     (_MINIMIZER, {"domain.json": _domain_text([[0, 0], [2, 0], [1, 0.5], [2, 2], [0, 2]])},
      3, "vertex chain is not strictly convex"),
@@ -181,7 +184,8 @@ _MINIMIZER = ["minimizer", "--volume", "0.5"]
     (["family", "--sweep=-1e308:1e308:10"], {}, 4, "sweep outside (0, |domain|]"),
     (["verify", "--volume", "0.9", "--seed", "-1"], {}, 2, "--seed must be nonnegative, got -1"),
 ], ids=["dx-inf", "dx-nan", "x0-nan", "y0-minus-inf", "value-nan", "value-inf",
-        "value-negative", "ragged-body", "short-body", "bad-json", "non-convex",
+        "value-negative", "ragged-body", "short-body", "no-body", "dx-overflow",
+        "value-overflow", "bad-json", "non-convex",
         "coincident-vertices", "sweep-inf", "sweep-nan", "sweep-overflow", "seed-negative"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, files, code, message):
     files = {"domain.json": _domain_text(SQUARE), **files}

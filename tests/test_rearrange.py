@@ -39,6 +39,21 @@ def test_grid_rejects_nonfinite_frame(square, field, index, value):
         GridFunction(frame["origin"], frame["spacing"], u.values, square)
 
 
+def test_grid_rejects_what_would_overflow(square, square_family):
+    # a frame whose span overflows when squared, or values whose BV
+    # estimate would overflow, are refused before any marching; a grid
+    # just inside the bound gives a finite report with no warning
+    u = GridFunction.for_domain(square, 16)
+    with pytest.raises(ValueError, match="overflows when squared"):
+        GridFunction(u.origin, np.array([1e308, u.spacing[1]]), u.values, square)
+    with pytest.raises(ValueError, match="grid values too large"):
+        u.with_values(np.where(u.inside_mask, 1e308, 0.0))
+    cone = cone_grid(square, 32)
+    big = cone.with_values(cone.values * (1e306 / np.sum(cone.values)))
+    rep = rr.rearrangement_report(big, rr.convex_rearrangement(big, square_family), 16)
+    assert np.all(np.isfinite([*rep.bv_u, *rep.bv_ut, *rep.per_u, *rep.convexity_defect]))
+
+
 def test_distribution_indicator(square):
     u = disk_indicator_grid(square, 128, (0.5, 0.5), 0.25, antialias=False)
     mu = rr.distribution(u, 0.5)
@@ -268,6 +283,17 @@ def test_report_rejects_few_levels_first(square, levels):
     u = cone_grid(square, 32)
     with pytest.raises(ValueError, match="levels must be at least 16"):
         rr.rearrangement_report(u, u, levels)
+
+
+def test_report_does_not_depend_on_block_size(square, square_family, monkeypatch):
+    u = cone_grid(square, 128)
+    ut = rr.convex_rearrangement(u, square_family)
+    reps = []
+    for chunk in (100, rr.CHUNK_PAIRS):
+        monkeypatch.setattr(rr, "CHUNK_PAIRS", chunk)
+        reps.append(rr.rearrangement_report(u, ut))
+    for name in ("per_u", "per_ut", "convexity_defect", "bv_u", "bv_ut"):
+        assert np.array_equal(getattr(reps[0], name), getattr(reps[1], name)), name
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0], ids=["equal-max", "lower-max", "zero"])
