@@ -288,15 +288,19 @@ def convex_hulls(points, counts):
 def validate_polygon(vertices) -> ConvexPolygon:
     """Validate a vertex list and return a normalized CCW ConvexPolygon.
 
-    Rejects non-numeric or ragged input, non-finite coordinates, a span
-    whose square overflows, duplicate vertices, collinear runs and
-    non-convex chains: each turn must have a sine above EPS_GEOM, whatever
-    the edge lengths.  CW input is reversed (recorded on the result).
+    Rejects non-numeric or ragged input (strings and booleans included,
+    which numpy would convert), non-finite coordinates, a span whose
+    square overflows, duplicate vertices, collinear runs and non-convex
+    chains: each turn must have a sine above EPS_GEOM, whatever the edge
+    lengths.  CW input is reversed (recorded on the result).
     """
     try:
-        arr = np.asarray(vertices, dtype=float)
+        arr = np.asarray(vertices)
+        if arr.dtype.kind not in "iuf":
+            raise TypeError
     except (TypeError, ValueError):
         raise DegenerateError("vertices must be an (n, 2) array of numbers") from None
+    arr = arr.astype(float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DegenerateError("vertices must be an (n, 2) array of points")
     if len(arr) < 3:

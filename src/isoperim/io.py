@@ -4,8 +4,10 @@ Domain files are JSON objects {"vertices": [[x, y], ...]} with finite
 double coordinates.  Grid files are plain text: the header line
 ``nx ny x0 y0 dx dy`` followed by ny rows of nx space-separated values,
 row 0 at the smallest y; (x0, y0) is the center of cell (0, 0).  Grid
-values are written with full round-trip precision; report numbers are
-pinned to 9 significant digits.
+values are written with full round-trip precision, as ``repr`` of each
+float; ``repr`` is called once per distinct bit pattern (a rearranged
+grid repeats its samples), which gives the same bytes as one call per
+cell.  Report numbers are pinned to 9 significant digits.
 """
 
 import json
@@ -75,12 +77,21 @@ def read_grid(path, domain: ConvexPolygon) -> GridFunction:
 
 
 def write_grid(u: GridFunction, path):
-    """Write a grid file; values round-trip exactly."""
+    """Write a grid file; values round-trip exactly.
+
+    Each distinct value is formatted once and the rows are built from that
+    string table.  Values are keyed by bit pattern, not by value, so -0.0
+    and 0.0 keep their own strings and the bytes are those of ``repr`` on
+    every cell.
+    """
+    bits, inverse = np.unique(u.values.view(np.uint64), return_inverse=True)
+    table = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     with open(path, "w") as fh:
         head = [repr(float(x)) for x in (u.origin[0], u.origin[1],
                                          u.spacing[0], u.spacing[1])]
         fh.write(f"{u.nx} {u.ny} " + " ".join(head) + "\n")
-        fh.writelines(" ".join(map(repr, row)) + "\n" for row in u.values.tolist())
+        fh.writelines(" ".join(row) + "\n"
+                      for row in table[inverse.reshape(u.values.shape)].tolist())
 
 
 def write_pgm(grid, path):

@@ -8,9 +8,10 @@ offset by bisection, the inradius by a linear program, marching
 squares by one full-grid pass per threshold, the Crofton transition
 counts by shifting a padded copy of the grid, the annealing chain by
 pricing every proposal from the stencil and reading its boundary lists
-and swap validity from the grid bytes, and the competitor sweep one
+and swap validity from the grid bytes, the competitor sweep one
 competitor at a time, each hull by Qhull and each half-plane cut by a
-root per normal and a clip loop.
+root per normal and a clip loop, and the grid file writer by one
+``repr`` per cell.
 """
 
 from types import SimpleNamespace
@@ -701,3 +702,12 @@ def _marching_squares(values, origin, spacing, t):
     total = float(np.sum(seg_len(s1)) + np.sum(seg_len(s2)))
     has = np.flatnonzero(_CROSSED[:, cs])
     return total, np.stack([ex.ravel()[has], ey.ravel()[has]], axis=1)
+
+
+def write_grid_per_cell(u, path):
+    """The grid file of ``io.write_grid``, formatting every cell on its own."""
+    with open(path, "w") as fh:
+        head = [repr(float(x)) for x in (u.origin[0], u.origin[1],
+                                         u.spacing[0], u.spacing[1])]
+        fh.write(f"{u.nx} {u.ny} " + " ".join(head) + "\n")
+        fh.writelines(" ".join(map(repr, row)) + "\n" for row in u.values.tolist())

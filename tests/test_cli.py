@@ -175,6 +175,11 @@ _MINIMIZER = ["minimizer", "--volume", "0.5"]
     (_REARRANGE, {"u.grid": _grid_text(dx="1e308")}, 2, "overflows when squared"),
     (_REARRANGE, {"u.grid": _grid_text(value="1e308")}, 2, "grid values too large"),
     (_MINIMIZER, {"domain.json": "{not json"}, 2, "line 1 column 2"),
+    (_MINIMIZER, {"domain.json": _domain_text([["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]])},
+     3, "vertices must be an (n, 2) array of numbers"),
+    (_MINIMIZER, {"domain.json": _domain_text([[False, False], [True, False], [True, True],
+                                               [False, True]])},
+     3, "vertices must be an (n, 2) array of numbers"),
     (_MINIMIZER, {"domain.json": _domain_text([[0, 0], [2, 0], [1, 0.5], [2, 2], [0, 2]])},
      3, "vertex chain is not strictly convex"),
     (_MINIMIZER, {"domain.json": _domain_text([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]])},
@@ -185,7 +190,7 @@ _MINIMIZER = ["minimizer", "--volume", "0.5"]
     (["verify", "--volume", "0.9", "--seed", "-1"], {}, 2, "--seed must be nonnegative, got -1"),
 ], ids=["dx-inf", "dx-nan", "x0-nan", "y0-minus-inf", "value-nan", "value-inf",
         "value-negative", "ragged-body", "short-body", "no-body", "dx-overflow",
-        "value-overflow", "bad-json", "non-convex",
+        "value-overflow", "bad-json", "string-coordinates", "boolean-coordinates", "non-convex",
         "coincident-vertices", "sweep-inf", "sweep-nan", "sweep-overflow", "seed-negative"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, files, code, message):
     files = {"domain.json": _domain_text(SQUARE), **files}

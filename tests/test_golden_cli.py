@@ -9,7 +9,9 @@ shape record, its JSON form or its SVG path shows up as a changed hash.
 The rearrange hashes cover six Gaussian bumps on the unit square, once
 where max u_tilde < max u (the report integrates u_tilde's contour
 lengths on u's threshold grid past max u_tilde, up to max u) and once
-where the maxima are equal (bv_ut is then bv_norm_estimate(u_tilde)).
+where the maxima are equal (bv_ut is then bv_norm_estimate(u_tilde)),
+and four wider bumps on the 64-gon ellipse, a domain other than the
+square.
 
 The verify hashes cover the competitor sweep's report and the annealing
 oracle's best grid on the unit square.
@@ -24,10 +26,12 @@ import pytest
 
 from isoperim import io
 from isoperim.cli import main
+from isoperim.family import build_family
 from isoperim.geometry import polygon_measures, validate_polygon
-from isoperim.rearrange import GridFunction
+from isoperim.rearrange import GridFunction, convex_rearrangement
 
-from conftest import RECT21, SQUARE
+from conftest import RECT21, SQUARE, cone_grid
+from oracles import write_grid_per_cell
 
 # 2:1 ellipse sampled at 64 equally spaced angles, rounded so that the
 # domain file does not depend on the last bit of the platform's cos / sin
@@ -66,6 +70,14 @@ LATTICE = [(x, y) for y in (0.3, 0.7) for x in (0.2, 0.5, 0.8)]
 JITTERED = [(0.172, 0.31), (0.455, 0.285), (0.768, 0.297),
             (0.183, 0.723), (0.476, 0.675), (0.838, 0.728)]
 
+# four bumps of width 0.25 inside the 64-gon ellipse, none on an axis of symmetry
+ELLIPSE_BUMPS = [(-1.13, 0.12), (-0.31, -0.37), (0.46, 0.29), (1.22, -0.06)]
+
+# bump set name: (domain name, centers, width)
+BUMPS = {"jittered": ("square", JITTERED, 0.08),
+         "lattice": ("square", LATTICE, 0.08),
+         "ellipse": ("ellipse64", ELLIPSE_BUMPS, 0.25)}
+
 REARRANGE_GOLDEN = {
     (48, "jittered"): (False, {
         "u_tilde.grid": "a37aadef6c726535f522e993434fe625673e725af365ad001ee9c6f939804d51",
@@ -77,6 +89,11 @@ REARRANGE_GOLDEN = {
         "report.json": "b781cf9fb7a37bfa0e1a5d7ac61ace8e90eeb15c31ace030b0753df0f894709f",
         "report.csv": "1eb49b0bda21200bb8e67a3b70690a60593fe4c987313576d4a84e1131ad21f0",
         "levels.svg": "6db0567a34087c707b20517f1264e30212590c0e9a789b0e8014780310814905"}),
+    (64, "ellipse"): (True, {
+        "u_tilde.grid": "e515c8d6f0b18bcdbd1fc8eba13c41439d95fff5b4a524c7c80b3a1f217fdfdc",
+        "report.json": "39c7347d39d42df580b90371894a6f8be3162c4f9cabcdc80b05a8da5e01e937",
+        "report.csv": "510e7bc7254762f83b238b0debfd4510c3561156f0e733e4e77152c25e7c6061",
+        "levels.svg": "0f67eecf043b6b5849b341f49dec93341505f2a572ea21c0573a18c1b02ad19b"}),
 }
 
 VERIFY_GOLDEN = {
@@ -85,14 +102,16 @@ VERIFY_GOLDEN = {
 }
 
 
-def _bump_grid(n, centers):
-    """Bump sum on the for_domain(square, n) grid, rounded to 12 decimals
-    so that the grid file does not depend on the last bit of exp."""
-    frame = GridFunction.for_domain(validate_polygon(SQUARE), n)
+def _bump_grid(n, bumps):
+    """Sum of the named bump set on the for_domain(domain, n) grid, rounded
+    to 12 decimals so that the grid file does not depend on the last bit
+    of exp."""
+    domain, centers, width = BUMPS[bumps]
+    frame = GridFunction.for_domain(validate_polygon(DOMAINS[domain]), n)
     c = frame.centers()
     values = np.zeros(c.shape[:2])
     for center in centers:
-        values += np.exp(-np.sum((c - center) ** 2, axis=-1) / (2.0 * 0.08 ** 2))
+        values += np.exp(-np.sum((c - center) ** 2, axis=-1) / (2.0 * width ** 2))
     values[~frame.inside_mask] = 0.0
     return frame.with_values(np.round(values, 12))
 
@@ -132,16 +151,50 @@ def test_family_sweep_outputs_pinned(tmp_path):
                          ids=[f"{c}-{n}" for n, c in REARRANGE_GOLDEN])
 def test_rearrange_outputs_pinned(tmp_path, n, centers):
     maxima_equal, golden = REARRANGE_GOLDEN[(n, centers)]
-    u = _bump_grid(n, JITTERED if centers == "jittered" else LATTICE)
+    u = _bump_grid(n, centers)
     grid = str(tmp_path / "u.grid")
     io.write_grid(u, grid)
     out = str(tmp_path / "out")
-    assert main(["rearrange", "--domain", _domain_file(tmp_path, "square"),
+    assert main(["rearrange", "--domain", _domain_file(tmp_path, BUMPS[centers][0]),
                  "--grid", grid, "--levels", "64", "--out", out]) == 0
     ut = io.read_grid(os.path.join(out, "u_tilde.grid"), u.domain)
     assert bool(ut.values.max() == u.values.max()) is maxima_equal
     assert ut.values.max() <= u.values.max()
     assert _hashes(out, golden) == golden
+
+
+def _writer_case(name):
+    square = validate_polygon(SQUARE)
+    if name == "golden-u-tilde":
+        return convex_rearrangement(_bump_grid(48, "jittered"), build_family(square))
+    if name == "all-distinct":
+        frame = GridFunction.for_domain(square, 64)
+        values = np.random.default_rng(5).random(frame.values.shape)
+        return frame.with_values(np.where(frame.inside_mask, values, 0.0))
+    u = cone_grid(square, 16)
+    values = u.values.copy()
+    if name == "signed-zeros":
+        values[~u.inside_mask] = -0.0
+        values[5, 3:9] = 0.0
+    else:   # the smallest subnormal and a large normal value
+        values[4, 4:8] = 5e-324
+        values[9, 6:10] = 1e300
+    return u.with_values(values)
+
+
+@pytest.mark.parametrize("case", ["golden-u-tilde", "all-distinct", "signed-zeros",
+                                  "extremes"])
+def test_grid_writer_matches_per_cell_repr(tmp_path, case):
+    """One repr per distinct bit pattern writes the bytes of one repr per
+    cell, and the file reads back bit for bit."""
+    u = _writer_case(case)
+    path, ref = str(tmp_path / "u.grid"), str(tmp_path / "ref.grid")
+    io.write_grid(u, path)
+    write_grid_per_cell(u, ref)
+    assert open(path, "rb").read() == open(ref, "rb").read()
+    back = io.read_grid(path, u.domain)
+    assert np.array_equal(back.values.view(np.uint64), u.values.view(np.uint64))
+    assert np.array_equal(back.origin, u.origin) and np.array_equal(back.spacing, u.spacing)
 
 
 def test_verify_outputs_pinned(tmp_path):
