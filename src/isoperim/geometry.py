@@ -217,14 +217,20 @@ def convex_hulls(points, counts):
     ``vertices`` indexes ``points``: each hull's vertices in CCW order
     from its leftmost-then-lowest point, back to back, hull_counts[s] of
     them.  Points on a hull edge are not vertices, so a set with no area
-    gives at most two.
+    gives at most two; of equal points, only the first can be a vertex.
 
-    A segmented quickhull (Eddy 1977; Barber, Dobkin & Huhdanpaa 1996):
-    each set starts as the two directed edges between its leftmost-then-
-    lowest and rightmost-then-highest points.  Each round splits every
-    edge that has points outside it at the farthest of them (of tied
-    ones, the farthest along the edge) and keeps, grouped by edge, only
-    the points outside one of the two new edges.
+    Two phases in one pass.  First a segmented quickhull (Eddy 1977;
+    Barber, Dobkin & Huhdanpaa 1996): each set starts as the two directed
+    edges between its leftmost-then-lowest and rightmost-then-highest
+    points.  Each round splits every edge that has points outside it at
+    the farthest of them (of tied ones, the farthest along the edge, then
+    the first), found by one ``np.maximum.at`` over edge ids, and keeps,
+    in input order, only the points outside one of the two new edges.
+    Once a round keeps more than half of the points it split, they are
+    mostly in convex position (as on the report's level sets), and
+    monotone chains (Andrew 1979) finish every edge at once: see
+    ``_hull_chains``.  Points in general position (the sweep's random
+    competitors) keep quickhulling until none is left.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     counts = np.asarray(counts, dtype=np.intp)
@@ -234,51 +240,164 @@ def convex_hulls(points, counts):
     x, y = pts[:, 0], pts[:, 1]
     at = (np.cumsum(counts) - counts)[sets]
     own = np.repeat(np.arange(len(sets)), counts[sets])
-    pos = np.arange(len(x))
 
     def extreme(fn, pad):   # leftmost-then-lowest (min) or rightmost-then-highest (max)
         on = x == fn.reduceat(x, at)[own]
         on &= y == fn.reduceat(np.where(on, y, pad), at)[own]
-        return np.minimum.reduceat(np.where(on, pos, len(x)), at)
+        first = on.nonzero()[0]
+        return first[np.searchsorted(first, at)]
+
+    def gather(v, index, out):   # v[index] into out
+        return v.take(index, out=out, mode="clip")
 
     a, b = extreme(np.minimum, np.inf), extreme(np.maximum, -np.inf)
     # edges a -> b (lower chain) and b -> a (upper chain) per set, only the first if a == b
     live = np.stack([np.ones(len(a), bool), a != b], 1).ravel()
     ea, eb = np.stack([a, b], 1).ravel()[live], np.stack([b, a], 1).ravel()[live]
     es = np.repeat(sets, 2)[live]
-    ax, ay = x[a][own], y[a][own]
-    d = (x - ax) * (y[b][own] - ay) - (y - ay) * (x[b][own] - ax)   # > 0: below a -> b
+    g = x[a][own]
+    d = x - g
+    d *= gather(y[b] - y[a], own, g)
+    t = np.subtract(y, gather(y[a], own, g), out=g)
+    t *= (x[b] - x[a])[own]
+    d -= t   # > 0: below a -> b
+    del g, t
     pe = (np.cumsum(live) - 1)[2 * own + (d < 0.0)]
-    pi, pd, px, py = pos, np.abs(d), x, y
+    del own
+    pd, pi = np.abs(d, out=d), None
     while True:
-        # the points outside an edge, grouped by edge: index, edge, distance, coordinates
-        keep = np.flatnonzero(pd > 0.0)
-        if not len(keep):
+        # the points outside an edge, in input order: index, edge, distance
+        out = pd > 0.0
+        n = np.count_nonzero(out)
+        if not n:
             return ea, np.bincount(es, minlength=len(counts))
-        order = keep[np.argsort(pe[keep], kind="stable")]
-        pi, pe, pd, px, py = pi[order], pe[order], pd[order], px[order], py[order]
-        head = pe != np.concatenate([[-1], pe[:-1]])
-        brk, grp = np.flatnonzero(head), np.cumsum(head) - 1
-        e = pe[brk]   # the open edge of each group, and its ends:
-        ax, ay, bx, by = x[ea[e]], y[ea[e]], x[eb[e]], y[eb[e]]
-        hit = np.flatnonzero(pd == np.maximum.reduceat(pd, brk)[grp])
-        if len(hit) > len(brk):   # ties: the one farthest along the edge, then the first
-            g = grp[hit]
-            along = (px[hit] - ax[g]) * (bx - ax)[g] + (py[hit] - ay[g]) * (by - ay)[g]
+        pe = pe[out]
+        if pi is None:
+            pi = out.nonzero()[0]
+        else:
+            pi = pi[out]
+            if 2 * n > len(pd):   # mostly in convex position
+                del out, pd
+                return _hull_chains(x, y, ea, eb, es, pi, pe, len(counts))
+        pd = pd[out]
+        del out
+        best = np.zeros(len(ea))
+        np.maximum.at(best, pe, pd)
+        hit = (pd == best[pe]).nonzero()[0]
+        e = best.nonzero()[0]   # the edges with points outside, and their ends:
+        ax, ay, bx, by = x[ea], y[ea], x[eb], y[eb]
+        if len(hit) > len(e):   # ties: the one farthest along the edge, then the first
+            g = pe[hit]
+            along = (x[pi[hit]] - ax[g]) * (bx - ax)[g] + (y[pi[hit]] - ay[g]) * (by - ay)[g]
             hit = hit[np.lexsort((-along, g))]
-            hit = hit[np.diff(grp[hit], prepend=-1) > 0]
-        c = pi[hit]
+            hit = hit[np.diff(pe[hit], prepend=-1) > 0]
+        c = np.zeros(len(ea), np.intp)
+        c[pe[hit]] = pi[hit]
         cx, cy = x[c], y[c]
         # edge e splits into a -> c and c -> b, at positions new[e] and new[e] + 1
-        split = np.zeros(len(ea), np.intp)
-        split[e] = 1
-        new = np.arange(len(ea)) + np.cumsum(split) - split
-        ea, eb, es = (np.repeat(v, 1 + split) for v in (ea, eb, es))
-        ea[new[e] + 1], eb[new[e]] = c, c
-        d1 = (px - ax[grp]) * (cy - ay)[grp] - (py - ay[grp]) * (cx - ax)[grp]
-        d2 = (px - cx[grp]) * (by - cy)[grp] - (py - cy[grp]) * (bx - cx)[grp]
+        grow = 1 + (best > 0.0)
+        new = np.cumsum(grow) - grow
+        ea, eb, es = np.repeat(np.stack([ea, eb, es]), grow, axis=1)
+        ea[new[e] + 1], eb[new[e]] = c[e], c[e]
+        # d1 = (px - ax) (cy - ay) - (py - ay) (cx - ax) > 0 outside a -> c and
+        # d2 likewise outside c -> b, formed in place; pd is spent, a buffer
+        px, py = x[pi], y[pi]
+        d1 = px - gather(ax, pe, pd)
+        d1 *= gather(cy - ay, pe, pd)
+        d2 = py - gather(ay, pe, pd)
+        d2 *= gather(cx - ax, pe, pd)
+        d1 -= d2
+        np.subtract(px, gather(cx, pe, pd), out=d2)
+        d2 *= gather(by - cy, pe, pd)
+        np.subtract(py, gather(cy, pe, px), out=py)
+        py *= gather(bx - cx, pe, pd)
+        d2 -= py
+        del px, py
         side = d1 <= 0.0
-        pe, pd = new[pe] + side, np.where(side, d2, d1)
+        pe = new[pe]
+        pe += side
+        np.copyto(d1, d2, where=side)
+        pd = d1
+        del d2, side
+
+
+def _hull_chains(x, y, ea, eb, es, pi, pe, nsets):
+    """Finish ``convex_hulls`` from its open edges ea -> eb (of set es, in
+    CCW order) and the points pi outside edge pe, in input order.
+
+    Each edge's points lie between its ends along its chain.  They are
+    sorted by x then y (both reversed on the upper chain), of equal points
+    only the first is kept (two copies would drop each other), and every
+    point that does not turn left between its neighbours, the edge's ends
+    fixed, is dropped in vectorised passes until none is left.  The first
+    pass tests every point, the later ones only the neighbours of dropped
+    points, so a pass costs a few numpy calls on those; the report's
+    level sets take three or four passes.
+    """
+    sign = np.where((x[ea] < x[eb]) | ((x[ea] == x[eb]) & (y[ea] < y[eb])), 1.0, -1.0)
+    key = x[pi]
+    key *= sign[pe]
+    # by edge, then x (ties in any order), then each run of equal x by y and input order
+    order = np.argsort(key)
+    narrow = np.min_scalar_type(len(ea))   # a radix sort for up to 65536 edges
+    order = order[np.argsort(pe[order].astype(narrow), kind="stable")]
+    key = key[order]
+    tie = pe[order]
+    tie = (tie[1:] == tie[:-1]) & (key[1:] == key[:-1])
+    if tie.any():
+        run = np.cumsum(np.concatenate([[True], ~tie]))
+        t = np.concatenate([tie, [False]]) | np.concatenate([[False], tie])
+        t = t.nonzero()[0]
+        o = order[t]
+        order[t] = o[np.lexsort((o, sign[pe[o]] * y[pi[o]], run[t]))]
+    del key, tie
+    pi, pe = pi[order], pe[order]
+    del order
+    # of equal points, the first
+    first = np.ones(len(pi), bool)
+    px, py = x[pi], y[pi]
+    first[1:] = (pe[1:] != pe[:-1]) | (px[1:] != px[:-1]) | (py[1:] != py[:-1])
+    del px, py
+    pi, pe = pi[first], pe[first]
+    del first
+    # one sequence of positions: each edge's start, its points, its end
+    k, m = len(ea), len(pi)
+    head = 2 * np.arange(k) + np.searchsorted(pe, np.arange(k))
+    tail = np.append(head[1:], 2 * k + m) - 1
+    at = np.arange(m) + 2 * pe + 1
+    ids = np.empty(2 * k + m, np.intp)
+    ids[head], ids[at], ids[tail] = ea, pi, eb
+    del pi
+    X, Y = x[ids], y[ids]
+    # first pass: every point against its neighbours in the sequence
+    d = X[1:-1] - X[:-2]
+    d *= Y[2:] - Y[:-2]
+    t = Y[1:-1] - Y[:-2]
+    t *= X[2:] - X[:-2]
+    d -= t
+    del t
+    alive = np.ones(len(ids), bool)
+    alive[at] = d[at - 1] > 0.0
+    del d
+    # later passes: a doubly linked list over the positions, and only the
+    # neighbours of dropped points are tested again
+    fixed = np.ones(len(ids), bool)
+    fixed[at] = False
+    prv, nxt = np.arange(-1, len(ids) - 1), np.arange(1, len(ids) + 1)
+    gone = at[~alive[at]]
+    while len(gone):
+        left = prv[gone[alive[prv[gone]]]]   # the ends of each run of dropped points
+        right = nxt[gone[alive[nxt[gone]]]]
+        nxt[left], prv[right] = right, left
+        c = np.sort(np.concatenate([left, right]))
+        c = c[~fixed[c] & np.concatenate([[True], c[1:] != c[:-1]])]
+        p, q = prv[c], nxt[c]
+        d = (X[c] - X[p]) * (Y[q] - Y[p]) - (Y[c] - Y[p]) * (X[q] - X[p])
+        gone = c[d <= 0.0]
+        alive[gone] = False
+    counts = np.bincount(es, minlength=nsets) + np.bincount(es[pe[alive[at]]], minlength=nsets)
+    alive[tail] = False
+    return ids[alive], counts
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ class GridFunction:
         ny, nx = self.values.shape
         first = self.origin
         last = self.origin + self.spacing * np.array([nx - 1, ny - 1])
-        slack = 1e-6 * self.spacing
+        # a millionth of a cell, plus the rounding of far-off coordinates
+        slack = 1e-6 * self.spacing + 8.0 * np.finfo(float).eps * np.maximum(abs(lo), abs(hi))
         if (np.any(first > lo - 0.5 * self.spacing + slack)
                 or np.any(last < hi + 0.5 * self.spacing - slack)):
             raise DomainMismatchError("grid does not cover the domain with a margin cell")

@@ -1,0 +1,91 @@
+"""Hand-run timing of ``geometry.convex_hulls`` against its reference.
+
+    PYTHONPATH=src python tests/bench_hulls.py [--repeats 15]
+
+pytest does not collect this file.  Each input is hulled by the kernel
+and by ``oracles.quickhull_sorted`` in alternating runs, and the
+medians are printed with their ratio.  The inputs are the ones the
+kernel serves:
+
+- report: the ``march_levels`` blocks of the convex rearrangement of six
+  Gaussian bumps (width 0.08) on the 256-wide unit-square grid at 256
+  levels, as in the ``rearrange-square`` benchmark workload;
+- sweep: blocks of 85 sets of 192 uniform points from the square's
+  triangle fan, as a ``verify`` sweep hulls its first rungs;
+- ladder: single sets of 384 and 768 points, the next two rungs.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.dirname(__file__))
+
+from isoperim import oracle as orc                      # noqa: E402
+from isoperim.family import build_family                # noqa: E402
+from isoperim.geometry import convex_hulls, validate_polygon   # noqa: E402
+from isoperim.rearrange import (GridFunction, _threshold_grid,   # noqa: E402
+                                convex_rearrangement, march_levels)
+from oracles import quickhull_sorted                    # noqa: E402
+
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+JITTERED = [(0.172, 0.31), (0.455, 0.285), (0.768, 0.297),
+            (0.183, 0.723), (0.476, 0.675), (0.838, 0.728)]
+
+
+def report_blocks(n=256, levels=256):
+    square = validate_polygon(SQUARE)
+    frame = GridFunction.for_domain(square, n)
+    c = frame.centers()
+    values = sum(np.exp(-np.sum((c - m) ** 2, axis=-1) / (2.0 * 0.08 ** 2)) for m in JITTERED)
+    u = frame.with_values(np.where(frame.inside_mask, values, 0.0))
+    ut = convex_rearrangement(u, build_family(square))
+    ts = _threshold_grid(u.values, levels)[1]
+    return [(pts, counts) for _, pts, counts in march_levels(ut.values, ut.origin, ut.spacing, ts)]
+
+
+def sweep_blocks(rng, blocks=24, sets=85, k=192):
+    fan = orc._Fan(validate_polygon(SQUARE).vertices)
+    return [(fan.sample(rng, sets * k), np.full(sets, k)) for _ in range(blocks)]
+
+
+def ladder_sets(rng, k, count=58):
+    fan = orc._Fan(validate_polygon(SQUARE).vertices)
+    return [(fan.sample(rng, k), [k]) for _ in range(count)]
+
+
+def _time(fn, inputs):
+    t0 = time.perf_counter()
+    for pts, counts in inputs:
+        fn(pts, counts)
+    return time.perf_counter() - t0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args(argv)
+    rng = np.random.default_rng(2024)
+    cases = {"report (11 blocks)": report_blocks(),
+             "sweep (24 blocks of 85 x 192)": sweep_blocks(rng),
+             "ladder (58 sets of 384)": ladder_sets(rng, 384),
+             "ladder (58 sets of 768)": ladder_sets(rng, 768)}
+    print(f"{'input':32s} {'reference ms':>13s} {'kernel ms':>10s} {'ratio':>6s}")
+    for name, inputs in cases.items():
+        for pts, counts in inputs:   # same output before any timing
+            want, got = quickhull_sorted(pts, counts), convex_hulls(pts, counts)
+            assert all(np.array_equal(w, g) for w, g in zip(want, got)), name
+        ref, new = [], []
+        for _ in range(args.repeats):
+            ref.append(_time(quickhull_sorted, inputs))
+            new.append(_time(convex_hulls, inputs))
+        r, k = statistics.median(ref), statistics.median(new)
+        print(f"{name:32s} {1e3 * r:13.2f} {1e3 * k:10.2f} {k / r:6.2f}")
+
+
+if __name__ == "__main__":
+    main()

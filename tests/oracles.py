@@ -9,9 +9,10 @@ squares by one full-grid pass per threshold, the Crofton transition
 counts by shifting a padded copy of the grid, the annealing chain by
 pricing every proposal from the stencil and reading its boundary lists
 and swap validity from the grid bytes, the competitor sweep one
-competitor at a time, each hull by Qhull and each half-plane cut by a
-root per normal and a clip loop, and the grid file writer by one
-``repr`` per cell.
+competitor at a time, each hull by Qhull and by a quickhull that sorts
+its points by edge every round, each half-plane cut by a root per
+normal and a clip loop, and the grid file writer by one ``repr`` per
+cell.
 """
 
 from types import SimpleNamespace
@@ -702,6 +703,80 @@ def _marching_squares(values, origin, spacing, t):
     total = float(np.sum(seg_len(s1)) + np.sum(seg_len(s2)))
     has = np.flatnonzero(_CROSSED[:, cs])
     return total, np.stack([ex.ravel()[has], ey.ravel()[has]], axis=1)
+
+
+def quickhull_sorted(points, counts):
+    """(vertices, hull_counts): the convex hulls of point sets stored back to back.
+
+    The reference for ``geometry.convex_hulls``: quickhull to the end,
+    with a stable sort that groups the live points by edge every round.
+
+    ``points`` (m, 2) holds the sets back to back, counts[s] points each.
+    ``vertices`` indexes ``points``: each hull's vertices in CCW order
+    from its leftmost-then-lowest point, back to back, hull_counts[s] of
+    them.  Points on a hull edge are not vertices, so a set with no area
+    gives at most two.
+
+    A segmented quickhull (Eddy 1977; Barber, Dobkin & Huhdanpaa 1996):
+    each set starts as the two directed edges between its leftmost-then-
+    lowest and rightmost-then-highest points.  Each round splits every
+    edge that has points outside it at the farthest of them (of tied
+    ones, the farthest along the edge) and keeps, grouped by edge, only
+    the points outside one of the two new edges.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    counts = np.asarray(counts, dtype=np.intp)
+    sets = np.flatnonzero(counts)
+    if not len(sets):
+        return np.empty(0, np.intp), np.zeros(len(counts), np.intp)
+    x, y = pts[:, 0], pts[:, 1]
+    at = (np.cumsum(counts) - counts)[sets]
+    own = np.repeat(np.arange(len(sets)), counts[sets])
+    pos = np.arange(len(x))
+
+    def extreme(fn, pad):   # leftmost-then-lowest (min) or rightmost-then-highest (max)
+        on = x == fn.reduceat(x, at)[own]
+        on &= y == fn.reduceat(np.where(on, y, pad), at)[own]
+        return np.minimum.reduceat(np.where(on, pos, len(x)), at)
+
+    a, b = extreme(np.minimum, np.inf), extreme(np.maximum, -np.inf)
+    # edges a -> b (lower chain) and b -> a (upper chain) per set, only the first if a == b
+    live = np.stack([np.ones(len(a), bool), a != b], 1).ravel()
+    ea, eb = np.stack([a, b], 1).ravel()[live], np.stack([b, a], 1).ravel()[live]
+    es = np.repeat(sets, 2)[live]
+    ax, ay = x[a][own], y[a][own]
+    d = (x - ax) * (y[b][own] - ay) - (y - ay) * (x[b][own] - ax)   # > 0: below a -> b
+    pe = (np.cumsum(live) - 1)[2 * own + (d < 0.0)]
+    pi, pd, px, py = pos, np.abs(d), x, y
+    while True:
+        # the points outside an edge, grouped by edge: index, edge, distance, coordinates
+        keep = np.flatnonzero(pd > 0.0)
+        if not len(keep):
+            return ea, np.bincount(es, minlength=len(counts))
+        order = keep[np.argsort(pe[keep], kind="stable")]
+        pi, pe, pd, px, py = pi[order], pe[order], pd[order], px[order], py[order]
+        head = pe != np.concatenate([[-1], pe[:-1]])
+        brk, grp = np.flatnonzero(head), np.cumsum(head) - 1
+        e = pe[brk]   # the open edge of each group, and its ends:
+        ax, ay, bx, by = x[ea[e]], y[ea[e]], x[eb[e]], y[eb[e]]
+        hit = np.flatnonzero(pd == np.maximum.reduceat(pd, brk)[grp])
+        if len(hit) > len(brk):   # ties: the one farthest along the edge, then the first
+            g = grp[hit]
+            along = (px[hit] - ax[g]) * (bx - ax)[g] + (py[hit] - ay[g]) * (by - ay)[g]
+            hit = hit[np.lexsort((-along, g))]
+            hit = hit[np.diff(grp[hit], prepend=-1) > 0]
+        c = pi[hit]
+        cx, cy = x[c], y[c]
+        # edge e splits into a -> c and c -> b, at positions new[e] and new[e] + 1
+        split = np.zeros(len(ea), np.intp)
+        split[e] = 1
+        new = np.arange(len(ea)) + np.cumsum(split) - split
+        ea, eb, es = (np.repeat(v, 1 + split) for v in (ea, eb, es))
+        ea[new[e] + 1], eb[new[e]] = c, c
+        d1 = (px - ax[grp]) * (cy - ay)[grp] - (py - ay[grp]) * (cx - ax)[grp]
+        d2 = (px - cx[grp]) * (by - cy)[grp] - (py - cy[grp]) * (bx - cx)[grp]
+        side = d1 <= 0.0
+        pe, pd = new[pe] + side, np.where(side, d2, d1)
 
 
 def write_grid_per_cell(u, path):

@@ -16,6 +16,7 @@ from isoperim.errors import (DegenerateError, DomainMismatchError, GeometryError
                              SamplerInfeasibleError, ScheduleInvalidError,
                              VolumeOutOfRangeError)
 from isoperim.geometry import validate_polygon
+from isoperim.rearrange import GridFunction
 
 from conftest import SQUARE, RECT21, cone_grid
 
@@ -312,6 +313,23 @@ def test_rearrange_domain_mismatch(rect_json, tmp_path):
     iio.write_grid(cone_grid(square, 20), grid_path)
     # square grid does not cover the rectangle
     assert main(["rearrange", "--domain", rect_json, "--grid", grid_path]) == 5
+
+
+def test_rearrange_far_off_square(tmp_path):
+    # the unit square moved by 1e9, on a grid in the for_domain frame: the
+    # frame check allows for the rounding of coordinates that large
+    moved = [[x + 1e9, y + 1e9] for x, y in SQUARE]
+    domain = tmp_path / "moved.json"
+    domain.write_text(json.dumps({"vertices": moved}))
+    frame = GridFunction.for_domain(validate_polygon(moved), 48)
+    x, y = np.moveaxis(frame.centers() - 1e9, -1, 0)
+    cone = np.maximum(np.minimum.reduce([x, 1.0 - x, y, 1.0 - y]), 0.0)
+    grid_path = str(tmp_path / "cone.grid")
+    iio.write_grid(frame.with_values(np.where(frame.inside_mask, cone, 0.0)), grid_path)
+    out = tmp_path / "out"
+    assert main(["rearrange", "--domain", str(domain), "--grid", grid_path,
+                 "--levels", "32", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["passed"]
 
 
 def test_verify_command(square_json, tmp_path):

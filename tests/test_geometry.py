@@ -1,14 +1,18 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from isoperim import geometry as geo
+from isoperim import oracle as orc
+from isoperim import rearrange as rr
 from isoperim.errors import (DegenerateError, NonConvexError,
                              RadiusTooLargeError)
 
 import oracles
 from conftest import SQUARE, random_polygon
+from test_golden_cli import _bump_grid
 
 
 def test_validate_square(square):
@@ -332,3 +336,69 @@ def test_convex_hulls_matches_qhull():
     for pts, off, end, count in zip(sets, offsets, ends, counts):
         alone, n = geo.convex_hulls(pts, [len(pts)])
         assert n.tolist() == [count] and np.array_equal(idx[end - count:end] - off, alone)
+
+
+@pytest.fixture(scope="module")
+def golden_blocks(square_family):
+    """The march_levels blocks of u and u_tilde of the (48, jittered)
+    rearrange golden on u's 256-level threshold grid, as the report
+    marches them (u_tilde's levels are convex, u's are not)."""
+    u = _bump_grid(48, "jittered")
+    ut = rr.convex_rearrangement(u, square_family)
+    ts = rr._threshold_grid(u.values, 256)[1]
+    return [(pts, counts) for g in (u, ut)
+            for _, pts, counts in rr.march_levels(g.values, g.origin, g.spacing, ts)]
+
+
+def _fan_points(rng, n):
+    return orc._Fan(geo.validate_polygon(SQUARE).vertices).sample(rng, n)
+
+
+def _same_hulls(pts, counts):
+    got, want = geo.convex_hulls(pts, counts), oracles.quickhull_sorted(pts, counts)
+    return all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_convex_hulls_matches_reference(golden_blocks):
+    # bit for bit the hulls of quickhull to the end, on point sets in
+    # general position (few vertices, no switch to chains) and in convex
+    # position (mostly vertices, finished by chains), with duplicates
+    rng = np.random.default_rng(11)
+    sets = list(_hull_sets(rng, 40))
+    assert all(_same_hulls(pts, [len(pts)]) for pts in sets)
+    assert _same_hulls(np.concatenate(sets), [len(p) for p in sets])
+    assert len(golden_blocks) > 2
+    assert all(_same_hulls(pts, counts) for pts, counts in golden_blocks)
+    # an integer cone marched at its own values: a crossing on a sample,
+    # shared by the edges that meet there, comes once per edge
+    j, i = np.mgrid[0:64, 0:64]
+    cone = np.maximum(np.floor(30.0 - np.hypot(i - 31.5, j - 31.5)), 0.0)
+    levels = list(rr.march_levels(cone, (0.0, 0.0), (1.0, 1.0), np.unique(cone)))
+    dups = sum(len(pts) - len(np.unique(pts, axis=0)) for _, pts, _ in levels)
+    assert dups > 500 and all(_same_hulls(pts, counts) for _, pts, counts in levels)
+    assert _same_hulls(_fan_points(rng, 85 * 192), np.full(85, 192))
+    t = 2.0 * np.pi * rng.permutation(4096) / 4096
+    circle = np.stack([np.cos(t), np.sin(t)], 1)
+    assert len(geo.convex_hulls(circle, [4096])[0]) == 4096
+    assert _same_hulls(circle, [4096])
+    for n in (384, 65536):
+        assert _same_hulls(_fan_points(rng, n), [n])
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convex_hulls_memory_within_reference(golden_blocks):
+    # no more traced memory than the reference on a sweep block, the
+    # largest report block and a large single set
+    rng = np.random.default_rng(12)
+    block = max(golden_blocks, key=lambda b: len(b[0]))
+    for pts, counts in [(_fan_points(rng, 85 * 192), np.full(85, 192)), block,
+                        (_fan_points(rng, 65536), [65536])]:
+        assert _peak(geo.convex_hulls, pts, counts) <= _peak(oracles.quickhull_sorted, pts, counts)

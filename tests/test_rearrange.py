@@ -6,10 +6,11 @@ import pytest
 
 from isoperim import rearrange as rr
 from isoperim.errors import DomainMismatchError
+from isoperim.geometry import validate_polygon
 from isoperim.rearrange import GridFunction
 
 import oracles
-from conftest import cone_grid, disk_indicator_grid, oscillation, support_measure
+from conftest import SQUARE, cone_grid, disk_indicator_grid, oscillation, support_measure
 
 
 def test_grid_validation(square, rect21):
@@ -26,6 +27,22 @@ def test_grid_validation(square, rect21):
         u.with_values(np.full_like(u.values, np.nan))
     with pytest.raises(DomainMismatchError):
         GridFunction(u.origin, u.spacing, u.values, rect21)
+
+
+@pytest.mark.parametrize("n", [16, 48, 256])
+def test_for_domain_far_off_frames(n):
+    # the unit square scaled by 1e-6 to 1e6 and moved up to 1e9 (at most
+    # 1e12 of its sides): the grid has n cells across, the domain's cells
+    # inside and one margin ring outside, however its coordinates round
+    square = np.array(SQUARE)
+    for scale in 10.0 ** np.arange(-6, 7, 3):
+        for offset in (0.0, 1e3, 1e6, 1e9):
+            if offset > 1e12 * scale:
+                continue
+            for shift in ((offset, offset), (-offset, offset / 3)):
+                u = GridFunction.for_domain(validate_polygon(scale * square + shift), n)
+                assert u.values.shape == (n, n)
+                assert np.count_nonzero(u.inside_mask) == (n - 2) ** 2
 
 
 @pytest.mark.parametrize("field,index,value", [
