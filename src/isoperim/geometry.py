@@ -229,8 +229,9 @@ def convex_hulls(points, counts):
     Once a round keeps more than half of the points it split, they are
     mostly in convex position (as on the report's level sets), and
     monotone chains (Andrew 1979) finish every edge at once: see
-    ``_hull_chains``.  Points in general position (the sweep's random
-    competitors) keep quickhulling until none is left.
+    ``_hull_chains``, which may hand them back for another round.  Points
+    in general position (the sweep's random competitors) keep
+    quickhulling until none is left.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     counts = np.asarray(counts, dtype=np.intp)
@@ -264,7 +265,7 @@ def convex_hulls(points, counts):
     del g, t
     pe = (np.cumsum(live) - 1)[2 * own + (d < 0.0)]
     del own
-    pd, pi = np.abs(d, out=d), None
+    pd, pi, split = np.abs(d, out=d), None, False
     while True:
         # the points outside an edge, in input order: index, edge, distance
         out = pd > 0.0
@@ -272,13 +273,16 @@ def convex_hulls(points, counts):
         if not n:
             return ea, np.bincount(es, minlength=len(counts))
         pe = pe[out]
-        if pi is None:
-            pi = out.nonzero()[0]
-        else:
-            pi = pi[out]
-            if 2 * n > len(pd):   # mostly in convex position
-                del out, pd
-                return _hull_chains(x, y, ea, eb, es, pi, pe, len(counts))
+        pi = out.nonzero()[0] if pi is None else pi[out]
+        if split and 2 * n > len(pd):   # mostly in convex position
+            del out, pd
+            hulls, rest = _hull_chains(x, y, ea, eb, es, pi, pe, len(counts))
+            if hulls is not None:
+                return hulls
+            pi, pe, pd = rest   # the chains stalled: split their points first
+            split = False
+            continue
+        split = True
         pd = pd[out]
         del out
         best = np.zeros(len(ea))
@@ -332,7 +336,11 @@ def _hull_chains(x, y, ea, eb, es, pi, pe, nsets):
     fixed, is dropped in vectorised passes until none is left.  The first
     pass tests every point, the later ones only the neighbours of dropped
     points, so a pass costs a few numpy calls on those; the report's
-    level sets take three or four passes.
+    level sets take three or four passes.  Returns ((vertices, counts),
+    None), or (None, (pi, pe, pd)) once a pass from the eighth on drops
+    under 1/64 of the points left (as when a convex run ends at a farther
+    split point: each pass drops its last point): the points left, in
+    input order, their edges and distances outside them, for quickhull.
     """
     sign = np.where((x[ea] < x[eb]) | ((x[ea] == x[eb]) & (y[ea] < y[eb])), 1.0, -1.0)
     key = x[pi]
@@ -385,19 +393,34 @@ def _hull_chains(x, y, ea, eb, es, pi, pe, nsets):
     fixed[at] = False
     prv, nxt = np.arange(-1, len(ids) - 1), np.arange(1, len(ids) + 1)
     gone = at[~alive[at]]
+    live, passes = m - len(gone), 1
     while len(gone):
-        left = prv[gone[alive[prv[gone]]]]   # the ends of each run of dropped points
-        right = nxt[gone[alive[nxt[gone]]]]
-        nxt[left], prv[right] = right, left
-        c = np.sort(np.concatenate([left, right]))
-        c = c[~fixed[c] & np.concatenate([[True], c[1:] != c[:-1]])]
-        p, q = prv[c], nxt[c]
-        d = (X[c] - X[p]) * (Y[q] - Y[p]) - (Y[c] - Y[p]) * (X[q] - X[p])
-        gone = c[d <= 0.0]
-        alive[gone] = False
+        gone = _chain_pass(X, Y, prv, nxt, fixed, alive, gone)
+        live -= len(gone)
+        passes += 1
+        if passes >= 8 and 64 * len(gone) < live:
+            keep = alive[at]
+            order = np.argsort(ids[at[keep]])
+            pi, pe = ids[at[keep]][order], pe[keep][order]
+            a, b = ea[pe], eb[pe]
+            return None, (pi, pe, (x[pi] - x[a]) * (y[b] - y[a]) - (y[pi] - y[a]) * (x[b] - x[a]))
     counts = np.bincount(es, minlength=nsets) + np.bincount(es[pe[alive[at]]], minlength=nsets)
     alive[tail] = False
-    return ids[alive], counts
+    return (ids[alive], counts), None
+
+
+def _chain_pass(X, Y, prv, nxt, fixed, alive, gone):
+    """Unlink positions gone; drop and return their neighbours that do not turn left."""
+    left = prv[gone[alive[prv[gone]]]]   # the ends of each run of dropped points
+    right = nxt[gone[alive[nxt[gone]]]]
+    nxt[left], prv[right] = right, left
+    c = np.sort(np.concatenate([left, right]))
+    c = c[~fixed[c] & np.concatenate([[True], c[1:] != c[:-1]])]
+    p, q = prv[c], nxt[c]
+    d = (X[c] - X[p]) * (Y[q] - Y[p]) - (Y[c] - Y[p]) * (X[q] - X[p])
+    gone = c[d <= 0.0]
+    alive[gone] = False
+    return gone
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +662,15 @@ class ErosionStructure:
     step applies the length rule, then the tie rule, then takes the next
     event, with the exact predicates a full re-derivation would use: the
     length rule tests the edges whose bound has passed (and every edge
-    when it is set), and drops are applied in ascending edge order.
-    When edges vanish, only the vertex that joins their surviving
-    neighbours and the two edges meeting there are recomputed.  Each
+    when it is set), and drops are applied in ascending edge order.  An
+    edge that vanishes within a tie of its bound gets no length entry:
+    the radius only moves at an event, and the event that passes the
+    bound drops the edge (a bound passed when the edge is set would only
+    make it pending, and the length test fails there until the tie rule
+    drops it).  The first n vertices and edges are set as arrays, by the
+    expressions that set later ones.  When edges vanish, only the vertex
+    that joins their surviving neighbours and the two edges meeting
+    there are recomputed.  Each
     skeleton vertex is stored once (at most 2n rows), with the intervals
     in which it is born and dies, and each edge records the vertex pair
     at its ends whenever it is set.  The loop tracks only this topology.
@@ -665,12 +694,11 @@ class ErosionStructure:
         # small angle, would otherwise move the vertices
         c = poly.vertices.mean(axis=0)
         N, P = poly.normals, poly.vertices - c
-        D = 0.5 * (np.sum(N * P, axis=1) + np.sum(N * np.roll(P, -1, axis=0), axis=1))
+        D = 0.5 * ((N * P).sum(axis=1) + (N * np.concatenate([P[1:], P[:1]])).sum(axis=1))
         n = len(D)
         tie = 1e-11 * self.scale
         eps_len = 1e-12 * self.scale
-        inf, length_bound = math.inf, _length_bound
-        push, pop = heapq.heappush, heapq.heappop
+        inf, push, pop = math.inf, heapq.heappush, heapq.heappop
 
         # vertex a joins edge a to edge nxt[a]; edge e runs from vertex
         # prv[e] to vertex e along the tangent (-ny, nx).  Each skeleton
@@ -687,61 +715,57 @@ class ErosionStructure:
         nl, dl, tl = N.tolist(), D.tolist(), T.tolist()
         nxt = [*range(1, n), 0]
         prv = [n - 1, *range(n - 1)]
-        alive, ver = [True] * n, [0] * n
-        len0, dlen = [0.0] * n, [0.0] * n
-        cur, row, dies = [None] * n, [0] * n, []
-        ends, pairs, zs = [], [], []
-        vanish_heap, length_heap = [], []
-        pending = set()        # edges whose length bound has been passed
-        breaks, marks, r_cur, count = [], [], 0.0, n
+        r_cur, count = 0.0, n
 
-        def set_vertex(a):
-            b = nxt[a]
-            (ax, ay), (bx, by) = nl[a], nl[b]
-            det = ax * by - ay * bx
-            if det <= 1e-14:
-                return False
-            if cur[a] is not None:
-                dies[row[a]] = len(breaks)
-            row[a] = len(dies)
-            cur[a] = z = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
-                          (ay - by) / det, (bx - ax) / det)
-            zs.extend(z)
-            dies.append(n)
-            ends.extend((a, b))
-            return True
+        # the first n vertices and edges at once, by the loop's expressions
+        (ax, ay), (bx, by), db = N.T, np.concatenate([N[1:], N[:1]]).T, np.append(D[1:], D[0])
+        det = ax * by - ay * bx
+        if (det <= 1e-14).any():   # adjacent edges (anti)parallel: degenerate from the start
+            raise DegenerateError("polygon admits no interior offset structure")
+        zt = np.array([D * by - ay * db, ax * db - D * bx, ay - by, bx - ax])
+        zt /= det
+        z = zt.T   # (n, 4): the (Z, S) of each vertex
+        (tx, ty), (wx, wy, vx, vy) = T.T, zt - np.concatenate([zt[:, -1:], zt[:, :-1]], axis=1)
+        l0, dl0 = wx * tx + wy * ty, vx * tx + vy * ty
+        key = np.empty(n)   # filled, so that a bound of one value holds for every edge
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            vk, key[:] = -l0 / dl0, _length_bound(l0, dl0, eps_len)
+        has_v = (dl0 < -1e-300) & (vk < inf)
+        pend = l0 + r_cur * dl0 <= eps_len
+        has_l = (dl0 < 0.0) & (key < inf) & ~(pend | has_v & (vk <= key + tie))
+        vanish_heap = [(k, e, 1) for k, e in zip(vk[has_v].tolist(), has_v.nonzero()[0].tolist())]
+        length_heap = [(k, e, 1) for k, e in zip(key[has_l].tolist(), has_l.nonzero()[0].tolist())]
+        heapq.heapify(vanish_heap)
+        heapq.heapify(length_heap)
+        pending = set(pend.nonzero()[0].tolist())   # edges whose length bound has passed
+        alive, ver, row, dies = [True] * n, [1] * n, [*range(n)], [n] * n
+        len0, dlen, cur, zs = l0.tolist(), dl0.tolist(), z.tolist(), z.ravel().tolist()
+        ends, pairs, breaks, marks = [0] * (2 * n), [0] * (2 * n), [], []
+        ends[::2], ends[1::2], pairs[::2], pairs[1::2] = row, nxt, prv, row
 
-        def set_edge(e):
-            tx, ty = tl[e]
-            p = prv[e]
-            px, py, qx, qy = cur[p]
-            zx, zy, sx, sy = cur[e]
-            len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
-            dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
-            pairs.extend((row[p], row[e]))
-            ver[e] = v = ver[e] + 1
-            pending.discard(e)
-            if dl0 < -1e-300 and -l0 / dl0 < inf:
-                push(vanish_heap, (-l0 / dl0, e, v))
-            if l0 + r_cur * dl0 <= eps_len:
-                pending.add(e)
-            elif dl0 < 0.0:
-                key = length_bound(l0, dl0, eps_len)
-                if key < inf:
-                    push(length_heap, (key, e, v))
-
-        def pop_through(heap, r):
-            """Live edges whose key in heap is at most r, popped."""
-            out = []
-            while heap and heap[0][0] <= r:
-                _, e, v = pop(heap)
+        while True:   # the length rule, the tie rule or the next event drops edges ks
+            while length_heap and length_heap[0][0] <= r_cur:
+                _, e, v = pop(length_heap)
                 if ver[e] == v:
-                    out.append(e)
-            return out
-
-        def drop(ks):
-            """Remove edges ks at once; False when a new vertex is degenerate."""
-            nonlocal count
+                    pending.add(e)
+            ks = pending and sorted(e for e in pending if len0[e] + r_cur * dlen[e] <= eps_len)
+            if not ks:   # no redundant constraint: the tie rule, or the next event
+                while vanish_heap and ver[vanish_heap[0][1]] != vanish_heap[0][2]:
+                    pop(vanish_heap)
+                if not vanish_heap:
+                    break
+                r_next = vanish_heap[0][0]
+                if r_next > r_cur + tie:
+                    breaks.append(r_cur)
+                    marks.append(len(dies))
+                    r_cur = r_next
+                ks = []
+                while vanish_heap and vanish_heap[0][0] <= r_cur + tie:
+                    _, e, v = pop(vanish_heap)
+                    if ver[e] == v:
+                        ks.append(e)
+                ks.sort()
+            # remove the edges ks at once and join their surviving neighbours
             heads = []
             for k in ks:
                 p, q = prv[k], nxt[k]
@@ -753,49 +777,44 @@ class ErosionStructure:
                 dies[row[k]] = len(breaks)
             count -= len(ks)
             if count < 3:
-                return True
-            if len(heads) == 1:
-                # one edge vanishes: its surviving neighbours meet at p
-                p = heads[0]
-                if not set_vertex(p):
-                    return False
-                set_edge(p)
-                set_edge(nxt[p])
-                return True
-            heads = [p for p in dict.fromkeys(heads) if alive[p]]
-            if not all(set_vertex(p) for p in heads):
-                return False
-            for e in dict.fromkeys(e for p in heads for e in (p, nxt[p])):
-                set_edge(e)
-            return True
-
-        # adjacent edges (anti)parallel: the core is degenerate from the start
-        degenerate = not all(set_vertex(a) for a in range(n))
-        if not degenerate:
-            for e in range(n):
-                set_edge(e)
-        while not degenerate and count >= 3:
-            while length_heap and length_heap[0][0] <= r_cur:
-                _, e, v = pop(length_heap)
-                if ver[e] == v:
-                    pending.add(e)
-            hit = pending and sorted(e for e in pending if len0[e] + r_cur * dlen[e] <= eps_len)
-            if hit:
-                # redundant constraints
-                degenerate = not drop(hit)
-                continue
-            while vanish_heap and ver[vanish_heap[0][1]] != vanish_heap[0][2]:
-                pop(vanish_heap)
-            if not vanish_heap:
                 break
-            r_next = vanish_heap[0][0]
-            if r_next <= r_cur + tie:
-                degenerate = not drop(sorted(pop_through(vanish_heap, r_cur + tie)))
+            if len(ks) > 1:
+                heads = [p for p in dict.fromkeys(heads) if alive[p]]
+            for a in heads:   # the vertex that joins edge a to its new next edge
+                b = nxt[a]
+                (ax, ay), (bx, by) = nl[a], nl[b]
+                det = ax * by - ay * bx
+                if det <= 1e-14:
+                    break
+                dies[row[a]] = len(breaks)
+                row[a] = len(dies)
+                cur[a] = z = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
+                              (ay - by) / det, (bx - ax) / det)
+                zs.extend(z)
+                dies.append(n)
+                ends.extend((a, b))
+            else:
+                for e in dict.fromkeys(e for p in heads for e in (p, nxt[p])):
+                    tx, ty = tl[e]
+                    p = prv[e]
+                    px, py, qx, qy = cur[p]
+                    zx, zy, sx, sy = cur[e]
+                    len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
+                    dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
+                    pairs.extend((row[p], row[e]))
+                    ver[e] = v = ver[e] + 1
+                    pending.discard(e)
+                    vk = -l0 / dl0 if dl0 < -1e-300 else inf
+                    if vk < inf:
+                        push(vanish_heap, (vk, e, v))
+                    if l0 + r_cur * dl0 <= eps_len:
+                        pending.add(e)
+                    elif dl0 < 0.0:
+                        key = _length_bound(l0, dl0, eps_len)
+                        if key < inf and not vk <= key + tie:
+                            push(length_heap, (key, e, v))
                 continue
-            breaks.append(r_cur)
-            marks.append(len(dies))
-            r_cur = r_next
-            degenerate = not drop(sorted(pop_through(vanish_heap, r_next + tie)))
+            break   # a new vertex is degenerate
 
         if not breaks:
             raise DegenerateError("polygon admits no interior offset structure")

@@ -17,56 +17,36 @@ def _f(x) -> str:
 
 def _rounded_boundary_path(body: RoundedBody) -> str:
     """Boundary of core + r disk: edges offset outward, arcs at vertices."""
-    core = body.core
-    r = body.radius
-    if core.kind == "empty":
+    core, r = body.core, body.radius
+    arc = f"A {_f(r)} {_f(r)} 0 0 1"
+    if core.kind == "empty" or core.kind == "point" and r <= 0.0:
         return ""
-    if core.kind == "point":
-        c = core.points[0]
-        if r <= 0.0:
-            return ""
-        # full circle as two arcs
-        p0 = (c[0] + r, c[1])
-        p1 = (c[0] - r, c[1])
-        return (f"M {_f(p0[0])} {_f(p0[1])} "
-                f"A {_f(r)} {_f(r)} 0 0 1 {_f(p1[0])} {_f(p1[1])} "
-                f"A {_f(r)} {_f(r)} 0 0 1 {_f(p0[0])} {_f(p0[1])} Z")
-    pts = core.points
-    # a segment is a degenerate 2-gon traversed forward and back
-    loop = [pts[0], pts[1]] if core.kind == "segment" else list(pts)
-    n = len(loop)
-    # outward normal of edge i (CCW); for the 2-gon both sides are used
-    cmds = []
-    for i in range(n):
-        a = np.asarray(loop[i], dtype=float)
-        b = np.asarray(loop[(i + 1) % n], dtype=float)
-        e = b - a
-        ln = np.linalg.norm(e)
-        if ln <= 0.0:
-            continue
-        nx, ny = e[1] / ln, -e[0] / ln
-        pa = (a[0] + r * nx, a[1] + r * ny)
-        pb = (b[0] + r * nx, b[1] + r * ny)
-        if not cmds:
-            cmds.append(f"M {_f(pa[0])} {_f(pa[1])}")
-        else:
-            # arc around vertex a from the previous edge offset to this one
-            cmds.append(f"A {_f(r)} {_f(r)} 0 0 1 {_f(pa[0])} {_f(pa[1])}"
-                        if r > 0.0 else f"L {_f(pa[0])} {_f(pa[1])}")
-        cmds.append(f"L {_f(pb[0])} {_f(pb[1])}")
-    # closing arc back to the start point
-    if r > 0.0:
-        first = cmds[0].split()[1:]
-        cmds.append(f"A {_f(r)} {_f(r)} 0 0 1 {first[0]} {first[1]}")
+    if core.kind == "point":   # a full circle as two arcs
+        ((x, y),) = core.points.tolist()
+        return f"M {x + r:.9g} {y:.9g} {arc} {x - r:.9g} {y:.9g} {arc} {x + r:.9g} {y:.9g} Z"
+    # a segment is a degenerate 2-gon traversed forward and back; edge i
+    # runs from a[i] to b[i] and is offset along its outward normal (CCW),
+    # for the 2-gon on both sides.  Edges of no length are skipped.
+    a = np.asarray(core.points[:2] if core.kind == "segment" else core.points, dtype=float)
+    b = np.concatenate([a[1:], a[:1]])
+    e = b - a
+    ln = np.sqrt(np.vecdot(e, e))   # the bits of np.linalg.norm of each row
+    keep = ~(ln <= 0.0)
+    off = r * (e[keep, ::-1] / ln[keep, None] * [1.0, -1.0])
+    # each edge's offset, joined to the next by an arc around their vertex
+    join = arc if r > 0.0 else "L"
+    starts = [f"{x:.9g} {y:.9g}" for x, y in (a[keep] + off).tolist()]
+    cmds = [f"{join} {s} L {x:.9g} {y:.9g}" for s, (x, y) in zip(starts, (b[keep] + off).tolist())]
+    cmds[0] = "M" + cmds[0][len(join):]
+    if r > 0.0:   # closing arc back to the start point
+        cmds.append(f"{join} {starts[0]}")
     cmds.append("Z")
     return " ".join(cmds)
 
 
 def _polygon_path(vertices) -> str:
-    parts = [f"M {_f(vertices[0, 0])} {_f(vertices[0, 1])}"]
-    parts += [f"L {_f(p[0])} {_f(p[1])}" for p in vertices[1:]]
-    parts.append("Z")
-    return " ".join(parts)
+    (x, y), *rest = vertices.tolist()
+    return " ".join([f"M {x:.9g} {y:.9g}", *(f"L {x:.9g} {y:.9g}" for x, y in rest), "Z"])
 
 
 def _document(domain: ConvexPolygon, body: str, pad_frac=0.05) -> str:
@@ -101,13 +81,12 @@ def contours_svg(domain: ConvexPolygon, contour_sets, max_points=1500) -> str:
     """Level sets as point clouds of marching-squares crossings."""
     lo = domain.vertices.min(axis=0)
     hi = domain.vertices.max(axis=0)
-    rad = 0.002 * float(np.max(hi - lo))
+    r = _f(0.002 * float(np.max(hi - lo)))
     rows = [f'<path d="{_polygon_path(domain.vertices)}" stroke="#888"/>']
     for pts in contour_sets:
         pts = np.asarray(pts).reshape(-1, 2)
         if len(pts) > max_points:
             pts = pts[:: len(pts) // max_points + 1]
-        dots = "".join(f'<circle cx="{_f(p[0])}" cy="{_f(p[1])}" r="{_f(rad)}"/>'
-                       for p in pts)
+        dots = "".join(f'<circle cx="{x:.9g}" cy="{y:.9g}" r="{r}"/>' for x, y in pts.tolist())
         rows.append(f'<g fill="#c02" stroke="none">{dots}</g>')
     return _document(domain, "\n".join(rows))

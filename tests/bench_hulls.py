@@ -12,7 +12,9 @@ kernel serves:
   levels, as in the ``rearrange-square`` benchmark workload;
 - sweep: blocks of 85 sets of 192 uniform points from the square's
   triangle fan, as a ``verify`` sweep hulls its first rungs;
-- ladder: single sets of 384 and 768 points, the next two rungs.
+- ladder: single sets of 384 and 768 points, the next two rungs;
+- arc: one set that neither caller makes, on which the monotone chains
+  would drop one point per pass: see ``cut_arc``.
 """
 
 import argparse
@@ -30,6 +32,7 @@ from isoperim.family import build_family                # noqa: E402
 from isoperim.geometry import convex_hulls, validate_polygon   # noqa: E402
 from isoperim.rearrange import (GridFunction, _threshold_grid,   # noqa: E402
                                 convex_rearrangement, march_levels)
+from conftest import cut_arc                             # noqa: E402
 from oracles import quickhull_sorted                    # noqa: E402
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -73,7 +76,8 @@ def main(argv=None):
     cases = {"report (11 blocks)": report_blocks(),
              "sweep (24 blocks of 85 x 192)": sweep_blocks(rng),
              "ladder (58 sets of 384)": ladder_sets(rng, 384),
-             "ladder (58 sets of 768)": ladder_sets(rng, 768)}
+             "ladder (58 sets of 768)": ladder_sets(rng, 768),
+             "arc (1 set of 65,539)": [(cut_arc(), [65539])]}
     print(f"{'input':32s} {'reference ms':>13s} {'kernel ms':>10s} {'ratio':>6s}")
     for name, inputs in cases.items():
         for pts, counts in inputs:   # same output before any timing

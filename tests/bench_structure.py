@@ -1,0 +1,76 @@
+"""Hand-run timing of the erosion-structure build and of ``shape_svg``.
+
+    PYTHONPATH=src python tests/bench_structure.py [--repeats 15]
+
+pytest does not collect this file.  Each case is run by the library and
+by its reference in alternating runs, and the medians are printed with
+their ratio:
+
+- build: ``ErosionStructure`` against ``oracles.sequential_structure``
+  on the unit square (n = 4, the structure each ``rearrange-square`` and
+  ``verify-square`` call builds) and on 2:1 ellipses at jittered angles
+  with n = 64, 256 and 1024 (the ``exact-ngon`` domain is n = 256);
+- shape_svg: ``svgout.shape_svg`` against the same document built from
+  the per-vertex paths of ``oracles``, for the minimizers of the 256-gon
+  at 100 volumes drawn from 1 % to 99.9 % of its area, as the
+  ``exact-ngon`` workload asks for them.
+"""
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+import numpy as np
+
+sys.path.insert(0, os.path.dirname(__file__))
+
+from isoperim import svgout                                  # noqa: E402
+from isoperim.family import build_family                    # noqa: E402
+from isoperim.geometry import ErosionStructure, validate_polygon   # noqa: E402
+import oracles                                               # noqa: E402
+from conftest import SQUARE, ellipse_polygon                 # noqa: E402
+
+
+def reference_shape_svg(domain, shape):
+    body = (f'<path d="{oracles.polygon_path(domain.vertices)}" stroke="#888"/>\n'
+            f'<path d="{oracles.rounded_boundary_path(shape.body)}" stroke="#c02" />')
+    return svgout._document(domain, body)
+
+
+def _time(fn, inputs, loops):
+    t0 = time.perf_counter()
+    for _ in range(loops):
+        for args in inputs:
+            fn(*args)
+    return (time.perf_counter() - t0) / loops
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args(argv)
+    polys = {4: validate_polygon(SQUARE)}
+    polys.update((n, validate_polygon(ellipse_polygon(n, n))) for n in (64, 256, 1024))
+    cases = {f"build n={n}": (oracles.sequential_structure, ErosionStructure, [(p,)],
+                              max(1, 4096 // n))
+             for n, p in polys.items()}
+    family = build_family(polys[256])
+    rng = np.random.default_rng(2024)
+    volumes = rng.uniform(0.01, 0.999, 100) * family.v_max
+    shapes = [(family.domain, family.minimizer(v)) for v in volumes]
+    cases["shape_svg (100 shapes, n=256)"] = (reference_shape_svg, svgout.shape_svg, shapes, 1)
+
+    print(f"{'case':32s} {'reference ms':>13s} {'library ms':>11s} {'ratio':>6s}")
+    for name, (ref_fn, lib_fn, inputs, loops) in cases.items():
+        ref, new = [], []
+        for _ in range(args.repeats):
+            ref.append(_time(ref_fn, inputs, loops))
+            new.append(_time(lib_fn, inputs, loops))
+        r, k = statistics.median(ref), statistics.median(new)
+        print(f"{name:32s} {1e3 * r:13.3f} {1e3 * k:11.3f} {k / r:6.2f}")
+
+
+if __name__ == "__main__":
+    main()

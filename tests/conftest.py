@@ -55,6 +55,19 @@ def regular_polygon(n):
     return np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
 
+def cut_arc(m=65536):
+    """The points (t, t^2 - t) for m values of t in (0, 0.9], and (0, 0),
+    (20, 20) and (10, 0).
+
+    The first quickhull round splits the lower edge at (10, 0) and keeps
+    every arc point outside (0, 0) -> (10, 0), so the chains take over; the
+    arc points past t = 10 - sqrt(90) are inside the hull, and only the
+    last of them fails the turn test in each pass.
+    """
+    t = 0.9 * np.arange(1, m + 1) / m
+    return np.concatenate([[(0.0, 0.0), (20.0, 20.0), (10.0, 0.0)], np.stack([t, t * t - t], 1)])
+
+
 def perimeter_of_opening(structure, r):
     """Perimeter of the opening at radius r: core perimeter + 2 pi r."""
     r = np.asarray(r, dtype=float)

@@ -2,7 +2,8 @@
 
 Each one solves the same problem as the library by an independent,
 slower route: the erosion structure by re-deriving every vertex from
-scratch after each event, and by scanning all edges at every event;
+scratch after each event, by scanning all edges at every event, and by
+the sequential build that sets its first vertices one at a time;
 the r <-> v inversion, the rank and the half-plane competitor's cut
 offset by bisection, the inradius by a linear program, marching
 squares by one full-grid pass per threshold, the Crofton transition
@@ -11,10 +12,12 @@ pricing every proposal from the stencil and reading its boundary lists
 and swap validity from the grid bytes, the competitor sweep one
 competitor at a time, each hull by Qhull and by a quickhull that sorts
 its points by edge every round, each half-plane cut by a root per
-normal and a clip loop, and the grid file writer by one ``repr`` per
-cell.
+normal and a clip loop, the grid file writer by one ``repr`` per
+cell, and the SVG paths by one vertex at a time.
 """
 
+import heapq
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +26,7 @@ from scipy.spatial import ConvexHull
 
 from isoperim import geometry as geo
 from isoperim import oracle as orc
+from isoperim import svgout
 from isoperim.errors import DegenerateError, SamplerInfeasibleError
 from isoperim.oracle import AREA_TOL_REL, Competitor
 
@@ -232,6 +236,217 @@ def scan_structure(polygon):
     else:
         out.center_points = np.stack([pts[i], pts[j]])
     return out
+
+
+def sequential_structure(polygon):
+    """The erosion structure built one vertex and one edge at a time.
+
+    The event rules of ``ErosionStructure``, with ``set_vertex`` and
+    ``set_edge`` called for every vertex and edge from the first n on, a
+    length-heap entry for every shrinking edge, and rows, ``zs`` and
+    ``pairs`` recorded in the library's order.  Returns an
+    ``ErosionStructure`` whose arrays the library's build must reproduce
+    bit for bit; raises DegenerateError like the library.
+    """
+    s = object.__new__(geo.ErosionStructure)
+    s.polygon, s.scale = polygon, polygon.scale
+    poly = s.polygon
+    # vertices are solved about the vertex mean c, with the edge offsets
+    # taken from the centred vertices as validate_polygon does: far from
+    # the origin the offsets' rounding, amplified where lines meet at a
+    # small angle, would otherwise move the vertices
+    c = poly.vertices.mean(axis=0)
+    N, P = poly.normals, poly.vertices - c
+    D = 0.5 * (np.sum(N * P, axis=1) + np.sum(N * np.roll(P, -1, axis=0), axis=1))
+    n = len(D)
+    tie = 1e-11 * s.scale
+    eps_len = 1e-12 * s.scale
+    inf, length_bound = math.inf, geo._length_bound
+    push, pop = heapq.heappush, heapq.heappop
+
+    # vertex a joins edge a to edge nxt[a]; edge e runs from vertex
+    # prv[e] to vertex e along the tangent (-ny, nx).  Each skeleton
+    # vertex is one row: ends holds its two edges, and dies the interval
+    # in which it goes (n, more than any interval index, while it
+    # lives); marks[k] is the row count when interval k starts, which
+    # gives the interval a row appears in.  cur[a] is the (Z, S) of
+    # vertex a, row[a] its row and zs every row's (Z, S), back to back.
+    # pairs holds the rows (prv[e], e) of edge e each time it is set:
+    # the Steiner sums come from their lives after the loop.  A heap
+    # entry (key, e, ver) is stale once edge e changed version, which
+    # it also does when it dies.
+    T = N[:, ::-1] * [-1.0, 1.0]
+    nl, dl, tl = N.tolist(), D.tolist(), T.tolist()
+    nxt = [*range(1, n), 0]
+    prv = [n - 1, *range(n - 1)]
+    alive, ver = [True] * n, [0] * n
+    len0, dlen = [0.0] * n, [0.0] * n
+    cur, row, dies = [None] * n, [0] * n, []
+    ends, pairs, zs = [], [], []
+    vanish_heap, length_heap = [], []
+    pending = set()        # edges whose length bound has been passed
+    breaks, marks, r_cur, count = [], [], 0.0, n
+
+    def set_vertex(a):
+        b = nxt[a]
+        (ax, ay), (bx, by) = nl[a], nl[b]
+        det = ax * by - ay * bx
+        if det <= 1e-14:
+            return False
+        if cur[a] is not None:
+            dies[row[a]] = len(breaks)
+        row[a] = len(dies)
+        cur[a] = z = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
+                      (ay - by) / det, (bx - ax) / det)
+        zs.extend(z)
+        dies.append(n)
+        ends.extend((a, b))
+        return True
+
+    def set_edge(e):
+        tx, ty = tl[e]
+        p = prv[e]
+        px, py, qx, qy = cur[p]
+        zx, zy, sx, sy = cur[e]
+        len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
+        dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
+        pairs.extend((row[p], row[e]))
+        ver[e] = v = ver[e] + 1
+        pending.discard(e)
+        if dl0 < -1e-300 and -l0 / dl0 < inf:
+            push(vanish_heap, (-l0 / dl0, e, v))
+        if l0 + r_cur * dl0 <= eps_len:
+            pending.add(e)
+        elif dl0 < 0.0:
+            key = length_bound(l0, dl0, eps_len)
+            if key < inf:
+                push(length_heap, (key, e, v))
+
+    def pop_through(heap, r):
+        """Live edges whose key in heap is at most r, popped."""
+        out = []
+        while heap and heap[0][0] <= r:
+            _, e, v = pop(heap)
+            if ver[e] == v:
+                out.append(e)
+        return out
+
+    def drop(ks):
+        """Remove edges ks at once; False when a new vertex is degenerate."""
+        nonlocal count
+        heads = []
+        for k in ks:
+            p, q = prv[k], nxt[k]
+            nxt[p], prv[q] = q, p
+            heads.append(p)
+            alive[k] = False
+            ver[k] += 1
+            pending.discard(k)
+            dies[row[k]] = len(breaks)
+        count -= len(ks)
+        if count < 3:
+            return True
+        if len(heads) == 1:
+            # one edge vanishes: its surviving neighbours meet at p
+            p = heads[0]
+            if not set_vertex(p):
+                return False
+            set_edge(p)
+            set_edge(nxt[p])
+            return True
+        heads = [p for p in dict.fromkeys(heads) if alive[p]]
+        if not all(set_vertex(p) for p in heads):
+            return False
+        for e in dict.fromkeys(e for p in heads for e in (p, nxt[p])):
+            set_edge(e)
+        return True
+
+    # adjacent edges (anti)parallel: the core is degenerate from the start
+    degenerate = not all(set_vertex(a) for a in range(n))
+    if not degenerate:
+        for e in range(n):
+            set_edge(e)
+    while not degenerate and count >= 3:
+        while length_heap and length_heap[0][0] <= r_cur:
+            _, e, v = pop(length_heap)
+            if ver[e] == v:
+                pending.add(e)
+        hit = pending and sorted(e for e in pending if len0[e] + r_cur * dlen[e] <= eps_len)
+        if hit:
+            # redundant constraints
+            degenerate = not drop(hit)
+            continue
+        while vanish_heap and ver[vanish_heap[0][1]] != vanish_heap[0][2]:
+            pop(vanish_heap)
+        if not vanish_heap:
+            break
+        r_next = vanish_heap[0][0]
+        if r_next <= r_cur + tie:
+            degenerate = not drop(sorted(pop_through(vanish_heap, r_cur + tie)))
+            continue
+        breaks.append(r_cur)
+        marks.append(len(dies))
+        r_cur = r_next
+        degenerate = not drop(sorted(pop_through(vanish_heap, r_next + tie)))
+
+    if not breaks:
+        raise DegenerateError("polygon admits no interior offset structure")
+    s.r_star = r_cur
+    s.breaks = np.array(breaks + [r_cur])
+    K = len(breaks)
+
+    # every row's path as (4, rows): Zx, Zy, Sx, Sy, and the intervals
+    # in which it appears and goes (K if it lives at r*, so that
+    # breaks[dies] is the radius at which it goes)
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    paths = np.fromiter(zs, float, len(zs)).reshape(-1, 4).T
+    born = np.searchsorted(marks, np.arange(len(dies)), side="right")
+    dies = np.minimum(dies, K)
+    # Steiner coefficients per interval in t = r - r_lo: area = a0 + a1 t
+    # + a2 t^2 and perimeter p0 + p1 t.  Expanding about the interval
+    # start (not r = 0) and the vertex mean keeps far-off points from
+    # cancelling.
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    coefs = geo._steiner_sums(s.breaks, ends[:, 0], paths, born, dies, pairs, T)
+
+    # every vertex that lives in some interval, sorted by edge: within
+    # an interval the rows then come in CCW order from the lowest edge
+    keep = np.flatnonzero(born < dies)
+    keep = keep[np.argsort(ends[keep, 0], kind="stable")]
+    edges = ends[keep, 0]
+    Z = np.ascontiguousarray(paths[:2, keep].T) + c
+    S = np.ascontiguousarray(paths[2:, keep].T)
+    born, dies = born[keep], dies[keep]
+    # the rows as exit_radius reads them: edge, next edge, Z, S, born, dies
+    s._vertices = edges, ends[keep, 1], Z, S, born, dies
+    s.intervals = geo.EventIntervals(s.breaks, edges, Z, S, N[edges], poly.offsets[edges],
+                                    born, dies)
+
+    r_lo = s.breaks[:-1]
+    s._area_poly = 0.5 * coefs[:, :3]
+    s._perim_poly = coefs[:, 3:]
+    (a0, a1, a2), (p0, p1) = s._area_poly.T, s._perim_poly.T
+    # opening area A + r P + pi r^2 = c0 + c1 t + c2 t^2 per interval, and
+    # the running minimum of its values at the interval ends: the tie rule
+    # can leave rounding-sized steps at the breaks, which this keeps
+    # monotone
+    s._opening_poly = np.stack([
+        a0 + r_lo * (p0 + np.pi * r_lo),
+        a1 + p0 + r_lo * (p1 + 2.0 * np.pi),
+        a2 + p1 + np.pi], axis=1)
+    c0, c1, c2 = s._opening_poly.T
+    t_end = np.diff(s.breaks)
+    s._opening_at_ends = np.minimum.accumulate(c0 + t_end * (c1 + t_end * c2))
+
+    # limit of the vertex paths at r*: the set of incenter positions
+    last = s.intervals[-1]
+    pts = last.Z + s.r_star * last.S
+    i, j, d = geo._farthest_pair(pts)
+    if d <= geo.EPS_GEOM * s.scale:
+        s.center_points = pts.mean(axis=0)[None, :]
+    else:
+        s.center_points = np.stack([pts[i], pts[j]])
+    return s
 
 
 def core_measures(polygon, interval, r):
@@ -786,3 +1001,78 @@ def write_grid_per_cell(u, path):
                                          u.spacing[0], u.spacing[1])]
         fh.write(f"{u.nx} {u.ny} " + " ".join(head) + "\n")
         fh.writelines(" ".join(map(repr, row)) + "\n" for row in u.values.tolist())
+
+
+def _f(x) -> str:
+    return f"{float(x):.9g}"
+
+
+def rounded_boundary_path(body):
+    """The SVG path of ``svgout`` for core + r disk, one vertex at a time."""
+    core = body.core
+    r = body.radius
+    if core.kind == "empty":
+        return ""
+    if core.kind == "point":
+        c = core.points[0]
+        if r <= 0.0:
+            return ""
+        # full circle as two arcs
+        p0 = (c[0] + r, c[1])
+        p1 = (c[0] - r, c[1])
+        return (f"M {_f(p0[0])} {_f(p0[1])} "
+                f"A {_f(r)} {_f(r)} 0 0 1 {_f(p1[0])} {_f(p1[1])} "
+                f"A {_f(r)} {_f(r)} 0 0 1 {_f(p0[0])} {_f(p0[1])} Z")
+    pts = core.points
+    # a segment is a degenerate 2-gon traversed forward and back
+    loop = [pts[0], pts[1]] if core.kind == "segment" else list(pts)
+    n = len(loop)
+    # outward normal of edge i (CCW); for the 2-gon both sides are used
+    cmds = []
+    for i in range(n):
+        a = np.asarray(loop[i], dtype=float)
+        b = np.asarray(loop[(i + 1) % n], dtype=float)
+        e = b - a
+        ln = np.linalg.norm(e)
+        if ln <= 0.0:
+            continue
+        nx, ny = e[1] / ln, -e[0] / ln
+        pa = (a[0] + r * nx, a[1] + r * ny)
+        pb = (b[0] + r * nx, b[1] + r * ny)
+        if not cmds:
+            cmds.append(f"M {_f(pa[0])} {_f(pa[1])}")
+        else:
+            # arc around vertex a from the previous edge offset to this one
+            cmds.append(f"A {_f(r)} {_f(r)} 0 0 1 {_f(pa[0])} {_f(pa[1])}"
+                        if r > 0.0 else f"L {_f(pa[0])} {_f(pa[1])}")
+        cmds.append(f"L {_f(pb[0])} {_f(pb[1])}")
+    # closing arc back to the start point
+    if r > 0.0:
+        first = cmds[0].split()[1:]
+        cmds.append(f"A {_f(r)} {_f(r)} 0 0 1 {first[0]} {first[1]}")
+    cmds.append("Z")
+    return " ".join(cmds)
+
+
+def polygon_path(vertices):
+    """The SVG path of ``svgout`` for a polygon, one vertex at a time."""
+    parts = [f"M {_f(vertices[0, 0])} {_f(vertices[0, 1])}"]
+    parts += [f"L {_f(p[0])} {_f(p[1])}" for p in vertices[1:]]
+    parts.append("Z")
+    return " ".join(parts)
+
+
+def contours_svg(domain, contour_sets, max_points=1500):
+    """``svgout.contours_svg`` with one path and one circle formatted at a time."""
+    lo = domain.vertices.min(axis=0)
+    hi = domain.vertices.max(axis=0)
+    rad = 0.002 * float(np.max(hi - lo))
+    rows = [f'<path d="{polygon_path(domain.vertices)}" stroke="#888"/>']
+    for pts in contour_sets:
+        pts = np.asarray(pts).reshape(-1, 2)
+        if len(pts) > max_points:
+            pts = pts[:: len(pts) // max_points + 1]
+        dots = "".join(f'<circle cx="{_f(p[0])}" cy="{_f(p[1])}" r="{_f(rad)}"/>'
+                       for p in pts)
+        rows.append(f'<g fill="#c02" stroke="none">{dots}</g>')
+    return svgout._document(domain, "\n".join(rows))

@@ -104,21 +104,42 @@ def test_structure_matches_rederivation(poly):
             assert abs(perim - want_p) <= 1e-12 * size_p
 
 
+STRUCTURE_ARRAYS = ("breaks", "center_points", "_area_poly", "_perim_poly", "_opening_poly",
+                    "_opening_at_ends")
+
+
+def assert_matches_sequential(poly, s):
+    """Every array of the structure s bit for bit that of the sequential build.
+
+    The Steiner sums are checked to 1e-12 elsewhere, but their bits depend
+    on the order in which the build records rows and edge pairs.
+    """
+    ref = oracles.sequential_structure(poly)
+    assert s.r_star == ref.r_star
+    for got, want in [(getattr(s, k), getattr(ref, k)) for k in STRUCTURE_ARRAYS] + [
+            *zip(s._vertices, ref._vertices)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def assert_matches_full_scan(poly):
     """The heap build against the full-scan build of oracles.scan_structure.
 
     Intervals, breaks, r* and the incenter set must agree bit for bit; the
     carried Steiner sums must agree with the one-pass sums of the
     snapshots to the tolerance of test_structure_matches_rederivation,
-    at both ends and the middle of every interval.
+    at both ends and the middle of every interval.  Every array must
+    also agree bit for bit with the sequential build.
     """
     try:
         ref = oracles.scan_structure(poly)
     except DegenerateError:
-        with pytest.raises(DegenerateError):
-            geo.ErosionStructure(poly)
+        for build in (geo.ErosionStructure, oracles.sequential_structure):
+            with pytest.raises(DegenerateError):
+                build(poly)
         return None
     s = geo.ErosionStructure(poly)
+    assert_matches_sequential(poly, s)
     assert len(s.intervals) == len(ref.intervals)
     assert np.array_equal(s.breaks, ref.breaks) and s.r_star == ref.r_star
     assert np.array_equal(s.center_points, ref.center_points)
@@ -182,6 +203,13 @@ def test_structure_matches_full_scan_1024(kind):
         with pytest.raises(IndexError):
             s.intervals[k]
     assert sum(1 for _ in s.intervals) == K
+
+
+@pytest.mark.parametrize("kind", ["ellipse", "regular", "moved"])
+def test_structure_matches_sequential_1000(kind):
+    verts = regular_polygon(1000) if kind == "regular" else ellipse_polygon(5, 1000)
+    poly = geo.validate_polygon(verts + (1e6 if kind == "moved" else 0.0))
+    assert_matches_sequential(poly, geo.ErosionStructure(poly))
 
 
 def nearly_regular_polygons(count):

@@ -11,7 +11,7 @@ from isoperim.errors import (DegenerateError, NonConvexError,
                              RadiusTooLargeError)
 
 import oracles
-from conftest import SQUARE, random_polygon
+from conftest import SQUARE, cut_arc, random_polygon
 from test_golden_cli import _bump_grid
 
 
@@ -402,3 +402,25 @@ def test_convex_hulls_memory_within_reference(golden_blocks):
     for pts, counts in [(_fan_points(rng, 85 * 192), np.full(85, 192)), block,
                         (_fan_points(rng, 65536), [65536])]:
         assert _peak(geo.convex_hulls, pts, counts) <= _peak(oracles.quickhull_sorted, pts, counts)
+
+
+def test_convex_hulls_stalled_chains_go_back_to_quickhull(monkeypatch):
+    # a convex arc cut off by a farther split point: the chains drop its
+    # end one point per pass (some 28,000 passes here) unless they hand
+    # their points back to quickhull rounds
+    passes = []
+    chain_pass = geo._chain_pass
+    monkeypatch.setattr(geo, "_chain_pass", lambda *args: passes.append(1) or chain_pass(*args))
+    pts = cut_arc(65536)
+    assert _same_hulls(pts, [len(pts)])
+    assert 0 < len(passes) <= 24
+    # in a block, beside sets in convex and in general position, and with
+    # the arc's points in reverse and with copies
+    rng = np.random.default_rng(3)
+    arc = cut_arc(4096)
+    t = 2.0 * np.pi * rng.permutation(512) / 512
+    sets = [arc, np.stack([np.cos(t), np.sin(t)], 1), arc[::-1], _fan_points(rng, 192),
+            np.concatenate([arc, arc[rng.integers(0, len(arc), 1000)]]) + 1e6]
+    passes.clear()
+    assert _same_hulls(np.concatenate(sets), [len(s) for s in sets])
+    assert 0 < len(passes) <= 24
