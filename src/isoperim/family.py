@@ -222,7 +222,12 @@ class MinimizerFamily:
         scale.  Near a vertex of interior angle theta it admits points up
         to that tolerance / sin(theta / 2) outside the domain; such a point
         lies in no disk inside the domain, so its exit radius is 0 and its
-        rank the opening area at r = 0, |Omega| to rounding.
+        rank |Omega|: the opening at r = 0 is the domain itself.  The
+        structure's area at r = 0 can miss |Omega| by more than tol_rank
+        (beside a nearly flat vertex it meets two nearly parallel edge
+        lines), and the opening area is flat to second order in r there,
+        so every exit radius whose area the structure cannot tell from its
+        area at r = 0 (a vertex's, about 1e-17 in floats) ranks |Omega|.
 
         Disk and stadium entries are closed-form.  An entry in the opening
         regime is the opening area at the exit radius of x, the largest r
@@ -255,7 +260,12 @@ class MinimizerFamily:
         rnd = inside & ~disk & ~stad
         if np.any(rnd):
             radius = self.structure.exit_radius(pts[rnd])
-            out[rnd] = np.minimum(self.structure.area_of_opening(radius), self.v_max)
+            # the opening at r = 0 is the domain itself, and its area is flat
+            # to second order there: where the structure's area map still
+            # reads its value at r = 0, the rank is |Omega|
+            area = self.structure.area_of_opening(np.append(radius, 0.0))
+            out[rnd] = np.where(area[:-1] < area[-1], np.minimum(area[:-1], self.v_max),
+                                self.v_max)
         return float(out[0]) if scalar else out
 
 

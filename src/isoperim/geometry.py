@@ -22,6 +22,7 @@ EPS_GEOM = 1e-9       # length tolerance, relative to the domain scale
 EPS_AREA = 1e-12      # area tolerance, relative to scale**2
 DELTA_COLLAPSE = 1e-9
 CHUNK_ENTRIES = 1 << 16   # points x vertices per block of the per-point kernels
+ROW_CHUNK = 64            # skeleton vertices per pass of exit_radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +64,46 @@ class ConvexPolygon:
             blk = flat[s:s + step]
             out[s:s + step] = _excess(blk[:, 0:1], blk[:, 1:2], self.normals, self.offsets) <= tol
         return out.reshape(pts.shape[:-1])[()]
+
+    def contains_lattice(self, xs, ys, tol=None):
+        """contains_point at every (xs[i], ys[j]), as a (len(ys), len(xs)) mask.
+
+        xs must be nondecreasing.  Along a row, edge i's rounded excess
+        fl(fl(fl(x nx_i) + fl(y ny_i)) - d_i) is monotone in x, because
+        every rounding step is monotone: nondecreasing for nx_i >= 0
+        (constant for nx_i = 0) and nonincreasing for nx_i < 0.  So the
+        edge's test <= tol holds on a prefix of the row (nx_i >= 0) or on
+        a suffix (nx_i < 0), and the row's members are the intersection of
+        these.  Each (row, edge) boundary is found by a bisection over the
+        columns that evaluates the expression of contains_point, so the
+        mask is bitwise that of contains_point at O(rows edges log cols)
+        cost.  Rows go in blocks of at most CHUNK_ENTRIES row-edge pairs.
+        """
+        if tol is None:
+            tol = EPS_GEOM * self.scale
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        m = len(xs)
+        nx, ny = self.normals.T
+        suffix = nx < 0.0
+        start, end = np.empty(len(ys), np.intp), np.empty(len(ys), np.intp)
+        step = max(1, CHUNK_ENTRIES // len(nx))
+        for s in range(0, len(ys), step):
+            cy = ys[s:s + step, None] * ny
+            # the first column at which the edge's test passes (suffix
+            # edges) or fails (the others), found bit by bit
+            pos = np.zeros(cy.shape, np.intp)
+            bit = (1 << m.bit_length()) >> 1
+            while bit:
+                cand = pos + bit
+                e = xs.take(np.minimum(cand, m) - 1) * nx
+                e += cy
+                e -= self.offsets
+                pos += bit * ((cand <= m) & ((e > tol) == suffix))
+                bit >>= 1
+            start[s:s + step] = np.max(pos, axis=1, where=suffix, initial=0)
+            end[s:s + step] = np.min(pos, axis=1, where=~suffix, initial=m)
+        cols = np.arange(m)
+        return (cols >= start[:, None]) & (cols < end[:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -646,6 +687,139 @@ def _steiner_sums(breaks, edges, paths, born, dies, pairs, tangents):
     return np.stack([a0, a1, a2, p0, p1], axis=1)
 
 
+def _first_events(N, D, T, tie, eps_len):
+    """The first n vertices and edges of the event loop, set at once by its
+    expressions: ((n, 4) vertex paths Z, S, len0, dlen, the vanish and
+    length heaps, the pending edges).
+    """
+    (ax, ay), (bx, by), db = N.T, np.concatenate([N[1:], N[:1]]).T, np.append(D[1:], D[0])
+    det = ax * by - ay * bx
+    if (det <= 1e-14).any():   # adjacent edges (anti)parallel: degenerate from the start
+        raise DegenerateError("polygon admits no interior offset structure")
+    zt = np.array([D * by - ay * db, ax * db - D * bx, ay - by, bx - ax])
+    zt /= det
+    (tx, ty), (wx, wy, vx, vy) = T.T, zt - np.concatenate([zt[:, -1:], zt[:, :-1]], axis=1)
+    l0, dl0 = wx * tx + wy * ty, vx * tx + vy * ty
+    key = np.empty(len(D))   # filled, so that a bound of one value holds for every edge
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        vk, key[:] = -l0 / dl0, _length_bound(l0, dl0, eps_len)
+    has_v = (dl0 < -1e-300) & (vk < math.inf)
+    pend = l0 + 0.0 * dl0 <= eps_len   # the length rule at r = 0
+    has_l = (dl0 < 0.0) & (key < math.inf) & ~(pend | has_v & (vk <= key + tie))
+    vanish_heap = [(k, e, 1) for k, e in zip(vk[has_v].tolist(), has_v.nonzero()[0].tolist())]
+    length_heap = [(k, e, 1) for k, e in zip(key[has_l].tolist(), has_l.nonzero()[0].tolist())]
+    heapq.heapify(vanish_heap)
+    heapq.heapify(length_heap)
+    pending = set(pend.nonzero()[0].tolist())
+    return zt.T, l0.tolist(), dl0.tolist(), vanish_heap, length_heap, pending
+
+
+def _skeleton_events(N, D, T, tie, eps_len):
+    """The event loop of ErosionStructure: (r*, breaks, marks, dies, ends, zs, pairs).
+
+    Edge lines N . x = D with tangents T, about the vertex mean; see the
+    class docstring for the rules.  The loop has a function of its own,
+    with little code before it, because under tracemalloc an allocation
+    costs more the deeper into its code object it happens.
+    """
+    # vertex a joins edge a to edge nxt[a]; edge e runs from vertex
+    # prv[e] to vertex e along the tangent (-ny, nx).  Each skeleton
+    # vertex is one row: ends holds its two edges, and dies the interval
+    # in which it goes (n, more than any interval index, while it
+    # lives); marks[k] is the row count when interval k starts, which
+    # gives the interval a row appears in.  cur[a] is the (Z, S) of
+    # vertex a, row[a] its row and zs every row's (Z, S), back to back.
+    # pairs holds the rows (prv[e], e) of edge e each time it is set:
+    # the Steiner sums come from their lives after the loop.  A heap
+    # entry (key, e, ver) is stale once edge e changed version, which
+    # it also does when it dies; pending holds the edges whose length
+    # bound has passed.
+    z, len0, dlen, vanish_heap, length_heap, pending = _first_events(N, D, T, tie, eps_len)
+    n, inf, push, pop = len(D), math.inf, heapq.heappush, heapq.heappop
+    nl, dl, tl = N.tolist(), D.tolist(), T.tolist()
+    nxt, prv = [*range(1, n), 0], [n - 1, *range(n - 1)]
+    alive, ver, row, dies = [True] * n, [1] * n, [*range(n)], [n] * n
+    cur, zs = z.tolist(), z.ravel().tolist()
+    ends, pairs, breaks, marks = [0] * (2 * n), [0] * (2 * n), [], []
+    ends[::2], ends[1::2], pairs[::2], pairs[1::2] = row, nxt, prv, row
+    r_cur, count = 0.0, n
+
+    while True:   # the length rule, the tie rule or the next event drops edges ks
+        while length_heap and length_heap[0][0] <= r_cur:
+            _, e, v = pop(length_heap)
+            if ver[e] == v:
+                pending.add(e)
+        ks = pending and sorted(e for e in pending if len0[e] + r_cur * dlen[e] <= eps_len)
+        if not ks:   # no redundant constraint: the tie rule, or the next event
+            while vanish_heap and ver[vanish_heap[0][1]] != vanish_heap[0][2]:
+                pop(vanish_heap)
+            if not vanish_heap:
+                break
+            r_next = vanish_heap[0][0]
+            if r_next > r_cur + tie:
+                breaks.append(r_cur)
+                marks.append(len(dies))
+                r_cur = r_next
+            ks = []
+            while vanish_heap and vanish_heap[0][0] <= r_cur + tie:
+                _, e, v = pop(vanish_heap)
+                if ver[e] == v:
+                    ks.append(e)
+            ks.sort()
+        # remove the edges ks at once and join their surviving neighbours
+        heads = []
+        for k in ks:
+            p, q = prv[k], nxt[k]
+            nxt[p], prv[q] = q, p
+            heads.append(p)
+            alive[k] = False
+            ver[k] += 1
+            pending.discard(k)
+            dies[row[k]] = len(breaks)
+        count -= len(ks)
+        if count < 3:
+            break
+        if len(ks) > 1:
+            heads = [p for p in dict.fromkeys(heads) if alive[p]]
+        for a in heads:   # the vertex that joins edge a to its new next edge
+            b = nxt[a]
+            (ax, ay), (bx, by) = nl[a], nl[b]
+            det = ax * by - ay * bx
+            if det <= 1e-14:
+                break
+            dies[row[a]] = len(breaks)
+            row[a] = len(dies)
+            cur[a] = z = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
+                          (ay - by) / det, (bx - ax) / det)
+            zs.extend(z)
+            dies.append(n)
+            ends.extend((a, b))
+        else:
+            for e in dict.fromkeys(e for p in heads for e in (p, nxt[p])):
+                tx, ty = tl[e]
+                p = prv[e]
+                px, py, qx, qy = cur[p]
+                zx, zy, sx, sy = cur[e]
+                len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
+                dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
+                pairs.extend((row[p], row[e]))
+                ver[e] = v = ver[e] + 1
+                pending.discard(e)
+                vk = -l0 / dl0 if dl0 < -1e-300 else inf
+                if vk < inf:
+                    push(vanish_heap, (vk, e, v))
+                if l0 + r_cur * dl0 <= eps_len:
+                    pending.add(e)
+                elif dl0 < 0.0:
+                    key = _length_bound(l0, dl0, eps_len)
+                    if key < inf and not vk <= key + tie:
+                        push(length_heap, (key, e, v))
+            continue
+        break   # a new vertex is degenerate
+
+    return r_cur, breaks, marks, dies, ends, zs, pairs
+
+
 class ErosionStructure:
     """Straight skeleton of a convex polygon: all its inner parallel bodies.
 
@@ -695,126 +869,10 @@ class ErosionStructure:
         c = poly.vertices.mean(axis=0)
         N, P = poly.normals, poly.vertices - c
         D = 0.5 * ((N * P).sum(axis=1) + (N * np.concatenate([P[1:], P[:1]])).sum(axis=1))
-        n = len(D)
         tie = 1e-11 * self.scale
         eps_len = 1e-12 * self.scale
-        inf, push, pop = math.inf, heapq.heappush, heapq.heappop
-
-        # vertex a joins edge a to edge nxt[a]; edge e runs from vertex
-        # prv[e] to vertex e along the tangent (-ny, nx).  Each skeleton
-        # vertex is one row: ends holds its two edges, and dies the interval
-        # in which it goes (n, more than any interval index, while it
-        # lives); marks[k] is the row count when interval k starts, which
-        # gives the interval a row appears in.  cur[a] is the (Z, S) of
-        # vertex a, row[a] its row and zs every row's (Z, S), back to back.
-        # pairs holds the rows (prv[e], e) of edge e each time it is set:
-        # the Steiner sums come from their lives after the loop.  A heap
-        # entry (key, e, ver) is stale once edge e changed version, which
-        # it also does when it dies.
         T = N[:, ::-1] * [-1.0, 1.0]
-        nl, dl, tl = N.tolist(), D.tolist(), T.tolist()
-        nxt = [*range(1, n), 0]
-        prv = [n - 1, *range(n - 1)]
-        r_cur, count = 0.0, n
-
-        # the first n vertices and edges at once, by the loop's expressions
-        (ax, ay), (bx, by), db = N.T, np.concatenate([N[1:], N[:1]]).T, np.append(D[1:], D[0])
-        det = ax * by - ay * bx
-        if (det <= 1e-14).any():   # adjacent edges (anti)parallel: degenerate from the start
-            raise DegenerateError("polygon admits no interior offset structure")
-        zt = np.array([D * by - ay * db, ax * db - D * bx, ay - by, bx - ax])
-        zt /= det
-        z = zt.T   # (n, 4): the (Z, S) of each vertex
-        (tx, ty), (wx, wy, vx, vy) = T.T, zt - np.concatenate([zt[:, -1:], zt[:, :-1]], axis=1)
-        l0, dl0 = wx * tx + wy * ty, vx * tx + vy * ty
-        key = np.empty(n)   # filled, so that a bound of one value holds for every edge
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vk, key[:] = -l0 / dl0, _length_bound(l0, dl0, eps_len)
-        has_v = (dl0 < -1e-300) & (vk < inf)
-        pend = l0 + r_cur * dl0 <= eps_len
-        has_l = (dl0 < 0.0) & (key < inf) & ~(pend | has_v & (vk <= key + tie))
-        vanish_heap = [(k, e, 1) for k, e in zip(vk[has_v].tolist(), has_v.nonzero()[0].tolist())]
-        length_heap = [(k, e, 1) for k, e in zip(key[has_l].tolist(), has_l.nonzero()[0].tolist())]
-        heapq.heapify(vanish_heap)
-        heapq.heapify(length_heap)
-        pending = set(pend.nonzero()[0].tolist())   # edges whose length bound has passed
-        alive, ver, row, dies = [True] * n, [1] * n, [*range(n)], [n] * n
-        len0, dlen, cur, zs = l0.tolist(), dl0.tolist(), z.tolist(), z.ravel().tolist()
-        ends, pairs, breaks, marks = [0] * (2 * n), [0] * (2 * n), [], []
-        ends[::2], ends[1::2], pairs[::2], pairs[1::2] = row, nxt, prv, row
-
-        while True:   # the length rule, the tie rule or the next event drops edges ks
-            while length_heap and length_heap[0][0] <= r_cur:
-                _, e, v = pop(length_heap)
-                if ver[e] == v:
-                    pending.add(e)
-            ks = pending and sorted(e for e in pending if len0[e] + r_cur * dlen[e] <= eps_len)
-            if not ks:   # no redundant constraint: the tie rule, or the next event
-                while vanish_heap and ver[vanish_heap[0][1]] != vanish_heap[0][2]:
-                    pop(vanish_heap)
-                if not vanish_heap:
-                    break
-                r_next = vanish_heap[0][0]
-                if r_next > r_cur + tie:
-                    breaks.append(r_cur)
-                    marks.append(len(dies))
-                    r_cur = r_next
-                ks = []
-                while vanish_heap and vanish_heap[0][0] <= r_cur + tie:
-                    _, e, v = pop(vanish_heap)
-                    if ver[e] == v:
-                        ks.append(e)
-                ks.sort()
-            # remove the edges ks at once and join their surviving neighbours
-            heads = []
-            for k in ks:
-                p, q = prv[k], nxt[k]
-                nxt[p], prv[q] = q, p
-                heads.append(p)
-                alive[k] = False
-                ver[k] += 1
-                pending.discard(k)
-                dies[row[k]] = len(breaks)
-            count -= len(ks)
-            if count < 3:
-                break
-            if len(ks) > 1:
-                heads = [p for p in dict.fromkeys(heads) if alive[p]]
-            for a in heads:   # the vertex that joins edge a to its new next edge
-                b = nxt[a]
-                (ax, ay), (bx, by) = nl[a], nl[b]
-                det = ax * by - ay * bx
-                if det <= 1e-14:
-                    break
-                dies[row[a]] = len(breaks)
-                row[a] = len(dies)
-                cur[a] = z = ((dl[a] * by - ay * dl[b]) / det, (ax * dl[b] - dl[a] * bx) / det,
-                              (ay - by) / det, (bx - ax) / det)
-                zs.extend(z)
-                dies.append(n)
-                ends.extend((a, b))
-            else:
-                for e in dict.fromkeys(e for p in heads for e in (p, nxt[p])):
-                    tx, ty = tl[e]
-                    p = prv[e]
-                    px, py, qx, qy = cur[p]
-                    zx, zy, sx, sy = cur[e]
-                    len0[e] = l0 = (zx - px) * tx + (zy - py) * ty
-                    dlen[e] = dl0 = (sx - qx) * tx + (sy - qy) * ty
-                    pairs.extend((row[p], row[e]))
-                    ver[e] = v = ver[e] + 1
-                    pending.discard(e)
-                    vk = -l0 / dl0 if dl0 < -1e-300 else inf
-                    if vk < inf:
-                        push(vanish_heap, (vk, e, v))
-                    if l0 + r_cur * dl0 <= eps_len:
-                        pending.add(e)
-                    elif dl0 < 0.0:
-                        key = _length_bound(l0, dl0, eps_len)
-                        if key < inf and not vk <= key + tie:
-                            push(length_heap, (key, e, v))
-                continue
-            break   # a new vertex is degenerate
+        r_cur, breaks, marks, dies, ends, zs, pairs = _skeleton_events(N, D, T, tie, eps_len)
 
         if not breaks:
             raise DegenerateError("polygon admits no interior offset structure")
@@ -951,9 +1009,9 @@ class ErosionStructure:
     def exit_radius(self, points):
         """Largest r with each point of the domain in the opening at r.
 
-        One pass over the skeleton vertices, each with the radii
-        [r_lo, r_hi] it lives over.  Point x lies in the disk of radius r
-        about vertex Z + r S exactly for r between the roots of
+        Each skeleton vertex lives over the radii [r_lo, r_hi].  Point x
+        lies in the disk of radius r about vertex Z + r S exactly for r
+        between the roots of
 
             (|S|^2 - 1) r^2 - 2 r (x - Z).S + |x - Z|^2 = 0,
 
@@ -962,35 +1020,54 @@ class ErosionStructure:
         r lies in core(r), so each radius of [r_lo, r_hi] between the roots
         keeps x in the opening; and x leaves the opening through the arc of
         a vertex alive there.  The exit radius is the largest such radius
-        over all vertices (0 if there is none).  Points go in blocks of at
-        most CHUNK_ENTRIES point-vertex pairs.
+        over all vertices (0 if there is none).
+
+        The vertices are visited in chunks of ROW_CHUNK, by descending
+        death radius r_hi, and after each chunk a point retires once its
+        running maximum reaches the largest r_hi of the next chunk.  This
+        is exact: a vertex adds at most min(r_out, r_hi) <= r_hi, so every
+        vertex a retired point skips would add no more than its maximum.
+        Each value is the same elementwise expression for any chunk or
+        block, and a maximum does not depend on the order it is taken in.
+        Points go in blocks of at most CHUNK_ENTRIES / 4 point-vertex
+        pairs: the kernel holds about a dozen arrays of a block's size at
+        once, and blocks this small keep them in cache.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         edges, next_edges, Z, S, born, dies = self._vertices
         N, D = self.polygon.normals, self.polygon.offsets
-        (nax, nay), (nbx, nby) = N[edges].T, N[next_edges].T
-        da, db = D[edges], D[next_edges]
-        r_lo = self.breaks[born]
-        r_hi = self.breaks[dies]
         speed2 = np.sum(S * S, axis=1)
-        a = speed2 - 1.0
-        out = np.empty(len(pts))
-        step = max(1, CHUNK_ENTRIES // len(Z))
-        for s in range(0, len(pts), step):
-            # elementwise, not a matmul: the bits then do not depend on the block
-            px, py = pts[s:s + step, 0:1], pts[s:s + step, 1:2]
-            s_a = np.maximum(da - (px * nax + py * nay), 0.0)
-            s_b = np.maximum(db - (px * nbx + py * nby), 0.0)
-            wx = px - Z[:, 0]
-            wy = py - Z[:, 1]
-            b = wx * S[:, 0] + wy * S[:, 1]
-            c = wx * wx + wy * wy
-            q = b + np.sqrt(speed2 * s_a * s_b)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                r_out = np.where(a > 0.0, q / a, np.inf)
-                r_in = np.where(q > 0.0, c / q, np.where(c > 0.0, np.inf, 0.0))
-            hit = (r_in <= r_hi) & (r_out >= r_lo)
-            out[s:s + step] = np.max(np.where(hit, np.minimum(r_out, r_hi), 0.0), axis=1)
+        r_hi = self.breaks[dies]
+        # the vertices by descending death radius, one column each
+        order = np.argsort(-r_hi, kind="stable")
+        rows = np.stack([*N[edges].T, *N[next_edges].T, D[edges], D[next_edges], *Z.T, *S.T,
+                         speed2, speed2 - 1.0, self.breaks[born], r_hi]).take(order, axis=1)
+        out, best = np.empty(len(pts)), np.empty(len(pts))
+        live, px, py = np.arange(len(pts)), pts[:, 0:1], pts[:, 1:2]   # the points left
+        for lo in range(0, len(order), ROW_CHUNK):
+            nax, nay, nbx, nby, da, db, zx, zy, sx, sy, speed2, a, r_lo, r_hi = \
+                rows[:, lo:lo + ROW_CHUNK]
+            step = max(1, CHUNK_ENTRIES // 4 // len(r_hi))
+            for s in range(0, len(best), step):
+                # elementwise, not a matmul: the bits then do not depend on the block
+                x, y = px[s:s + step], py[s:s + step]
+                s_a = np.maximum(da - (x * nax + y * nay), 0.0)
+                s_b = np.maximum(db - (x * nbx + y * nby), 0.0)
+                wx = x - zx
+                wy = y - zy
+                b = wx * sx + wy * sy
+                c = wx * wx + wy * wy
+                q = b + np.sqrt(speed2 * s_a * s_b)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    r_out = np.where(a > 0.0, q / a, np.inf)
+                    r_in = np.where(q > 0.0, c / q, np.where(c > 0.0, np.inf, 0.0))
+                hit = (r_in <= r_hi) & (r_out >= r_lo)
+                m = np.max(np.where(hit, np.minimum(r_out, r_hi), 0.0), axis=1)
+                best[s:s + step] = m if lo == 0 else np.maximum(best[s:s + step], m)
+            out[live] = best
+            if lo + ROW_CHUNK < len(order):
+                keep = (best < rows[-1, lo + ROW_CHUNK]).nonzero()[0]
+                live, px, py, best = live[keep], px[keep], py[keep], best[keep]
         return out
 
     def core_body(self, r: float) -> ErodedBody:

@@ -126,17 +126,26 @@ class GridFunction:
 
     @property
     def inside_mask(self) -> np.ndarray:
-        """Cells whose center lies in the closed domain."""
+        """Cells whose center lies in the closed domain.
+
+        Bitwise ``domain.contains_point`` at every cell center, taken row
+        by row as intervals of columns by ``ConvexPolygon.contains_lattice``:
+        along a row each edge's rounded test passes on a prefix or a suffix
+        of the increasing column centers, so a row's members are one
+        interval, found by bisection.
+        """
         if self._inside is None:
-            pts = self.centers().reshape(-1, 2)
-            self._inside = self.domain.contains_point(pts).reshape(self.values.shape)
+            self._inside = self.domain.contains_lattice(*self._axes())
         return self._inside
+
+    def _axes(self):
+        """Cell-center x of each column and y of each row, both nondecreasing."""
+        return (self.origin[0] + self.spacing[0] * np.arange(self.nx),
+                self.origin[1] + self.spacing[1] * np.arange(self.ny))
 
     def centers(self) -> np.ndarray:
         """(ny, nx, 2) array of cell-center coordinates."""
-        xs = self.origin[0] + self.spacing[0] * np.arange(self.nx)
-        ys = self.origin[1] + self.spacing[1] * np.arange(self.ny)
-        X, Y = np.meshgrid(xs, ys)
+        X, Y = np.meshgrid(*self._axes())
         return np.stack([X, Y], axis=-1)
 
     def with_values(self, values) -> "GridFunction":

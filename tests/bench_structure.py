@@ -13,7 +13,17 @@ their ratio:
 - shape_svg: ``svgout.shape_svg`` against the same document built from
   the per-vertex paths of ``oracles``, for the minimizers of the 256-gon
   at 100 volumes drawn from 1 % to 99.9 % of its area, as the
-  ``exact-ngon`` workload asks for them.
+  ``exact-ngon`` workload asks for them;
+- exit_radius: ``ErosionStructure.exit_radius`` against
+  ``oracles.dense_exit_radius`` on the cell centers that ``rank`` hands
+  it, on the seed-1 ``exact-ngon`` domain and grid (128 cells across),
+  and the 256-wide unit-square grid of ``rearrange-square``, and on
+  4096 points of the edges of a regular 256-gon: its vertices all die
+  at r*, so only the edge midpoints, which reach r*, retire early, and
+  the other points pay for every chunk;
+- inside_mask: ``ConvexPolygon.contains_lattice`` against
+  ``contains_point`` at every cell center, on the ``exact-ngon`` grid,
+  the same domain on a 1024-wide grid and the 256-wide square grid.
 """
 
 import argparse
@@ -29,14 +39,31 @@ sys.path.insert(0, os.path.dirname(__file__))
 from isoperim import svgout                                  # noqa: E402
 from isoperim.family import build_family                    # noqa: E402
 from isoperim.geometry import ErosionStructure, validate_polygon   # noqa: E402
+from isoperim.rearrange import GridFunction                  # noqa: E402
 import oracles                                               # noqa: E402
-from conftest import SQUARE, ellipse_polygon                 # noqa: E402
+from conftest import SQUARE, ellipse_polygon, regular_polygon   # noqa: E402
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+import workloads                                             # noqa: E402
 
 
 def reference_shape_svg(domain, shape):
     body = (f'<path d="{oracles.polygon_path(domain.vertices)}" stroke="#888"/>\n'
             f'<path d="{oracles.rounded_boundary_path(shape.body)}" stroke="#c02" />')
     return svgout._document(domain, body)
+
+
+def rounded_cells(family, n):
+    """The cell centers of the n-wide grid that ``family.rank`` passes to exit_radius."""
+    u = GridFunction.for_domain(family.domain, n)
+    seen, s = [], family.structure
+    exit_radius = s.exit_radius
+    s.exit_radius = lambda pts: seen.append(pts) or exit_radius(pts)
+    try:
+        family.rank(u.centers()[u.inside_mask])
+    finally:
+        del s.exit_radius
+    return seen[0]
 
 
 def _time(fn, inputs, loops):
@@ -62,14 +89,34 @@ def main(argv=None):
     shapes = [(family.domain, family.minimizer(v)) for v in volumes]
     cases["shape_svg (100 shapes, n=256)"] = (reference_shape_svg, svgout.shape_svg, shapes, 1)
 
-    print(f"{'case':32s} {'reference ms':>13s} {'library ms':>11s} {'ratio':>6s}")
+    sizes = workloads.SIZES["exact-ngon"]
+    ngon = build_family(validate_polygon(workloads.jittered_ellipse(
+        workloads._rng("exact-ngon", 1), sizes["vertices"], sizes["aspect"])))
+    regular = ErosionStructure(validate_polygon(regular_polygon(256)))
+    V = regular.polygon.vertices
+    t = (np.arange(4096) % 16 / 16.0)[:, None]
+    edges = V.repeat(16, 0) + t * (np.roll(V, -1, axis=0) - V).repeat(16, 0)
+    for name, s, pts in (("exact-ngon", ngon.structure, rounded_cells(ngon, sizes["grid"])),
+                         ("square", ErosionStructure(polys[4]),
+                          rounded_cells(build_family(polys[4]), 256)),
+                         ("256-gon edges", regular, edges)):
+        cases[f"exit_radius {name} ({len(pts)} pts)"] = (
+            oracles.dense_exit_radius, ErosionStructure.exit_radius, [(s, pts)], 1)
+    for name, domain, n in (("exact-ngon", ngon.domain, sizes["grid"]),
+                            ("exact-ngon", ngon.domain, 1024), ("square", polys[4], 256)):
+        u = GridFunction.for_domain(domain, n)
+        cases[f"inside_mask {name} {u.nx}x{u.ny}"] = (
+            lambda u: u.domain.contains_point(u.centers()),
+            lambda u: u.domain.contains_lattice(*u._axes()), [(u,)], 1)
+
+    print(f"{'case':40s} {'reference ms':>13s} {'library ms':>11s} {'ratio':>6s}")
     for name, (ref_fn, lib_fn, inputs, loops) in cases.items():
         ref, new = [], []
         for _ in range(args.repeats):
             ref.append(_time(ref_fn, inputs, loops))
             new.append(_time(lib_fn, inputs, loops))
         r, k = statistics.median(ref), statistics.median(new)
-        print(f"{name:32s} {1e3 * r:13.3f} {1e3 * k:11.3f} {k / r:6.2f}")
+        print(f"{name:40s} {1e3 * r:13.3f} {1e3 * k:11.3f} {k / r:6.2f}")
 
 
 if __name__ == "__main__":

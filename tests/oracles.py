@@ -497,6 +497,42 @@ def bisect_exit_radius(structure, points):
     return 0.5 * (lo + hi)
 
 
+def dense_exit_radius(structure, points):
+    """``ErosionStructure.exit_radius`` by one pass over every skeleton vertex.
+
+    Every point meets every vertex, in blocks of at most CHUNK_ENTRIES
+    point-vertex pairs, with the library's elementwise expressions.
+    """
+    self = structure
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    edges, next_edges, Z, S, born, dies = self._vertices
+    N, D = self.polygon.normals, self.polygon.offsets
+    (nax, nay), (nbx, nby) = N[edges].T, N[next_edges].T
+    da, db = D[edges], D[next_edges]
+    r_lo = self.breaks[born]
+    r_hi = self.breaks[dies]
+    speed2 = np.sum(S * S, axis=1)
+    a = speed2 - 1.0
+    out = np.empty(len(pts))
+    step = max(1, geo.CHUNK_ENTRIES // len(Z))
+    for s in range(0, len(pts), step):
+        # elementwise, not a matmul: the bits then do not depend on the block
+        px, py = pts[s:s + step, 0:1], pts[s:s + step, 1:2]
+        s_a = np.maximum(da - (px * nax + py * nay), 0.0)
+        s_b = np.maximum(db - (px * nbx + py * nby), 0.0)
+        wx = px - Z[:, 0]
+        wy = py - Z[:, 1]
+        b = wx * S[:, 0] + wy * S[:, 1]
+        c = wx * wx + wy * wy
+        q = b + np.sqrt(speed2 * s_a * s_b)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r_out = np.where(a > 0.0, q / a, np.inf)
+            r_in = np.where(q > 0.0, c / q, np.where(c > 0.0, np.inf, 0.0))
+        hit = (r_in <= r_hi) & (r_out >= r_lo)
+        out[s:s + step] = np.max(np.where(hit, np.minimum(r_out, r_hi), 0.0), axis=1)
+    return out
+
+
 def bisect_rank(family, points):
     """Rank of points of the domain outside the ball hull H, by bisection.
 

@@ -188,6 +188,13 @@ def test_near_antiparallel_pentagon_matches_full_scan(scale, offset):
     area, perim = geo.polygon_measures(poly)
     assert np.max(np.abs(at_ends(s._area_poly) - at_ends(ref._area_poly))) <= 1e-12 * area
     assert np.max(np.abs(at_ends(s._perim_poly) - at_ends(ref._perim_poly))) <= 1e-12 * perim
+    # vertices, edge points and points of the bounding box, some outside
+    rng = np.random.default_rng(4)
+    V = poly.vertices
+    pts = np.concatenate([V, V + rng.random((5, 1)) * (np.roll(V, -1, axis=0) - V),
+                          rng.uniform(V.min(axis=0), V.max(axis=0), (64, 2))])
+    assert_exit_radius_is_dense(s, pts, row_chunks=(1, 2, geo.ROW_CHUNK),
+                                chunks=(7, geo.CHUNK_ENTRIES, 2 ** 20))
 
 
 @pytest.mark.parametrize("kind", ["ellipse", "regular"])
@@ -373,6 +380,22 @@ def assert_exits_agree(f, pts, radius, ref_radius):
         assert np.all(np.abs(s.distance_to_core(pts[off], r) - r) <= eta)
 
 
+def assert_exit_radius_is_dense(s, pts, row_chunks=(geo.ROW_CHUNK,),
+                                chunks=(geo.CHUNK_ENTRIES,)):
+    """exit_radius is bitwise the dense sweep over every vertex, zeros of
+    either sign told apart, for each number of vertices per pass and each
+    block size."""
+    ref = oracles.dense_exit_radius(s, pts)
+    with pytest.MonkeyPatch.context() as mp:
+        for rows in row_chunks:
+            for chunk in chunks:
+                mp.setattr(geo, "ROW_CHUNK", rows)
+                mp.setattr(geo, "CHUNK_ENTRIES", chunk)
+                radius = s.exit_radius(pts)
+                assert radius.shape == ref.shape
+                assert np.array_equal(radius.view(np.int64), ref.view(np.int64))
+
+
 @PROPERTY
 @given(convex_polygons())
 def test_rank_matches_bisection(poly):
@@ -393,6 +416,9 @@ def test_rank_matches_bisection(poly):
     event_rnd = rnd[len(inner):len(inner) + len(event)]
     assert_exits_agree(f, event[event_rnd], s.exit_radius(event[event_rnd]),
                        radii[event_rnd])
+    outside = corners + 0.01 * (corners - corners.mean(axis=0))
+    pts = np.concatenate([pts, outside])
+    assert_exit_radius_is_dense(s, pts[:: max(1, len(pts) // 256)], row_chunks=(3, geo.ROW_CHUNK))
 
 
 @pytest.mark.parametrize("kind", ["ellipse", "regular"])
@@ -404,15 +430,19 @@ def test_exit_radius_matches_bisection_1024(kind):
     s = f.structure
     assert (len(s.intervals) > 1000) if kind == "ellipse" else (len(s.intervals) == 1)
     rng = np.random.default_rng(6)
-    inner, event, radii, _, _ = probe_points(f, rng, m=256)
+    inner, event, radii, corners, edge = probe_points(f, rng, m=256)
     radius = s.exit_radius(inner)
     assert_exits_agree(f, inner, radius, oracles.bisect_exit_radius(s, inner))
     # event points outside the ball hull leave the opening at their radius
     rnd = f.balls.centers.distance(event) > f.balls.inradius
     assert_exits_agree(f, event[rnd], s.exit_radius(event[rnd]), radii[rnd])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geo, "CHUNK_ENTRIES", 7)
-        assert np.array_equal(s.exit_radius(inner), radius)
+    # every vertex of the regular polygon dies at r*: only points that reach
+    # r* retire early there
+    outside = corners + 0.01 * (corners - corners.mean(axis=0))
+    pts = np.concatenate([inner, event, corners, edge, outside])
+    assert_exit_radius_is_dense(s, pts)
+    assert_exit_radius_is_dense(s, pts[::16], chunks=(7, 2 ** 20))
+    assert_exit_radius_is_dense(s, np.empty((0, 2)))
 
 
 def test_distance_to_core_is_independent_of_block_size():
@@ -547,14 +577,26 @@ def test_shape_contains_agrees_with_member(scale):
         assert np.array_equal(shape.contains(pts), f.member(v, pts))
 
 
+# vertex 1 is nearly flat: the structure's r = 0 polygon, which meets its
+# two edge lines, misses it by 7.2e-10 against an eps of 6.9e-10
+FLAT_PENTAGON = np.array([[0.0, 0.0], [0.14992854442813724, 0.17485287880129005],
+                          [0.2998570860324425, 0.3497057600238901],
+                          [0.12500421005498444, 0.49963430203071735],
+                          [-0.17485287880129005, 0.14992854442813724]])
+
+
 def test_member_at_full_volume_beside_a_nearly_flat_vertex():
-    # vertex 1 is nearly flat: the structure's r = 0 polygon, which meets
-    # its two edge lines, misses it by 7.2e-10 against an eps of 6.9e-10
-    verts = np.array([[0.0, 0.0], [0.14992854442813724, 0.17485287880129005],
-                      [0.2998570860324425, 0.3497057600238901],
-                      [0.12500421005498444, 0.49963430203071735],
-                      [-0.17485287880129005, 0.14992854442813724]])
+    verts = FLAT_PENTAGON
     f = build_family(geo.validate_polygon(verts))
     assert np.array_equal(f.structure.distance_to_core(verts, 0.0), np.zeros(5))
     assert np.all(f.member(f.v_max, verts))
     assert np.array_equal(f.member(f.v_max, verts), f.minimizer(f.v_max).contains(verts))
+
+
+def test_rank_at_the_vertices_beside_a_nearly_flat_vertex():
+    # the structure's area at r = 0 misses |Omega| by 1.66e-10, above
+    # tol_rank; the vertices' exit radii are 0 or about 1e-17
+    f = build_family(geo.validate_polygon(FLAT_PENTAGON))
+    assert f.v_max - f.structure.area_of_opening(0.0) > f.tol_rank
+    assert np.all(f.structure.exit_radius(FLAT_PENTAGON) < 1e-16)
+    assert np.all(np.abs(f.rank(FLAT_PENTAGON) - f.v_max) <= f.tol_rank)

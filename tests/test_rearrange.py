@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import weakref
 
@@ -6,11 +7,13 @@ import pytest
 
 from isoperim import rearrange as rr
 from isoperim.errors import DomainMismatchError
-from isoperim.geometry import validate_polygon
+from isoperim.errors import GeometryError
+from isoperim.geometry import EPS_GEOM, validate_polygon
 from isoperim.rearrange import GridFunction
 
 import oracles
-from conftest import SQUARE, cone_grid, disk_indicator_grid, oscillation, support_measure
+from conftest import (SQUARE, cone_grid, disk_indicator_grid, ellipse_polygon, oscillation,
+                      random_polygon, regular_polygon, support_measure)
 
 
 def test_grid_validation(square, rect21):
@@ -43,6 +46,71 @@ def test_for_domain_far_off_frames(n):
                 u = GridFunction.for_domain(validate_polygon(scale * square + shift), n)
                 assert u.values.shape == (n, n)
                 assert np.count_nonzero(u.inside_mask) == (n - 2) ** 2
+                assert np.array_equal(u.inside_mask, u.domain.contains_point(u.centers()))
+
+
+def assert_mask_is_contains_point(u, tols=(None,)):
+    """The lattice membership at every cell center is contains_point's."""
+    xs, ys = u._axes()
+    for tol in tols:
+        mask = u.domain.contains_lattice(xs, ys, tol)
+        assert np.array_equal(mask, u.domain.contains_point(u.centers(), tol))
+    assert np.array_equal(u.inside_mask, u.domain.contains_point(u.centers()))
+
+
+def test_inside_mask_on_edge_lines_and_every_normal_sign():
+    # the square's edges have nx > 0, nx < 0 and nx = 0; cell centers lie
+    # exactly on all four edge lines, and on the diamond's rounded ones
+    square = validate_polygon(SQUARE)
+    on_lines = GridFunction(np.array([-0.25, -0.25]), np.array([0.125, 0.125]),
+                            np.zeros((12, 12)), square)
+    assert np.count_nonzero(on_lines.inside_mask) == 81
+    assert_mask_is_contains_point(on_lines, (None, 0.0, -1e-12, 0.2))
+    diamond = validate_polygon([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+    assert_mask_is_contains_point(GridFunction(np.array([-1.5, -1.5]), np.array([0.25, 0.25]),
+                                               np.zeros((13, 13)), diamond), (None, 0.0, 1e-3))
+    # nx = -0.0 holds like nx = 0.0: the test is constant along a row
+    negzero = dataclasses.replace(square, normals=np.where(square.normals == 0.0, -0.0,
+                                                           square.normals))
+    assert np.any(np.signbit(negzero.normals[:, 0]) & (negzero.normals[:, 0] == 0.0))
+    frame = GridFunction.for_domain(square, 37)
+    for poly in (square, negzero):
+        u = GridFunction(frame.origin, frame.spacing, frame.values, poly)
+        assert_mask_is_contains_point(u, (None, 0.0))
+        u = GridFunction(on_lines.origin, on_lines.spacing, on_lines.values, poly)
+        assert_mask_is_contains_point(u, (None, 0.0))
+
+
+@pytest.mark.parametrize("kind", ["sliver", "ngon1000", "moved_ellipse1000"])
+def test_inside_mask_on_slivers_and_many_edges(kind):
+    if kind == "sliver":
+        polys = [validate_polygon([(0.0, 0.0), (1.0, 0.0), (0.3, h)]) for h in (1e-2, 1e-4)]
+    elif kind == "ngon1000":
+        polys = [validate_polygon(regular_polygon(1000))]
+    else:
+        polys = [validate_polygon(ellipse_polygon(3, 1000) + 1e6)]
+    for poly in polys:
+        for n in (16, 101):
+            assert_mask_is_contains_point(GridFunction.for_domain(poly, n),
+                                          (None, 0.0, 1e-3 * poly.scale))
+
+
+def test_inside_mask_on_random_frames():
+    # random polygons scaled by 1e-6 to 1e6 and moved up to 1e6 of their
+    # sizes, on grids of 4 to 120 cells across, at three tolerances
+    rng = np.random.default_rng(23)
+    checked = 0
+    while checked < 120:
+        poly = random_polygon(rng, k=int(rng.integers(3, 24)))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        shift = rng.uniform(-1e6, 1e6, 2) * scale * (rng.random() < 0.5)
+        try:
+            poly = validate_polygon(scale * poly.vertices + shift)
+            u = GridFunction.for_domain(poly, int(rng.integers(4, 121)))
+        except (GeometryError, ValueError):
+            continue
+        assert_mask_is_contains_point(u, (None, 0.0, 100.0 * EPS_GEOM * poly.scale))
+        checked += 1
 
 
 @pytest.mark.parametrize("field,index,value", [
@@ -458,9 +526,9 @@ def test_report_memory_is_bounded(square, square_family):
 def test_with_values_keeps_the_inside_mask(square, monkeypatch):
     u = cone_grid(square, 48)
     calls = []
-    contains = type(square).contains_point
-    monkeypatch.setattr(type(square), "contains_point",
-                        lambda self, pts: calls.append(len(pts)) or contains(self, pts))
+    contains = type(square).contains_lattice
+    monkeypatch.setattr(type(square), "contains_lattice",
+                        lambda self, xs, ys: calls.append(len(ys)) or contains(self, xs, ys))
     ut = u.with_values(0.5 * u.values)
     assert ut.inside_mask is u.inside_mask and calls == []
     bad = ut.values.copy()
