@@ -2,13 +2,11 @@
 equimeasurable convex rearrangement of grid-sampled functions."""
 
 from .errors import (DegenerateError, DomainMismatchError, GeometryError,
-                     IsoperimError, NonConvexError, RadiusTooLargeError,
-                     SamplerInfeasibleError, ScheduleInvalidError,
-                     VolumeOutOfRangeError)
+                     IsoperimError, NonConvexError, SamplerInfeasibleError,
+                     ScheduleInvalidError, VolumeOutOfRangeError)
 from .family import MinimizerFamily, MinimizerShape, build_family
 from .geometry import (ConvexPolygon, ErodedBody, LargestBallSet, RoundedBody,
-                       contains, erode, largest_balls, opening,
-                       polygon_measures, rounded_measures, validate_polygon)
+                       largest_balls, polygon_measures, validate_polygon)
 from .oracle import (AnnealSchedule, Competitor, anneal_discrete,
                      crofton_perimeter, sample_competitor, verify_minimality)
 from .rearrange import (GridFunction, Profile, RearrangementReport,
@@ -23,12 +21,11 @@ __all__ = [
     "AnnealSchedule", "Competitor", "ConvexPolygon", "DegenerateError",
     "DomainMismatchError", "ErodedBody", "GeometryError", "GridFunction",
     "IsoperimError", "LargestBallSet", "MinimizerFamily", "MinimizerShape",
-    "NonConvexError", "Profile", "RadiusTooLargeError", "RearrangementReport",
-    "RoundedBody", "SamplerInfeasibleError", "ScheduleInvalidError",
-    "VolumeOutOfRangeError", "anneal_discrete", "build_family", "contains",
-    "convex_rearrangement", "crofton_perimeter", "bv_norm_estimate",
-    "decreasing_rearrangement", "distribution", "erode", "largest_balls",
-    "level_contour_points", "level_perimeter", "opening", "polygon_measures",
-    "rearrangement_report", "rounded_measures", "sample_competitor",
-    "validate_polygon", "verify_minimality",
+    "NonConvexError", "Profile", "RearrangementReport", "RoundedBody",
+    "SamplerInfeasibleError", "ScheduleInvalidError", "VolumeOutOfRangeError",
+    "anneal_discrete", "build_family", "convex_rearrangement", "crofton_perimeter",
+    "bv_norm_estimate", "decreasing_rearrangement", "distribution", "largest_balls",
+    "level_contour_points", "level_perimeter", "polygon_measures",
+    "rearrangement_report", "sample_competitor", "validate_polygon",
+    "verify_minimality",
 ]

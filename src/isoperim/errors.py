@@ -17,10 +17,6 @@ class DegenerateError(GeometryError):
     """Fewer than 3 distinct vertices, zero area, or non-finite coordinates."""
 
 
-class RadiusTooLargeError(GeometryError):
-    """Opening radius exceeds the inradius beyond tolerance."""
-
-
 class VolumeOutOfRangeError(IsoperimError, ValueError):
     """Requested volume outside the admissible range for the domain."""
 

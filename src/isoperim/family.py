@@ -37,8 +37,9 @@ class MinimizerShape:
     the incenter set), a "stadium" a segment core (a centred piece of the
     incenter segment) dilated by the inradius, and a "rounded" shape the
     eroded domain dilated by its erosion radius (the opening).  curvature
-    is 1 / radius (inf for the full domain).  The core carries the domain
-    scale, which sets the membership tolerance.
+    is 1 / radius (inf for the full domain).  Membership and measures of
+    E(v) are MinimizerFamily's: member, perimeter and the structure's
+    Steiner polynomials.
     """
 
     kind: str
@@ -50,18 +51,6 @@ class MinimizerShape:
     @property
     def radius(self) -> float:
         return self.body.radius
-
-    @property
-    def scale(self) -> float:
-        return self.body.core.scale
-
-    def contains(self, points, tol: float | None = None):
-        """Closed membership, vectorized over (..., 2) points.
-
-        The default tolerance is EPS_GEOM times the domain scale, the one
-        MinimizerFamily.member uses, so both agree at every scale.
-        """
-        return geometry.contains(self.body, points, tol)
 
     def as_dict(self):
         core = self.body.core
@@ -171,14 +160,14 @@ class MinimizerFamily:
         """The canonical minimizer E(v); v = |Omega| returns the domain itself."""
         v = self._check_volume(float(v))
         regime, rho, half = self._classify(v)
-        r, h, scale = float(rho[0]), float(half[0]), self.domain.scale
+        r, h = float(rho[0]), float(half[0])
         if regime[0] == ROUNDED:
             core = self.structure.core_body(r)
         elif h > 0.0:
             core = ErodedBody("segment", np.stack([self._mid - h * self._axis,
-                                                   self._mid + h * self._axis]), r, scale)
+                                                   self._mid + h * self._axis]))
         else:
-            core = ErodedBody("point", self._mid[None, :].copy(), r, scale)
+            core = ErodedBody("point", self._mid[None, :].copy())
         return MinimizerShape(kind=KINDS[regime[0]], volume=float(v),
                               perimeter=float(self._perimeter(regime, rho, half)[0]),
                               curvature=1.0 / r if r > 0.0 else np.inf,

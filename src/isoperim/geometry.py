@@ -1,8 +1,8 @@
 """Exact 2D convex geometry.
 
-Validated convex polygons, inner parallel bodies (erosion by half-plane
-offsetting), largest inscribed balls, morphological opening, and the
-Steiner area/perimeter formulas for a convex core dilated by a disk.
+Validated convex polygons, their erosion event structure (every inner
+parallel body, and by the Steiner formula the area of every opening),
+largest inscribed balls and convex hulls.
 
 All functions are pure; the returned objects are treated as immutable.
 """
@@ -16,12 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateError, NonConvexError, RadiusTooLargeError
+from .errors import DegenerateError, NonConvexError
 
 EPS_GEOM = 1e-9       # length tolerance, relative to the domain scale
 EPS_AREA = 1e-12      # area tolerance, relative to scale**2
 DELTA_COLLAPSE = 1e-9
-CHUNK_ENTRIES = 1 << 16   # points x vertices per block of the per-point kernels
+CHUNK_ENTRIES = 1 << 14   # points x vertices per block of the per-point kernels
 ROW_CHUNK = 64            # skeleton vertices per pass of exit_radius
 
 
@@ -112,46 +112,11 @@ class ErodedBody:
 
     ``kind`` is one of "polygon", "segment", "point", "empty"; ``points``
     holds the polygon vertices, the two segment endpoints, the single
-    point, or an empty (0, 2) array.  ``radius`` records the erosion
-    radius that produced the body and ``scale`` the source polygon scale
-    (used for closed-membership tolerances downstream).
+    point, or an empty (0, 2) array.
     """
 
     kind: str
     points: np.ndarray
-    radius: float
-    scale: float = 1.0
-
-    def measures(self):
-        """(area, perimeter) of the body itself (a segment counts twice)."""
-        if self.kind == "polygon":
-            return _shoelace(self.points), _edge_length_sum(self.points)
-        if self.kind == "segment":
-            return 0.0, 2.0 * float(np.linalg.norm(self.points[1] - self.points[0]))
-        return 0.0, 0.0
-
-    def distance(self, points):
-        """Euclidean distance from (..., 2) points to the body (0 inside)."""
-        pts = np.asarray(points, dtype=float)
-        if self.kind == "empty":
-            d = np.full(pts.shape[:-1], np.inf)
-        elif self.kind == "point":
-            d = np.linalg.norm(pts - self.points[0], axis=-1)
-        elif self.kind == "segment":
-            d = _point_segment_distance(pts, self.points[0], self.points[1])
-        else:
-            flat, v = pts.reshape(-1, 2), self.points
-            e = np.roll(v, -1, axis=0) - v
-            lens = np.maximum(np.linalg.norm(e, axis=1), 1e-300)
-            normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lens[:, None]
-            offsets = np.sum(normals * v, axis=1)
-            step = max(1, CHUNK_ENTRIES // len(v))
-            d = np.empty(len(flat))
-            for s in range(0, len(flat), step):
-                d[s:s + step] = _polygon_distance(flat[s:s + step], v[:, 0], v[:, 1],
-                                                  normals, offsets)
-            d = d.reshape(pts.shape[:-1])
-        return d if d.ndim else float(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,14 +158,6 @@ def _shoelace(vertices) -> float:
 
 def _edge_length_sum(vertices) -> float:
     return float(np.sum(np.linalg.norm(np.roll(vertices, -1, axis=0) - vertices, axis=1)))
-
-
-def _point_segment_distance(pts, a, b):
-    ab = b - a
-    denom = max(float(ab @ ab), 1e-300)
-    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    return np.linalg.norm(pts - proj, axis=-1)
 
 
 def _excess(px, py, normals, offsets):
@@ -982,28 +939,32 @@ class ErosionStructure:
     def distance_to_core(self, points, r):
         """Distance from points (m, 2) to the eroded core at per-point radii r.
 
-        At r = 0 the core is the domain polygon, as in core_body(0); other
-        points are grouped by event interval and evaluated in blocks of at
-        most CHUNK_ENTRIES point-vertex pairs, so temporaries stay bounded.
+        At r = 0 the core is the domain polygon, as in core_body(0), bounded
+        by the lines through its own vertices; other points are grouped by
+        event interval.  Points go in blocks of at most CHUNK_ENTRIES
+        point-vertex pairs, so temporaries stay bounded.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.broadcast_to(np.asarray(r, dtype=float), (pts.shape[0],))
         out = np.empty(pts.shape[0])
-        at0 = r == 0.0
-        if np.any(at0):
-            out[at0] = self.core_body(0.0).distance(pts[at0])
-        idx = np.where(at0, -1, self.interval_index(r))
-        order = np.argsort(idx, kind="stable")[np.count_nonzero(at0):]
+        idx = np.where(r == 0.0, -1, self.interval_index(r))
+        order = np.argsort(idx, kind="stable")
         ks, first = np.unique(idx[order], return_index=True)
         for k, lo, hi in zip(ks, first, [*first[1:], len(order)]):
-            iv = self.intervals[k]
-            step = max(1, CHUNK_ENTRIES // len(iv.Z))
+            if k < 0:
+                Z = self.polygon.vertices
+                e = np.roll(Z, -1, axis=0) - Z
+                N = np.stack([e[:, 1], -e[:, 0]], axis=1)
+                N /= np.maximum(np.linalg.norm(e, axis=1), 1e-300)[:, None]
+                S, D = np.zeros_like(Z), np.sum(N * Z, axis=1)
+            else:
+                _, _, _, Z, S, N, D = self.intervals[k]
+            step = max(1, CHUNK_ENTRIES // len(Z))
             for s in range(lo, hi, step):
                 sel = order[s:min(s + step, hi)]
                 rr = r[sel, None]
-                out[sel] = _polygon_distance(pts[sel], iv.Z[:, 0] + rr * iv.S[:, 0],
-                                             iv.Z[:, 1] + rr * iv.S[:, 1],
-                                             iv.normals, iv.offsets - rr)
+                out[sel] = _polygon_distance(pts[sel], Z[:, 0] + rr * S[:, 0],
+                                             Z[:, 1] + rr * S[:, 1], N, D - rr)
         return out
 
     def exit_radius(self, points):
@@ -1029,9 +990,9 @@ class ErosionStructure:
         vertex a retired point skips would add no more than its maximum.
         Each value is the same elementwise expression for any chunk or
         block, and a maximum does not depend on the order it is taken in.
-        Points go in blocks of at most CHUNK_ENTRIES / 4 point-vertex
-        pairs: the kernel holds about a dozen arrays of a block's size at
-        once, and blocks this small keep them in cache.
+        Points go in blocks of at most CHUNK_ENTRIES point-vertex pairs:
+        the kernel holds about a dozen arrays of a block's size at once,
+        and blocks this small keep them in cache.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         edges, next_edges, Z, S, born, dies = self._vertices
@@ -1047,7 +1008,7 @@ class ErosionStructure:
         for lo in range(0, len(order), ROW_CHUNK):
             nax, nay, nbx, nby, da, db, zx, zy, sx, sy, speed2, a, r_lo, r_hi = \
                 rows[:, lo:lo + ROW_CHUNK]
-            step = max(1, CHUNK_ENTRIES // 4 // len(r_hi))
+            step = max(1, CHUNK_ENTRIES // len(r_hi))
             for s in range(0, len(best), step):
                 # elementwise, not a matmul: the bits then do not depend on the block
                 x, y = px[s:s + step], py[s:s + step]
@@ -1076,34 +1037,24 @@ class ErosionStructure:
         if r < 0.0:
             raise ValueError("erosion radius must be nonnegative")
         if r > self.r_star * (1.0 + DELTA_COLLAPSE) + EPS_GEOM * scale:
-            return ErodedBody("empty", np.empty((0, 2)), r, scale)
+            return ErodedBody("empty", np.empty((0, 2)))
         if r == 0.0:
-            return ErodedBody("polygon", self.polygon.vertices, 0.0, scale)
+            return ErodedBody("polygon", self.polygon.vertices)
         rr = min(r, self.r_star)
         pts = self.core_vertices(rr)
         area = _shoelace(pts)
         if area >= EPS_AREA * scale * scale:
             keep = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) > EPS_GEOM * scale
             cleaned = pts[keep] if keep.sum() >= 3 else pts
-            return ErodedBody("polygon", cleaned, r, scale)
+            return ErodedBody("polygon", cleaned)
         i, j, d = _farthest_pair(pts)
         if d < EPS_GEOM * scale:
-            return ErodedBody("point", pts.mean(axis=0)[None, :], r, scale)
-        return ErodedBody("segment", np.stack([pts[i], pts[j]]), r, scale)
+            return ErodedBody("point", pts.mean(axis=0)[None, :])
+        return ErodedBody("segment", np.stack([pts[i], pts[j]]))
 
 
 # ---------------------------------------------------------------------------
-# public operations built on the structure
-
-
-def erode(polygon: ConvexPolygon, r: float, structure: ErosionStructure | None = None) -> ErodedBody:
-    """Inner parallel body: intersection of the inward-offset half-planes.
-
-    Monotone in r; collapses to a segment, point, or the empty body when the
-    offset planes no longer bound a full-dimensional polygon.
-    """
-    struct = structure or ErosionStructure(polygon)
-    return struct.core_body(float(r))
+# largest inscribed balls
 
 
 def largest_balls(polygon: ConvexPolygon, structure: ErosionStructure | None = None) -> LargestBallSet:
@@ -1136,51 +1087,12 @@ def largest_balls(polygon: ConvexPolygon, structure: ErosionStructure | None = N
         raise DegenerateError("inradius certificate failed: tight edges leave a gap")
 
     if len(pts) == 1:
-        centers = ErodedBody("point", pts, r_star, polygon.scale)
+        centers = ErodedBody("point", pts)
         length = 0.0
     else:
-        centers = ErodedBody("segment", pts, r_star, polygon.scale)
+        centers = ErodedBody("segment", pts)
         length = float(np.linalg.norm(pts[1] - pts[0]))
     ball = np.pi * r_star * r_star
     return LargestBallSet(inradius=r_star, centers=centers, midpoint=midpoint,
                           center_length=length, ball_measure=ball,
                           hull_measure=ball + 2.0 * r_star * length)
-
-
-def opening(polygon: ConvexPolygon, r: float, structure: ErosionStructure | None = None) -> RoundedBody:
-    """Morphological opening: erosion by r followed by dilation by r.
-
-    Equals the union of all disks of radius r contained in the polygon; at
-    r = 0 it is the polygon itself, at r = r* the union of all largest
-    inscribed balls.
-    """
-    if r < 0.0:
-        raise ValueError("opening radius must be nonnegative")
-    struct = structure or ErosionStructure(polygon)
-    tol = struct.r_star * DELTA_COLLAPSE + EPS_GEOM * polygon.scale
-    if r > struct.r_star + tol:
-        raise RadiusTooLargeError(
-            f"radius {r} exceeds inradius {struct.r_star}")
-    rr = min(float(r), struct.r_star)
-    return RoundedBody(core=struct.core_body(rr), radius=rr)
-
-
-def rounded_measures(body: RoundedBody):
-    """(area, perimeter) of core + r * disk by the Steiner formula.
-
-    area = A(core) + r P(core) + pi r^2 and perimeter = P(core) + 2 pi r,
-    where a segment of length L has A = 0, P = 2L and a point has A = P = 0.
-    """
-    if body.core.kind == "empty":
-        return 0.0, 0.0
-    a, p = body.core.measures()
-    r = body.radius
-    return a + r * p + np.pi * r * r, p + 2.0 * np.pi * r
-
-
-def contains(body: RoundedBody, points, tol: float | None = None):
-    """Closed membership in core + r * disk; vectorized over (..., 2) points."""
-    if tol is None:
-        tol = EPS_GEOM * body.core.scale
-    d = body.core.distance(points)
-    return d <= body.radius + tol

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SamplerInfeasibleError, ScheduleInvalidError
 from .family import MinimizerFamily
-from .geometry import EPS_GEOM, ConvexPolygon, _measures, _shoelace, convex_hulls, erode
+from .geometry import EPS_GEOM, ConvexPolygon, _measures, _shoelace, convex_hulls
 
 AREA_TOL_REL = 1e-6
 PERIMETER_SLACK = 1e-9
@@ -218,7 +218,7 @@ class _Sweep:
         family = self.family
         if radius > family.balls.inradius * (1.0 + 1e-12):
             return radius, 0, "disk larger than the largest inscribed ball"
-        feasible = erode(family.domain, radius, family.structure)
+        feasible = family.structure.core_body(radius)
         pts = feasible.points
         if feasible.kind == "empty":
             return radius, 0, "no feasible disk center"
@@ -467,13 +467,18 @@ def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
     candidate perimeter.  Violations are reported with full provenance
     rather than raised.  Competitors come in blocks (``_blocks``); the
     first one that cannot be drawn, in sweep order, raises
-    SamplerInfeasibleError.
+    SamplerInfeasibleError, as do an empty sampler list and n_samples
+    below 1.
     """
     p_min = family.perimeter(v)
     if samplers is None:
         samplers = ["hull", "halfplane"]
         if v <= family.balls.ball_measure:
             samplers.append("disk")
+    if not len(samplers):
+        raise SamplerInfeasibleError("no sampler to draw competitors from")
+    if n_samples < 1:
+        raise SamplerInfeasibleError(f"n_samples must be at least 1, got {n_samples}")
     gaps = np.empty(n_samples)
     violations = []
     for block in _blocks(_Sweep(family, v), samplers, n_samples, seed):
@@ -529,9 +534,11 @@ def crofton_perimeter(grid, cell: float) -> float:
     """Perimeter of a binary cell grid from line-transition counts.
 
     ``grid`` is (ny, nx) boolean (nonzero = inside); ``cell`` the pixel
-    side length.  Cells beyond the array count as outside.
+    side length.  Cells beyond the array count as outside.  It builds
+    the counts of a ``_CroftonCounter`` and none of its annealing state.
     """
-    return _CroftonCounts(grid, cell).perimeter()
+    coef, _, counts = _transitions(_padded_buffer(grid)[1], cell)
+    return _weighted(coef, counts)
 
 
 _PAD = 3  # widest stencil reach: every read of a grid cell's stencil stays in the buffer
@@ -544,8 +551,25 @@ def _padded_buffer(grid):
     return buf, np.frombuffer(buf, dtype=bool).reshape(padded.shape)
 
 
-class _CroftonCounts:
-    """Transition counts of a binary grid and their weighted sum.
+def _transitions(cells, cell):
+    """(coef, offsets, counts) of a padded grid: per Crofton direction, its
+    weight, its flat offset in ``cells`` and its transition count."""
+    width = cells.shape[1]
+    coef = [float(w * (cell / ln)) for w, ln in zip(_CROFTON_W, _CROFTON_LEN)]
+    offsets = [int(b) * width + int(a) for a, b in _CROFTON_DIRS]
+    flat = cells.ravel()
+    return coef, offsets, [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in offsets]
+
+
+def _weighted(coef, counts) -> float:
+    total = 0.0
+    for c, n in zip(coef, counts):
+        total += c * n
+    return 0.5 * total
+
+
+class _CroftonCounter:
+    """Transition counts of a binary grid, updated from a fixed flat stencil.
 
     Cell (j, i) is byte ``(j + 3) * width + i + 3`` of ``buf``; the zero
     margin is the outside, so stencil reads need no bounds checks.  Flat
@@ -553,26 +577,6 @@ class _CroftonCounts:
     ``g`` is a live boolean view of the grid.  Offsets are positive and reach
     at most _PAD cells, so ``counts``, the differing flat pairs of ``buf``,
     are the grid's: any other flat pair joins two margin cells.
-    """
-
-    def __init__(self, grid, cell):
-        self.buf, self.cells = _padded_buffer(grid)
-        self.g = self.cells[_PAD:-_PAD, _PAD:-_PAD]
-        self.width = self.cells.shape[1]
-        self.coef = [float(w * (cell / ln)) for w, ln in zip(_CROFTON_W, _CROFTON_LEN)]
-        self.offsets = [int(b) * self.width + int(a) for a, b in _CROFTON_DIRS]
-        flat = self.cells.ravel()
-        self.counts = [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in self.offsets]
-
-    def perimeter(self, counts=None) -> float:
-        total = 0.0
-        for c, n in zip(self.coef, self.counts if counts is None else counts):
-            total += c * n
-        return 0.5 * total
-
-
-class _CroftonCounter(_CroftonCounts):
-    """Transition counts of a binary grid, updated from a fixed flat stencil.
 
     ``sums`` keeps, per padded cell x, the stencil sum
     ``sum_k coef_k * (buf[x + o_k] + buf[x - o_k])`` (cells beyond the
@@ -583,7 +587,10 @@ class _CroftonCounter(_CroftonCounts):
     """
 
     def __init__(self, grid, cell):
-        super().__init__(grid, cell)
+        self.buf, self.cells = _padded_buffer(grid)
+        self.g = self.cells[_PAD:-_PAD, _PAD:-_PAD]
+        self.width = self.cells.shape[1]
+        self.coef, self.offsets, self.counts = _transitions(self.cells, cell)
         self.n4 = (1, -1, self.width, -self.width)
         # flat q - p -> direction k when q is p's neighbour along direction k
         self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}
@@ -593,6 +600,9 @@ class _CroftonCounter(_CroftonCounts):
         nin = ext[:-2, 1:-1] + ext[2:, 1:-1] + ext[1:-1, :-2] + ext[1:-1, 2:]
         self.nin = bytearray(nin.tobytes())
         self.nin_cells = np.frombuffer(self.nin, dtype=np.uint8).reshape(nin.shape)
+
+    def perimeter(self, counts=None) -> float:
+        return _weighted(self.coef, self.counts if counts is None else counts)
 
     def price(self, p, q):
         """(counts, perimeter) once in-cell p leaves and out-cell q joins.

@@ -160,15 +160,16 @@ class GridFunction:
                 and np.array_equal(self.domain.vertices, other.domain.vertices))
 
     @classmethod
-    def for_domain(cls, domain: ConvexPolygon, n: int, margin: int = 1) -> "GridFunction":
-        """Zero grid with square cells, n cells across the wider bbox side."""
-        if n <= 2 * margin + 1:
+    def for_domain(cls, domain: ConvexPolygon, n: int) -> "GridFunction":
+        """Zero grid with square cells, n cells across the wider bbox side,
+        one margin cell on each side."""
+        if n <= 3:
             raise ValueError("grid resolution too small for the margin")
         lo = domain.vertices.min(axis=0)
         hi = domain.vertices.max(axis=0)
-        h = float(np.max(hi - lo)) / (n - 2 * margin)
-        counts = np.ceil((hi - lo) / h - 1e-9).astype(int) + 2 * margin
-        origin = lo - (margin - 0.5) * h
+        h = float(np.max(hi - lo)) / (n - 2)
+        counts = np.ceil((hi - lo) / h - 1e-9).astype(int) + 2
+        origin = lo - 0.5 * h
         return cls(origin, np.array([h, h]), np.zeros((counts[1], counts[0])), domain)
 
 

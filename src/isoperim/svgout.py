@@ -49,10 +49,10 @@ def _polygon_path(vertices) -> str:
     return " ".join([f"M {x:.9g} {y:.9g}", *(f"L {x:.9g} {y:.9g}" for x, y in rest), "Z"])
 
 
-def _document(domain: ConvexPolygon, body: str, pad_frac=0.05) -> str:
+def _document(domain: ConvexPolygon, body: str) -> str:
     lo = domain.vertices.min(axis=0)
     hi = domain.vertices.max(axis=0)
-    pad = pad_frac * float(np.max(hi - lo))
+    pad = 0.05 * float(np.max(hi - lo))
     x, y = lo - pad
     w, h = (hi - lo) + 2 * pad
     stroke = _f(0.004 * max(w, h))

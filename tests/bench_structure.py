@@ -23,7 +23,16 @@ their ratio:
   the other points pay for every chunk;
 - inside_mask: ``ConvexPolygon.contains_lattice`` against
   ``contains_point`` at every cell center, on the ``exact-ngon`` grid,
-  the same domain on a 1024-wide grid and the 256-wide square grid.
+  the same domain on a 1024-wide grid and the 256-wide square grid;
+- block size: ``ErosionStructure.distance_to_core`` at r = 0.05 and
+  ``ConvexPolygon.contains_point`` on the inside cells of the
+  ``exact-ngon`` grid, each against itself run in blocks of 65,536
+  pairs (``geometry.CHUNK_ENTRIES``); set the reference size in
+  ``BLOCK_REFERENCE`` to time another.  They run before the large
+  cases: timed after them in one process, both sizes of
+  ``distance_to_core`` took 65 ms, probably because the allocator then
+  reuses freed memory instead of mapping fresh pages for the
+  temporaries of each block.
 """
 
 import argparse
@@ -36,7 +45,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from isoperim import svgout                                  # noqa: E402
+from isoperim import geometry, svgout                        # noqa: E402
 from isoperim.family import build_family                    # noqa: E402
 from isoperim.geometry import ErosionStructure, validate_polygon   # noqa: E402
 from isoperim.rearrange import GridFunction                  # noqa: E402
@@ -45,6 +54,8 @@ from conftest import SQUARE, ellipse_polygon, regular_polygon   # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 import workloads                                             # noqa: E402
+
+BLOCK_REFERENCE = 1 << 16
 
 
 def reference_shape_svg(domain, shape):
@@ -64,6 +75,17 @@ def rounded_cells(family, n):
     finally:
         del s.exit_radius
     return seen[0]
+
+
+def in_blocks_of(entries, fn):
+    """fn, run with geometry.CHUNK_ENTRIES set to entries."""
+    def run(*args):
+        saved, geometry.CHUNK_ENTRIES = geometry.CHUNK_ENTRIES, entries
+        try:
+            return fn(*args)
+        finally:
+            geometry.CHUNK_ENTRIES = saved
+    return run
 
 
 def _time(fn, inputs, loops):
@@ -92,6 +114,15 @@ def main(argv=None):
     sizes = workloads.SIZES["exact-ngon"]
     ngon = build_family(validate_polygon(workloads.jittered_ellipse(
         workloads._rng("exact-ngon", 1), sizes["vertices"], sizes["aspect"])))
+    # before the large cases (see the module docstring)
+    u = GridFunction.for_domain(ngon.domain, sizes["grid"])
+    inside = u.centers()[u.inside_mask]
+    for name, fn, call in (
+            ("distance_to_core", ErosionStructure.distance_to_core,
+             (ngon.structure, inside, 0.05)),
+            ("contains_point", geometry.ConvexPolygon.contains_point, (ngon.domain, inside))):
+        cases[f"{name} exact-ngon ({len(inside)} pts)"] = (
+            in_blocks_of(BLOCK_REFERENCE, fn), fn, [call], 1)
     regular = ErosionStructure(validate_polygon(regular_polygon(256)))
     V = regular.polygon.vertices
     t = (np.arange(4096) % 16 / 16.0)[:, None]

@@ -7,7 +7,9 @@ the sequential build that sets its first vertices one at a time;
 the r <-> v inversion, the rank and the half-plane competitor's cut
 offset by bisection, the inradius by a linear program, marching
 squares by one full-grid pass per threshold, the Crofton transition
-counts by shifting a padded copy of the grid, the annealing chain by
+counts by shifting a padded copy of the grid, membership in and the
+Steiner measures of a core + disk body from the core's own points, the
+annealing chain by
 pricing every proposal from the stencil and reading its boundary lists
 and swap validity from the grid bytes, the competitor sweep one
 competitor at a time, each hull by Qhull and by a quickhull that sorts
@@ -541,11 +543,59 @@ def bisect_rank(family, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(len(pts), np.nan)
     inside = family.structure.distance_to_core(pts, 0.0) <= family._eps
-    rnd = inside & (family.balls.centers.distance(pts) > family.balls.inradius)
+    rnd = inside & (body_distance(family.balls.centers, pts) > family.balls.inradius)
     if np.any(rnd):
         r = bisect_exit_radius(family.structure, pts[rnd])
         out[rnd] = np.minimum(family.structure.area_of_opening(r), family.v_max)
     return out
+
+
+def body_distance(body, points):
+    """Distance from (..., 2) points to an ErodedBody, 0 inside, from its
+    points alone: a polygon is bounded by the lines through its own
+    vertices.  Points go in blocks of 4096.
+    """
+    pts = np.asarray(points, dtype=float)
+    v = body.points
+    if body.kind == "empty":
+        return np.full(pts.shape[:-1], np.inf)
+    if body.kind == "point":
+        return np.linalg.norm(pts - v[0], axis=-1)
+    if body.kind == "segment":
+        ab = v[1] - v[0]
+        t = np.clip((pts - v[0]) @ ab / max(float(ab @ ab), 1e-300), 0.0, 1.0)
+        return np.linalg.norm(pts - (v[0] + t[..., None] * ab), axis=-1)
+    e = np.roll(v, -1, axis=0) - v
+    lens = np.maximum(np.linalg.norm(e, axis=1), 1e-300)
+    normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lens[:, None]
+    offsets = np.sum(normals * v, axis=1)
+    flat = pts.reshape(-1, 2)
+    d = [geo._polygon_distance(flat[s:s + 4096], v[:, 0], v[:, 1], normals, offsets)
+         for s in range(0, len(flat), 4096)]
+    return np.concatenate([np.empty(0), *d]).reshape(pts.shape[:-1])
+
+
+def rounded_contains(body, points, tol):
+    """Closed membership of points in the RoundedBody core + r disk, within tol."""
+    return body_distance(body.core, points) <= body.radius + tol
+
+
+def rounded_measures(body):
+    """(area, perimeter) of the RoundedBody core + r disk by the Steiner formula.
+
+    area = A(core) + r P(core) + pi r^2 and perimeter = P(core) + 2 pi r,
+    from the core's points: a segment of length L has A = 0, P = 2L and a
+    point has A = P = 0.
+    """
+    core, r = body.core, body.radius
+    if core.kind == "empty":
+        return 0.0, 0.0
+    a = p = 0.0
+    if core.kind == "polygon":
+        a, p = geo._shoelace(core.points), geo._edge_length_sum(core.points)
+    elif core.kind == "segment":
+        p = 2.0 * float(np.linalg.norm(core.points[1] - core.points[0]))
+    return a + r * p + np.pi * r * r, p + 2.0 * np.pi * r
 
 
 def clip_halfplane(vertices, normal, offset):
@@ -683,7 +733,7 @@ def _disk_competitor(rng, family, v):
     radius = float(np.sqrt(v / np.pi))
     if radius > family.balls.inradius * (1.0 + 1e-12):
         raise SamplerInfeasibleError("disk larger than the largest inscribed ball")
-    feasible = geo.erode(family.domain, radius, family.structure)
+    feasible = family.structure.core_body(radius)
     if feasible.kind == "empty":
         raise SamplerInfeasibleError("no feasible disk center")
     if feasible.kind == "point":

@@ -12,9 +12,8 @@ from isoperim import cli
 from isoperim import io as iio
 from isoperim.cli import _parse_sweep, main
 from isoperim.errors import (DegenerateError, DomainMismatchError, GeometryError,
-                             NonConvexError, RadiusTooLargeError,
-                             SamplerInfeasibleError, ScheduleInvalidError,
-                             VolumeOutOfRangeError)
+                             NonConvexError, SamplerInfeasibleError,
+                             ScheduleInvalidError, VolumeOutOfRangeError)
 from isoperim.geometry import validate_polygon
 from isoperim.rearrange import GridFunction
 
@@ -132,7 +131,6 @@ def test_minimizer_rejects_overflowing_span(tmp_path, capsys, side):
     (GeometryError("g"), 3),
     (NonConvexError("n"), 3),
     (DegenerateError("d"), 3),
-    (RadiusTooLargeError("r"), 3),
     (SamplerInfeasibleError("s"), 2),
     (ScheduleInvalidError("a"), 2),
     (json.JSONDecodeError("j", "{", 0), 2),

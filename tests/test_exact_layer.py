@@ -302,7 +302,7 @@ def test_structure_memory_is_linear(kind):
     v = 0.5 * (f.balls.hull_measure + f.v_max)
     shape = f.minimizer(v)
     assert shape.kind == "rounded"
-    assert abs(geo.rounded_measures(shape.body)[0] - v) <= 1e-12 * f.v_max
+    assert abs(oracles.rounded_measures(shape.body)[0] - v) <= 1e-12 * f.v_max
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1.0, 1.0, (512, 2))
     pts = pts[poly.contains_point(pts)]
@@ -434,7 +434,7 @@ def test_exit_radius_matches_bisection_1024(kind):
     radius = s.exit_radius(inner)
     assert_exits_agree(f, inner, radius, oracles.bisect_exit_radius(s, inner))
     # event points outside the ball hull leave the opening at their radius
-    rnd = f.balls.centers.distance(event) > f.balls.inradius
+    rnd = oracles.body_distance(f.balls.centers, event) > f.balls.inradius
     assert_exits_agree(f, event[rnd], s.exit_radius(event[rnd]), radii[rnd])
     # every vertex of the regular polygon dies at r*: only points that reach
     # r* retire early there
@@ -527,12 +527,12 @@ def test_shape_contains_memory_is_bounded():
     pts = rng.uniform(poly.vertices.min(axis=0), poly.vertices.max(axis=0), (16384, 2))
     tracemalloc.start()
     try:
-        inside = shape.contains(pts)
+        inside = f.member(0.9 * f.v_max, pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    assert np.array_equal(inside, f.member(0.9 * f.v_max, pts))
+    assert np.array_equal(inside, oracles.rounded_contains(shape.body, pts, f._eps))
 
 
 def test_trace_targets_resolve():
@@ -574,7 +574,8 @@ def test_shape_contains_agrees_with_member(scale):
         t = reach * rng.uniform(0.5, 1.5, 400)[:, None]
         pts = f.balls.midpoint + t * direction
         pts = np.concatenate([pts, f.balls.midpoint + 1.001 * shape.radius * direction[:50]])
-        assert np.array_equal(shape.contains(pts), f.member(v, pts))
+        assert np.array_equal(oracles.rounded_contains(shape.body, pts, f._eps),
+                              f.member(v, pts))
 
 
 # vertex 1 is nearly flat: the structure's r = 0 polygon, which meets its
@@ -590,7 +591,21 @@ def test_member_at_full_volume_beside_a_nearly_flat_vertex():
     f = build_family(geo.validate_polygon(verts))
     assert np.array_equal(f.structure.distance_to_core(verts, 0.0), np.zeros(5))
     assert np.all(f.member(f.v_max, verts))
-    assert np.array_equal(f.member(f.v_max, verts), f.minimizer(f.v_max).contains(verts))
+    assert np.array_equal(f.member(f.v_max, verts),
+                          oracles.rounded_contains(f.minimizer(f.v_max).body, verts, f._eps))
+
+
+def test_distance_to_core_at_zero_is_the_vertex_reference():
+    # at r = 0 the core is bounded by the lines through its own vertices,
+    # bit for bit as the vertex-based reference measures it: the validated
+    # offsets would put other points of the edges outside by rounding
+    rng = np.random.default_rng(4)
+    for verts in (FLAT_PENTAGON, ellipse_polygon(2, 64)):
+        f = build_family(geo.validate_polygon(verts))
+        v = f.domain.vertices
+        pts = (v + rng.uniform(0.0, 1.0, (256, 1, 1)) * (np.roll(v, -1, axis=0) - v)).reshape(-1, 2)
+        assert np.array_equal(f.structure.distance_to_core(pts, 0.0),
+                              oracles.body_distance(f.structure.core_body(0.0), pts))
 
 
 def test_rank_at_the_vertices_beside_a_nearly_flat_vertex():

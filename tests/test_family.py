@@ -5,6 +5,7 @@ from isoperim import geometry as geo
 from isoperim.errors import VolumeOutOfRangeError
 from isoperim.family import build_family
 
+import oracles
 from conftest import perimeter_of_opening, random_polygon
 
 R9 = float(np.sqrt(0.1 / (4.0 - np.pi)))          # solves 1 - (4-pi) r^2 = 0.9
@@ -77,7 +78,7 @@ def test_minimizer_rounded_case(square_family, rect_family):
                          (rect_family, 1.9, "rounded")):
         shape = fam.minimizer(v)
         assert shape.kind == kind
-        area, perim = geo.rounded_measures(shape.body)
+        area, perim = oracles.rounded_measures(shape.body)
         assert area == pytest.approx(v, abs=fam.tol_area)
         assert perim == pytest.approx(shape.perimeter, rel=1e-12)
 
@@ -98,7 +99,9 @@ def test_curvature_cases(square_family, rect_family):
 
 def test_member_examples(square_family):
     assert square_family.member(0.9, (0.5, 0.5))
+    # the arc cuts the corner: the core's corner is more than the radius away
     assert not square_family.member(0.9, (0.99, 0.99))
+    assert square_family.member(np.pi / 4, (1.0, 0.5))   # the inscribed disk's edge point
     rng = np.random.default_rng(0)
     pts = rng.uniform(0, 1, size=(64, 2))
     assert square_family.member(1.0, pts).all()
@@ -147,7 +150,7 @@ def test_rank_stadium_regime(rect_family):
     # consistency: x sits on the boundary of the stadium of that volume
     shape = rect_family.minimizer(expect)
     assert shape.kind == "stadium"
-    assert shape.contains(x)
+    assert rect_family.member(expect, x)
     assert not rect_family.member(expect * (1 - 1e-6), x)
 
 
@@ -265,9 +268,9 @@ def test_shapes_convex_and_inside_domain(rect_family):
         assert np.max(slack) <= 1e-9 * dom.scale
         # convexity: membership is closed under midpoints
         pts = rng.uniform([0, 0], [2, 1], size=(3000, 2))
-        inside = pts[shape.contains(pts)]
+        inside = pts[rect_family.member(v, pts)]
         mids = 0.5 * (inside[:-1] + inside[1:])
-        assert shape.contains(mids).all()
+        assert rect_family.member(v, mids).all()
 
 
 def test_random_domains_build_and_query():
@@ -280,5 +283,5 @@ def test_random_domains_build_and_query():
         p = f.perimeter(v)
         assert np.all(np.diff(p) >= -1e-9)
         shape = f.minimizer(float(0.9 * f.v_max))
-        area, _ = geo.rounded_measures(shape.body)
+        area, _ = oracles.rounded_measures(shape.body)
         assert area == pytest.approx(0.9 * f.v_max, abs=10 * f.tol_area)

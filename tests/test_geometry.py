@@ -7,11 +7,11 @@ import pytest
 from isoperim import geometry as geo
 from isoperim import oracle as orc
 from isoperim import rearrange as rr
-from isoperim.errors import (DegenerateError, NonConvexError,
-                             RadiusTooLargeError)
+from isoperim.errors import DegenerateError, NonConvexError
+from isoperim.family import build_family
 
 import oracles
-from conftest import SQUARE, cut_arc, random_polygon
+from conftest import SQUARE, cut_arc, perimeter_of_opening, random_polygon
 from test_golden_cli import _bump_grid
 
 
@@ -95,7 +95,7 @@ def test_hexagon_measures_against_fan_oracle():
 
 
 def test_erode_square_quarter(square):
-    body = geo.erode(square, 0.25)
+    body = geo.ErosionStructure(square).core_body(0.25)
     assert body.kind == "polygon"
     assert geo._shoelace(body.points) == pytest.approx(0.25, abs=1e-12)
     assert np.allclose(np.sort(body.points, axis=0)[0], [0.25, 0.25])
@@ -103,20 +103,20 @@ def test_erode_square_quarter(square):
 
 
 def test_erode_square_collapses_to_point(square):
-    body = geo.erode(square, 0.5)
+    body = geo.ErosionStructure(square).core_body(0.5)
     assert body.kind == "point"
     assert np.allclose(body.points[0], [0.5, 0.5], atol=1e-9)
 
 
 def test_erode_rect_collapses_to_segment(rect21):
-    body = geo.erode(rect21, 0.5)
+    body = geo.ErosionStructure(rect21).core_body(0.5)
     assert body.kind == "segment"
     ends = body.points[np.argsort(body.points[:, 0])]
     assert np.allclose(ends, [[0.5, 0.5], [1.5, 0.5]], atol=1e-9)
 
 
 def test_erode_beyond_inradius_is_empty(square):
-    assert geo.erode(square, 0.7).kind == "empty"
+    assert geo.ErosionStructure(square).core_body(0.7).kind == "empty"
 
 
 def test_erode_monotone_random_polygons():
@@ -170,8 +170,7 @@ def test_largest_balls_rect(rect21):
     ys = np.linspace(0, 1, 201)
     X, Y = np.meshgrid(xs, ys)
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    dists = np.min(balls.centers.radius
-                   + (rect21.offsets - pts @ rect21.normals.T), axis=1) - balls.centers.radius
+    dists = np.min(rect21.offsets - pts @ rect21.normals.T, axis=1)
     assert abs(dists.max() - balls.inradius) <= 0.01
 
 
@@ -201,76 +200,60 @@ def test_inradius_certificate_random():
 
 
 def test_opening_identity_and_hull(square, rect21):
-    op0 = geo.opening(square, 0.0)
-    assert np.array_equal(op0.core.points, square.vertices)
-    assert geo.rounded_measures(op0) == pytest.approx(geo.polygon_measures(square))
+    s = geo.ErosionStructure(square)
+    assert np.array_equal(s.core_body(0.0).points, square.vertices)
+    area, perim = geo.polygon_measures(square)
+    assert s.area_of_opening(0.0) == pytest.approx(area)
+    assert perimeter_of_opening(s, 0.0) == pytest.approx(perim)
 
     balls = geo.largest_balls(rect21)
-    op_star = geo.opening(rect21, balls.inradius)
-    area, perim = geo.rounded_measures(op_star)
-    assert area == pytest.approx(balls.hull_measure, rel=1e-9)
-    assert perim == pytest.approx(2 * np.pi * balls.inradius + 2 * balls.center_length,
-                                  rel=1e-9)
+    s = geo.ErosionStructure(rect21)
+    assert s.area_of_opening(balls.inradius) == pytest.approx(balls.hull_measure, rel=1e-9)
+    assert perimeter_of_opening(s, balls.inradius) == pytest.approx(
+        2 * np.pi * balls.inradius + 2 * balls.center_length, rel=1e-9)
 
 
 def test_opening_point_core_is_disk(square):
-    op = geo.opening(square, 0.5)
-    assert op.core.kind == "point"
-    area, perim = geo.rounded_measures(op)
-    assert area == pytest.approx(np.pi / 4, rel=1e-12)
-    assert perim == pytest.approx(np.pi, rel=1e-12)
-
-
-def test_opening_radius_too_large(square):
-    with pytest.raises(RadiusTooLargeError):
-        geo.opening(square, 0.5001)
+    s = geo.ErosionStructure(square)
+    assert s.core_body(0.5).kind == "point"
+    assert s.area_of_opening(0.5) == pytest.approx(np.pi / 4, rel=1e-12)
+    assert perimeter_of_opening(s, 0.5) == pytest.approx(np.pi, rel=1e-12)
 
 
 def test_rounded_measures_square_closed_form(square):
     # area = 1 - (4 - pi) r^2, perimeter = 4 - (8 - 2 pi) r
+    s = geo.ErosionStructure(square)
     for r in (0.1, 0.25, np.sqrt(0.1 / (4 - np.pi))):
-        area, perim = geo.rounded_measures(geo.opening(square, r))
-        assert area == pytest.approx(1 - (4 - np.pi) * r * r, rel=1e-12)
-        assert perim == pytest.approx(4 - (8 - 2 * np.pi) * r, rel=1e-12)
+        body = geo.RoundedBody(core=s.core_body(r), radius=r)
+        for area, perim in (oracles.rounded_measures(body),
+                            (s.area_of_opening(r), perimeter_of_opening(s, r))):
+            assert area == pytest.approx(1 - (4 - np.pi) * r * r, rel=1e-12)
+            assert perim == pytest.approx(4 - (8 - 2 * np.pi) * r, rel=1e-12)
 
 
-def test_stadium_measures():
-    body = geo.RoundedBody(
-        core=geo.ErodedBody("segment", np.array([[0.5, 0.5], [1.5, 0.5]]), 0.5,
-                            np.sqrt(5.0)),
-        radius=0.5)
-    area, perim = geo.rounded_measures(body)
+def test_stadium_measures(rect_family):
+    f = rect_family
+    shape = f.minimizer(f.balls.hull_measure)
+    assert shape.kind == "stadium"
+    assert shape.perimeter == pytest.approx(np.pi + 2.0, rel=1e-12)
+    area, perim = oracles.rounded_measures(shape.body)
     assert area == pytest.approx(np.pi / 4 + 1.0, rel=1e-12)
     assert perim == pytest.approx(np.pi + 2.0, rel=1e-12)
 
 
-def test_contains_examples(square):
-    r = float(np.sqrt(0.1 / (4 - np.pi)))
-    body = geo.opening(square, r)
-    assert geo.contains(body, (0.5, 0.5))
-    # corner cut by the arc: distance to the core corner exceeds r
-    corner_core = 1.0 - r
-    d = np.hypot(0.99 - corner_core, 0.99 - corner_core)
-    assert d > r
-    assert not geo.contains(body, (0.99, 0.99))
-    disk = geo.RoundedBody(core=geo.ErodedBody("point", np.array([[0.5, 0.5]]),
-                                               0.5, np.sqrt(2.0)), radius=0.5)
-    assert geo.contains(disk, (1.0, 0.5))
-
-
 def test_steiner_area_against_monte_carlo():
+    # E(v) at the volume of an opening holds that volume of random points
     rng = np.random.default_rng(2024)
     for _ in range(4):
         poly = random_polygon(rng)
-        struct = geo.ErosionStructure(poly)
-        r = rng.uniform(0.1, 0.9) * struct.r_star
-        body = geo.opening(poly, float(r), struct)
-        area, _ = geo.rounded_measures(body)
+        f = build_family(poly)
+        r = rng.uniform(0.1, 0.9) * f.structure.r_star
+        area = float(f.structure.area_of_opening(r))
         lo = poly.vertices.min(axis=0) - r
         hi = poly.vertices.max(axis=0) + r
         n = 120_000
         pts = rng.uniform(lo, hi, size=(n, 2))
-        p_hat = np.count_nonzero(geo.contains(body, pts)) / n
+        p_hat = np.count_nonzero(f.member(area, pts)) / n
         box = float(np.prod(hi - lo))
         sigma = box * np.sqrt(max(p_hat * (1 - p_hat), 1e-9) / n)
         assert abs(p_hat * box - area) <= 4.0 * sigma

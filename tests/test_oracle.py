@@ -265,7 +265,7 @@ def test_disks_at_the_ball_measure_match_reference_loop(request, fam_name, kind)
     # a disk of the largest ball's area has a point or a segment of centers
     fam = request.getfixturevalue(fam_name)
     v = fam.balls.ball_measure
-    assert orc.erode(fam.domain, orc._Sweep(fam, v).disk[0], fam.structure).kind == kind
+    assert fam.structure.core_body(orc._Sweep(fam, v).disk[0]).kind == kind
     samplers = ["disk", "hull", "halfplane"]
     got = _batched(fam, v, 60, 5, samplers)
     _assert_same_competitors(got, oracles.sweep_competitors(fam, v, 60, 5, samplers),
@@ -358,6 +358,16 @@ def test_verify_minimality_square(square_family):
     assert report.passed
     assert report.min_gap > 0.0
     assert report.n_samples == 600
+
+
+@pytest.mark.parametrize("n_samples, samplers, match", [
+    (10, [], "no sampler"),
+    (0, None, "at least 1, got 0"),
+    (-1, None, "at least 1, got -1"),
+], ids=["no-samplers", "zero-samples", "negative-samples"])
+def test_verify_minimality_rejects_an_empty_sweep(square_family, n_samples, samplers, match):
+    with pytest.raises(SamplerInfeasibleError, match=match):
+        orc.verify_minimality(square_family, 0.9, n_samples, seed=1, samplers=samplers)
 
 
 def test_verify_minimality_disk_equality(rect_family):
