@@ -78,9 +78,8 @@ class MinimizerFamily:
         self.domain = domain
         self.balls = balls
         self.structure = structure
-        area, perim = geometry.polygon_measures(domain)
+        area = geometry.polygon_measures(domain)[0]
         self.v_max = area
-        self.domain_perimeter = perim
         self.tol_area = TOL_REL * area
         self.tol_rank = TOL_REL * area
         self._eps = EPS_GEOM * domain.scale

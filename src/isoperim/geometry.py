@@ -226,7 +226,8 @@ def convex_hulls(points, counts):
     in input order, only the points outside one of the two new edges.
     Once a round keeps more than half of the points it split, they are
     mostly in convex position (as on the report's level sets), and
-    monotone chains (Andrew 1979) finish every edge at once: see
+    monotone chains (Andrew 1979) finish every edge at once, in passes
+    over one compacted sequence of every edge's points: see
     ``_hull_chains``, which may hand them back for another round.  Points
     in general position (the sweep's random competitors) keep
     quickhulling until none is left.
@@ -329,16 +330,19 @@ def _hull_chains(x, y, ea, eb, es, pi, pe, nsets):
 
     Each edge's points lie between its ends along its chain.  They are
     sorted by x then y (both reversed on the upper chain), of equal points
-    only the first is kept (two copies would drop each other), and every
-    point that does not turn left between its neighbours, the edge's ends
-    fixed, is dropped in vectorised passes until none is left.  The first
-    pass tests every point, the later ones only the neighbours of dropped
-    points, so a pass costs a few numpy calls on those; the report's
-    level sets take three or four passes.  Returns ((vertices, counts),
+    only the first is kept (two copies would drop each other), and the
+    edges are laid out as one sequence: each edge's start, its points, its
+    end.  Each pass (``_chain_pass``) tests every point against its
+    neighbours in the sequence, the edges' ends fixed, and the sequence is
+    compacted to what the pass keeps, until a pass drops nothing.  A point
+    whose neighbours did not change keeps its turn, so after the first
+    pass only the neighbours of dropped points can drop; the report's
+    level sets take about four passes.  Returns ((vertices, counts),
     None), or (None, (pi, pe, pd)) once a pass from the eighth on drops
-    under 1/64 of the points left (as when a convex run ends at a farther
-    split point: each pass drops its last point): the points left, in
-    input order, their edges and distances outside them, for quickhull.
+    some but under 1/64 of the points left (as when a convex run ends at
+    a farther split point: each pass drops its last point): the points
+    left, in input order, their edges and distances outside them, for
+    quickhull.
     """
     sign = np.where((x[ea] < x[eb]) | ((x[ea] == x[eb]) & (y[ea] < y[eb])), 1.0, -1.0)
     key = x[pi]
@@ -366,59 +370,49 @@ def _hull_chains(x, y, ea, eb, es, pi, pe, nsets):
     del px, py
     pi, pe = pi[first], pe[first]
     del first
-    # one sequence of positions: each edge's start, its points, its end
+    # one sequence of positions: each edge's start (edge id -1), its points
+    # (their edge id), its end (-2)
     k, m = len(ea), len(pi)
     head = 2 * np.arange(k) + np.searchsorted(pe, np.arange(k))
     tail = np.append(head[1:], 2 * k + m) - 1
     at = np.arange(m) + 2 * pe + 1
     ids = np.empty(2 * k + m, np.intp)
     ids[head], ids[at], ids[tail] = ea, pi, eb
-    del pi
+    edge = np.full(2 * k + m, -1, np.intp)
+    edge[at], edge[tail] = pe, -2
+    del pi, pe, head, tail, at
     X, Y = x[ids], y[ids]
-    # first pass: every point against its neighbours in the sequence
+    passes = 0
+    while True:
+        keep = _chain_pass(X, Y, edge)
+        passes += 1
+        dropped = len(keep) - np.count_nonzero(keep)
+        if not dropped:
+            break
+        keep = keep.nonzero()[0]
+        X, Y, ids, edge = X.take(keep), Y.take(keep), ids.take(keep), edge.take(keep)
+        m -= dropped
+        if passes >= 8 and 64 * dropped < m:
+            pi, pe = ids[edge >= 0], edge[edge >= 0]
+            order = np.argsort(pi)
+            pi, pe = pi[order], pe[order]
+            a, b = ea[pe], eb[pe]
+            return None, (pi, pe, (x[pi] - x[a]) * (y[b] - y[a]) - (y[pi] - y[a]) * (x[b] - x[a]))
+    counts = np.bincount(es, minlength=nsets) + np.bincount(es[edge[edge >= 0]], minlength=nsets)
+    return (ids[edge != -2], counts), None
+
+
+def _chain_pass(X, Y, edge):
+    """The positions to keep: the fixed ones (edge < 0) and the points that
+    turn left between their neighbours."""
     d = X[1:-1] - X[:-2]
     d *= Y[2:] - Y[:-2]
     t = Y[1:-1] - Y[:-2]
     t *= X[2:] - X[:-2]
     d -= t
-    del t
-    alive = np.ones(len(ids), bool)
-    alive[at] = d[at - 1] > 0.0
-    del d
-    # later passes: a doubly linked list over the positions, and only the
-    # neighbours of dropped points are tested again
-    fixed = np.ones(len(ids), bool)
-    fixed[at] = False
-    prv, nxt = np.arange(-1, len(ids) - 1), np.arange(1, len(ids) + 1)
-    gone = at[~alive[at]]
-    live, passes = m - len(gone), 1
-    while len(gone):
-        gone = _chain_pass(X, Y, prv, nxt, fixed, alive, gone)
-        live -= len(gone)
-        passes += 1
-        if passes >= 8 and 64 * len(gone) < live:
-            keep = alive[at]
-            order = np.argsort(ids[at[keep]])
-            pi, pe = ids[at[keep]][order], pe[keep][order]
-            a, b = ea[pe], eb[pe]
-            return None, (pi, pe, (x[pi] - x[a]) * (y[b] - y[a]) - (y[pi] - y[a]) * (x[b] - x[a]))
-    counts = np.bincount(es, minlength=nsets) + np.bincount(es[pe[alive[at]]], minlength=nsets)
-    alive[tail] = False
-    return (ids[alive], counts), None
-
-
-def _chain_pass(X, Y, prv, nxt, fixed, alive, gone):
-    """Unlink positions gone; drop and return their neighbours that do not turn left."""
-    left = prv[gone[alive[prv[gone]]]]   # the ends of each run of dropped points
-    right = nxt[gone[alive[nxt[gone]]]]
-    nxt[left], prv[right] = right, left
-    c = np.sort(np.concatenate([left, right]))
-    c = c[~fixed[c] & np.concatenate([[True], c[1:] != c[:-1]])]
-    p, q = prv[c], nxt[c]
-    d = (X[c] - X[p]) * (Y[q] - Y[p]) - (Y[c] - Y[p]) * (X[q] - X[p])
-    gone = c[d <= 0.0]
-    alive[gone] = False
-    return gone
+    keep = edge < 0
+    keep[1:-1] |= d > 0.0
+    return keep
 
 
 # ---------------------------------------------------------------------------

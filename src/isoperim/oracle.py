@@ -764,9 +764,7 @@ def _anneal_start(domain, v, grid_n, seed):
     ny = int(np.ceil((hi[1] - lo[1]) / h - 1e-9))
     xs = lo[0] + (np.arange(nx) + 0.5) * h
     ys = lo[1] + (np.arange(ny) + 0.5) * h
-    X, Y = np.meshgrid(xs, ys)
-    mask = domain.contains_point(np.stack([X, Y], axis=-1).reshape(-1, 2))
-    mask = mask.reshape(ny, nx)
+    mask = domain.contains_lattice(xs, ys)
     count = int(round(v / (h * h)))
     if not 0 < count <= int(mask.sum()):
         raise ScheduleInvalidError("target area infeasible on this grid")

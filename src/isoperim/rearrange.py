@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainMismatchError
 from .family import MinimizerFamily
-from .geometry import ConvexPolygon, _measures, convex_hulls
+from .geometry import CHUNK_ENTRIES, ConvexPolygon, _measures, convex_hulls
 
 DEFAULT_LEVELS = 256
 EQ_DEFECT_FACTOR = 4.0     # equimeasurability bound: 4 h (P + 1)
@@ -223,10 +223,9 @@ def convex_rearrangement(u: GridFunction, family: MinimizerFamily) -> GridFuncti
     pts = u.centers().reshape(-1, 2)
     out = np.zeros(len(pts))
     inside = u.inside_mask.reshape(-1)
-    chunk = 16384
     idx = np.nonzero(inside)[0]
-    for s in range(0, len(idx), chunk):
-        sel = idx[s:s + chunk]
+    for s in range(0, len(idx), CHUNK_ENTRIES):
+        sel = idx[s:s + CHUNK_ENTRIES]
         out[sel] = prof(family.rank(pts[sel]))
     return u.with_values(out.reshape(u.values.shape))
 

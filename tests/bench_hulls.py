@@ -4,8 +4,11 @@
 
 pytest does not collect this file.  Each input is hulled by the kernel
 and by ``oracles.quickhull_sorted`` in alternating runs, and the
-medians are printed with their ratio.  The inputs are the ones the
-kernel serves:
+medians are printed with their ratio.  Beside them, from one more untimed
+run, go the kernel's chain phases per input: the phases that finished
+their hulls, the chain passes of all phases, and the stalled phases that
+handed their points back to quickhull rounds.  The inputs are the ones
+the kernel serves:
 
 - report: the ``march_levels`` blocks of the convex rearrangement of six
   Gaussian bumps (width 0.08) on the 256-wide unit-square grid at 256
@@ -27,7 +30,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from isoperim import oracle as orc                      # noqa: E402
+from isoperim import geometry, oracle as orc            # noqa: E402
 from isoperim.family import build_family                # noqa: E402
 from isoperim.geometry import convex_hulls, validate_polygon   # noqa: E402
 from isoperim.rearrange import (GridFunction, _threshold_grid,   # noqa: E402
@@ -68,6 +71,28 @@ def _time(fn, inputs):
     return time.perf_counter() - t0
 
 
+def chain_traffic(inputs):
+    """(finishes, passes, hand-backs) of the kernel's chain phases on inputs."""
+    passes, phases = [], []
+    chain_pass, hull_chains = geometry._chain_pass, geometry._hull_chains
+
+    def count_pass(*args):
+        passes.append(1)
+        return chain_pass(*args)
+
+    def count_phase(*args):
+        out = hull_chains(*args)
+        phases.append(out[0] is None)
+        return out
+
+    geometry._chain_pass, geometry._hull_chains = count_pass, count_phase
+    try:
+        _time(convex_hulls, inputs)
+    finally:
+        geometry._chain_pass, geometry._hull_chains = chain_pass, hull_chains
+    return phases.count(False), len(passes), phases.count(True)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=15)
@@ -78,7 +103,8 @@ def main(argv=None):
              "ladder (58 sets of 384)": ladder_sets(rng, 384),
              "ladder (58 sets of 768)": ladder_sets(rng, 768),
              "arc (1 set of 65,539)": [(cut_arc(), [65539])]}
-    print(f"{'input':32s} {'reference ms':>13s} {'kernel ms':>10s} {'ratio':>6s}")
+    print(f"{'input':32s} {'reference ms':>13s} {'kernel ms':>10s} {'ratio':>6s}"
+          f" {'finishes':>9s} {'passes':>7s} {'hand-backs':>11s}")
     for name, inputs in cases.items():
         for pts, counts in inputs:   # same output before any timing
             want, got = quickhull_sorted(pts, counts), convex_hulls(pts, counts)
@@ -88,7 +114,9 @@ def main(argv=None):
             ref.append(_time(quickhull_sorted, inputs))
             new.append(_time(convex_hulls, inputs))
         r, k = statistics.median(ref), statistics.median(new)
-        print(f"{name:32s} {1e3 * r:13.2f} {1e3 * k:10.2f} {k / r:6.2f}")
+        finishes, passes, backs = chain_traffic(inputs)
+        print(f"{name:32s} {1e3 * r:13.2f} {1e3 * k:10.2f} {k / r:6.2f}"
+              f" {finishes:9d} {passes:7d} {backs:11d}")
 
 
 if __name__ == "__main__":

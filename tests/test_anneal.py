@@ -12,6 +12,7 @@ chain must equal the reference that prices every proposal.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import convolve
 
 import oracles
-from conftest import SQUARE
+from conftest import SQUARE, ellipse_polygon
 from isoperim import oracle as orc
 from isoperim.errors import ScheduleInvalidError
 from isoperim.geometry import validate_polygon
@@ -312,3 +313,26 @@ def test_anneal_rejects_infeasible_area(square, v, grid_n):
 def test_anneal_accepts_numpy_grid_width(square):
     res = orc.anneal_discrete(square, 0.5, np.int64(6), orc.AnnealSchedule(sweeps=5), seed=0)
     assert res.in_count == 18
+
+
+@pytest.mark.parametrize("vertices", [SQUARE, [(0.0, 0.0), (1.0, 0.1), (0.3, 0.8)],
+                                      ellipse_polygon(4, 64), ellipse_polygon(9, 7, 1.3)],
+                         ids=["square", "triangle", "ellipse-64", "heptagon"])
+def test_anneal_mask_is_contains_point_at_every_centre(vertices):
+    # the start mask, read off contains_lattice, is bitwise contains_point at
+    # the cell centres: scales 1e-6 to 1e6, offsets up to 1e9 sizes, widths 1 to 256
+    for scale, offset, grid_n in itertools.product((1e-6, 1.0, 1e6), (0.0, 1e3, 1e9),
+                                                   (1, 3, 32, 256)):
+        shift = offset * scale * np.array([0.37, -0.61])
+        domain = validate_polygon(np.asarray(vertices) * scale + shift)
+        lo, hi = domain.vertices.min(axis=0), domain.vertices.max(axis=0)
+        h = float(np.max(hi - lo)) / grid_n
+        xs, ys = (lo[i] + (np.arange(int(np.ceil((hi[i] - lo[i]) / h - 1e-9))) + 0.5) * h
+                  for i in (0, 1))
+        want = domain.contains_point(np.stack(np.meshgrid(xs, ys), axis=-1))
+        try:
+            mask = orc._anneal_start(domain, h * h, grid_n, 0)[1]
+        except ScheduleInvalidError:
+            assert not want.any()
+        else:
+            assert mask.shape == want.shape and np.array_equal(mask, want)

@@ -407,3 +407,30 @@ def test_convex_hulls_stalled_chains_go_back_to_quickhull(monkeypatch):
     passes.clear()
     assert _same_hulls(np.concatenate(sets), [len(s) for s in sets])
     assert 0 < len(passes) <= 24
+
+
+def test_convex_hulls_finished_chains_keep_their_hulls(monkeypatch):
+    # a chain phase that finishes at a pass from the eighth on (here on
+    # single sets of 384 fan points) returns its hulls: no hand-back to
+    # quickhull follows a pass that dropped nothing
+    phases, drops = [], []
+    chain_pass, hull_chains = geo._chain_pass, geo._hull_chains
+
+    def record_pass(*args):
+        keep = chain_pass(*args)
+        drops.append(np.count_nonzero(~keep))
+        return keep
+
+    def record_chains(*args):
+        drops.clear()
+        out = hull_chains(*args)
+        phases.append((list(drops), out[0] is None))
+        return out
+
+    monkeypatch.setattr(geo, "_chain_pass", record_pass)
+    monkeypatch.setattr(geo, "_hull_chains", record_chains)
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        assert _same_hulls(_fan_points(rng, 384), [384])
+    assert not [d for d, back in phases if back and d[-1] == 0]
+    assert any(len(d) >= 8 and not back for d, back in phases)
