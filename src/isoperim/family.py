@@ -69,8 +69,13 @@ class MinimizerShape:
 class MinimizerFamily:
     """Domain plus the cached data needed to answer family queries.
 
-    Immutable after construction; every query is a pure function, and the
-    array-valued entry points are safe to call point-wise in parallel.
+    Its state is fixed at construction but for one lazy fill: the
+    structure forms its Steiner polynomials on the first query that
+    reaches the opening regime, so disk and stadium minimizers never
+    form them.  The fill is thread-benign: concurrent first queries at
+    worst form the same arrays twice, and each reads a complete set.
+    Every query is a pure function, and the array-valued entry points
+    are safe to call point-wise in parallel.
     """
 
     def __init__(self, domain: ConvexPolygon, balls: LargestBallSet,
@@ -78,7 +83,7 @@ class MinimizerFamily:
         self.domain = domain
         self.balls = balls
         self.structure = structure
-        area = geometry.polygon_measures(domain)[0]
+        area = geometry._shoelace(domain.vertices)
         self.v_max = area
         self.tol_area = TOL_REL * area
         self.tol_rank = TOL_REL * area

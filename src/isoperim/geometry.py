@@ -497,8 +497,9 @@ def polygon_measures(polygon: ConvexPolygon):
 # affine, so the opening area A(r) + r P(r) + pi r^2 is a quadratic too.
 # The build visits each event once, with two heaps instead of scans, and
 # keeps each skeleton vertex once with the intervals it lives in.  The
-# event loop tracks only this topology; the Steiner sums are formed after
-# it from the life of each edge's vertex pair (_steiner_sums).
+# event loop tracks only this topology; the Steiner sums are formed from
+# the life of each edge's vertex pair (_steiner_sums) when a query first
+# reads them.
 
 
 class EventInterval(NamedTuple):
@@ -711,7 +712,7 @@ def _skeleton_events(N, D, T, tie, eps_len):
                 breaks.append(r_cur)
                 marks.append(len(dies))
                 r_cur = r_next
-            ks = []
+            ks = [pop(vanish_heap)[1]]   # the top entry, live once the stale ones are gone
             while vanish_heap and vanish_heap[0][0] <= r_cur + tie:
                 _, e, v = pop(vanish_heap)
                 if ver[e] == v:
@@ -732,6 +733,9 @@ def _skeleton_events(N, D, T, tie, eps_len):
             break
         if len(ks) > 1:
             heads = [p for p in dict.fromkeys(heads) if alive[p]]
+            reset = dict.fromkeys(e for p in heads for e in (p, nxt[p]))
+        else:   # one edge: its neighbours p, q meet at vertex p
+            reset = p, q
         for a in heads:   # the vertex that joins edge a to its new next edge
             b = nxt[a]
             (ax, ay), (bx, by) = nl[a], nl[b]
@@ -746,7 +750,7 @@ def _skeleton_events(N, D, T, tie, eps_len):
             dies.append(n)
             ends.extend((a, b))
         else:
-            for e in dict.fromkeys(e for p in heads for e in (p, nxt[p])):
+            for e in reset:
                 tx, ty = tl[e]
                 p = prv[e]
                 px, py, qx, qy = cur[p]
@@ -771,13 +775,20 @@ def _skeleton_events(N, D, T, tie, eps_len):
     return r_cur, breaks, marks, dies, ends, zs, pairs
 
 
+# the per-interval Steiner polynomials, which ErosionStructure forms on first read
+_STEINER_ARRAYS = ("_area_poly", "_perim_poly", "_opening_poly", "_opening_at_ends")
+
+
 class ErosionStructure:
     """Straight skeleton of a convex polygon: all its inner parallel bodies.
 
     ``intervals`` are the K event intervals in order, built on demand,
     ``breaks`` their K + 1 end radii from 0 to the inradius ``r_star``,
     and ``center_points`` the incenter set (one point, or the two ends of
-    a segment).
+    a segment).  These and the skeleton vertices are set by the build.
+    The Steiner polynomials of the core and opening measures are formed
+    on their first read (``__getattr__``), so a structure that only
+    serves disk and stadium minimizers never forms them.
 
     The build is event driven and does O(log n) work per dropped edge.
     The active edges form a doubly linked list; each keeps its length
@@ -795,15 +806,16 @@ class ErosionStructure:
     drops it).  The first n vertices and edges are set as arrays, by the
     expressions that set later ones.  When edges vanish, only the vertex
     that joins their surviving neighbours and the two edges meeting
-    there are recomputed.  Each
-    skeleton vertex is stored once (at most 2n rows), with the intervals
-    in which it is born and dies, and each edge records the vertex pair
-    at its ends whenever it is set.  The loop tracks only this topology.
-    After it, the Steiner sums come from the pair lives in O(n + K): each
-    pair's terms are taken at the start radius of the interval in which
-    it appears and of the one in which it goes, binned per interval,
-    and carried from interval to interval by the exact shift to each
-    start radius.
+    there are recomputed.  Most events drop one edge, the top live entry
+    of the vanish heap, and set one vertex and its two edges without
+    the deduplication that tied drops need.  Each skeleton vertex is
+    stored once (at most 2n rows), with the intervals in which it is
+    born and dies, and each edge records the vertex pair at its ends
+    whenever it is set.  The loop tracks only this topology.  The
+    Steiner sums come from the pair lives in O(n + K): each pair's terms
+    are taken at the start radius of the interval in which it appears
+    and of the one in which it goes, binned per interval, and carried
+    from interval to interval by the exact shift to each start radius.
     """
 
     def __init__(self, polygon: ConvexPolygon):
@@ -838,12 +850,9 @@ class ErosionStructure:
         paths = np.fromiter(zs, float, len(zs)).reshape(-1, 4).T
         born = np.searchsorted(marks, np.arange(len(dies)), side="right")
         dies = np.minimum(dies, K)
-        # Steiner coefficients per interval in t = r - r_lo: area = a0 + a1 t
-        # + a2 t^2 and perimeter p0 + p1 t.  Expanding about the interval
-        # start (not r = 0) and the vertex mean keeps far-off points from
-        # cancelling.
+        # what the Steiner polynomials are formed from, on their first read
         pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-        coefs = _steiner_sums(self.breaks, ends[:, 0], paths, born, dies, pairs, T)
+        self._steiner_input = ends[:, 0], paths, born, dies, pairs, T
 
         # every vertex that lives in some interval, sorted by edge: within
         # an interval the rows then come in CCW order from the lowest edge
@@ -858,22 +867,6 @@ class ErosionStructure:
         self.intervals = EventIntervals(self.breaks, edges, Z, S, N[edges], poly.offsets[edges],
                                         born, dies)
 
-        r_lo = self.breaks[:-1]
-        self._area_poly = 0.5 * coefs[:, :3]
-        self._perim_poly = coefs[:, 3:]
-        (a0, a1, a2), (p0, p1) = self._area_poly.T, self._perim_poly.T
-        # opening area A + r P + pi r^2 = c0 + c1 t + c2 t^2 per interval, and
-        # the running minimum of its values at the interval ends: the tie rule
-        # can leave rounding-sized steps at the breaks, which this keeps
-        # monotone
-        self._opening_poly = np.stack([
-            a0 + r_lo * (p0 + np.pi * r_lo),
-            a1 + p0 + r_lo * (p1 + 2.0 * np.pi),
-            a2 + p1 + np.pi], axis=1)
-        c0, c1, c2 = self._opening_poly.T
-        t_end = np.diff(self.breaks)
-        self._opening_at_ends = np.minimum.accumulate(c0 + t_end * (c1 + t_end * c2))
-
         # limit of the vertex paths at r*: the set of incenter positions
         last = self.intervals[-1]
         pts = last.Z + self.r_star * last.S
@@ -882,6 +875,39 @@ class ErosionStructure:
             self.center_points = pts.mean(axis=0)[None, :]
         else:
             self.center_points = np.stack([pts[i], pts[j]])
+
+    def __getattr__(self, name):
+        """The Steiner polynomials, formed on their first read.
+
+        Steiner coefficients per interval in t = r - r_lo: area = a0 + a1 t
+        + a2 t^2 and perimeter p0 + p1 t.  Expanding about the interval
+        start (not r = 0) and the vertex mean keeps far-off points from
+        cancelling.  All four arrays are set together, before the build's
+        input to them is let go, so a concurrent first read at worst forms
+        the same arrays twice.
+        """
+        state = self.__dict__.get("_steiner_input")
+        if state is None or name not in _STEINER_ARRAYS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        coefs = _steiner_sums(self.breaks, *state)
+        r_lo = self.breaks[:-1]
+        area_poly, perim_poly = 0.5 * coefs[:, :3], coefs[:, 3:]
+        (a0, a1, a2), (p0, p1) = area_poly.T, perim_poly.T
+        # opening area A + r P + pi r^2 = c0 + c1 t + c2 t^2 per interval, and
+        # the running minimum of its values at the interval ends: the tie rule
+        # can leave rounding-sized steps at the breaks, which this keeps
+        # monotone
+        opening_poly = np.stack([
+            a0 + r_lo * (p0 + np.pi * r_lo),
+            a1 + p0 + r_lo * (p1 + 2.0 * np.pi),
+            a2 + p1 + np.pi], axis=1)
+        c0, c1, c2 = opening_poly.T
+        t_end = np.diff(self.breaks)
+        opening_at_ends = np.minimum.accumulate(c0 + t_end * (c1 + t_end * c2))
+        self.__dict__.update(zip(_STEINER_ARRAYS, (area_poly, perim_poly, opening_poly,
+                                                  opening_at_ends)))
+        self.__dict__.pop("_steiner_input", None)
+        return self.__dict__[name]
 
     # -- queries ------------------------------------------------------------
 

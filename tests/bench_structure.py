@@ -9,7 +9,15 @@ their ratio:
 - build: ``ErosionStructure`` against ``oracles.sequential_structure``
   on the unit square (n = 4, the structure each ``rearrange-square`` and
   ``verify-square`` call builds) and on 2:1 ellipses at jittered angles
-  with n = 64, 256 and 1024 (the ``exact-ngon`` domain is n = 256);
+  with n = 64, 256 and 1024 (the ``exact-ngon`` domain is n = 256).
+  The library forms its Steiner polynomials on their first read and the
+  reference in the build, so each size is also timed as the build plus a
+  first ``area_of_opening``, which forms them on both sides; the event
+  counts of each input's loop (one-edge / multi-edge) are printed;
+- minimizer: ``build_family`` and ``minimizer``, one build per volume as
+  in a ``minimizer`` CLI call, at the 100 volumes of the seed-1
+  ``exact-ngon`` workload, against the same family on the sequential
+  build; the regime counts are printed;
 - shape_svg: ``svgout.shape_svg`` against the same document built from
   the per-vertex paths of ``oracles``, for the minimizers of the 256-gon
   at 100 volumes drawn from 1 % to 99.9 % of its area, as the
@@ -46,11 +54,12 @@ import numpy as np
 sys.path.insert(0, os.path.dirname(__file__))
 
 from isoperim import geometry, svgout                        # noqa: E402
-from isoperim.family import build_family                    # noqa: E402
+from isoperim.family import MinimizerFamily, build_family   # noqa: E402
 from isoperim.geometry import ErosionStructure, validate_polygon   # noqa: E402
 from isoperim.rearrange import GridFunction                  # noqa: E402
 import oracles                                               # noqa: E402
-from conftest import SQUARE, ellipse_polygon, regular_polygon   # noqa: E402
+from conftest import (SQUARE, ellipse_polygon, event_counts, exact_ngon,   # noqa: E402
+                      regular_polygon)
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 import workloads                                             # noqa: E402
@@ -62,6 +71,17 @@ def reference_shape_svg(domain, shape):
     body = (f'<path d="{oracles.polygon_path(domain.vertices)}" stroke="#888"/>\n'
             f'<path d="{oracles.rounded_boundary_path(shape.body)}" stroke="#c02" />')
     return svgout._document(domain, body)
+
+
+def sequential_family(domain):
+    """build_family on the sequential structure, whose Steiner sums are formed eagerly."""
+    s = oracles.sequential_structure(domain)
+    return MinimizerFamily(domain, geometry.largest_balls(domain, s), s)
+
+
+def minimizers(build, domain, volumes):
+    """E(v) of a freshly built family per volume, as the minimizer CLI asks for it."""
+    return [build(domain).minimizer(v) for v in volumes]
 
 
 def rounded_cells(family, n):
@@ -102,9 +122,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     polys = {4: validate_polygon(SQUARE)}
     polys.update((n, validate_polygon(ellipse_polygon(n, n))) for n in (64, 256, 1024))
-    cases = {f"build n={n}": (oracles.sequential_structure, ErosionStructure, [(p,)],
-                              max(1, 4096 // n))
-             for n, p in polys.items()}
+    cases = {}
+    for n, p in polys.items():
+        loops = max(1, 4096 // n)
+        cases[f"build n={n}"] = (oracles.sequential_structure, ErosionStructure, [(p,)], loops)
+        cases[f"build + area_of_opening n={n}"] = (
+            lambda p: oracles.sequential_structure(p).area_of_opening(0.0),
+            lambda p: ErosionStructure(p).area_of_opening(0.0), [(p,)], loops)
     family = build_family(polys[256])
     rng = np.random.default_rng(2024)
     volumes = rng.uniform(0.01, 0.999, 100) * family.v_max
@@ -112,8 +136,12 @@ def main(argv=None):
     cases["shape_svg (100 shapes, n=256)"] = (reference_shape_svg, svgout.shape_svg, shapes, 1)
 
     sizes = workloads.SIZES["exact-ngon"]
-    ngon = build_family(validate_polygon(workloads.jittered_ellipse(
-        workloads._rng("exact-ngon", 1), sizes["vertices"], sizes["aspect"])))
+    verts, volumes = exact_ngon(1)
+    ngon = build_family(validate_polygon(verts))
+    kinds = [s.kind for s in minimizers(build_family, ngon.domain, volumes)]
+    cases[f"minimizer exact-ngon ({len(volumes)} volumes)"] = (
+        lambda *args: minimizers(sequential_family, *args),
+        lambda *args: minimizers(build_family, *args), [(ngon.domain, volumes)], 1)
     # before the large cases (see the module docstring)
     u = GridFunction.for_domain(ngon.domain, sizes["grid"])
     inside = u.centers()[u.inside_mask]
@@ -140,6 +168,11 @@ def main(argv=None):
             lambda u: u.domain.contains_point(u.centers()),
             lambda u: u.domain.contains_lattice(*u._axes()), [(u,)], 1)
 
+    for n, p in polys.items():
+        one, multi = event_counts(p)
+        print(f"events n={n}: {one} one-edge, {multi} multi-edge")
+    print("minimizer exact-ngon regimes:",
+          ", ".join(f"{k} {kinds.count(k)}" for k in dict.fromkeys(kinds)))
     print(f"{'case':40s} {'reference ms':>13s} {'library ms':>11s} {'ratio':>6s}")
     for name, (ref_fn, lib_fn, inputs, loops) in cases.items():
         ref, new = [], []

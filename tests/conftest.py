@@ -1,7 +1,13 @@
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from isoperim import geometry
 from isoperim.family import build_family
 from isoperim.geometry import validate_polygon
 from isoperim.rearrange import GridFunction
@@ -66,6 +72,45 @@ def cut_arc(m=65536):
     """
     t = 0.9 * np.arange(1, m + 1) / m
     return np.concatenate([[(0.0, 0.0), (20.0, 20.0), (10.0, 0.0)], np.stack([t, t * t - t], 1)])
+
+
+def exact_ngon(seed):
+    """(vertices, minimizer volumes) of the ``exact-ngon`` workload at a seed,
+    drawn by perfbench/workloads.py as a benchmark run draws them."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    sizes, rng = workloads.SIZES["exact-ngon"], workloads._rng("exact-ngon", seed)
+    verts = workloads.jittered_ellipse(rng, sizes["vertices"], sizes["aspect"])
+    volumes = rng.uniform(sizes["sweep_lo"], sizes["sweep_hi"], sizes["minimizer_calls"])
+    return verts, volumes * workloads._shoelace(verts)
+
+
+def event_counts(polygon):
+    """(one-edge, multi-edge) events of the erosion structure's event loop.
+
+    The build runs under a line tracer, which reads how many edges ks
+    each event drops at the line ``count -= len(ks)`` of
+    ``geometry._skeleton_events``.
+    """
+    lines, first = inspect.getsourcelines(geometry._skeleton_events)
+    at = [first + i for i, line in enumerate(lines) if line.strip() == "count -= len(ks)"]
+    assert len(at) == 1, "the event loop no longer counts its drops in one line"
+    counts, code = [0, 0], geometry._skeleton_events.__code__
+
+    def on_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == at[0]:
+            counts[len(frame.f_locals["ks"]) > 1] += 1
+        return on_line
+
+    saved = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: on_line if frame.f_code is code else None)
+    try:
+        geometry.ErosionStructure(polygon)
+    finally:
+        sys.settrace(saved)
+    return tuple(counts)
 
 
 def perimeter_of_opening(structure, r):

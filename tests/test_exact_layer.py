@@ -9,6 +9,7 @@ to 1e3.
 """
 
 import importlib.util
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -18,13 +19,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from isoperim import family
+from isoperim import cli, family
 from isoperim import geometry as geo
 from isoperim.errors import DegenerateError, GeometryError, VolumeOutOfRangeError
 from isoperim.family import TOL_REL, build_family
 
 import oracles
-from conftest import RECT21, SQUARE, ellipse_polygon, random_polygon, regular_polygon
+from conftest import (RECT21, SQUARE, ellipse_polygon, event_counts, exact_ngon,
+                      random_polygon, regular_polygon)
 
 ROOT = Path(__file__).resolve().parents[1]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -217,6 +219,22 @@ def test_structure_matches_sequential_1000(kind):
     verts = regular_polygon(1000) if kind == "regular" else ellipse_polygon(5, 1000)
     poly = geo.validate_polygon(verts + (1e6 if kind == "moved" else 0.0))
     assert_matches_sequential(poly, geo.ErosionStructure(poly))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 9])
+def test_structure_matches_sequential_exact_ngon(seed):
+    # the benchmark's 256-gon, whose events almost all drop one edge
+    poly = geo.validate_polygon(exact_ngon(seed)[0])
+    one, multi = event_counts(poly)
+    assert one > 200 and multi <= 2
+    assert_matches_sequential(poly, geo.ErosionStructure(poly))
+
+
+def test_tie_inputs_drop_several_edges_at_once():
+    # the inputs of the tie tests still take the event loop's multi-edge path
+    assert event_counts(geo.validate_polygon(regular_polygon(1024)))[1] > 0
+    counts = [event_counts(poly) for poly in nearly_regular_polygons(60)]
+    assert sum(multi > 0 for _, multi in counts) >= 30
 
 
 def nearly_regular_polygons(count):
@@ -615,3 +633,54 @@ def test_rank_at_the_vertices_beside_a_nearly_flat_vertex():
     assert f.v_max - f.structure.area_of_opening(0.0) > f.tol_rank
     assert np.all(f.structure.exit_radius(FLAT_PENTAGON) < 1e-16)
     assert np.all(np.abs(f.rank(FLAT_PENTAGON) - f.v_max) <= f.tol_rank)
+
+
+def count_steiner_sums(monkeypatch):
+    """The list to which each call of geometry._steiner_sums appends."""
+    calls, steiner_sums = [], geo._steiner_sums
+    monkeypatch.setattr(geo, "_steiner_sums", lambda *args: calls.append(args) or
+                        steiner_sums(*args))
+    return calls
+
+
+@pytest.mark.parametrize("verts, frac, kind", [
+    (SQUARE, 0.3, "disk"), (RECT21, 0.6, "stadium"), (exact_ngon(1)[0], 0.2, "disk")],
+    ids=["square", "rect", "exact-ngon"])
+def test_disk_and_stadium_minimizers_form_no_steiner_sums(monkeypatch, tmp_path, capsys,
+                                                         verts, frac, kind):
+    calls = count_steiner_sums(monkeypatch)
+    f = build_family(geo.validate_polygon(verts))
+    v = frac * f.v_max
+    shape = f.minimizer(v)
+    assert shape.kind == kind and shape.perimeter == f.perimeter(v)
+    domain = tmp_path / "domain.json"
+    domain.write_text(json.dumps({"vertices": np.asarray(verts).tolist()}))
+    assert cli.main(["minimizer", "--domain", str(domain), "--volume", repr(v),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith(f"case={kind} ")
+    assert calls == []
+
+
+OPENING_QUERIES = {
+    "radius_for_volume": lambda f: f.radius_for_volume(0.9 * f.v_max),
+    "perimeter": lambda f: f.perimeter(0.9 * f.v_max),
+    "rank": lambda f: f.rank(np.array([[0.01, 0.01], [0.5, 0.5]])),
+    "area_of_opening": lambda f: f.structure.area_of_opening(0.1),
+    "core_measures": lambda f: f.structure.core_measures(0.1),
+}
+
+
+@pytest.mark.parametrize("first", OPENING_QUERIES)
+def test_first_opening_query_forms_steiner_sums_once(monkeypatch, first):
+    calls = count_steiner_sums(monkeypatch)
+    poly = geo.validate_polygon(SQUARE)
+    f = build_family(poly)
+    f.minimizer(0.3 * f.v_max)
+    assert calls == []
+    OPENING_QUERIES[first](f)
+    assert len(calls) == 1
+    for query in OPENING_QUERIES.values():
+        query(f)
+    f.minimizer(0.9 * f.v_max)
+    assert len(calls) == 1
+    assert_matches_sequential(poly, f.structure)
