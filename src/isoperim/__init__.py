@@ -6,9 +6,9 @@ from .errors import (DegenerateError, DomainMismatchError, GeometryError,
                      ScheduleInvalidError, VolumeOutOfRangeError)
 from .family import MinimizerFamily, MinimizerShape, build_family
 from .geometry import (ConvexPolygon, ErodedBody, LargestBallSet, RoundedBody,
-                       largest_balls, polygon_measures, validate_polygon)
-from .oracle import (AnnealSchedule, Competitor, anneal_discrete,
-                     crofton_perimeter, sample_competitor, verify_minimality)
+                       largest_balls, validate_polygon)
+from .oracle import (AnnealSchedule, Competitor, anneal_discrete, sample_competitor,
+                     verify_minimality)
 from .rearrange import (GridFunction, Profile, RearrangementReport,
                         bv_norm_estimate, convex_rearrangement,
                         decreasing_rearrangement, distribution,
@@ -23,9 +23,8 @@ __all__ = [
     "IsoperimError", "LargestBallSet", "MinimizerFamily", "MinimizerShape",
     "NonConvexError", "Profile", "RearrangementReport", "RoundedBody",
     "SamplerInfeasibleError", "ScheduleInvalidError", "VolumeOutOfRangeError",
-    "anneal_discrete", "build_family", "convex_rearrangement", "crofton_perimeter",
-    "bv_norm_estimate", "decreasing_rearrangement", "distribution", "largest_balls",
-    "level_contour_points", "level_perimeter", "polygon_measures",
-    "rearrangement_report", "sample_competitor", "validate_polygon",
+    "anneal_discrete", "build_family", "bv_norm_estimate", "convex_rearrangement",
+    "decreasing_rearrangement", "distribution", "largest_balls", "level_contour_points",
+    "level_perimeter", "rearrangement_report", "sample_competitor", "validate_polygon",
     "verify_minimality",
 ]

@@ -41,10 +41,6 @@ class ConvexPolygon:
     scale: float                    # bounding-box diagonal
     reversed_input: bool = False    # CW input was silently reoriented
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def contains_point(self, points, tol=None):
         """Closed membership test, vectorized over (..., 2) points.
 
@@ -154,10 +150,6 @@ def _shoelace(vertices) -> float:
     x = vertices[:, 0] - vertices[0, 0]
     y = vertices[:, 1] - vertices[0, 1]
     return 0.5 * float(np.dot(x[:-1], y[1:]) - np.dot(y[:-1], x[1:]))
-
-
-def _edge_length_sum(vertices) -> float:
-    return float(np.sum(np.linalg.norm(np.roll(vertices, -1, axis=0) - vertices, axis=1)))
 
 
 def _excess(px, py, normals, offsets):
@@ -479,11 +471,6 @@ def validate_polygon(vertices) -> ConvexPolygon:
                      + np.sum(normals * np.roll(arr, -1, axis=0), axis=1))
     return ConvexPolygon(vertices=arr, normals=normals, offsets=offsets,
                          scale=scale, reversed_input=reversed_input)
-
-
-def polygon_measures(polygon: ConvexPolygon):
-    """(area, perimeter) by the shoelace formula and edge-length sum."""
-    return _shoelace(polygon.vertices), _edge_length_sum(polygon.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -952,10 +939,6 @@ class ErosionStructure:
         t = 2.0 * c / np.maximum(sq - c1, 1e-300)
         return np.clip(self.breaks[k] + t, self.breaks[k], self.breaks[k + 1])
 
-    def core_vertices(self, r: float) -> np.ndarray:
-        iv = self.intervals[int(self.interval_index(r))]
-        return iv.Z + r * iv.S
-
     def distance_to_core(self, points, r):
         """Distance from points (m, 2) to the eroded core at per-point radii r.
 
@@ -1061,7 +1044,8 @@ class ErosionStructure:
         if r == 0.0:
             return ErodedBody("polygon", self.polygon.vertices)
         rr = min(r, self.r_star)
-        pts = self.core_vertices(rr)
+        iv = self.intervals[int(self.interval_index(rr))]
+        pts = iv.Z + rr * iv.S
         area = _shoelace(pts)
         if area >= EPS_AREA * scale * scale:
             keep = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) > EPS_GEOM * scale

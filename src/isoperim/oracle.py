@@ -237,8 +237,6 @@ class _Sweep:
 def _generators(seed):
     """(first, retry): the generator of every competitor's first draws, and the
     one its hull ladder continuations draw from."""
-    if isinstance(seed, np.random.Generator):
-        return seed, seed.spawn(1)[0]
     seq = np.random.SeedSequence(seed)
     return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
 
@@ -422,18 +420,16 @@ def _blocks(sweep: _Sweep, samplers, n_samples: int, seed):
         yield block
 
 
-def sample_competitor(family: MinimizerFamily, v: float, sampler: str,
-                      seed, sweep: _Sweep | None = None) -> Competitor:
+def sample_competitor(family: MinimizerFamily, v: float, sampler: str, seed) -> Competitor:
     """Draw one area-matched competitor inside the closed domain: a sweep of one.
 
     Samplers: "hull" (convex hull of uniform points shrunk about its
     vertex mean; the point count starts at the rung whose expected hull
     covers v), "halfplane" (the domain cut at the offset of area v, in
     closed form), "disk" (random feasible center, only when a disk of
-    area v fits).  ``seed`` is a seed or a Generator.  ``sweep`` is the
-    ``_Sweep`` of (family, v); it is built when absent.
+    area v fits).
     """
-    block = next(_blocks(sweep or _Sweep(family, v), [sampler], 1, seed))
+    block = next(_blocks(_Sweep(family, v), [sampler], 1, seed))
     return block.competitor(0)
 
 
@@ -530,17 +526,6 @@ _CROFTON_W = _crofton_weights()
 _CROFTON_LEN = np.linalg.norm(_CROFTON_DIRS, axis=1)
 
 
-def crofton_perimeter(grid, cell: float) -> float:
-    """Perimeter of a binary cell grid from line-transition counts.
-
-    ``grid`` is (ny, nx) boolean (nonzero = inside); ``cell`` the pixel
-    side length.  Cells beyond the array count as outside.  It builds
-    the counts of a ``_CroftonCounter`` and none of its annealing state.
-    """
-    coef, _, counts = _transitions(_padded_buffer(grid)[1], cell)
-    return _weighted(coef, counts)
-
-
 _PAD = 3  # widest stencil reach: every read of a grid cell's stencil stays in the buffer
 
 
@@ -549,23 +534,6 @@ def _padded_buffer(grid):
     padded = np.pad(np.asarray(grid).astype(bool), _PAD)
     buf = bytearray(padded.tobytes())
     return buf, np.frombuffer(buf, dtype=bool).reshape(padded.shape)
-
-
-def _transitions(cells, cell):
-    """(coef, offsets, counts) of a padded grid: per Crofton direction, its
-    weight, its flat offset in ``cells`` and its transition count."""
-    width = cells.shape[1]
-    coef = [float(w * (cell / ln)) for w, ln in zip(_CROFTON_W, _CROFTON_LEN)]
-    offsets = [int(b) * width + int(a) for a, b in _CROFTON_DIRS]
-    flat = cells.ravel()
-    return coef, offsets, [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in offsets]
-
-
-def _weighted(coef, counts) -> float:
-    total = 0.0
-    for c, n in zip(coef, counts):
-        total += c * n
-    return 0.5 * total
 
 
 class _CroftonCounter:
@@ -590,7 +558,10 @@ class _CroftonCounter:
         self.buf, self.cells = _padded_buffer(grid)
         self.g = self.cells[_PAD:-_PAD, _PAD:-_PAD]
         self.width = self.cells.shape[1]
-        self.coef, self.offsets, self.counts = _transitions(self.cells, cell)
+        self.coef = [float(w * (cell / ln)) for w, ln in zip(_CROFTON_W, _CROFTON_LEN)]
+        self.offsets = [int(b) * self.width + int(a) for a, b in _CROFTON_DIRS]
+        flat = self.cells.ravel()
+        self.counts = [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in self.offsets]
         self.n4 = (1, -1, self.width, -self.width)
         # flat q - p -> direction k when q is p's neighbour along direction k
         self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}
@@ -602,7 +573,11 @@ class _CroftonCounter:
         self.nin_cells = np.frombuffer(self.nin, dtype=np.uint8).reshape(nin.shape)
 
     def perimeter(self, counts=None) -> float:
-        return _weighted(self.coef, self.counts if counts is None else counts)
+        """Crofton perimeter of the grid's counts, or of the given counts."""
+        total = 0.0
+        for c, n in zip(self.coef, self.counts if counts is None else counts):
+            total += c * n
+        return 0.5 * total
 
     def price(self, p, q):
         """(counts, perimeter) once in-cell p leaves and out-cell q joins.

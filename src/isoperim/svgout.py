@@ -10,6 +10,8 @@ import numpy as np
 from .family import MinimizerShape
 from .geometry import ConvexPolygon, RoundedBody
 
+MAX_CONTOUR_POINTS = 1500   # crossings drawn per level set; longer sets are thinned
+
 
 def _f(x) -> str:
     return f"{float(x):.9g}"
@@ -77,7 +79,7 @@ def family_svg(domain: ConvexPolygon, shapes) -> str:
     return _document(domain, "\n".join(rows))
 
 
-def contours_svg(domain: ConvexPolygon, contour_sets, max_points=1500) -> str:
+def contours_svg(domain: ConvexPolygon, contour_sets) -> str:
     """Level sets as point clouds of marching-squares crossings."""
     lo = domain.vertices.min(axis=0)
     hi = domain.vertices.max(axis=0)
@@ -85,8 +87,8 @@ def contours_svg(domain: ConvexPolygon, contour_sets, max_points=1500) -> str:
     rows = [f'<path d="{_polygon_path(domain.vertices)}" stroke="#888"/>']
     for pts in contour_sets:
         pts = np.asarray(pts).reshape(-1, 2)
-        if len(pts) > max_points:
-            pts = pts[:: len(pts) // max_points + 1]
+        if len(pts) > MAX_CONTOUR_POINTS:
+            pts = pts[:: len(pts) // MAX_CONTOUR_POINTS + 1]
         dots = "".join(f'<circle cx="{x:.9g}" cy="{y:.9g}" r="{r}"/>' for x, y in pts.tolist())
         rows.append(f'<g fill="#c02" stroke="none">{dots}</g>')
     return _document(domain, "\n".join(rows))

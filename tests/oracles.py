@@ -592,7 +592,7 @@ def rounded_measures(body):
         return 0.0, 0.0
     a = p = 0.0
     if core.kind == "polygon":
-        a, p = geo._shoelace(core.points), geo._edge_length_sum(core.points)
+        a, p = geo._shoelace(core.points), polygon_perimeter(core.points)
     elif core.kind == "segment":
         p = 2.0 * float(np.linalg.norm(core.points[1] - core.points[0]))
     return a + r * p + np.pi * r * r, p + 2.0 * np.pi * r
@@ -695,9 +695,14 @@ def bisect_halfplane_competitor(rng, family, v):
     return cut, float(theta)
 
 
+def polygon_perimeter(vertices) -> float:
+    """Sum of the edge lengths of a closed polygon."""
+    return float(np.sum(np.linalg.norm(np.roll(vertices, -1, axis=0) - vertices, axis=1)))
+
+
 def _polygon_competitor(vertices, provenance):
     return Competitor(kind="polygon", area=geo._shoelace(vertices),
-                      perimeter=geo._edge_length_sum(vertices),
+                      perimeter=polygon_perimeter(vertices),
                       vertices=vertices, provenance=provenance)
 
 
@@ -858,6 +863,16 @@ def transition_count(g, a, b) -> int:
     G = np.pad(g, ((pad_y, pad_y), (pad_x, pad_x)))
     H = np.roll(np.roll(G, -b, axis=0), -a, axis=1)
     return int(np.count_nonzero(G ^ H))
+
+
+def crofton_perimeter(grid, cell) -> float:
+    """Crofton perimeter of a binary grid from the shifted-copy transition
+    counts, summed in the library's direction order and float expressions."""
+    g = np.asarray(grid).astype(bool)
+    total = 0.0
+    for w, ln, (a, b) in zip(orc._CROFTON_W, orc._CROFTON_LEN, orc._CROFTON_DIRS):
+        total += float(w * (cell / ln)) * transition_count(g, int(a), int(b))
+    return 0.5 * total
 
 
 _N4 = np.array([(0, 1), (0, -1), (1, 0), (-1, 0)])

@@ -165,7 +165,7 @@ def test_criterion_8_estimator_sanity(square):
     u = disk_indicator_grid(square, 258, (0.5, 0.5), 0.3)  # h = 1/256
     h = float(u.spacing[0])
     ms = rr.level_perimeter(u, 0.5)
-    cro = orc.crofton_perimeter(u.values > 0.5, h)
+    cro = orc._CroftonCounter(u.values > 0.5, h).perimeter()
     true = 2 * np.pi * 0.3
     ms_err = abs(ms / true - 1.0)
     cro_err = abs(cro / true - 1.0)
@@ -174,8 +174,8 @@ def test_criterion_8_estimator_sanity(square):
     X, Y = np.meshgrid(xs, xs)
     axis = (np.abs(X - 0.5) <= 0.25) & (np.abs(Y - 0.5) <= 0.25)
     rot = (np.abs(X - 0.5) + np.abs(Y - 0.5)) <= 0.25 * np.sqrt(2)
-    p_axis = orc.crofton_perimeter(axis, 1.0 / n)
-    p_rot = orc.crofton_perimeter(rot, 1.0 / n)
+    p_axis = orc._CroftonCounter(axis, 1.0 / n).perimeter()
+    p_rot = orc._CroftonCounter(rot, 1.0 / n).perimeter()
     rot_dev = abs(p_rot / p_axis - 1.0)
     elapsed = time.perf_counter() - t0
     ok = ms_err <= 0.02 and cro_err <= 0.02 and rot_dev <= 0.03

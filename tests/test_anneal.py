@@ -103,7 +103,7 @@ def _check_priced_swap(grid, p, q):
     swapped[p] = False
     swapped[q] = True
     assert counts == [oracles.transition_count(swapped, a, b) for a, b in DIRS]
-    assert after == orc.crofton_perimeter(swapped, h)
+    assert after == oracles.crofton_perimeter(swapped, h)
     # pricing leaves the state alone
     assert np.array_equal(counter.g, grid)
     assert counter.counts == before
@@ -293,7 +293,7 @@ def test_anneal_matches_priced_chain(request, domain, v, grid_n, sweeps, seed):
     assert res.perimeter == ref.perimeter
     assert (res.proposals, res.accepted) == (ref.proposals, ref.accepted)
     # the energy of record is the perimeter of exact counts
-    assert res.perimeter == orc.crofton_perimeter(res.grid, res.cell)
+    assert res.perimeter == oracles.crofton_perimeter(res.grid, res.cell)
     assert 0 < res.accepted <= res.proposals
 
 

@@ -187,7 +187,7 @@ def test_near_antiparallel_pentagon_matches_full_scan(scale, offset):
     def at_ends(coefs):
         return np.array([np.polyval(c[::-1], t) for c, t in zip(coefs, ends)])
 
-    area, perim = geo.polygon_measures(poly)
+    area, perim = geo._shoelace(poly.vertices), oracles.polygon_perimeter(poly.vertices)
     assert np.max(np.abs(at_ends(s._area_poly) - at_ends(ref._area_poly))) <= 1e-12 * area
     assert np.max(np.abs(at_ends(s._perim_poly) - at_ends(ref._perim_poly))) <= 1e-12 * perim
     # vertices, edge points and points of the bounding box, some outside

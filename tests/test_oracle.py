@@ -7,7 +7,7 @@ import pytest
 from isoperim import oracle as orc
 from isoperim.errors import SamplerInfeasibleError, ScheduleInvalidError
 from isoperim.family import build_family
-from isoperim.geometry import _edge_length_sum, _shoelace, validate_polygon
+from isoperim.geometry import _shoelace, validate_polygon
 
 import oracles
 from conftest import ellipse_polygon, regular_polygon
@@ -22,27 +22,25 @@ def _raster(shape_fn, n=256, lo=0.0, hi=1.0):
 
 def test_crofton_axis_square():
     grid, h = _raster(lambda X, Y: (np.abs(X - 0.5) <= 0.25) & (np.abs(Y - 0.5) <= 0.25))
-    assert orc.crofton_perimeter(grid, h) == pytest.approx(2.0, rel=0.02)
+    assert orc._CroftonCounter(grid, h).perimeter() == pytest.approx(2.0, rel=0.02)
 
 
-def test_crofton_disk(monkeypatch):
-    # a one-off perimeter reads the 16 counts and builds no annealing state
-    monkeypatch.setattr(orc, "_stencil_sums", None)
+def test_crofton_disk():
     grid, h = _raster(lambda X, Y: (X - 0.5) ** 2 + (Y - 0.5) ** 2 <= 0.09)
-    assert orc.crofton_perimeter(grid, h) == pytest.approx(2 * np.pi * 0.3, rel=0.02)
+    assert orc._CroftonCounter(grid, h).perimeter() == pytest.approx(2 * np.pi * 0.3, rel=0.02)
 
 
 def test_crofton_rotated_square():
     grid, h = _raster(lambda X, Y: (np.abs(X - 0.5) + np.abs(Y - 0.5)) <= 0.25 * np.sqrt(2))
     axis, _ = _raster(lambda X, Y: (np.abs(X - 0.5) <= 0.25) & (np.abs(Y - 0.5) <= 0.25))
-    p_rot = orc.crofton_perimeter(grid, h)
-    p_axis = orc.crofton_perimeter(axis, h)
+    p_rot = orc._CroftonCounter(grid, h).perimeter()
+    p_axis = orc._CroftonCounter(axis, h).perimeter()
     assert p_rot == pytest.approx(2.0, rel=0.02)
     assert p_rot == pytest.approx(p_axis, rel=0.03)
 
 
 def test_crofton_empty_grid():
-    assert orc.crofton_perimeter(np.zeros((8, 8), dtype=bool), 0.1) == 0.0
+    assert orc._CroftonCounter(np.zeros((8, 8), dtype=bool), 0.1).perimeter() == 0.0
 
 
 def test_crofton_counter_matches_batch():
@@ -50,12 +48,12 @@ def test_crofton_counter_matches_batch():
     grid = rng.random((48, 48)) < 0.4
     h = 1 / 48
     counter = orc._CroftonCounter(grid, h)
-    assert counter.perimeter() == pytest.approx(orc.crofton_perimeter(grid, h), abs=1e-12)
+    assert counter.perimeter() == pytest.approx(oracles.crofton_perimeter(grid, h), abs=1e-12)
     for _ in range(300):
         j, i = rng.integers(0, 48, 2)
         oracles.flip(counter, j, i)
     assert counter.perimeter() == pytest.approx(
-        orc.crofton_perimeter(counter.g, h), abs=1e-12)
+        oracles.crofton_perimeter(counter.g, h), abs=1e-12)
 
 
 def _edge_grids():
@@ -77,11 +75,12 @@ def _edge_grids():
 def test_flat_counts_match_shifted_counts(grid):
     h = 0.125
     counts = [oracles.transition_count(grid, int(a), int(b)) for a, b in orc._CROFTON_DIRS]
-    assert orc._CroftonCounter(grid, h).counts == counts
+    counter = orc._CroftonCounter(grid, h)
+    assert counter.counts == counts
     total = 0.0
     for w, ln, n in zip(orc._CROFTON_W, orc._CROFTON_LEN, counts):
         total += w * (h / ln) * n
-    assert orc.crofton_perimeter(grid, h) == 0.5 * total
+    assert counter.perimeter() == 0.5 * total
 
 
 def test_hull_sampler(square_family):
@@ -93,12 +92,13 @@ def test_hull_sampler(square_family):
 
 def test_hull_ladder_starts_near_the_target(square_family):
     sweep = orc._Sweep(square_family, 0.9)
-    rng = np.random.default_rng(12)
-    comps = [orc.sample_competitor(square_family, 0.9, "hull", rng, sweep)
-             for _ in range(500)]
-    assert all({"sampler", "k", "tries"} <= c.provenance.keys() for c in comps)
-    assert np.mean([1 + c.provenance["tries"] for c in comps]) <= 1.5
-    assert all(c.provenance["k"] >= sweep.hull_k0 for c in comps)
+    blocks = list(orc._blocks(sweep, ["hull"], 500, 12))
+    assert not any(block.errors for block in blocks)
+    provs = [block.provenance(j) for block in blocks for j in range(len(block.samplers))]
+    assert len(provs) == 500
+    assert all({"sampler", "k", "tries"} <= p.keys() for p in provs)
+    assert np.mean([1 + p["tries"] for p in provs]) <= 1.5
+    assert all(p["k"] >= sweep.hull_k0 for p in provs)
 
 
 def test_hull_ladder_start_does_not_overshoot_smooth_domains():
@@ -151,7 +151,7 @@ def test_escaping_competitor_raises(square_family):
     for fam in (ellipse, square_family):
         v = 0.5 * fam.v_max
         sweep = orc._Sweep(fam, v)
-        comp = orc.sample_competitor(fam, v, "halfplane", seed=4, sweep=sweep)
+        comp = orc.sample_competitor(fam, v, "halfplane", seed=4)
         theta = comp.provenance["theta"]
         moved = comp.vertices - 1e-3 * fam.domain.scale * np.array([np.cos(theta), np.sin(theta)])
         verts = np.concatenate([comp.vertices, moved])
@@ -204,7 +204,7 @@ def test_halfplane_sampler_matches_bisected_sampler(rect_family):
             np.random.default_rng(seed), rect_family, 1.2)
         assert comp.provenance["theta"] == theta
         assert comp.perimeter == pytest.approx(
-            _edge_length_sum(cut), abs=1e-5)
+            oracles.polygon_perimeter(cut), abs=1e-5)
 
 
 def _batched(family, v, n_samples, seed, samplers):
@@ -399,7 +399,7 @@ def test_anneal_small_square(square, square_family):
                               orc.AnnealSchedule(sweeps=120), seed=1)
     assert int(res.grid.sum()) == res.in_count
     assert res.perimeter == pytest.approx(
-        orc.crofton_perimeter(res.grid, res.cell), abs=1e-12)
+        oracles.crofton_perimeter(res.grid, res.cell), abs=1e-12)
     assert res.perimeter <= res.energy_trace.min() + 1e-12
     target = square_family.perimeter(0.9)
     assert res.perimeter == pytest.approx(target, rel=0.08)

@@ -3,7 +3,7 @@
 Shapes with point, segment and polygon cores (and r = 0, where the shape
 is the domain itself) on 3- to 1000-gons and on their copies moved by a
 million from the origin; level sets as marching-squares point clouds,
-some longer than ``max_points``.
+some longer than ``svgout.MAX_CONTOUR_POINTS``.
 """
 
 import numpy as np
@@ -58,7 +58,7 @@ def test_shape_and_family_svg_match_per_vertex_paths(families, monkeypatch):
     assert kinds == {"point", "segment", "polygon"}
 
 
-def test_contours_svg_matches_per_point_circles(families):
+def test_contours_svg_matches_per_point_circles(families, monkeypatch):
     for f in families[3:5]:
         frame = rr.GridFunction.for_domain(f.domain, 96)
         c = frame.centers()
@@ -69,5 +69,6 @@ def test_contours_svg_matches_per_point_circles(families):
                 for s in np.split(pts, np.cumsum(n)[:-1])]
         assert max(len(s) for s in sets) > 40
         for max_points in (1500, 40):
-            assert (svgout.contours_svg(f.domain, sets, max_points)
+            monkeypatch.setattr(svgout, "MAX_CONTOUR_POINTS", max_points)
+            assert (svgout.contours_svg(f.domain, sets)
                     == oracles.contours_svg(f.domain, sets, max_points))
