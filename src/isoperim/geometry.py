@@ -589,7 +589,8 @@ def _steiner_sums(breaks, edges, paths, born, dies, pairs, tangents):
     p0, p1 in t = r - r_lo.
     """
     K = len(breaks) - 1
-    lo, hi = born[pairs].max(axis=1), dies[pairs].min(axis=1)
+    lo = np.maximum(born[pairs[:, 0]], born[pairs[:, 1]])
+    hi = np.minimum(dies[pairs[:, 0]], dies[pairs[:, 1]])
 
     def binned(sel, k):
         """The five terms of the pairs sel at r_lo[k], summed per interval k."""

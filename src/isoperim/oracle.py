@@ -10,7 +10,10 @@ Competitors are drawn in blocks: a block takes its random numbers in one
 draw, hulls all its first rungs in one ``geometry.convex_hulls`` call,
 cuts all its half-planes in one array pass, and measures and checks its
 polygons by segmented reductions over their vertices, stored back to
-back.  Only a hull that goes up the ladder is drawn and hulled alone.
+back.  The hulls that fall short of their area go up the ladder a
+window of blocks at a time: the window draws their second rungs in one
+call and hulls them in one call, at most BLOCK_POINTS // 2 points at a
+time.  Only a hull that climbs to a third rung is drawn and hulled alone.
 """
 
 import math
@@ -27,8 +30,9 @@ AREA_TOL_REL = 1e-6
 PERIMETER_SLACK = 1e-9
 SAMPLERS = ("hull", "halfplane", "disk")
 HULL_K0 = 12              # the hull ladder's rungs are HULL_K0 * 2**j points
-HULL_K_MAX = 65536        # ... up to this many
+HULL_K_MAX = HULL_K0 << 12   # ... up to this many, 49,152
 BLOCK_POINTS = 1 << 14    # first-rung hull points, or half-plane rows x domain vertices, per block
+WINDOW_BLOCKS = 4         # blocks whose short hulls draw and hull their second rungs together
 _RS_SMOOTH = math.gamma(5 / 3) * (2 / 3) ** (1 / 3)   # Renyi-Sulanke, smooth bodies
 ANNEAL_MAX_GRID = 256
 
@@ -100,20 +104,6 @@ def _hull_start(domain: ConvexPolygon, ratio: float) -> int:
            and min(smooth * k ** (1 / 3), 2.0 * len(v) / 3.0 * math.log(k)) > (1.0 - ratio) * k):
         k *= 2
     return k
-
-
-def _hull_ladder(rng, fan, v, k, tries):
-    """(vertices, area, k, tries): the hull ladder continued at rung k, after
-    ``tries`` short hulls.  A hull short of area v doubles k."""
-    while k <= HULL_K_MAX:
-        pts = fan.sample(rng, k)
-        idx, count = convex_hulls(pts, [k])
-        area = _measures(pts[idx], count)[0][0]
-        if area >= v:
-            return pts[idx], area, k, tries
-        k *= 2
-        tries += 1
-    raise SamplerInfeasibleError(f"hull of {k // 2} points never reached area {v}")
 
 
 def _tied(p, i):
@@ -303,41 +293,91 @@ class _Block:
         raise AssertionError(f"competitor {j} has no polygon")
 
 
-def _hull_rows(block, rows, u, sweep, retry):
+def _hull_sets(fan, u, k):
+    """(points, vertices, counts, areas): sets of k uniform points, one per row of
+    3k uniforms u (the triangle picks, then the two barycentric draws), back
+    to back, and their hulls from one ``convex_hulls`` call: vertex indices
+    into points, back to back, and the vertex counts and areas per set."""
+    pts = fan.place(u[:, :k], u[:, k:2 * k], u[:, 2 * k:]).reshape(-1, 2)
+    idx, counts = convex_hulls(pts, np.full(len(u), k))
+    return pts, idx, counts, _measures(pts[idx], counts)[0]
+
+
+def _hull_rows(block, rows, u, sweep):
     """Hull competitors at block positions rows, from their first-rung uniforms u.
 
-    The first rungs are hulled and measured in one call each.  A hull
-    short of area v goes on up the ladder (``_hull_ladder``) with draws
-    from ``retry``, in competitor order.  Reached hulls are shrunk about
-    their vertex mean to area v.
+    The first rungs are hulled and measured in one call, and the hulls
+    that reach area v are added.  Returns the block positions of the
+    short ones, which go on up the ladder (``_ladders``).
     """
-    k0, fan, v = sweep.hull_k0, sweep.fan, sweep.v
-    u = u.reshape(len(rows), 3, k0)
-    pts = fan.place(u[:, 0], u[:, 1], u[:, 2]).reshape(-1, 2)
-    idx, counts = convex_hulls(pts, np.full(len(rows), k0))
-    area = _measures(pts[idx], counts)[0]
-    block.k[rows] = k0
-    first = area >= v
-    verts, got = [pts[idx[np.repeat(first, counts)]]], [np.flatnonzero(first)]
-    for i in np.flatnonzero(~first):
-        j = rows[i]
-        try:
-            hull, area[i], block.k[j], block.tries[j] = _hull_ladder(retry, fan, v, 2 * k0, 1)
-        except SamplerInfeasibleError as exc:
-            block.fail([j], str(exc))
-            continue
-        verts.append(hull)
-        counts[i] = len(hull)
-        got.append([i])
-    got = np.concatenate(got)
-    if not len(got):
+    pts, idx, counts, area = _hull_sets(sweep.fan, u, sweep.hull_k0)
+    block.k[rows] = sweep.hull_k0
+    first = area >= sweep.v
+    _add_hulls(block, rows[first], pts[idx[np.repeat(first, counts)]], counts[first],
+               area[first], sweep)
+    return rows[~first]
+
+
+def _add_hulls(block, rows, verts, counts, area, sweep):
+    """Add the hulls, back to back, of the competitors at rows, each shrunk about
+    its vertex mean from its area to v."""
+    if not len(rows):
         return
-    verts, counts = np.concatenate(verts), counts[got]
     starts = np.cumsum(counts) - counts
     centroid = np.repeat(np.add.reduceat(verts, starts, axis=0) / counts[:, None], counts, axis=0)
-    verts = centroid + np.repeat(np.sqrt(v / area[got]), counts)[:, None] * (verts - centroid)
-    block.add_polygons(rows[got], verts, counts,
-                       sweep.family.domain.contains_point(verts), sweep)
+    verts = centroid + np.repeat(np.sqrt(sweep.v / area), counts)[:, None] * (verts - centroid)
+    block.add_polygons(rows, verts, counts, sweep.family.domain.contains_point(verts), sweep)
+
+
+def _ladders(window, sweep, retry):
+    """Climb the hull ladders of a window's short competitors, and yield each block
+    of the window, in order, once its own are done.
+
+    ``window`` lists (block, short positions).  Rung j + 2 of a ladder
+    (2^(j+1) k0 points) takes the next 2^j *slots* of 6 k0 uniforms from
+    ``retry``, in competitor order.  So the window draws one slot for
+    each competitor it has left, at most BLOCK_POINTS // 2 points' worth,
+    in one call and hulls them all as second rungs in one call.  A
+    competitor takes the next slot's hull if it reaches v; one still
+    short climbs alone on the slots after it, and draws more only once
+    the drawn ones run out.
+    """
+    k0, fan, v = sweep.hull_k0, sweep.fan, sweep.v
+    slot = 6 * k0
+    per_call = max(1, BLOCK_POINTS // 2 // (2 * k0))
+    left = sum(len(short) for _, short in window)
+    pool, at = np.empty((0, slot)), 0
+    for block, short in window:
+        if 2 * k0 > HULL_K_MAX:     # no second rung
+            block.fail(short, f"hull of {k0} points never reached area {v}")
+            short = ()
+        reached = []
+        for j in short:
+            if at == len(pool):
+                pool, at = retry.random((min(left, per_call), slot)), 0
+                pts, idx, counts, area = _hull_sets(fan, pool, 2 * k0)
+                starts = np.cumsum(counts) - counts
+            left -= 1
+            hull, got = pts[idx[starts[at]:starts[at] + counts[at]]], area[at]
+            at += 1
+            k, tries = 2 * k0, 1
+            while not got >= v and 2 * k <= HULL_K_MAX:
+                k, tries = 2 * k, tries + 1
+                take = pool[at:at + k // (2 * k0)].ravel()
+                at += len(take) // slot
+                u = np.concatenate([take, retry.random(3 * k - len(take))])
+                ladder, ladder_idx, _, ladder_area = _hull_sets(fan, u[None], k)
+                hull, got = ladder[ladder_idx], ladder_area[0]
+            if not got >= v:
+                block.fail([j], f"hull of {k} points never reached area {v}")
+                continue
+            block.k[j], block.tries[j] = k, tries
+            reached.append((j, hull, got))
+        if reached:
+            rows, hulls, areas = zip(*reached)
+            _add_hulls(block, np.array(rows), np.concatenate(hulls),
+                       np.array([len(h) for h in hulls]), np.array(areas), sweep)
+        yield block
 
 
 def _halfplane_rows(block, rows, u, sweep):
@@ -387,7 +427,14 @@ def _blocks(sweep: _Sweep, samplers, n_samples: int, seed):
     center on a point, a segment or a polygon of feasible centers.  A
     block draws all of its competitors' at once.  Ladder continuations
     draw from a second generator spawned from the seed, in competitor
-    order.  So no competitor depends on the block size.
+    order, slot by slot (``_ladders``).  So no competitor depends on the
+    block size.
+
+    Blocks go up the ladder in windows of at most WINDOW_BLOCKS, so that
+    what a sweep holds does not grow with n_samples.  A window ends early
+    at a block that records a failure, since the first failure in sweep
+    order ends a ``verify_minimality`` sweep, and each block is yielded
+    once its own ladders are done.
     """
     if not 0.0 < sweep.v < sweep.family.v_max:
         raise SamplerInfeasibleError("volume must be strictly inside (0, |domain|)")
@@ -401,23 +448,28 @@ def _blocks(sweep: _Sweep, samplers, n_samples: int, seed):
               len(sweep.family.domain.vertices) if "halfplane" in samplers else 1)
     size = max(1, BLOCK_POINTS // per)
     cycle = np.array(samplers)
+    window = []
     for start in range(0, n_samples, size):
         names = cycle[np.arange(start, min(start + size, n_samples)) % len(cycle)]
         offs = np.cumsum([0] + [uniforms[name] for name in names])
         draws = rng.random(int(offs[-1]))
-        block = _Block(start, names)
+        block, short = _Block(start, names), np.empty(0, dtype=int)
         for name in SAMPLERS:
             rows = np.flatnonzero(names == name)
             if not len(rows):
                 continue
             u = np.stack([draws[o:o + uniforms[name]] for o in offs[rows]])
             if name == "hull":
-                _hull_rows(block, rows, u, sweep, retry)
+                short = _hull_rows(block, rows, u, sweep)
             elif name == "halfplane":
                 _halfplane_rows(block, rows, u[:, 0], sweep)
             else:
                 _disk_rows(block, rows, u, sweep)
-        yield block
+        window.append((block, short))
+        if len(window) == WINDOW_BLOCKS or block.errors:
+            yield from _ladders(window, sweep, retry)
+            window = []
+    yield from _ladders(window, sweep, retry)
 
 
 def sample_competitor(family: MinimizerFamily, v: float, sampler: str, seed) -> Competitor:

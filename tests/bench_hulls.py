@@ -15,9 +15,14 @@ the kernel serves:
   levels, as in the ``rearrange-square`` benchmark workload;
 - sweep: blocks of 85 sets of 192 uniform points from the square's
   triangle fan, as a ``verify`` sweep hulls its first rungs;
-- ladder: single sets of 384 and 768 points, the next two rungs;
+- window: 6 calls of 12 sets of 384 points, as the sweep's windows of
+  four blocks hull the second rungs of their short hulls;
 - arc: one set that neither caller makes, on which the monotone chains
   would drop one point per pass: see ``cut_arc``.
+
+Then, per sweep of ``oracle.verify_minimality`` on the unit square (at
+v = 0.9 with 2,000 competitors and at v = 0.99 with 1,000), the median
+time over the repeats and the number of ``convex_hulls`` calls.
 """
 
 import argparse
@@ -59,9 +64,9 @@ def sweep_blocks(rng, blocks=24, sets=85, k=192):
     return [(fan.sample(rng, sets * k), np.full(sets, k)) for _ in range(blocks)]
 
 
-def ladder_sets(rng, k, count=58):
+def window_sets(rng, windows=6, sets=12, k=384):
     fan = orc._Fan(validate_polygon(SQUARE).vertices)
-    return [(fan.sample(rng, k), [k]) for _ in range(count)]
+    return [(fan.sample(rng, sets * k), np.full(sets, k)) for _ in range(windows)]
 
 
 def _time(fn, inputs):
@@ -93,6 +98,29 @@ def chain_traffic(inputs):
     return phases.count(False), len(passes), phases.count(True)
 
 
+def _time_sweep(family, v, n, seed):
+    t0 = time.perf_counter()
+    orc.verify_minimality(family, v, n, seed=seed)
+    return time.perf_counter() - t0
+
+
+def sweep_hull_calls(family, v, n, seed=0):
+    """``convex_hulls`` calls of one sweep."""
+    calls = []
+    hulls = orc.convex_hulls
+
+    def count(points, counts):
+        calls.append(1)
+        return hulls(points, counts)
+
+    orc.convex_hulls = count
+    try:
+        orc.verify_minimality(family, v, n, seed=seed)
+    finally:
+        orc.convex_hulls = hulls
+    return len(calls)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=15)
@@ -100,8 +128,7 @@ def main(argv=None):
     rng = np.random.default_rng(2024)
     cases = {"report (11 blocks)": report_blocks(),
              "sweep (24 blocks of 85 x 192)": sweep_blocks(rng),
-             "ladder (58 sets of 384)": ladder_sets(rng, 384),
-             "ladder (58 sets of 768)": ladder_sets(rng, 768),
+             "window (6 x 12 sets of 384)": window_sets(rng),
              "arc (1 set of 65,539)": [(cut_arc(), [65539])]}
     print(f"{'input':32s} {'reference ms':>13s} {'kernel ms':>10s} {'ratio':>6s}"
           f" {'finishes':>9s} {'passes':>7s} {'hand-backs':>11s}")
@@ -117,6 +144,12 @@ def main(argv=None):
         finishes, passes, backs = chain_traffic(inputs)
         print(f"{name:32s} {1e3 * r:13.2f} {1e3 * k:10.2f} {k / r:6.2f}"
               f" {finishes:9d} {passes:7d} {backs:11d}")
+    family = build_family(validate_polygon(SQUARE))
+    print(f"\n{'sweep':32s} {'median ms':>10s} {'hull calls':>11s}")
+    for v, n in ((0.9, 2000), (0.99, 1000)):
+        times = [_time_sweep(family, v, n, seed) for seed in range(args.repeats)]
+        print(f"{f'square, v = {v}, {n} competitors':32s}"
+              f" {1e3 * statistics.median(times):10.1f} {sweep_hull_calls(family, v, n):11d}")
 
 
 if __name__ == "__main__":

@@ -287,6 +287,106 @@ def test_sweep_raises_for_the_same_competitors(square_family, monkeypatch):
         orc.verify_minimality(square_family, 0.9, 300, seed=2, samplers=samplers)
 
 
+def _same_vertices(a, b):
+    """Polygon vertices equal to rounding, in any cyclic order."""
+    a, b = a[np.lexsort(a.T)], b[np.lexsort(b.T)]
+    return a.shape == b.shape and np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+def test_windowed_ladders_climb_like_the_reference_loop(square_family, monkeypatch):
+    # a first rung of 12 points sends most hulls 3-5 rungs up; blocks of 40
+    # competitors make windows of 160 that draw their second rungs 10 at a time
+    monkeypatch.setattr(orc, "_hull_start", lambda domain, ratio: 12)
+    samplers = ["hull", "halfplane"]
+    ref = oracles.sweep_competitors(square_family, 0.9, 500, 4, samplers)
+    runs = {}
+    for cap in (40 * 12, 1):     # one ladder per hull call at cap 1
+        monkeypatch.setattr(orc, "BLOCK_POINTS", cap)
+        runs[cap] = _batched(square_family, 0.9, 500, 4, samplers)
+    assert 500 > 3 * orc.WINDOW_BLOCKS * 40
+    tries = [c.provenance["tries"] for c in ref if c.provenance["sampler"] == "hull"]
+    assert max(tries) >= 4 and np.mean(tries) >= 2
+    for a, b, c in zip(runs[40 * 12], runs[1], ref):
+        assert a.provenance == b.provenance == c.provenance
+        assert np.array_equal(a.vertices, b.vertices)
+        assert a.perimeter == b.perimeter
+        if c.provenance["sampler"] == "hull":
+            assert _same_vertices(a.vertices, c.vertices)
+
+
+def test_windowed_ladders_fail_like_the_reference_loop(square_family, monkeypatch):
+    # rungs of 12 to 192 points: some ladders run out, in several windows
+    monkeypatch.setattr(orc, "_hull_start", lambda domain, ratio: 12)
+    monkeypatch.setattr(orc, "HULL_K_MAX", 192)
+    monkeypatch.setattr(orc, "BLOCK_POINTS", 40 * 12)
+    samplers = ["hull", "halfplane"]
+    got = _batched(square_family, 0.9, 500, 9, samplers)
+    ref = oracles.sweep_competitors(square_family, 0.9, 500, 9, samplers)
+    failed = [isinstance(c, SamplerInfeasibleError) for c in ref]
+    assert len({i // (orc.WINDOW_BLOCKS * 40) for i in np.flatnonzero(failed)}) >= 3
+    for a, b in zip(got, ref):
+        if isinstance(b, SamplerInfeasibleError):
+            assert isinstance(a, SamplerInfeasibleError) and str(a) == str(b)
+        else:
+            assert a.provenance == b.provenance
+            assert b.provenance["sampler"] != "hull" or _same_vertices(a.vertices, b.vertices)
+    # the sweep ends with the block of the first failure: no later block climbs
+    end = (failed.index(True) // 40 + 1) * 40
+    assert end % (orc.WINDOW_BLOCKS * 40)
+    climbs = sum(3 if isinstance(c, SamplerInfeasibleError) else max(0, c.provenance["tries"] - 1)
+                 for c in ref[:end:2])
+    calls = []
+    hulls = orc.convex_hulls
+
+    def counting_hulls(points, counts):
+        calls.append(list(counts))
+        return hulls(points, counts)
+
+    monkeypatch.setattr(orc, "convex_hulls", counting_hulls)
+    with pytest.raises(SamplerInfeasibleError, match=str(ref[failed.index(True)])):
+        orc.verify_minimality(square_family, 0.9, 500, seed=9, samplers=samplers)
+    assert sum(c in ([48], [96], [192]) for c in calls) == climbs
+
+
+def test_ladders_take_one_hull_call_per_window(square_family, monkeypatch):
+    # first rungs take one call per block, second rungs one per window;
+    # only a rung of 3 or more is hulled alone
+    sweep = orc._Sweep(square_family, 0.9)
+    comps = _batched(square_family, 0.9, 2000, 5, ["hull", "halfplane"])
+    climbs = sum(max(0, c.provenance.get("tries", 0) - 1) for c in comps)
+    calls = []
+    hulls = orc.convex_hulls
+
+    def counting_hulls(points, counts):
+        calls.append(tuple(set(counts)))
+        return hulls(points, counts)
+
+    monkeypatch.setattr(orc, "convex_hulls", counting_hulls)
+    orc.verify_minimality(square_family, 0.9, 2000, seed=5)
+    k0 = sweep.hull_k0
+    blocks = -(-2000 // (orc.BLOCK_POINTS // k0))
+    windows = -(-blocks // orc.WINDOW_BLOCKS)
+    assert calls.count((k0,)) == blocks
+    assert sum(c.provenance.get("tries", 0) >= 1 for c in comps) > 2 * windows
+    assert 0 < calls.count((2 * k0,)) <= windows
+    assert len(calls) - blocks - calls.count((2 * k0,)) == climbs
+
+
+def test_failed_block_ends_its_window(square_family, monkeypatch):
+    # no disk of area 0.9 fits: the first block fails, and no later block is drawn
+    calls = []
+    hulls = orc.convex_hulls
+
+    def counting_hulls(points, counts):
+        calls.append(len(counts))
+        return hulls(points, counts)
+
+    monkeypatch.setattr(orc, "convex_hulls", counting_hulls)
+    with pytest.raises(SamplerInfeasibleError, match="disk larger"):
+        orc.verify_minimality(square_family, 0.9, 2000, seed=5, samplers=["hull", "disk"])
+    assert len(calls) <= 2    # the first block's first rungs, and its second rungs
+
+
 @pytest.mark.parametrize("fam_name, v", [("square_family", 0.9), ("rect_family", 0.5)])
 def test_sweep_does_not_depend_on_block_cap(request, monkeypatch, fam_name, v):
     fam = request.getfixturevalue(fam_name)
