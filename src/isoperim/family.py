@@ -74,8 +74,8 @@ class MinimizerFamily:
     reaches the opening regime, so disk and stadium minimizers never
     form them.  The fill is thread-benign: concurrent first queries at
     worst form the same arrays twice, and each reads a complete set.
-    Every query is a pure function, and the array-valued entry points
-    are safe to call point-wise in parallel.
+    Every query is a pure function but for that fill, and the
+    array-valued entry points are safe to call point-wise in parallel.
     """
 
     def __init__(self, domain: ConvexPolygon, balls: LargestBallSet,
@@ -83,18 +83,14 @@ class MinimizerFamily:
         self.domain = domain
         self.balls = balls
         self.structure = structure
-        area = geometry._shoelace(domain.vertices)
-        self.v_max = area
-        self.tol_area = TOL_REL * area
-        self.tol_rank = TOL_REL * area
+        self.v_max = domain.area
+        self.tol_area = TOL_REL * domain.area
         self._eps = EPS_GEOM * domain.scale
-        m = balls.midpoint
+        self._mid = balls.midpoint
         if balls.center_length > 0.0:
-            u = (balls.centers.points[1] - balls.centers.points[0]) / balls.center_length
+            self._axis = (balls.centers.points[1] - balls.centers.points[0]) / balls.center_length
         else:
-            u = np.array([1.0, 0.0])
-        self._mid = m
-        self._axis = u
+            self._axis = np.array([1.0, 0.0])
         if not (0.0 < balls.ball_measure <= balls.hull_measure < self.v_max):
             raise VolumeOutOfRangeError("degenerate volume thresholds for domain")
 
@@ -216,7 +212,7 @@ class MinimizerFamily:
         to that tolerance / sin(theta / 2) outside the domain; such a point
         lies in no disk inside the domain, so its exit radius is 0 and its
         rank |Omega|: the opening at r = 0 is the domain itself.  The
-        structure's area at r = 0 can miss |Omega| by more than tol_rank
+        structure's area at r = 0 can miss |Omega| by more than tol_area
         (beside a nearly flat vertex it meets two nearly parallel edge
         lines), and the opening area is flat to second order in r there,
         so every exit radius whose area the structure cannot tell from its
@@ -235,7 +231,7 @@ class MinimizerFamily:
         balls = self.balls
         r_star = balls.inradius
 
-        inside = self.domain.contains_point(pts, self._eps)
+        inside = self.domain.contains_point(pts)
         a, b = self._spine_frame(pts)
         d_center = np.hypot(a, b)
         excess = np.maximum(np.abs(a) - 0.5 * balls.center_length, 0.0)

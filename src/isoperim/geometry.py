@@ -4,7 +4,10 @@ Validated convex polygons, their erosion event structure (every inner
 parallel body, and by the Steiner formula the area of every opening),
 largest inscribed balls and convex hulls.
 
-All functions are pure; the returned objects are treated as immutable.
+All functions are pure and the returned objects are treated as
+immutable, with one exception: an ErosionStructure forms its Steiner
+polynomials on their first read (a concurrent first read at worst forms
+them twice).
 """
 
 import heapq
@@ -30,15 +33,19 @@ class ConvexPolygon:
     """Strictly convex polygon with CCW vertices.
 
     Build through :func:`validate_polygon`; the derived fields (edge
-    normals, offsets, scale) are filled there.  ``normals[i]`` is the
-    outward unit normal of edge ``vertices[i] -> vertices[i+1]`` and the
-    interior is ``{x : normals[i] . x <= offsets[i] for all i}``.
+    normals, offsets, scale, area and bounding box) are filled there, and
+    every layer reads them from here.  ``normals[i]`` is the outward unit
+    normal of edge ``vertices[i] -> vertices[i+1]`` and the interior is
+    ``{x : normals[i] . x <= offsets[i] for all i}``.
     """
 
     vertices: np.ndarray            # (n, 2) float64, CCW
     normals: np.ndarray             # (n, 2) outward unit normals
     offsets: np.ndarray             # (n,)
     scale: float                    # bounding-box diagonal
+    area: float                     # shoelace area, > 0
+    lo: np.ndarray                  # (2,) bounding-box corners
+    hi: np.ndarray
     reversed_input: bool = False    # CW input was silently reoriented
 
     def contains_point(self, points, tol=None):
@@ -469,8 +476,8 @@ def validate_polygon(vertices) -> ConvexPolygon:
     # average the two endpoint projections for a stable offset
     offsets = 0.5 * (np.sum(normals * arr, axis=1)
                      + np.sum(normals * np.roll(arr, -1, axis=0), axis=1))
-    return ConvexPolygon(vertices=arr, normals=normals, offsets=offsets,
-                         scale=scale, reversed_input=reversed_input)
+    return ConvexPolygon(vertices=arr, normals=normals, offsets=offsets, scale=scale,
+                         area=area, lo=lo, hi=hi, reversed_input=reversed_input)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +499,10 @@ def validate_polygon(vertices) -> ConvexPolygon:
 class EventInterval(NamedTuple):
     """Radii [r_lo, r_hi] over which the eroded core keeps its combinatorics.
 
-    ``edges`` indexes the polygon edges still active, in CCW order, and
-    ``normals`` / ``offsets`` are their lines.  Core vertex i lies between
-    edges[i] and edges[i+1] and moves on ``Z[i] + r * S[i]``.
+    ``edges`` indexes the polygon edges still active, in CCW order (their
+    lines are the polygon's ``normals`` and ``offsets`` at ``edges``).
+    Core vertex i lies between edges[i] and edges[i+1] and moves on
+    ``Z[i] + r * S[i]``.
     """
 
     r_lo: float
@@ -502,8 +510,6 @@ class EventInterval(NamedTuple):
     edges: np.ndarray
     Z: np.ndarray
     S: np.ndarray
-    normals: np.ndarray
-    offsets: np.ndarray
 
 
 class EventIntervals(Sequence):
@@ -514,9 +520,9 @@ class EventIntervals(Sequence):
     is one mask over the rows.
     """
 
-    def __init__(self, breaks, edges, Z, S, normals, offsets, born, dies):
+    def __init__(self, breaks, edges, Z, S, born, dies):
         self._breaks = breaks.tolist()
-        self._rows = edges, Z, S, normals, offsets
+        self._rows = edges, Z, S
         self._born, self._dies = born, dies
 
     def __len__(self):
@@ -530,10 +536,9 @@ class EventIntervals(Sequence):
         if not 0 <= k < K:
             raise IndexError("event interval index out of range")
         sel = ((self._born <= k) & (self._dies > k)).nonzero()[0]
-        edges, Z, S, normals, offsets = self._rows
+        edges, Z, S = self._rows
         return EventInterval(self._breaks[k], self._breaks[k + 1], edges.take(sel),
-                             Z.take(sel, axis=0), S.take(sel, axis=0),
-                             normals.take(sel, axis=0), offsets.take(sel))
+                             Z.take(sel, axis=0), S.take(sel, axis=0))
 
 
 def _length_bound(len0, dlen, eps_len):
@@ -570,6 +575,15 @@ def _farthest_pair(pts):
             i, j = divmod(k, m)
             i += s
     return i, j, math.sqrt(best)
+
+
+def _collapsed(pts, scale) -> ErodedBody:
+    """The point or segment that core vertices pts of no area collapse to: a
+    point when their farthest pair is at most EPS_GEOM * scale apart."""
+    i, j, d = _farthest_pair(pts)
+    if d <= EPS_GEOM * scale:
+        return ErodedBody("point", pts.mean(axis=0)[None, :])
+    return ErodedBody("segment", np.stack([pts[i], pts[j]]))
 
 
 def _steiner_sums(breaks, edges, paths, born, dies, pairs, tangents):
@@ -808,7 +822,6 @@ class ErosionStructure:
 
     def __init__(self, polygon: ConvexPolygon):
         self.polygon = polygon
-        self.scale = polygon.scale
         self._build()
 
     def _build(self):
@@ -820,8 +833,8 @@ class ErosionStructure:
         c = poly.vertices.mean(axis=0)
         N, P = poly.normals, poly.vertices - c
         D = 0.5 * ((N * P).sum(axis=1) + (N * np.concatenate([P[1:], P[:1]])).sum(axis=1))
-        tie = 1e-11 * self.scale
-        eps_len = 1e-12 * self.scale
+        tie = 1e-11 * poly.scale
+        eps_len = 1e-12 * poly.scale
         T = N[:, ::-1] * [-1.0, 1.0]
         r_cur, breaks, marks, dies, ends, zs, pairs = _skeleton_events(N, D, T, tie, eps_len)
 
@@ -852,17 +865,11 @@ class ErosionStructure:
         born, dies = born[keep], dies[keep]
         # the rows as exit_radius reads them: edge, next edge, Z, S, born, dies
         self._vertices = edges, ends[keep, 1], Z, S, born, dies
-        self.intervals = EventIntervals(self.breaks, edges, Z, S, N[edges], poly.offsets[edges],
-                                        born, dies)
+        self.intervals = EventIntervals(self.breaks, edges, Z, S, born, dies)
 
         # limit of the vertex paths at r*: the set of incenter positions
         last = self.intervals[-1]
-        pts = last.Z + self.r_star * last.S
-        i, j, d = _farthest_pair(pts)
-        if d <= EPS_GEOM * self.scale:
-            self.center_points = pts.mean(axis=0)[None, :]
-        else:
-            self.center_points = np.stack([pts[i], pts[j]])
+        self.center_points = _collapsed(last.Z + self.r_star * last.S, poly.scale).points
 
     def __getattr__(self, name):
         """The Steiner polynomials, formed on their first read.
@@ -951,18 +958,17 @@ class ErosionStructure:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         r = np.broadcast_to(np.asarray(r, dtype=float), (pts.shape[0],))
         out = np.empty(pts.shape[0])
+        poly = self.polygon
         idx = np.where(r == 0.0, -1, self.interval_index(r))
         order = np.argsort(idx, kind="stable")
         ks, first = np.unique(idx[order], return_index=True)
         for k, lo, hi in zip(ks, first, [*first[1:], len(order)]):
             if k < 0:
-                Z = self.polygon.vertices
-                e = np.roll(Z, -1, axis=0) - Z
-                N = np.stack([e[:, 1], -e[:, 0]], axis=1)
-                N /= np.maximum(np.linalg.norm(e, axis=1), 1e-300)[:, None]
+                Z, N = poly.vertices, poly.normals
                 S, D = np.zeros_like(Z), np.sum(N * Z, axis=1)
             else:
-                _, _, _, Z, S, N, D = self.intervals[k]
+                _, _, edges, Z, S = self.intervals[k]
+                N, D = poly.normals.take(edges, axis=0), poly.offsets.take(edges)
             step = max(1, CHUNK_ENTRIES // len(Z))
             for s in range(lo, hi, step):
                 sel = order[s:min(s + step, hi)]
@@ -1037,7 +1043,7 @@ class ErosionStructure:
 
     def core_body(self, r: float) -> ErodedBody:
         """Eroded core at radius r with the degeneracy collapse policy applied."""
-        scale = self.scale
+        scale = self.polygon.scale
         if r < 0.0:
             raise ValueError("erosion radius must be nonnegative")
         if r > self.r_star * (1.0 + DELTA_COLLAPSE) + EPS_GEOM * scale:
@@ -1052,10 +1058,7 @@ class ErosionStructure:
             keep = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1) > EPS_GEOM * scale
             cleaned = pts[keep] if keep.sum() >= 3 else pts
             return ErodedBody("polygon", cleaned)
-        i, j, d = _farthest_pair(pts)
-        if d < EPS_GEOM * scale:
-            return ErodedBody("point", pts.mean(axis=0)[None, :])
-        return ErodedBody("segment", np.stack([pts[i], pts[j]]))
+        return _collapsed(pts, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ cuts all its half-planes in one array pass, and measures and checks its
 polygons by segmented reductions over their vertices, stored back to
 back.  The hulls that fall short of their area go up the ladder a
 window of blocks at a time: the window draws their second rungs in one
-call and hulls them in one call, at most BLOCK_POINTS // 2 points at a
+call and hulls them in one call, at most CHUNK_ENTRIES // 2 points at a
 time.  Only a hull that climbs to a third rung is drawn and hulled alone.
 """
 
@@ -24,14 +24,13 @@ import numpy as np
 
 from .errors import SamplerInfeasibleError, ScheduleInvalidError
 from .family import MinimizerFamily
-from .geometry import EPS_GEOM, ConvexPolygon, _measures, _shoelace, convex_hulls
+from .geometry import CHUNK_ENTRIES, EPS_GEOM, ConvexPolygon, _measures, convex_hulls
 
 AREA_TOL_REL = 1e-6
 PERIMETER_SLACK = 1e-9
 SAMPLERS = ("hull", "halfplane", "disk")
 HULL_K0 = 12              # the hull ladder's rungs are HULL_K0 * 2**j points
 HULL_K_MAX = HULL_K0 << 12   # ... up to this many, 49,152
-BLOCK_POINTS = 1 << 14    # first-rung hull points, or half-plane rows x domain vertices, per block
 WINDOW_BLOCKS = 4         # blocks whose short hulls draw and hull their second rungs together
 _RS_SMOOTH = math.gamma(5 / 3) * (2 / 3) ** (1 / 3)   # Renyi-Sulanke, smooth bodies
 ANNEAL_MAX_GRID = 256
@@ -65,9 +64,6 @@ class _Fan:
         cdf = np.cumsum(areas / areas.sum())
         self.cdf = cdf / cdf[-1]
 
-    def sample(self, rng, n: int) -> np.ndarray:
-        return self.place(rng.random(n), rng.random(n), rng.random(n))
-
     def place(self, u_pick, u_r1, u_r2) -> np.ndarray:
         """Points (..., 2) from three equal-shaped arrays of uniforms: the
         triangle pick and the two barycentric draws."""
@@ -98,7 +94,7 @@ def _hull_start(domain: ConvexPolygon, ratio: float) -> int:
     turn = np.arctan2(prev[:, 0] * domain.normals[:, 1] - prev[:, 1] * domain.normals[:, 0],
                       np.sum(prev * domain.normals, axis=1))
     affine = float(np.sum(np.cbrt(turn) * (0.5 * (edge + np.roll(edge, 1))) ** (2 / 3)))
-    smooth = _RS_SMOOTH * affine / _shoelace(v) ** (1 / 3)
+    smooth = _RS_SMOOTH * affine / domain.area ** (1 / 3)
     k = HULL_K0
     while (2 * k <= HULL_K_MAX
            and min(smooth * k ** (1 / 3), 2.0 * len(v) / 3.0 * math.log(k)) > (1.0 - ratio) * k):
@@ -336,7 +332,7 @@ def _ladders(window, sweep, retry):
     ``window`` lists (block, short positions).  Rung j + 2 of a ladder
     (2^(j+1) k0 points) takes the next 2^j *slots* of 6 k0 uniforms from
     ``retry``, in competitor order.  So the window draws one slot for
-    each competitor it has left, at most BLOCK_POINTS // 2 points' worth,
+    each competitor it has left, at most CHUNK_ENTRIES // 2 points' worth,
     in one call and hulls them all as second rungs in one call.  A
     competitor takes the next slot's hull if it reaches v; one still
     short climbs alone on the slots after it, and draws more only once
@@ -344,7 +340,7 @@ def _ladders(window, sweep, retry):
     """
     k0, fan, v = sweep.hull_k0, sweep.fan, sweep.v
     slot = 6 * k0
-    per_call = max(1, BLOCK_POINTS // 2 // (2 * k0))
+    per_call = max(1, CHUNK_ENTRIES // 2 // (2 * k0))
     left = sum(len(short) for _, short in window)
     pool, at = np.empty((0, slot)), 0
     for block, short in window:
@@ -417,7 +413,7 @@ def _disk_rows(block, rows, u, sweep):
 
 
 def _blocks(sweep: _Sweep, samplers, n_samples: int, seed):
-    """The competitors of a sweep, in blocks of at most BLOCK_POINTS first-rung
+    """The competitors of a sweep, in blocks of at most CHUNK_ENTRIES first-rung
     hull points or half-plane rows x domain vertices (and at least one competitor).
 
     Competitor i uses ``samplers[i % len(samplers)]``.  Its first draws
@@ -446,7 +442,7 @@ def _blocks(sweep: _Sweep, samplers, n_samples: int, seed):
                 "disk": sweep.disk[1] if "disk" in samplers else 0}
     per = max(sweep.hull_k0 if "hull" in samplers else 1,
               len(sweep.family.domain.vertices) if "halfplane" in samplers else 1)
-    size = max(1, BLOCK_POINTS // per)
+    size = max(1, CHUNK_ENTRIES // per)
     cycle = np.array(samplers)
     window = []
     for start in range(0, n_samples, size):
@@ -508,23 +504,21 @@ class MinimalityReport:
 
 
 def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
-                      seed: int = 0, samplers=None) -> MinimalityReport:
+                      seed: int = 0) -> MinimalityReport:
     """Sweep random competitors; record any whose perimeter beats E(v).
 
-    A violation is a competitor perimeter more than 1e-9 below the
-    candidate perimeter.  Violations are reported with full provenance
-    rather than raised.  Competitors come in blocks (``_blocks``); the
-    first one that cannot be drawn, in sweep order, raises
-    SamplerInfeasibleError, as do an empty sampler list and n_samples
-    below 1.
+    The samplers are "hull" and "halfplane", and "disk" too when a disk of
+    area v fits (v at most the largest ball's area).  A violation is a
+    competitor perimeter more than 1e-9 below the candidate perimeter.
+    Violations are reported with full provenance rather than raised.
+    Competitors come in blocks (``_blocks``); the first one that cannot
+    be drawn, in sweep order, raises SamplerInfeasibleError, as does
+    n_samples below 1.
     """
     p_min = family.perimeter(v)
-    if samplers is None:
-        samplers = ["hull", "halfplane"]
-        if v <= family.balls.ball_measure:
-            samplers.append("disk")
-    if not len(samplers):
-        raise SamplerInfeasibleError("no sampler to draw competitors from")
+    samplers = ["hull", "halfplane"]
+    if v <= family.balls.ball_measure:
+        samplers.append("disk")
     if n_samples < 1:
         raise SamplerInfeasibleError(f"n_samples must be at least 1, got {n_samples}")
     gaps = np.empty(n_samples)
@@ -784,8 +778,7 @@ def _anneal_start(domain, v, grid_n, seed):
     grid of cell side h over the bounding box, the start block of round(v / h^2)
     cells, and the center of cell (0, 0)."""
     rng = np.random.default_rng(seed)
-    lo = domain.vertices.min(axis=0)
-    hi = domain.vertices.max(axis=0)
+    lo, hi = domain.lo, domain.hi
     h = float(np.max(hi - lo)) / grid_n
     nx = int(np.ceil((hi[0] - lo[0]) / h - 1e-9))
     ny = int(np.ceil((hi[1] - lo[1]) / h - 1e-9))

@@ -98,8 +98,7 @@ class GridFunction:
         self._validate_domain()
 
     def _validate_domain(self):
-        lo = self.domain.vertices.min(axis=0)
-        hi = self.domain.vertices.max(axis=0)
+        lo, hi = self.domain.lo, self.domain.hi
         ny, nx = self.values.shape
         first = self.origin
         last = self.origin + self.spacing * np.array([nx - 1, ny - 1])
@@ -165,8 +164,7 @@ class GridFunction:
         one margin cell on each side."""
         if n <= 3:
             raise ValueError("grid resolution too small for the margin")
-        lo = domain.vertices.min(axis=0)
-        hi = domain.vertices.max(axis=0)
+        lo, hi = domain.lo, domain.hi
         h = float(np.max(hi - lo)) / (n - 2)
         counts = np.ceil((hi - lo) / h - 1e-9).astype(int) + 2
         origin = lo - 0.5 * h

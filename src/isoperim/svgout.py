@@ -52,8 +52,7 @@ def _polygon_path(vertices) -> str:
 
 
 def _document(domain: ConvexPolygon, body: str) -> str:
-    lo = domain.vertices.min(axis=0)
-    hi = domain.vertices.max(axis=0)
+    lo, hi = domain.lo, domain.hi
     pad = 0.05 * float(np.max(hi - lo))
     x, y = lo - pad
     w, h = (hi - lo) + 2 * pad
@@ -81,9 +80,7 @@ def family_svg(domain: ConvexPolygon, shapes) -> str:
 
 def contours_svg(domain: ConvexPolygon, contour_sets) -> str:
     """Level sets as point clouds of marching-squares crossings."""
-    lo = domain.vertices.min(axis=0)
-    hi = domain.vertices.max(axis=0)
-    r = _f(0.002 * float(np.max(hi - lo)))
+    r = _f(0.002 * float(np.max(domain.hi - domain.lo)))
     rows = [f'<path d="{_polygon_path(domain.vertices)}" stroke="#888"/>']
     for pts in contour_sets:
         pts = np.asarray(pts).reshape(-1, 2)

@@ -40,7 +40,7 @@ from isoperim.family import build_family                # noqa: E402
 from isoperim.geometry import convex_hulls, validate_polygon   # noqa: E402
 from isoperim.rearrange import (GridFunction, _threshold_grid,   # noqa: E402
                                 convex_rearrangement, march_levels)
-from conftest import cut_arc                             # noqa: E402
+from conftest import cut_arc, square_points              # noqa: E402
 from oracles import quickhull_sorted                    # noqa: E402
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -60,13 +60,11 @@ def report_blocks(n=256, levels=256):
 
 
 def sweep_blocks(rng, blocks=24, sets=85, k=192):
-    fan = orc._Fan(validate_polygon(SQUARE).vertices)
-    return [(fan.sample(rng, sets * k), np.full(sets, k)) for _ in range(blocks)]
+    return [(square_points(rng, sets * k), np.full(sets, k)) for _ in range(blocks)]
 
 
 def window_sets(rng, windows=6, sets=12, k=384):
-    fan = orc._Fan(validate_polygon(SQUARE).vertices)
-    return [(fan.sample(rng, sets * k), np.full(sets, k)) for _ in range(windows)]
+    return [(square_points(rng, sets * k), np.full(sets, k)) for _ in range(windows)]
 
 
 def _time(fn, inputs):

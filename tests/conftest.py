@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from isoperim import geometry
+from isoperim import geometry, oracle
 from isoperim.family import build_family
 from isoperim.geometry import validate_polygon
 from isoperim.rearrange import GridFunction
@@ -53,6 +53,26 @@ def ellipse_polygon(seed, n, aspect=2.0, jitter=0.4):
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
     return np.stack([np.cos(theta), np.sin(theta) / aspect], axis=1)
+
+
+def square_points(rng, n):
+    """n uniform points in the unit square from 3 n uniforms of rng, drawn as
+    the hull sampler draws them: the triangle picks, then the two
+    barycentric draws."""
+    fan = oracle._Fan(validate_polygon(SQUARE).vertices)
+    return fan.place(rng.random(n), rng.random(n), rng.random(n))
+
+
+def moved_and_scaled(vertices):
+    """(label, vertices): the polygon CCW and reversed, at scales 1e-6, 1 and
+    1e6, at the origin and 1e6 of its own sizes out."""
+    v = np.asarray(vertices, dtype=float)
+    size = float(np.max(np.ptp(v, axis=0)))
+    for scale in (1e-6, 1.0, 1e6):
+        for out in (0.0, 1e6):
+            moved = scale * (v + out * size * np.array([1.0, -0.7]))
+            yield f"x{scale:g}+{out:g}", moved
+            yield f"x{scale:g}+{out:g}-cw", moved[::-1]
 
 
 def regular_polygon(n):

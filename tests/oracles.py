@@ -197,9 +197,9 @@ def scan_structure(polygon):
     ends = starts + sizes
     edges = np.concatenate([s[2] for s in snaps])
     ZSc = np.concatenate([s[3] for s in snaps])
-    Zc, Sc, Nc, Dc = ZSc[:, :2] + c, ZSc[:, 2:], N[edges], poly.offsets[edges]
+    Zc, Sc, Nc = ZSc[:, :2] + c, ZSc[:, 2:], N[edges]
     out.intervals = [
-        geo.EventInterval(lo, hi, edges[a:b], Zc[a:b], Sc[a:b], Nc[a:b], Dc[a:b])
+        geo.EventInterval(lo, hi, edges[a:b], Zc[a:b], Sc[a:b])
         for lo, hi, a, b in zip(out.breaks[:-1].tolist(), out.breaks[1:].tolist(),
                                 starts.tolist(), ends.tolist())]
 
@@ -251,7 +251,7 @@ def sequential_structure(polygon):
     bit for bit; raises DegenerateError like the library.
     """
     s = object.__new__(geo.ErosionStructure)
-    s.polygon, s.scale = polygon, polygon.scale
+    s.polygon = polygon
     poly = s.polygon
     # vertices are solved about the vertex mean c, with the edge offsets
     # taken from the centred vertices as validate_polygon does: far from
@@ -261,8 +261,8 @@ def sequential_structure(polygon):
     N, P = poly.normals, poly.vertices - c
     D = 0.5 * (np.sum(N * P, axis=1) + np.sum(N * np.roll(P, -1, axis=0), axis=1))
     n = len(D)
-    tie = 1e-11 * s.scale
-    eps_len = 1e-12 * s.scale
+    tie = 1e-11 * poly.scale
+    eps_len = 1e-12 * poly.scale
     inf, length_bound = math.inf, geo._length_bound
     push, pop = heapq.heappush, heapq.heappop
 
@@ -421,8 +421,7 @@ def sequential_structure(polygon):
     born, dies = born[keep], dies[keep]
     # the rows as exit_radius reads them: edge, next edge, Z, S, born, dies
     s._vertices = edges, ends[keep, 1], Z, S, born, dies
-    s.intervals = geo.EventIntervals(s.breaks, edges, Z, S, N[edges], poly.offsets[edges],
-                                    born, dies)
+    s.intervals = geo.EventIntervals(s.breaks, edges, Z, S, born, dies)
 
     r_lo = s.breaks[:-1]
     s._area_poly = 0.5 * coefs[:, :3]
@@ -444,7 +443,7 @@ def sequential_structure(polygon):
     last = s.intervals[-1]
     pts = last.Z + s.r_star * last.S
     i, j, d = geo._farthest_pair(pts)
-    if d <= geo.EPS_GEOM * s.scale:
+    if d <= geo.EPS_GEOM * poly.scale:
         s.center_points = pts.mean(axis=0)[None, :]
     else:
         s.center_points = np.stack([pts[i], pts[j]])
@@ -550,6 +549,15 @@ def bisect_rank(family, points):
     return out
 
 
+def vertex_lines(v):
+    """(normals, offsets) of the lines through consecutive CCW vertices v: the
+    outward unit normal of each edge, and its offset at the edge's start."""
+    e = np.roll(v, -1, axis=0) - v
+    lens = np.maximum(np.linalg.norm(e, axis=1), 1e-300)
+    normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lens[:, None]
+    return normals, np.sum(normals * v, axis=1)
+
+
 def body_distance(body, points):
     """Distance from (..., 2) points to an ErodedBody, 0 inside, from its
     points alone: a polygon is bounded by the lines through its own
@@ -565,10 +573,7 @@ def body_distance(body, points):
         ab = v[1] - v[0]
         t = np.clip((pts - v[0]) @ ab / max(float(ab @ ab), 1e-300), 0.0, 1.0)
         return np.linalg.norm(pts - (v[0] + t[..., None] * ab), axis=-1)
-    e = np.roll(v, -1, axis=0) - v
-    lens = np.maximum(np.linalg.norm(e, axis=1), 1e-300)
-    normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lens[:, None]
-    offsets = np.sum(normals * v, axis=1)
+    normals, offsets = vertex_lines(v)
     flat = pts.reshape(-1, 2)
     d = [geo._polygon_distance(flat[s:s + 4096], v[:, 0], v[:, 1], normals, offsets)
          for s in range(0, len(flat), 4096)]
@@ -711,7 +716,8 @@ def _hull_competitor(rng, retry, fan, v, k):
     to v; the first hull draws from rng, every later one from retry."""
     tries = 0
     while k <= orc.HULL_K_MAX:
-        pts = fan.sample(retry if tries else rng, k)
+        gen = retry if tries else rng
+        pts = fan.place(gen.random(k), gen.random(k), gen.random(k))
         verts = pts[ConvexHull(pts).vertices]
         area = geo._shoelace(verts)
         if area >= v:
@@ -747,7 +753,8 @@ def _disk_competitor(rng, family, v):
         center = feasible.points[0] + rng.random() * (feasible.points[1]
                                                       - feasible.points[0])
     else:
-        center = orc._Fan(feasible.points).sample(rng, 1)[0]
+        center = orc._Fan(feasible.points).place(rng.random(1), rng.random(1),
+                                                 rng.random(1))[0]
     return Competitor(kind="disk", area=v, perimeter=2.0 * np.pi * radius,
                       center=center, radius=radius,
                       provenance={"sampler": "disk"})

@@ -26,7 +26,7 @@ from isoperim.family import TOL_REL, build_family
 
 import oracles
 from conftest import (RECT21, SQUARE, ellipse_polygon, event_counts, exact_ngon,
-                      random_polygon, regular_polygon)
+                      moved_and_scaled, random_polygon, regular_polygon)
 
 ROOT = Path(__file__).resolve().parents[1]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -371,7 +371,8 @@ def probe_points(f, rng, m=64):
     for r in radii:
         iv = s.intervals[int(s.interval_index(r))]
         i = rng.integers(len(iv.Z))
-        u = iv.normals[i] + iv.normals[(i + 1) % len(iv.Z)]
+        normals = s.polygon.normals[iv.edges]
+        u = normals[i] + normals[(i + 1) % len(iv.Z)]
         event.append(iv.Z[i] + r * iv.S[i] + r * u / np.linalg.norm(u))
     t = rng.uniform(0.0, 1.0, size=(len(V), 1))
     edge = V + t * (np.roll(V, -1, axis=0) - V)
@@ -628,11 +629,47 @@ def test_distance_to_core_at_zero_is_the_vertex_reference():
 
 def test_rank_at_the_vertices_beside_a_nearly_flat_vertex():
     # the structure's area at r = 0 misses |Omega| by 1.66e-10, above
-    # tol_rank; the vertices' exit radii are 0 or about 1e-17
+    # tol_area; the vertices' exit radii are 0 or about 1e-17
     f = build_family(geo.validate_polygon(FLAT_PENTAGON))
-    assert f.v_max - f.structure.area_of_opening(0.0) > f.tol_rank
+    assert f.v_max - f.structure.area_of_opening(0.0) > f.tol_area
     assert np.all(f.structure.exit_radius(FLAT_PENTAGON) < 1e-16)
-    assert np.all(np.abs(f.rank(FLAT_PENTAGON) - f.v_max) <= f.tol_rank)
+    assert np.all(np.abs(f.rank(FLAT_PENTAGON) - f.v_max) <= f.tol_area)
+
+
+def test_collapse_rule_is_one_rule(monkeypatch):
+    # the 2 x 1 rectangle's incenter segment is 1 long: with EPS_GEOM * scale
+    # exactly 1, the incenter set and core_body(r*) are both one point
+    poly = geo.validate_polygon(RECT21)
+    eps = 1.0 / poly.scale
+    assert eps * poly.scale == 1.0
+    monkeypatch.setattr(geo, "EPS_GEOM", eps)
+    s = geo.ErosionStructure(poly)
+    body = s.core_body(s.r_star)
+    assert body.kind == "point" and np.array_equal(body.points, s.center_points)
+    monkeypatch.setattr(geo, "EPS_GEOM", np.nextafter(eps, 0.0))
+    s = geo.ErosionStructure(poly)
+    body = s.core_body(s.r_star)
+    assert body.kind == "segment" and np.array_equal(body.points, s.center_points)
+
+
+def test_distance_to_core_at_zero_reads_the_polygon_normals():
+    # the r = 0 core is bounded by the polygon's own normals through its
+    # vertices: bitwise the normals of the vertex reference, and so its
+    # distances at vertices, edge points and points outside
+    rng = np.random.default_rng(8)
+    for verts in (FLAT_PENTAGON, ellipse_polygon(2, 64), SQUARE):
+        for label, moved in moved_and_scaled(verts):
+            poly = geo.validate_polygon(moved)
+            v = poly.vertices
+            normals = oracles.vertex_lines(v)[0]
+            assert poly.normals.tobytes() == normals.tobytes(), label
+            edge = v + rng.uniform(0.0, 1.0, (16, 1, 1)) * (np.roll(v, -1, axis=0) - v)
+            away = edge + rng.uniform(1e-9, 0.5, (16, len(v), 1)) * poly.scale * normals
+            pts = np.concatenate([v, edge.reshape(-1, 2), away.reshape(-1, 2)])
+            got = geo.ErosionStructure(poly).distance_to_core(pts, 0.0)
+            want = oracles.body_distance(geo.ErodedBody("polygon", v), pts)
+            assert got.tobytes() == want.tobytes(), label
+            assert np.all(got[-len(v) * 16:] > 0.0), label
 
 
 def count_steiner_sums(monkeypatch):

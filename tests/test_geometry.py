@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from isoperim import geometry as geo
-from isoperim import oracle as orc
 from isoperim import rearrange as rr
 from isoperim.errors import DegenerateError, NonConvexError
 from isoperim.family import build_family
 
 import oracles
-from conftest import SQUARE, cut_arc, perimeter_of_opening, random_polygon
+from conftest import (SQUARE, cut_arc, ellipse_polygon, moved_and_scaled,
+                      perimeter_of_opening, random_polygon, square_points)
 from test_golden_cli import _bump_grid
 
 
@@ -32,6 +32,21 @@ def test_validate_reorients_cw():
     f = np.roll(e, -1, axis=0)
     cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
     assert np.all(cross > 0)
+
+
+def test_polygon_carries_its_area_and_box():
+    # every layer reads these fields; they must be the bits of the expressions
+    # they replaced, for any orientation, offset and scale
+    rng = np.random.default_rng(12)
+    shapes = [SQUARE, ellipse_polygon(3, 64), random_polygon(rng).vertices]
+    for verts in shapes:
+        for label, moved in moved_and_scaled(verts):
+            p = geo.validate_polygon(moved)
+            assert p.reversed_input == label.endswith("-cw")
+            assert p.area == geo._shoelace(p.vertices), label
+            for got, want in ((p.lo, p.vertices.min(axis=0)), (p.hi, p.vertices.max(axis=0))):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), label
+            assert build_family(p).v_max == p.area, label
 
 
 def test_validate_rejects_collinear():
@@ -332,10 +347,6 @@ def golden_blocks(square_family):
             for _, pts, counts in rr.march_levels(g.values, g.origin, g.spacing, ts)]
 
 
-def _fan_points(rng, n):
-    return orc._Fan(geo.validate_polygon(SQUARE).vertices).sample(rng, n)
-
-
 def _same_hulls(pts, counts):
     got, want = geo.convex_hulls(pts, counts), oracles.quickhull_sorted(pts, counts)
     return all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -358,13 +369,13 @@ def test_convex_hulls_matches_reference(golden_blocks):
     levels = list(rr.march_levels(cone, (0.0, 0.0), (1.0, 1.0), np.unique(cone)))
     dups = sum(len(pts) - len(np.unique(pts, axis=0)) for _, pts, _ in levels)
     assert dups > 500 and all(_same_hulls(pts, counts) for _, pts, counts in levels)
-    assert _same_hulls(_fan_points(rng, 85 * 192), np.full(85, 192))
+    assert _same_hulls(square_points(rng, 85 * 192), np.full(85, 192))
     t = 2.0 * np.pi * rng.permutation(4096) / 4096
     circle = np.stack([np.cos(t), np.sin(t)], 1)
     assert len(geo.convex_hulls(circle, [4096])[0]) == 4096
     assert _same_hulls(circle, [4096])
     for n in (384, 65536):
-        assert _same_hulls(_fan_points(rng, n), [n])
+        assert _same_hulls(square_points(rng, n), [n])
 
 
 def _peak(fn, *args):
@@ -381,8 +392,8 @@ def test_convex_hulls_memory_within_reference(golden_blocks):
     # largest report block and a large single set
     rng = np.random.default_rng(12)
     block = max(golden_blocks, key=lambda b: len(b[0]))
-    for pts, counts in [(_fan_points(rng, 85 * 192), np.full(85, 192)), block,
-                        (_fan_points(rng, 65536), [65536])]:
+    for pts, counts in [(square_points(rng, 85 * 192), np.full(85, 192)), block,
+                        (square_points(rng, 65536), [65536])]:
         assert _peak(geo.convex_hulls, pts, counts) <= _peak(oracles.quickhull_sorted, pts, counts)
 
 
@@ -401,7 +412,7 @@ def test_convex_hulls_stalled_chains_go_back_to_quickhull(monkeypatch):
     rng = np.random.default_rng(3)
     arc = cut_arc(4096)
     t = 2.0 * np.pi * rng.permutation(512) / 512
-    sets = [arc, np.stack([np.cos(t), np.sin(t)], 1), arc[::-1], _fan_points(rng, 192),
+    sets = [arc, np.stack([np.cos(t), np.sin(t)], 1), arc[::-1], square_points(rng, 192),
             np.concatenate([arc, arc[rng.integers(0, len(arc), 1000)]]) + 1e6]
     passes.clear()
     assert _same_hulls(np.concatenate(sets), [len(s) for s in sets])
@@ -430,6 +441,6 @@ def test_convex_hulls_finished_chains_keep_their_hulls(monkeypatch):
     monkeypatch.setattr(geo, "_hull_chains", record_chains)
     rng = np.random.default_rng(0)
     for _ in range(40):
-        assert _same_hulls(_fan_points(rng, 384), [384])
+        assert _same_hulls(square_points(rng, 384), [384])
     assert not [d for d, back in phases if back and d[-1] == 0]
     assert any(len(d) >= 8 and not back for d, back in phases)

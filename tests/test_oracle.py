@@ -139,7 +139,7 @@ def test_halfplane_cuts_one_batched_call_per_block(square_family, monkeypatch):
         return cuts(vertices, normals, v)
 
     monkeypatch.setattr(orc, "_halfplane_cuts", counting_cuts)
-    monkeypatch.setattr(orc, "BLOCK_POINTS", 7 * orc._Sweep(square_family, 0.9).hull_k0)
+    monkeypatch.setattr(orc, "CHUNK_ENTRIES", 7 * orc._Sweep(square_family, 0.9).hull_k0)
     orc.verify_minimality(square_family, 0.9, 40, seed=1)
     assert calls == [3, 4, 3, 4, 3, 3]   # odd competitors in blocks of 7
 
@@ -284,7 +284,7 @@ def test_sweep_raises_for_the_same_competitors(square_family, monkeypatch):
     assert reasons == {"hull"}
     first = next(i for i, c in enumerate(ref) if isinstance(c, SamplerInfeasibleError))
     with pytest.raises(SamplerInfeasibleError, match=str(ref[first])):
-        orc.verify_minimality(square_family, 0.9, 300, seed=2, samplers=samplers)
+        orc.verify_minimality(square_family, 0.9, 300, seed=2)
 
 
 def _same_vertices(a, b):
@@ -301,7 +301,7 @@ def test_windowed_ladders_climb_like_the_reference_loop(square_family, monkeypat
     ref = oracles.sweep_competitors(square_family, 0.9, 500, 4, samplers)
     runs = {}
     for cap in (40 * 12, 1):     # one ladder per hull call at cap 1
-        monkeypatch.setattr(orc, "BLOCK_POINTS", cap)
+        monkeypatch.setattr(orc, "CHUNK_ENTRIES", cap)
         runs[cap] = _batched(square_family, 0.9, 500, 4, samplers)
     assert 500 > 3 * orc.WINDOW_BLOCKS * 40
     tries = [c.provenance["tries"] for c in ref if c.provenance["sampler"] == "hull"]
@@ -318,7 +318,7 @@ def test_windowed_ladders_fail_like_the_reference_loop(square_family, monkeypatc
     # rungs of 12 to 192 points: some ladders run out, in several windows
     monkeypatch.setattr(orc, "_hull_start", lambda domain, ratio: 12)
     monkeypatch.setattr(orc, "HULL_K_MAX", 192)
-    monkeypatch.setattr(orc, "BLOCK_POINTS", 40 * 12)
+    monkeypatch.setattr(orc, "CHUNK_ENTRIES", 40 * 12)
     samplers = ["hull", "halfplane"]
     got = _batched(square_family, 0.9, 500, 9, samplers)
     ref = oracles.sweep_competitors(square_family, 0.9, 500, 9, samplers)
@@ -344,7 +344,7 @@ def test_windowed_ladders_fail_like_the_reference_loop(square_family, monkeypatc
 
     monkeypatch.setattr(orc, "convex_hulls", counting_hulls)
     with pytest.raises(SamplerInfeasibleError, match=str(ref[failed.index(True)])):
-        orc.verify_minimality(square_family, 0.9, 500, seed=9, samplers=samplers)
+        orc.verify_minimality(square_family, 0.9, 500, seed=9)
     assert sum(c in ([48], [96], [192]) for c in calls) == climbs
 
 
@@ -364,7 +364,7 @@ def test_ladders_take_one_hull_call_per_window(square_family, monkeypatch):
     monkeypatch.setattr(orc, "convex_hulls", counting_hulls)
     orc.verify_minimality(square_family, 0.9, 2000, seed=5)
     k0 = sweep.hull_k0
-    blocks = -(-2000 // (orc.BLOCK_POINTS // k0))
+    blocks = -(-2000 // (orc.CHUNK_ENTRIES // k0))
     windows = -(-blocks // orc.WINDOW_BLOCKS)
     assert calls.count((k0,)) == blocks
     assert sum(c.provenance.get("tries", 0) >= 1 for c in comps) > 2 * windows
@@ -382,8 +382,10 @@ def test_failed_block_ends_its_window(square_family, monkeypatch):
         return hulls(points, counts)
 
     monkeypatch.setattr(orc, "convex_hulls", counting_hulls)
+    blocks = orc._blocks(orc._Sweep(square_family, 0.9), ["hull", "disk"], 2000, 5)
     with pytest.raises(SamplerInfeasibleError, match="disk larger"):
-        orc.verify_minimality(square_family, 0.9, 2000, seed=5, samplers=["hull", "disk"])
+        for block in blocks:    # as verify_minimality takes them
+            block.raise_first()
     assert len(calls) <= 2    # the first block's first rungs, and its second rungs
 
 
@@ -393,8 +395,8 @@ def test_sweep_does_not_depend_on_block_cap(request, monkeypatch, fam_name, v):
     samplers = _samplers(fam, v)
     per = max(orc._Sweep(fam, v).hull_k0, len(fam.domain.vertices))
     runs = []
-    for cap in (orc.BLOCK_POINTS, 1, 7 * per):      # blocks of many, 1 and 7 competitors
-        monkeypatch.setattr(orc, "BLOCK_POINTS", cap)
+    for cap in (orc.CHUNK_ENTRIES, 1, 7 * per):      # blocks of many, 1 and 7 competitors
+        monkeypatch.setattr(orc, "CHUNK_ENTRIES", cap)
         report = json.dumps(orc.verify_minimality(fam, v, 250, seed=6).as_dict())
         runs.append((report, _batched(fam, v, 250, 6, samplers)))
     for report, comps in runs[1:]:
@@ -419,7 +421,7 @@ def test_sweep_memory_does_not_grow_with_samples(square_family):
     _sweep_peak(square_family, 0.9, 100)     # one-time costs stay outside the trace
     small = _sweep_peak(square_family, 0.9, 1000)
     large = _sweep_peak(square_family, 0.9, 8000)
-    # blocks hold at most BLOCK_POINTS first-rung points; only the gaps
+    # blocks hold at most CHUNK_ENTRIES first-rung points; only the gaps
     # (8 bytes a competitor) and the histogram's temporaries grow
     assert large - small <= 40 * 7000
 
@@ -460,20 +462,20 @@ def test_verify_minimality_square(square_family):
     assert report.n_samples == 600
 
 
-@pytest.mark.parametrize("n_samples, samplers, match", [
-    (10, [], "no sampler"),
-    (0, None, "at least 1, got 0"),
-    (-1, None, "at least 1, got -1"),
-], ids=["no-samplers", "zero-samples", "negative-samples"])
-def test_verify_minimality_rejects_an_empty_sweep(square_family, n_samples, samplers, match):
+@pytest.mark.parametrize("n_samples, match", [
+    (0, "at least 1, got 0"),
+    (-1, "at least 1, got -1"),
+], ids=["zero-samples", "negative-samples"])
+def test_verify_minimality_rejects_an_empty_sweep(square_family, n_samples, match):
     with pytest.raises(SamplerInfeasibleError, match=match):
-        orc.verify_minimality(square_family, 0.9, n_samples, seed=1, samplers=samplers)
+        orc.verify_minimality(square_family, 0.9, n_samples, seed=1)
 
 
 def test_verify_minimality_disk_equality(rect_family):
-    # below the ball measure translated disks tie the minimizer exactly
-    report = orc.verify_minimality(rect_family, 0.5, 64, seed=2,
-                                   samplers=["disk"])
+    # below the ball measure translated disks tie the minimizer exactly; the
+    # default samplers include them there
+    report = orc.verify_minimality(rect_family, 0.5, 64, seed=2)
+    assert report.samplers == ["hull", "halfplane", "disk"]
     assert report.passed
     assert abs(report.min_gap) <= 1e-9
 

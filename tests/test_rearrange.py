@@ -549,10 +549,10 @@ def test_composition_monotone_property(square, square_family):
     vals = ut.values.reshape(-1)[sel]
     order = np.argsort(rho)
     rho_s, vals_s = rho[order], vals[order]
-    close = np.nonzero(np.diff(rho_s) <= square_family.tol_rank)[0]
+    close = np.nonzero(np.diff(rho_s) <= square_family.tol_area)[0]
     for i in close:
-        osc = oscillation(prof, rho_s[i] - square_family.tol_rank,
-                          rho_s[i + 1] + square_family.tol_rank)
+        osc = oscillation(prof, rho_s[i] - square_family.tol_area,
+                          rho_s[i + 1] + square_family.tol_area)
         assert abs(vals_s[i + 1] - vals_s[i]) <= osc + 1e-12
     # monotone: larger rank never increases the value beyond profile slack
     assert np.all(np.diff(vals_s) <= 1e-12)
@@ -573,7 +573,7 @@ def test_upper_semicontinuity_property(square, square_family):
     nbr_rho_min = np.minimum.reduce([
         pad_r[2:, 1:-1], pad_r[:-2, 1:-1], pad_r[1:-1, 2:], pad_r[1:-1, :-2],
         pad_r[2:, 2:], pad_r[2:, :-2], pad_r[:-2, 2:], pad_r[:-2, :-2]])
-    drop = np.maximum(rho - nbr_rho_min, 0.0) + square_family.tol_rank
+    drop = np.maximum(rho - nbr_rho_min, 0.0) + square_family.tol_area
     # interior cells only: outside centers are forced to zero while their
     # rank clamps at the |domain| sentinel, a sampling artifact at the rim
     for j, i in zip(*np.nonzero((nbr_max > vals) & u.inside_mask)):
