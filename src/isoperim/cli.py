@@ -65,9 +65,8 @@ def cmd_minimizer(args) -> int:
     if args.json:
         print(io.json_text(shape.as_dict()))
     else:
-        k = "inf" if not np.isfinite(shape.curvature) else f"{shape.curvature:.9g}"
         print(f"case={shape.kind} v={shape.volume:.9g} "
-              f"P={shape.perimeter:.9g} k={k}")
+              f"P={shape.perimeter:.9g} k={shape.curvature:.9g}")
     return 0
 
 
@@ -129,7 +128,8 @@ def cmd_rearrange(args) -> int:
     report = rearrange.rearrangement_report(u, ut, args.levels)
     out = _outdir(args)
     io.write_grid(ut, os.path.join(out, "u_tilde.grid"))
-    io.dump_json(report.as_dict(), os.path.join(out, "report.json"))
+    result = report.as_dict()
+    io.dump_json(result, os.path.join(out, "report.json"))
     io.write_report_csv(report, os.path.join(out, "report.csv"))
     _, levels = rearrange._threshold_grid(ut.values, 12)
     blocks = rearrange.march_levels(ut.values, ut.origin, ut.spacing, levels)
@@ -137,7 +137,7 @@ def cmd_rearrange(args) -> int:
     with open(os.path.join(out, "levels.svg"), "w") as fh:
         fh.write(svgout.contours_svg(domain, contour_sets))
     if args.json:
-        print(io.json_text(report.as_dict()))
+        print(io.json_text(result))
     else:
         gap = report.bv_u[2] - report.bv_ut[2]
         print(f"equimeasurable={'PASS' if report.equimeasurable_pass else 'FAIL'} "

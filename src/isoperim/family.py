@@ -21,8 +21,7 @@ import numpy as np
 
 from . import geometry
 from .errors import VolumeOutOfRangeError
-from .geometry import (ConvexPolygon, ErodedBody, ErosionStructure,
-                       LargestBallSet, RoundedBody, EPS_GEOM)
+from .geometry import ConvexPolygon, ErodedBody, ErosionStructure, RoundedBody, EPS_GEOM
 
 TOL_REL = 1e-9        # relative tolerance for areas and ranks
 KINDS = ("disk", "stadium", "rounded")
@@ -67,22 +66,22 @@ class MinimizerShape:
 
 
 class MinimizerFamily:
-    """Domain plus the cached data needed to answer family queries.
+    """The family of the domain ``structure.polygon``, built from its erosion alone.
 
-    Its state is fixed at construction but for one lazy fill: the
-    structure forms its Steiner polynomials on the first query that
-    reaches the opening regime, so disk and stadium minimizers never
-    form them.  The fill is thread-benign: concurrent first queries at
-    worst form the same arrays twice, and each reads a complete set.
-    Every query is a pure function but for that fill, and the
-    array-valued entry points are safe to call point-wise in parallel.
+    The largest balls are read off the structure.  The state is fixed at
+    construction but for one lazy fill: the structure forms its Steiner
+    polynomials on the first query that reaches the opening regime, so
+    disk and stadium minimizers never form them.  The fill is
+    thread-benign: concurrent first queries at worst form the same arrays
+    twice, and each reads a complete set.  Every query is a pure function
+    but for that fill, and the array-valued entry points are safe to call
+    point-wise in parallel.
     """
 
-    def __init__(self, domain: ConvexPolygon, balls: LargestBallSet,
-                 structure: ErosionStructure):
-        self.domain = domain
-        self.balls = balls
+    def __init__(self, structure: ErosionStructure):
         self.structure = structure
+        self.domain = domain = structure.polygon
+        self.balls = balls = geometry.largest_balls(structure)
         self.v_max = domain.area
         self.tol_area = TOL_REL * domain.area
         self._eps = EPS_GEOM * domain.scale
@@ -260,6 +259,4 @@ class MinimizerFamily:
 
 def build_family(domain: ConvexPolygon) -> MinimizerFamily:
     """Compute the volume thresholds and caches for a validated domain."""
-    structure = ErosionStructure(domain)
-    balls = geometry.largest_balls(domain, structure)
-    return MinimizerFamily(domain, balls, structure)
+    return MinimizerFamily(ErosionStructure(domain))

@@ -33,15 +33,17 @@ class ConvexPolygon:
     """Strictly convex polygon with CCW vertices.
 
     Build through :func:`validate_polygon`; the derived fields (edge
-    normals, offsets, scale, area and bounding box) are filled there, and
-    every layer reads them from here.  ``normals[i]`` is the outward unit
-    normal of edge ``vertices[i] -> vertices[i+1]`` and the interior is
+    normals, offsets and lengths, scale, area and bounding box) are
+    filled there, and every layer reads them from here.  ``normals[i]``
+    is the outward unit normal of edge ``vertices[i] -> vertices[i+1]``,
+    ``lengths[i]`` its length, and the interior is
     ``{x : normals[i] . x <= offsets[i] for all i}``.
     """
 
     vertices: np.ndarray            # (n, 2) float64, CCW
     normals: np.ndarray             # (n, 2) outward unit normals
     offsets: np.ndarray             # (n,)
+    lengths: np.ndarray             # (n,) edge lengths
     scale: float                    # bounding-box diagonal
     area: float                     # shoelace area, > 0
     lo: np.ndarray                  # (2,) bounding-box corners
@@ -68,7 +70,7 @@ class ConvexPolygon:
             out[s:s + step] = _excess(blk[:, 0:1], blk[:, 1:2], self.normals, self.offsets) <= tol
         return out.reshape(pts.shape[:-1])[()]
 
-    def contains_lattice(self, xs, ys, tol=None):
+    def contains_lattice(self, xs, ys):
         """contains_point at every (xs[i], ys[j]), as a (len(ys), len(xs)) mask.
 
         xs must be nondecreasing.  Along a row, edge i's rounded excess
@@ -78,12 +80,11 @@ class ConvexPolygon:
         edge's test <= tol holds on a prefix of the row (nx_i >= 0) or on
         a suffix (nx_i < 0), and the row's members are the intersection of
         these.  Each (row, edge) boundary is found by a bisection over the
-        columns that evaluates the expression of contains_point, so the
-        mask is bitwise that of contains_point at O(rows edges log cols)
-        cost.  Rows go in blocks of at most CHUNK_ENTRIES row-edge pairs.
+        columns that evaluates contains_point's expression and default
+        tolerance, so the mask is bitwise contains_point's at O(rows edges
+        log cols) cost.  Rows go in blocks of at most CHUNK_ENTRIES pairs.
         """
-        if tol is None:
-            tol = EPS_GEOM * self.scale
+        tol = EPS_GEOM * self.scale
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         m = len(xs)
         nx, ny = self.normals.T
@@ -451,19 +452,20 @@ def validate_polygon(vertices) -> ConvexPolygon:
     if scale <= 0.0:
         raise DegenerateError("all vertices coincide")
 
-    gaps = np.linalg.norm(np.roll(arr, -1, axis=0) - arr, axis=1)
-    if np.any(gaps <= EPS_GEOM * scale):
+    e = np.roll(arr, -1, axis=0) - arr
+    lens = np.linalg.norm(e, axis=1)
+    if np.any(lens <= EPS_GEOM * scale):
         raise DegenerateError("duplicate consecutive vertices")
 
     # sine of the turn at each vertex: an absolute threshold on the cross
     # products would reject every smooth polygon of a few thousand vertices
-    e = np.roll(arr, -1, axis=0) - arr
     e1 = np.roll(e, -1, axis=0)
-    sine = (e[:, 0] * e1[:, 1] - e[:, 1] * e1[:, 0]) / (gaps * np.roll(gaps, -1))
+    sine = (e[:, 0] * e1[:, 1] - e[:, 1] * e1[:, 0]) / (lens * np.roll(lens, -1))
     reversed_input = bool(np.all(sine < -EPS_GEOM))
     if reversed_input:
         arr = arr[::-1].copy()
         e = np.roll(arr, -1, axis=0) - arr
+        lens = np.linalg.norm(e, axis=1)
     elif not np.all(sine > EPS_GEOM):
         raise NonConvexError("vertex chain is not strictly convex")
 
@@ -471,13 +473,13 @@ def validate_polygon(vertices) -> ConvexPolygon:
     if area <= 0.0:
         raise DegenerateError("polygon has non-positive area")
 
-    lens = np.linalg.norm(e, axis=1)
     normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lens[:, None]
     # average the two endpoint projections for a stable offset
     offsets = 0.5 * (np.sum(normals * arr, axis=1)
                      + np.sum(normals * np.roll(arr, -1, axis=0), axis=1))
-    return ConvexPolygon(vertices=arr, normals=normals, offsets=offsets, scale=scale,
-                         area=area, lo=lo, hi=hi, reversed_input=reversed_input)
+    return ConvexPolygon(vertices=arr, normals=normals, offsets=offsets, lengths=lens,
+                         scale=scale, area=area, lo=lo, hi=hi,
+                         reversed_input=reversed_input)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,8 +1067,8 @@ class ErosionStructure:
 # largest inscribed balls
 
 
-def largest_balls(polygon: ConvexPolygon, structure: ErosionStructure | None = None) -> LargestBallSet:
-    """Inradius and incenter set of the polygon.
+def largest_balls(structure: ErosionStructure) -> LargestBallSet:
+    """Inradius and incenter set of the structure's polygon.
 
     Both are read off the erosion structure: the inradius r* is the radius
     at which the core collapses and the incenter set (a point or a
@@ -1079,9 +1081,7 @@ def largest_balls(polygon: ConvexPolygon, structure: ErosionStructure | None = N
     and no feasible (x, r) has r > r* + tol.  A failed certificate raises
     DegenerateError.
     """
-    struct = structure or ErosionStructure(polygon)
-    r_star = struct.r_star
-    pts = struct.center_points
+    polygon, r_star, pts = structure.polygon, structure.r_star, structure.center_points
     midpoint = pts.mean(axis=0)
     # 1e-7, not EPS_GEOM: in slivers and at near-parallel edges the vertex
     # paths meet at small angles and blur the incenter beyond EPS_GEOM
@@ -1094,12 +1094,8 @@ def largest_balls(polygon: ConvexPolygon, structure: ErosionStructure | None = N
     if len(ang) < 2 or np.max(np.diff(ang, append=ang[0] + 2.0 * np.pi)) > np.pi + 1e-7:
         raise DegenerateError("inradius certificate failed: tight edges leave a gap")
 
-    if len(pts) == 1:
-        centers = ErodedBody("point", pts)
-        length = 0.0
-    else:
-        centers = ErodedBody("segment", pts)
-        length = float(np.linalg.norm(pts[1] - pts[0]))
+    centers = ErodedBody("point" if len(pts) == 1 else "segment", pts)
+    length = float(np.linalg.norm(pts[-1] - pts[0]))
     ball = np.pi * r_star * r_star
     return LargestBallSet(inradius=r_star, centers=centers, midpoint=midpoint,
                           center_length=length, ball_measure=ball,

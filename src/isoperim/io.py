@@ -102,14 +102,12 @@ def write_family_csv(rows, path):
     with open(path, "w") as fh:
         fh.write("v,case,r,perimeter,curvature\n")
         for v, case, r, p, k in rows:
-            ktxt = "inf" if not np.isfinite(k) else f"{k:.9g}"
-            fh.write(f"{v:.9g},{case},{r:.9g},{p:.9g},{ktxt}\n")
+            fh.write(f"{v:.9g},{case},{r:.9g},{p:.9g},{k:.9g}\n")
 
 
 def write_report_csv(report, path):
-    """CSV with one row per level; the columns are the keys of report.as_dict()["levels"]."""
-    levels = report.as_dict()["levels"]
+    """CSV with one row per level; the columns are those of report.levels."""
     with open(path, "w") as fh:
-        fh.write(",".join(levels[0]) + "\n")
-        for row in levels:
-            fh.write(",".join(f"{x:.9g}" for x in row.values()) + "\n")
+        fh.write(",".join(report.levels.dtype.names) + "\n")
+        for row in report.levels.tolist():
+            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")

@@ -88,8 +88,7 @@ def _hull_start(domain: ConvexPolygon, ratio: float) -> int:
     integral is the polygon's sum of turn^(1/3) * (mean adjacent edge
     length)^(2/3), exact for regular polygons inscribed in a circle.
     """
-    v = domain.vertices
-    edge = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+    edge = domain.lengths
     prev = np.roll(domain.normals, 1, axis=0)
     turn = np.arctan2(prev[:, 0] * domain.normals[:, 1] - prev[:, 1] * domain.normals[:, 0],
                       np.sum(prev * domain.normals, axis=1))
@@ -97,7 +96,7 @@ def _hull_start(domain: ConvexPolygon, ratio: float) -> int:
     smooth = _RS_SMOOTH * affine / domain.area ** (1 / 3)
     k = HULL_K0
     while (2 * k <= HULL_K_MAX
-           and min(smooth * k ** (1 / 3), 2.0 * len(v) / 3.0 * math.log(k)) > (1.0 - ratio) * k):
+           and min(smooth * k ** (1 / 3), 2.0 * len(edge) / 3.0 * math.log(k)) > (1.0 - ratio) * k):
         k *= 2
     return k
 
@@ -204,10 +203,9 @@ class _Sweep:
         family = self.family
         if radius > family.balls.inradius * (1.0 + 1e-12):
             return radius, 0, "disk larger than the largest inscribed ball"
+        # core_body is "empty" only beyond r* (1 + 1e-9) + EPS_GEOM scale
         feasible = family.structure.core_body(radius)
         pts = feasible.points
-        if feasible.kind == "empty":
-            return radius, 0, "no feasible disk center"
         if feasible.kind == "point":
             return radius, 0, lambda u: np.repeat(pts[:1], len(u), axis=0)
         if feasible.kind == "segment":

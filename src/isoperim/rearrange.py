@@ -391,6 +391,8 @@ def _coarea(u: GridFunction, ts: np.ndarray, top: float, per: np.ndarray):
 class RearrangementReport:
     """Per-level diagnostics comparing u with its convex rearrangement.
 
+    levels holds one record per threshold t; its columns, in CSV order,
+    are levels.dtype.names.
     passed is the verdict: equimeasurability, the BV inequality and
     level-set convexity must all hold.  ustar_continuous (the sampled
     distribution of u strictly decreases, so its decreasing
@@ -398,15 +400,7 @@ class RearrangementReport:
     input, not part of the verdict.
     """
 
-    thresholds: np.ndarray
-    mu_u: np.ndarray
-    mu_ut: np.ndarray
-    per_u: np.ndarray
-    per_ut: np.ndarray
-    eq_defect: np.ndarray
-    eq_bound: np.ndarray
-    convexity_defect: np.ndarray
-    convexity_bound: np.ndarray
+    levels: np.recarray
     bv_u: tuple
     bv_ut: tuple
     max_eq_defect: float
@@ -421,16 +415,8 @@ class RearrangementReport:
 
     def as_dict(self):
         return {
-            "levels": [
-                {"t": float(t), "mu_u": float(a), "mu_ut": float(b),
-                 "per_u": float(p), "per_ut": float(q),
-                 "eq_defect": float(e), "eq_bound": float(eb),
-                 "convexity_defect": float(cd), "convexity_bound": float(cb)}
-                for t, a, b, p, q, e, eb, cd, cb in zip(
-                    self.thresholds, self.mu_u, self.mu_ut, self.per_u,
-                    self.per_ut, self.eq_defect, self.eq_bound,
-                    self.convexity_defect, self.convexity_bound)
-            ],
+            "levels": [dict(zip(self.levels.dtype.names, row))
+                       for row in self.levels.tolist()],
             "bv_u": {"l1": self.bv_u[0], "tv": self.bv_u[1], "bv": self.bv_u[2]},
             "bv_ut": {"l1": self.bv_ut[0], "tv": self.bv_ut[1], "bv": self.bv_ut[2]},
             "max_eq_defect": self.max_eq_defect,
@@ -484,10 +470,10 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     bv_pass = bool(bv_ut[2] <= bv_u[2] * (1.0 + BV_TOL_REL))
     conv_pass = bool(np.all(conv_defect <= conv_bound))
     strictly = bool(np.all(np.diff(mu_u) < 0.0)) if len(ts) > 1 else False
+    levels = np.rec.fromarrays(
+        [ts, mu_u, mu_ut, per_u, per_ut, eq_defect, eq_bound, conv_defect, conv_bound],
+        names="t,mu_u,mu_ut,per_u,per_ut,eq_defect,eq_bound,convexity_defect,convexity_bound")
     return RearrangementReport(
-        thresholds=ts, mu_u=mu_u, mu_ut=mu_ut, per_u=per_u, per_ut=per_ut,
-        eq_defect=eq_defect, eq_bound=eq_bound,
-        convexity_defect=conv_defect, convexity_bound=conv_bound,
-        bv_u=bv_u, bv_ut=bv_ut, max_eq_defect=float(eq_defect.max(initial=0.0)),
+        levels=levels, bv_u=bv_u, bv_ut=bv_ut, max_eq_defect=float(eq_defect.max(initial=0.0)),
         equimeasurable_pass=eq_pass, bv_pass=bv_pass, convexity_pass=conv_pass,
         ustar_continuous=strictly)

@@ -75,8 +75,7 @@ def reference_shape_svg(domain, shape):
 
 def sequential_family(domain):
     """build_family on the sequential structure, whose Steiner sums are formed eagerly."""
-    s = oracles.sequential_structure(domain)
-    return MinimizerFamily(domain, geometry.largest_balls(domain, s), s)
+    return MinimizerFamily(oracles.sequential_structure(domain))
 
 
 def minimizers(build, domain, volumes):

@@ -316,7 +316,8 @@ def test_structure_memory_is_linear(kind):
         tracemalloc.stop()
     assert peak <= BUILD_BYTES_PER_VERTEX * n
     assert (len(s.intervals) > 4000) if kind == "ellipse" else (len(s.intervals) == 1)
-    f = family.MinimizerFamily(poly, geo.largest_balls(poly, s), s)
+    f = family.MinimizerFamily(s)
+    assert f.structure is s and f.domain is s.polygon
     v = 0.5 * (f.balls.hull_measure + f.v_max)
     shape = f.minimizer(v)
     assert shape.kind == "rounded"
@@ -487,7 +488,7 @@ def test_inradius_certificate_accepts_and_matches_lp(poly):
         struct = geo.ErosionStructure(poly)
     except DegenerateError:
         assume(False)
-    balls = geo.largest_balls(poly, struct)
+    balls = geo.largest_balls(struct)
     assert abs(balls.inradius - oracles.lp_inradius(poly)) <= 1e-9 * poly.scale
 
 
@@ -503,7 +504,7 @@ def test_inradius_certificate_matches_lp(case):
     else:
         polys = [geo.validate_polygon(ellipse_polygon(1, 256))]
     for poly in polys:
-        balls = geo.largest_balls(poly)
+        balls = geo.largest_balls(geo.ErosionStructure(poly))
         assert balls.inradius == pytest.approx(oracles.lp_inradius(poly),
                                                abs=1e-9 * poly.scale)
 
@@ -520,7 +521,7 @@ def test_inradius_certificate_rejects_corruption(corrupt):
         else:
             struct.center_points = struct.center_points + 1e-6 * poly.scale
         with pytest.raises(DegenerateError):
-            geo.largest_balls(poly, struct)
+            geo.largest_balls(struct)
 
 
 def test_rank_memory_is_bounded():

@@ -44,7 +44,9 @@ def test_polygon_carries_its_area_and_box():
             p = geo.validate_polygon(moved)
             assert p.reversed_input == label.endswith("-cw")
             assert p.area == geo._shoelace(p.vertices), label
-            for got, want in ((p.lo, p.vertices.min(axis=0)), (p.hi, p.vertices.max(axis=0))):
+            edges = np.linalg.norm(np.roll(p.vertices, -1, axis=0) - p.vertices, axis=1)
+            for got, want in ((p.lo, p.vertices.min(axis=0)), (p.hi, p.vertices.max(axis=0)),
+                              (p.lengths, edges)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), label
             assert build_family(p).v_max == p.area, label
 
@@ -164,7 +166,7 @@ def test_erode_matches_direct_halfplane_clipping():
 
 
 def test_largest_balls_square(square):
-    balls = geo.largest_balls(square)
+    balls = geo.largest_balls(geo.ErosionStructure(square))
     assert balls.inradius == pytest.approx(0.5, abs=1e-9)
     assert balls.centers.kind == "point"
     assert np.allclose(balls.midpoint, [0.5, 0.5], atol=1e-9)
@@ -173,7 +175,7 @@ def test_largest_balls_square(square):
 
 
 def test_largest_balls_rect(rect21):
-    balls = geo.largest_balls(rect21)
+    balls = geo.largest_balls(geo.ErosionStructure(rect21))
     assert balls.inradius == pytest.approx(0.5, abs=1e-9)
     assert balls.centers.kind == "segment"
     ends = balls.centers.points[np.argsort(balls.centers.points[:, 0])]
@@ -190,7 +192,7 @@ def test_largest_balls_rect(rect21):
 
 def test_largest_balls_triangle_incircle():
     tri = geo.validate_polygon([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)])
-    balls = geo.largest_balls(tri)
+    balls = geo.largest_balls(geo.ErosionStructure(tri))
     assert balls.inradius == pytest.approx(1.0 / (2.0 * np.sqrt(3.0)), rel=1e-9)
     assert balls.centers.kind == "point"
     assert np.allclose(balls.midpoint, [0.5, 1.0 / (2.0 * np.sqrt(3.0))], atol=1e-9)
@@ -206,7 +208,7 @@ def test_inradius_certificate_random():
     rng = np.random.default_rng(11)
     for _ in range(10):
         poly = random_polygon(rng, k=11)
-        balls = geo.largest_balls(poly)
+        balls = geo.largest_balls(geo.ErosionStructure(poly))
         depth = poly.offsets - balls.centers.points @ poly.normals.T
         # every incenter is at distance exactly r* from the nearest edge line
         assert np.all(depth.min(axis=1) >= balls.inradius - 1e-9 * poly.scale)
@@ -220,8 +222,8 @@ def test_opening_identity_and_hull(square, rect21):
     assert s.area_of_opening(0.0) == pytest.approx(area)
     assert perimeter_of_opening(s, 0.0) == pytest.approx(perim)
 
-    balls = geo.largest_balls(rect21)
     s = geo.ErosionStructure(rect21)
+    balls = geo.largest_balls(s)
     assert s.area_of_opening(balls.inradius) == pytest.approx(balls.hull_measure, rel=1e-9)
     assert perimeter_of_opening(s, balls.inradius) == pytest.approx(
         2 * np.pi * balls.inradius + 2 * balls.center_length, rel=1e-9)
@@ -277,7 +279,7 @@ def test_regular_64gon_ball_nearly_fills():
     n = 64
     poly = geo.validate_polygon(
         [(np.cos(2 * k * np.pi / n), np.sin(2 * k * np.pi / n)) for k in range(n)])
-    balls = geo.largest_balls(poly)
+    balls = geo.largest_balls(geo.ErosionStructure(poly))
     assert balls.inradius == pytest.approx(np.cos(np.pi / n), rel=1e-9)
     assert balls.centers.kind == "point"
     area = geo._shoelace(poly.vertices)

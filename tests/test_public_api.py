@@ -3,8 +3,9 @@
 A change that adds or removes a public name has to edit this set too.
 Every public name is used by the library itself or traced by the
 benchmark, so no entry point lives on for the tests alone; and every
-defaulted parameter of a public function is passed by some call in the
-library, so no option does either.
+defaulted parameter of a public function, or of a method of a public
+class or of ErosionStructure, is passed by some call in the library, so
+no option does either.
 """
 
 import ast
@@ -12,14 +13,18 @@ import inspect
 from pathlib import Path
 
 import isoperim
+from isoperim.geometry import ErosionStructure
 
 from test_tracing_targets import _load_tracing
 
 SRC = Path(isoperim.__file__).parent
 
-# defaulted parameters of public functions that no library call passes
+# defaulted parameters of public functions and methods that no library call passes
 UNPASSED = {
     ("anneal_discrete", "schedule"): "tests need short schedules to stay inside tier-1's 40 s",
+    ("AnnealSchedule", "t0_cells"): "the fields of those short schedules",
+    ("AnnealSchedule", "ratio"): "the fields of those short schedules",
+    ("AnnealSchedule", "sweeps"): "the fields of those short schedules",
     ("bv_norm_estimate", "levels"): "bv_norm_estimate is public and only traced",
 }
 
@@ -64,31 +69,67 @@ def test_every_public_name_is_used_by_the_library_or_traced():
     assert sorted(set(isoperim.__all__) - used - traced) == []
 
 
-def _passed(params):
-    """{function name: the parameter names some call in the library passes},
-    for the public functions, with their parameter lists ``params``."""
-    out = {name: set() for name in params}
+def _callables():
+    """(label, the name a call uses, parameters) for each public function and
+    each method of a public class or of ErosionStructure.  A method is
+    labelled ``Class.method``; a constructor is labelled and called by its
+    class name."""
+    out, classes = [], [ErosionStructure]
+    for name in isoperim.__all__:
+        obj = getattr(isoperim, name)
+        if inspect.isfunction(obj):
+            out.append((name, name, list(inspect.signature(obj).parameters.values())))
+        elif inspect.isclass(obj):
+            classes.append(obj)
+    for cls in classes:
+        for attr, member in vars(cls).items():
+            fn = getattr(member, "__func__", member)   # staticmethod, classmethod
+            if not inspect.isfunction(fn):
+                continue
+            params = list(inspect.signature(fn).parameters.values())
+            if not isinstance(member, staticmethod):
+                params = params[1:]                      # self or cls
+            if attr == "__init__":
+                out.append((cls.__name__, cls.__name__, params))
+            else:
+                out.append((f"{cls.__name__}.{attr}", attr, params))
+    return out
+
+
+def _passed(callables):
+    """{label: the parameter names some call in the library passes}.
+
+    A call is matched by name alone, so it counts for every callable of
+    that name.  ``**kwargs`` may pass any parameter; an unpacked ``*args``
+    is taken to fill the positions left without a default, as
+    ``contains_lattice(*self._axes())`` fills xs and ys.
+    """
+    by_call = {}
+    for label, call, params in callables:
+        by_call.setdefault(call, []).append((label, params))
+    out = {label: set() for label, _, _ in callables}
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name not in params:
-                continue
-            if (any(isinstance(a, ast.Starred) for a in node.args)
-                    or any(k.arg is None for k in node.keywords)):   # *args or **kwargs
-                out[name].update(params[name])
-            out[name].update(params[name][:len(node.args)])
-            out[name].update(k.arg for k in node.keywords)
+            starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+            n = starred[0] if starred else len(node.args)
+            for label, params in by_call.get(name, ()):
+                if any(k.arg is None for k in node.keywords):
+                    out[label].update(p.name for p in params)
+                out[label].update(p.name for p in params[:n])
+                if starred:
+                    out[label].update(p.name for p in params[n:] if p.default is p.empty)
+                out[label].update(k.arg for k in node.keywords)
     return out
 
 
 def test_every_defaulted_parameter_is_passed_by_the_library():
     # an option that only the tests set is a code path the program never takes
-    functions = {name: inspect.signature(getattr(isoperim, name)).parameters
-                 for name in isoperim.__all__ if inspect.isfunction(getattr(isoperim, name))}
-    passed = _passed({name: list(params) for name, params in functions.items()})
-    unpassed = {(name, p.name) for name, params in functions.items() for p in params.values()
-                if p.default is not p.empty and p.name not in passed[name]}
+    callables = _callables()
+    passed = _passed(callables)
+    unpassed = {(label, p.name) for label, _, params in callables for p in params
+                if p.default is not p.empty and p.name not in passed[label]}
     assert sorted(unpassed) == sorted(UNPASSED)

@@ -50,11 +50,19 @@ def test_for_domain_far_off_frames(n):
 
 
 def assert_mask_is_contains_point(u, tols=(None,)):
-    """The lattice membership at every cell center is contains_point's."""
+    """The lattice membership at every cell center is contains_point's.
+
+    Both test at EPS_GEOM * scale.  Each of tols (None: the domain itself)
+    is met by moving every edge line out by tol - EPS_GEOM * scale, which
+    puts the default tolerance where that tolerance would stand.
+    """
     xs, ys = u._axes()
     for tol in tols:
-        mask = u.domain.contains_lattice(xs, ys, tol)
-        assert np.array_equal(mask, u.domain.contains_point(u.centers(), tol))
+        poly = u.domain
+        if tol is not None:
+            shift = tol - EPS_GEOM * poly.scale
+            poly = dataclasses.replace(poly, offsets=poly.offsets + shift)
+        assert np.array_equal(poly.contains_lattice(xs, ys), poly.contains_point(u.centers()))
     assert np.array_equal(u.inside_mask, u.domain.contains_point(u.centers()))
 
 
@@ -136,7 +144,8 @@ def test_grid_rejects_what_would_overflow(square, square_family):
     cone = cone_grid(square, 32)
     big = cone.with_values(cone.values * (1e306 / np.sum(cone.values)))
     rep = rr.rearrangement_report(big, rr.convex_rearrangement(big, square_family), 16)
-    assert np.all(np.isfinite([*rep.bv_u, *rep.bv_ut, *rep.per_u, *rep.convexity_defect]))
+    assert np.all(np.isfinite([*rep.bv_u, *rep.bv_ut, *rep.levels["per_u"],
+                               *rep.levels["convexity_defect"]]))
 
 
 def test_distribution_indicator(square):
@@ -338,7 +347,8 @@ def test_report_cone(square, square_family):
     assert rep.bv_ut[0] == pytest.approx(rep.bv_u[0], rel=1e-3)
     # isoperimetric floor for every reported level, up to estimator slack
     h = float(u.spacing[0])
-    for mu, per in ((rep.mu_u, rep.per_u), (rep.mu_ut, rep.per_ut)):
+    for mu, per in ((rep.levels["mu_u"], rep.levels["per_u"]),
+                    (rep.levels["mu_ut"], rep.levels["per_ut"])):
         floor = 2.0 * np.sqrt(np.pi * mu)
         assert np.all(per >= 0.98 * floor - 4 * h)
 
@@ -377,7 +387,9 @@ def test_report_does_not_depend_on_block_size(square, square_family, monkeypatch
     for chunk in (100, rr.CHUNK_PAIRS):
         monkeypatch.setattr(rr, "CHUNK_PAIRS", chunk)
         reps.append(rr.rearrangement_report(u, ut))
-    for name in ("per_u", "per_ut", "convexity_defect", "bv_u", "bv_ut"):
+    for name in ("per_u", "per_ut", "convexity_defect"):
+        assert np.array_equal(reps[0].levels[name], reps[1].levels[name]), name
+    for name in ("bv_u", "bv_ut"):
         assert np.array_equal(getattr(reps[0], name), getattr(reps[1], name)), name
 
 
@@ -410,12 +422,12 @@ def test_report_marches_each_level_once(square, monkeypatch, scale):
     assert scale == 0.0 or len(blocks) > 2
     assert rep.bv_u == rr.bv_norm_estimate(u, levels)
     l1 = float(np.sum(ut.values)) * ut.cell_area
-    tv = float(np.trapezoid([rep.per_ut[0], *rep.per_ut, 0.0],
-                            [0.0, *rep.thresholds, np.max(u.values)]))
+    ts, per_ut = rep.levels["t"], rep.levels["per_ut"]
+    tv = float(np.trapezoid([per_ut[0], *per_ut, 0.0], [0.0, *ts, np.max(u.values)]))
     assert rep.bv_ut == (l1, tv, l1 + tv)
     if scale == 1.0:   # one grid serves both, so the library estimate agrees
         assert rep.bv_ut == rr.bv_norm_estimate(ut, levels)
-    assert np.array_equal(rep.per_ut, [rr.level_perimeter(ut, t) for t in rep.thresholds])
+    assert np.array_equal(per_ut, [rr.level_perimeter(ut, t) for t in ts])
 
 
 def _sweep_grids(rng, count):
