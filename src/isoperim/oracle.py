@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SamplerInfeasibleError, ScheduleInvalidError
+from .errors import SamplerInfeasibleError, ScheduleInvalidError, VolumeOutOfRangeError
 from .family import MinimizerFamily
 from .geometry import CHUNK_ENTRIES, EPS_GEOM, ConvexPolygon, _measures, convex_hulls
 
@@ -34,6 +34,11 @@ HULL_K_MAX = HULL_K0 << 12   # ... up to this many, 49,152
 WINDOW_BLOCKS = 4         # blocks whose short hulls draw and hull their second rungs together
 _RS_SMOOTH = math.gamma(5 / 3) * (2 / 3) ** (1 / 3)   # Renyi-Sulanke, smooth bodies
 ANNEAL_MAX_GRID = 256
+# A half-plane cut of area v at a corner is about sqrt(v) deep, and one
+# whose depth is within an ulp of the corner's coordinates collapses: v
+# must be at least (_FLOOR_ULPS * eps * max|x|)^2, which keeps the chance
+# of a collapse near 1e-9 a competitor.
+_FLOOR_ULPS = 2 ** 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,6 +506,13 @@ class MinimalityReport:
         return {**asdict(self), "passed": self.passed}
 
 
+def _volume_floor(domain: ConvexPolygon) -> float:
+    """Least volume ``verify_minimality`` takes: (_FLOOR_ULPS * eps * max|x|)^2,
+    with max|x| the largest vertex coordinate in absolute value."""
+    extent = float(np.max(np.abs(domain.vertices)))
+    return (_FLOOR_ULPS * np.finfo(float).eps * extent) ** 2
+
+
 def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
                       seed: int = 0) -> MinimalityReport:
     """Sweep random competitors; record any whose perimeter beats E(v).
@@ -511,8 +523,14 @@ def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
     Violations are reported with full provenance rather than raised.
     Competitors come in blocks (``_blocks``); the first one that cannot
     be drawn, in sweep order, raises SamplerInfeasibleError, as does
-    n_samples below 1.
+    n_samples below 1.  v below ``_volume_floor`` raises
+    VolumeOutOfRangeError.
     """
+    floor = _volume_floor(family.domain)
+    if v < floor:
+        raise VolumeOutOfRangeError(
+            f"verification needs v of at least {floor:.6g} = (2^13 eps max|x|)^2 on this "
+            f"domain: a smaller half-plane cut is not resolved in absolute coordinates")
     p_min = family.perimeter(v)
     samplers = ["hull", "halfplane"]
     if v <= family.balls.ball_measure:
@@ -581,14 +599,14 @@ def _padded_buffer(grid):
 
 
 class _CroftonCounter:
-    """Transition counts of a binary grid, updated from a fixed flat stencil.
+    """Stencil state of a binary grid under boundary swaps.
 
     Cell (j, i) is byte ``(j + 3) * width + i + 3`` of ``buf``; the zero
     margin is the outside, so stencil reads need no bounds checks.  Flat
     offset ``b * width + a`` reaches the Crofton neighbour (a, b), and
     ``g`` is a live boolean view of the grid.  Offsets are positive and reach
-    at most _PAD cells, so ``counts``, the differing flat pairs of ``buf``,
-    are the grid's: any other flat pair joins two margin cells.
+    at most _PAD cells, so the transition counts, the differing flat pairs
+    of ``buf``, are the grid's: any other flat pair joins two margin cells.
 
     ``sums`` keeps, per padded cell x, the stencil sum
     ``sum_k coef_k * (buf[x + o_k] + buf[x - o_k])`` (cells beyond the
@@ -596,6 +614,8 @@ class _CroftonCounter:
     ``sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0)`` and only a
     committed swap updates them.  ``nin`` keeps, per padded cell, its
     count of in-cell 4-neighbours, and ``nin_cells`` is its live 2-D view.
+    ``counts`` recounts the transition counts from the grid; a chain's
+    exact counts after every swap come from its ``_SwapLog``.
     """
 
     def __init__(self, grid, cell):
@@ -604,45 +624,33 @@ class _CroftonCounter:
         self.width = self.cells.shape[1]
         self.coef = [float(w * (cell / ln)) for w, ln in zip(_CROFTON_W, _CROFTON_LEN)]
         self.offsets = [int(b) * self.width + int(a) for a, b in _CROFTON_DIRS]
-        flat = self.cells.ravel()
-        self.counts = [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in self.offsets]
         self.n4 = (1, -1, self.width, -self.width)
-        # flat q - p -> direction k when q is p's neighbour along direction k
-        self.adjacent = {s * d: k for k, d in enumerate(self.offsets) for s in (1, -1)}
-        self.adjacent_coef = {d: self.coef[k] for d, k in self.adjacent.items()}
+        self.adjacent_coef = {s * d: c for c, d in zip(self.coef, self.offsets) for s in (1, -1)}
         self.sums = _stencil_sums(self.cells, self.coef).ravel().tolist()
         ext = np.pad(self.cells, 1).astype(np.uint8)
         nin = ext[:-2, 1:-1] + ext[2:, 1:-1] + ext[1:-1, :-2] + ext[1:-1, 2:]
         self.nin = bytearray(nin.tobytes())
         self.nin_cells = np.frombuffer(self.nin, dtype=np.uint8).reshape(nin.shape)
 
-    def perimeter(self, counts=None) -> float:
-        """Crofton perimeter of the grid's counts, or of the given counts."""
+    def counts(self):
+        """The grid's transition counts, one per direction, recounted from ``buf``."""
+        flat = self.cells.ravel()
+        return [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in self.offsets]
+
+    def perimeter(self, counts=None):
+        """Crofton perimeter of the grid's counts, or of the given counts (the
+        last axis runs over the directions), summed in direction order."""
+        counts = np.asarray(self.counts() if counts is None else counts)
         total = 0.0
-        for c, n in zip(self.coef, self.counts if counts is None else counts):
-            total += c * n
+        for k, c in enumerate(self.coef):
+            total += c * counts[..., k]
         return 0.5 * total
 
-    def price(self, p, q):
-        """(counts, perimeter) once in-cell p leaves and out-cell q joins.
-
-        Per direction p leaving adds 2 (nb1 + nb2) - 2 and q joining adds
-        2 - 2 (nb1 + nb2), reading p as already out; the grid is untouched.
-        """
-        buf = self.buf
-        counts = [n + 2 * (buf[p + d] + buf[p - d] - buf[q + d] - buf[q - d])
-                  for n, d in zip(self.counts, self.offsets)]
-        k = self.adjacent.get(q - p)
-        if k is not None:
-            counts[k] += 2  # q's neighbour p has already left
-        return counts, self.perimeter(counts)
-
-    def commit(self, p, q, counts):
-        """Apply a swap priced by ``price``, and update the stencil sums and
-        4-neighbour counts around p and q."""
+    def commit(self, p, q):
+        """Move in-cell p out and out-cell q in, and update the stencil sums
+        and 4-neighbour counts around p and q."""
         self.buf[p] = 0
         self.buf[q] = 1
-        self.counts = counts
         sums = self.sums
         for c, d in zip(self.coef, self.offsets):
             sums[p + d] -= c
@@ -660,6 +668,80 @@ class _CroftonCounter:
         cells, nin = self.cells, self.nin_cells
         return (np.flatnonzero(cells & (nin < 4)),
                 np.flatnonzero((mask_cells > cells) & (nin > 0)))
+
+
+class _SwapLog:
+    """A chain's accepted swaps, priced into exact counts in batches.
+
+    ``swap(p, q)`` commits the swap to the counter and logs p, q and the
+    stencil windows ``buf[x - reach : x + reach + 1]`` of both cells, read
+    before the swap; ``reach = 3 * width + 3`` covers every offset.  At
+    ``cap = CHUNK_ENTRIES // 64`` swaps, and once more when the chain ends
+    (``flush``), the windows give each swap's count changes at once, as
+    the stencil pricing of one swap would: per direction, 2 (nb(p) - nb(q))
+    over p's and q's two neighbours, plus 2 when q - p = +-o_k, since p
+    has left before q joins.  Their running sums are the counts after
+    every swap, and each energy is the Crofton perimeter of its counts,
+    summed in direction order.  ``best`` and ``best_energy`` follow the
+    first strict minimum, whose bytes are the grid with the later swaps of
+    the batch undone, and the sweeps marked by ``end_sweep`` get the
+    energy after their last swap in ``trace``.
+    """
+
+    def __init__(self, counter, trace):
+        self.counter, self.trace = counter, trace
+        self.reach = 3 * counter.width + 3
+        self.cap = max(1, CHUNK_ENTRIES // 64)
+        self.offsets = np.array(counter.offsets)
+        self.ps, self.qs, self.windows, self.marks = [], [], bytearray(), []
+        self.counts = np.array(counter.counts())
+        self.energy = float(counter.perimeter(self.counts))
+        self.best, self.best_energy = bytes(counter.buf), self.energy
+
+    def swap(self, p, q):
+        """Commit the swap of in-cell p for out-cell q, and log it."""
+        buf, reach = self.counter.buf, self.reach
+        self.ps.append(p)
+        self.qs.append(q)
+        self.windows += buf[p - reach:p + reach + 1]
+        self.windows += buf[q - reach:q + reach + 1]
+        self.counter.commit(p, q)
+        if len(self.ps) == self.cap:
+            self.flush()
+
+    def end_sweep(self, sweep):
+        """Mark the sweep's trace entry for the energy after the swaps logged so far."""
+        self.marks.append((sweep, len(self.ps)))
+
+    def priced(self):
+        """(counts, energies) after each logged swap."""
+        win = np.frombuffer(self.windows, dtype=np.uint8).reshape(len(self.ps), 2, -1)
+        near = win[:, :, self.reach + self.offsets] + win[:, :, self.reach - self.offsets]
+        step = np.abs(np.array(self.qs) - np.array(self.ps))
+        delta = 2 * (near[:, 0].astype(np.int64) - near[:, 1] + (step[:, None] == self.offsets))
+        counts = self.counts + np.cumsum(delta, axis=0)
+        return counts, self.counter.perimeter(counts)
+
+    def flush(self):
+        """Price the logged swaps, follow the best state and fill the marked
+        trace entries; then empty the log."""
+        if self.ps:
+            counts, energies = self.priced()
+            i = int(np.argmin(energies))
+            if energies[i] < self.best_energy:
+                best = bytearray(self.counter.buf)
+                for p, q in zip(self.ps[:i:-1], self.qs[:i:-1]):
+                    best[q] = 0
+                    best[p] = 1
+                self.best, self.best_energy = bytes(best), float(energies[i])
+            ends = np.concatenate([[self.energy], energies])
+            self.counts, self.energy = counts[-1], float(energies[-1])
+        else:
+            ends = np.array([self.energy])
+        if self.marks:
+            sweeps, at = zip(*self.marks)
+            self.trace[list(sweeps)] = ends[list(at)]
+        self.ps, self.qs, self.windows, self.marks = [], [], bytearray(), []
 
 
 def _stencil_sums(cells, coef):
@@ -719,10 +801,11 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
     in-set, so the cell count is conserved exactly.  Each sweep draws all
     its moves and acceptance limits at once (``_sweep_moves``).  The
     energy is the Crofton perimeter: a proposal is decided on the
-    counter's kept stencil sums and 4-neighbour counts, and only an
-    accepted swap is priced into exact transition counts, whose
-    perimeter is the energy of record.  Starts from a compact
-    axis-aligned block at a seeded position.
+    counter's kept stencil sums and 4-neighbour counts, and an accepted
+    swap is committed and logged.  The exact transition counts, whose
+    perimeter is the energy of record, the energy trace and the best
+    state come from the log (``_SwapLog``) in batches.  Starts from a
+    compact axis-aligned block at a seeded position.
     """
     if (isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer))
             or not 1 <= grid_n <= ANNEAL_MAX_GRID):
@@ -735,37 +818,34 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
     counter = _CroftonCounter(grid, h)
     buf, nin, sums, adjacent_coef = counter.buf, counter.nin, counter.sums, counter.adjacent_coef
     mask_buf, mask_cells = _padded_buffer(mask)
-    energy = counter.perimeter()
-    best = bytes(buf)
-    best_energy = energy
-    temp = schedule.t0_cells * h
     trace = np.empty(schedule.sweeps)
+    log = _SwapLog(counter, trace)
+    temp = schedule.t0_cells * h
     proposals = accepted = 0
 
-    for sweep in range(schedule.sweeps):
-        bd_in, bd_out = counter.boundaries(mask_cells)
-        if len(bd_in) == 0 or len(bd_out) == 0:
-            trace[sweep:] = energy
-            break
-        proposals += len(bd_in)
-        for p, q, limit in _sweep_moves(rng, bd_in, bd_out, temp):
-            # valid: p is in with an out 4-neighbour, q a masked out-cell with an in one
-            if (buf[p] and not buf[q] and mask_buf[q] and nin[p] < 4 and nin[q]
-                    and sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0) <= limit):
-                counts, energy = counter.price(p, q)
-                counter.commit(p, q, counts)
-                accepted += 1
-                if energy < best_energy:
-                    best_energy = energy
-                    best = bytes(buf)
-        trace[sweep] = energy
-        temp *= schedule.ratio
-        if np.count_nonzero(counter.g) != count:  # swap moves conserve the count
-            raise RuntimeError(f"anneal sweep {sweep} changed the cell count from {count}")
+    with np.errstate(divide="ignore"):
+        for sweep in range(schedule.sweeps):
+            bd_in, bd_out = counter.boundaries(mask_cells)
+            if len(bd_in) == 0 or len(bd_out) == 0:
+                log.flush()
+                trace[sweep:] = log.energy
+                break
+            proposals += len(bd_in)
+            for p, q, limit in _sweep_moves(rng, bd_in, bd_out, temp):
+                # valid: p is in with an out 4-neighbour, q a masked out-cell with an in one
+                if (buf[p] and not buf[q] and mask_buf[q] and nin[p] < 4 and nin[q]
+                        and sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0) <= limit):
+                    log.swap(p, q)
+                    accepted += 1
+            log.end_sweep(sweep)
+            temp *= schedule.ratio
+            if np.count_nonzero(counter.g) != count:  # swap moves conserve the count
+                raise RuntimeError(f"anneal sweep {sweep} changed the cell count from {count}")
+    log.flush()
 
-    best_grid = _unpad(best, counter.cells.shape)
+    best_grid = _unpad(log.best, counter.cells.shape)
     assert int(best_grid.sum()) == count
-    return AnnealResult(grid=best_grid, perimeter=float(best_energy), origin=origin,
+    return AnnealResult(grid=best_grid, perimeter=log.best_energy, origin=origin,
                         cell=h, in_count=count, seed=seed, energy_trace=trace,
                         temperature_final=float(temp), proposals=proposals,
                         accepted=accepted)
@@ -796,14 +876,15 @@ def _sweep_moves(rng, bd_in, bd_out, temp):
     vectorised draws.  A move is taken when its perimeter change is at
     most ``limit = -temp * log(U)``: the Metropolis rule
     ``U < exp(-delta / temp)`` rearranged, so a change <= 0 is always
-    taken (U = 0 gives an infinite limit).
+    taken (U = 0 gives an infinite limit; the caller ignores the divide
+    by zero with ``np.errstate``).
     """
     n_in, n_out = len(bd_in), len(bd_out)
     ps = bd_in[rng.integers(n_in, size=n_in)].tolist()
     qs = bd_out[rng.integers(n_out, size=n_in)].tolist()
-    with np.errstate(divide="ignore"):
-        limits = (-temp * np.log(rng.random(n_in))).tolist()
-    return zip(ps, qs, limits)
+    limits = np.log(rng.random(n_in))
+    limits *= -temp
+    return zip(ps, qs, limits.tolist())
 
 
 def _unpad(buf, shape):

@@ -8,10 +8,11 @@ the r <-> v inversion, the rank and the half-plane competitor's cut
 offset by bisection, the inradius by a linear program, marching
 squares by one full-grid pass per threshold, the Crofton transition
 counts by shifting a padded copy of the grid, membership in and the
-Steiner measures of a core + disk body from the core's own points, the
-annealing chain by
-pricing every proposal from the stencil and reading its boundary lists
-and swap validity from the grid bytes, the competitor sweep one
+Steiner measures of a core + disk body from the core's own points, a
+swap's counts and perimeter by reading its stencil one swap at a time,
+the annealing chain by pricing every proposal that way, copying the best
+state at each improvement and reading its boundary lists and swap
+validity from the grid bytes, the competitor sweep one
 competitor at a time, each hull by Qhull and by a quickhull that sorts
 its points by edge every round, each half-plane cut by a root per
 normal and a clip loop, the grid file writer by one ``repr`` per
@@ -821,20 +822,45 @@ def lp_inradius(polygon):
     return float(res.x[2]) * polygon.scale
 
 
+def price(counter, counts, p, q):
+    """(counts, perimeter) of a ``_CroftonCounter`` with the given counts once
+    in-cell p leaves and out-cell q joins, one swap at a time.
+
+    Per direction p leaving adds 2 (nb1 + nb2) - 2 and q joining adds
+    2 - 2 (nb1 + nb2), reading p as already out; the grid is untouched.
+    """
+    buf = counter.buf
+    after = [n + 2 * (buf[p + d] + buf[p - d] - buf[q + d] - buf[q - d])
+             for n, d in zip(counts, counter.offsets)]
+    if abs(q - p) in counter.offsets:
+        after[counter.offsets.index(abs(q - p))] += 2  # q's neighbour p has already left
+    return after, perimeter(counter, after)
+
+
+def perimeter(counter, counts) -> float:
+    """Crofton perimeter of a ``_CroftonCounter``'s counts, summed in direction
+    order over Python floats."""
+    total = 0.0
+    for c, n in zip(counter.coef, counts):
+        total += c * n
+    return 0.5 * total
+
+
 def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
     """``anneal_discrete`` with every valid proposal priced from the stencil.
 
     Fed the same per-sweep draws, each proposal is priced into exact
     transition counts and decided on ``after - current``, the perimeter
     change between the counts' perimeters, instead of on the kept
-    stencil sums.
+    stencil sums; the best state is copied at every improvement.
     """
     schedule = schedule or orc.AnnealSchedule()
     rng, mask, grid, h, origin = orc._anneal_start(domain, v, grid_n, seed)
     counter = orc._CroftonCounter(grid, h)
     buf, n4 = counter.buf, counter.n4
     mask_buf, mask_cells = orc._padded_buffer(mask)
-    current = counter.perimeter()
+    counts = counter.counts()
+    current = perimeter(counter, counts)
     best, best_energy = bytes(buf), current
     temp = schedule.t0_cells * h
     trace = np.empty(schedule.sweeps)
@@ -845,13 +871,15 @@ def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
             trace[sweep:] = current
             break
         proposals += len(bd_in)
-        for p, q, limit in orc._sweep_moves(rng, bd_in, bd_out, temp):
+        with np.errstate(divide="ignore"):
+            moves = orc._sweep_moves(rng, bd_in, bd_out, temp)
+        for p, q, limit in moves:
             if not _valid_swap(buf, mask_buf, n4, p, q):
                 continue
-            counts, after = counter.price(p, q)
+            after_counts, after = price(counter, counts, p, q)
             if after - current <= limit:
-                counter.commit(p, q, counts)
-                current = after
+                counter.commit(p, q)
+                counts, current = after_counts, after
                 accepted += 1
                 if current < best_energy:
                     best, best_energy = bytes(buf), current
@@ -937,18 +965,20 @@ def index(counter, j, i):
     return (int(j) + orc._PAD) * counter.width + int(i) + orc._PAD
 
 
-def flip(counter, j, i):
-    """Toggle cell (j, i) of a ``_CroftonCounter``, with its counts and stencil sums."""
+def flip(counter, counts, j, i):
+    """Toggle cell (j, i) of a ``_CroftonCounter`` with the given counts, and
+    its stencil sums; returns the counts after the toggle."""
     x = index(counter, j, i)
     buf = counter.buf
     sign = 1 if buf[x] else -1
-    counter.counts = [n + sign * (2 * (buf[x + d] + buf[x - d]) - 2)
-                      for n, d in zip(counter.counts, counter.offsets)]
+    counts = [n + sign * (2 * (buf[x + d] + buf[x - d]) - 2)
+              for n, d in zip(counts, counter.offsets)]
     buf[x] ^= 1
     sums = counter.sums
     for c, d in zip(counter.coef, counter.offsets):
         sums[x + d] -= sign * c
         sums[x - d] -= sign * c
+    return counts
 
 
 _SEG1 = np.full((16, 2), -1, dtype=int)

@@ -1,11 +1,14 @@
-"""The annealing oracle's stencil pricing and its pinned seeded results.
+"""The annealing oracle's stencil pricing, its swap log and its pinned seeded results.
 
 Each swap is priced from the counter's flat Crofton stencil without
-touching the grid. The property tests compare the priced counts with
-transition counts recomputed from scratch after the swap, the kept
-stencil sums with a rebuild after a run of committed swaps, and the
-kept 4-neighbour counts and the boundary lists read off them with
-recounts along short seeded chains; the golden
+touching the grid (``oracles.price``). The property tests compare the
+priced counts with transition counts recomputed from scratch after the
+swap, the kept stencil sums with a rebuild after a run of committed
+swaps, and the kept 4-neighbour counts and the boundary lists read off
+them with recounts along short seeded chains.  The chain's exact counts,
+energies, trace and best state come from a swap log priced in batches;
+its counts must equal recounts after every swap and its energies the
+one-swap pricing bit for bit, wherever the batches end.  The golden
 tests pin whole seeded runs, so any change to the move sequence, the
 RNG draws or the float expressions shows up as a changed hash, and the
 chain must equal the reference that prices every proposal.
@@ -13,6 +16,7 @@ chain must equal the reference that prices every proposal.
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,9 +99,9 @@ def _check_priced_swap(grid, p, q):
     h = 0.125
     counter = orc._CroftonCounter(grid, h)
     pi, qi = oracles.index(counter, *p), oracles.index(counter, *q)
-    before = list(counter.counts)
+    before = counter.counts()
 
-    counts, after = counter.price(pi, qi)
+    counts, after = oracles.price(counter, before, pi, qi)
 
     swapped = grid.copy()
     swapped[p] = False
@@ -106,9 +110,10 @@ def _check_priced_swap(grid, p, q):
     assert after == oracles.crofton_perimeter(swapped, h)
     # pricing leaves the state alone
     assert np.array_equal(counter.g, grid)
-    assert counter.counts == before
-    counter.commit(pi, qi, counts)
+    assert counter.counts() == before
+    counter.commit(pi, qi)
     assert np.array_equal(counter.g, swapped)
+    assert counter.counts() == counts
     assert counter.perimeter() == after
 
 
@@ -145,21 +150,24 @@ def test_counter_flip_matches_price():
     grid = rng.random((12, 10)) < 0.5
     grid[3, 4], grid[4, 5] = True, False
     flipped = orc._CroftonCounter(grid, 0.1)
-    oracles.flip(flipped, 3, 4)
-    oracles.flip(flipped, 4, 5)
+    counts = oracles.flip(flipped, flipped.counts(), 3, 4)
+    counts = oracles.flip(flipped, counts, 4, 5)
     priced = orc._CroftonCounter(grid, 0.1)
-    counts, _ = priced.price(oracles.index(priced, 3, 4), oracles.index(priced, 4, 5))
-    assert flipped.counts == counts
+    want, _ = oracles.price(priced, priced.counts(),
+                            oracles.index(priced, 3, 4), oracles.index(priced, 4, 5))
+    assert counts == want == flipped.counts()
 
 
 def _check_kept_sums(counter, swaps):
-    """The kept stencil sums match a rebuild, and price each valid swap as ``price`` does."""
+    """The kept stencil sums match a rebuild, and price each valid swap as
+    ``oracles.price`` does."""
     rebuilt = orc._stencil_sums(counter.cells, counter.coef).ravel()
     kept = np.array(counter.sums)
     assert np.max(np.abs(kept - rebuilt)) <= 1e-12 * np.max(rebuilt)
-    current = counter.perimeter()
+    counts = counter.counts()
+    current = oracles.perimeter(counter, counts)
     for p, q in swaps:
-        _, after = counter.price(p, q)
+        _, after = oracles.price(counter, counts, p, q)
         assert abs(oracles.delta(counter, p, q) - (after - current)) <= 1e-12 * current
 
 
@@ -176,9 +184,11 @@ def test_kept_sums_follow_commits(direction, data):
     swaps = [(oracles.index(counter, *p), oracles.index(counter, *q))]
     assume(oracles._valid_swap(counter.buf, mask_buf, counter.n4, *swaps[0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    counts = counter.counts()
     for _ in range(data.draw(st.integers(1, 12))):
         _check_kept_sums(counter, swaps)
-        counter.commit(*swaps[0], counter.price(*swaps[0])[0])
+        counts = oracles.price(counter, counts, *swaps[0])[0]
+        counter.commit(*swaps[0])
         cells = [oracles.index(counter, j, i) for j, i in
                  zip(rng.integers(grid.shape[0], size=16), rng.integers(grid.shape[1], size=16))]
         swaps = [m for m in zip(cells[::2], cells[1::2])
@@ -186,7 +196,8 @@ def test_kept_sums_follow_commits(direction, data):
         if not swaps:
             break
     _check_kept_sums(counter, swaps)
-    assert counter.counts == [oracles.transition_count(counter.g, a, b) for a, b in DIRS]
+    assert counts == counter.counts() == [oracles.transition_count(counter.g, a, b)
+                                          for a, b in DIRS]
 
 
 TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
@@ -212,10 +223,10 @@ class _CheckedCounter(orc._CroftonCounter):
             ~mask_cells, np.ones((3, 3), bool), mode="constant") > 0)))
         return bd_in, bd_out
 
-    def commit(self, p, q, counts):
+    def commit(self, p, q):
         assert oracles._valid_swap(self.buf, self.mask_buf, self.n4, p, q)
         self.adjacent_swaps += (q - p) in self.n4
-        super().commit(p, q, counts)
+        super().commit(p, q)
         self.check_counts()
 
 
@@ -242,6 +253,159 @@ def test_kept_neighbour_counts_follow_the_chain(shape, grid_n, fill, seed):
     (counter,) = counters
     assert res.accepted > 0
     assert counter.touched and counter.adjacent_swaps > 0
+
+
+def _run_log(monkeypatch, grid, mask, h, swaps, ends, cap):
+    """Feed swaps (flat index pairs) to a ``_SwapLog`` flushing every ``cap``
+    swaps, marking a sweep end after the swaps counted in ``ends``; check it
+    against one-swap pricing and recounts, and return the log with the grid
+    bytes after each swap (the start first)."""
+    monkeypatch.setattr(orc, "CHUNK_ENTRIES", 64 * cap)
+    counter = orc._CroftonCounter(grid, h)
+    mask_buf, _ = orc._padded_buffer(mask)
+    trace = np.full(len(ends), np.nan)
+    log = orc._SwapLog(counter, trace)
+    assert log.cap == cap
+    priced = []
+
+    def spy():
+        priced.append(orc._SwapLog.priced(log))
+        return priced[-1]
+
+    log.priced = spy
+
+    counts = counter.counts()
+    energies, states = [oracles.perimeter(counter, counts)], [bytes(counter.buf)]
+    recounts, want_trace = [], []
+    best, best_energy = states[0], energies[0]
+    sweep = 0
+    for n, (p, q) in enumerate(swaps):
+        while sweep < len(ends) and ends[sweep] == n:
+            log.end_sweep(sweep)
+            want_trace.append(energies[-1])
+            sweep += 1
+        assert oracles._valid_swap(counter.buf, mask_buf, counter.n4, p, q)
+        counts, energy = oracles.price(counter, counts, p, q)
+        log.swap(p, q)
+        recounts.append([oracles.transition_count(counter.g, a, b) for a, b in DIRS])
+        assert counts == recounts[-1]
+        energies.append(energy)
+        states.append(bytes(counter.buf))
+        if energy < best_energy:
+            best, best_energy = states[-1], energy
+    for sweep in range(sweep, len(ends)):
+        log.end_sweep(sweep)
+        want_trace.append(energies[-1])
+    log.flush()
+
+    # one batch per cap swaps, the last one maybe short
+    assert [len(e) for _, e in priced] == [min(cap, len(swaps) - i)
+                                           for i in range(0, len(swaps), cap)]
+    if priced:
+        assert np.concatenate([c for c, _ in priced]).tolist() == recounts
+        assert np.concatenate([e for _, e in priced]).tobytes() == np.array(energies[1:]).tobytes()
+    assert log.counts.tolist() == counter.counts() == (recounts or [counts])[-1]
+    assert log.energy == energies[-1]
+    assert log.best == best and log.best_energy == best_energy
+    assert trace.tobytes() == np.array(want_trace).tobytes()
+    assert not (log.ps or log.qs or log.windows or log.marks)
+    return log, states
+
+
+@st.composite
+def swap_chains(draw):
+    """(grid, mask, h, swaps, ends): a chain of valid swaps from a random set
+    in a square or triangle mask, with random sweep ends, some empty.  Every
+    other swap is the best of 8 random ones, so the energy rises and falls."""
+    domain = validate_polygon(SQUARE if draw(st.booleans()) else TRIANGLE)
+    grid_n, seed = draw(st.integers(4, 10)), draw(st.integers(0, 2**16))
+    _, mask, _, h, _ = orc._anneal_start(domain, domain.area / 2, grid_n, seed)
+    rng = np.random.default_rng(seed)
+    grid = mask & (rng.random(mask.shape) < draw(st.floats(0.2, 0.8)))
+    counter = orc._CroftonCounter(grid, h)
+    _, mask_cells = orc._padded_buffer(mask)
+    swaps = []
+    for _ in range(draw(st.integers(1, 30))):
+        bd_in, bd_out = counter.boundaries(mask_cells)
+        if not (len(bd_in) and len(bd_out)):
+            break
+        moves = zip(rng.choice(bd_in, 8).tolist(), rng.choice(bd_out, 8).tolist())
+        swaps.append(min(moves, key=lambda m: oracles.delta(counter, *m)) if len(swaps) % 2
+                     else next(moves))
+        counter.commit(*swaps[-1])
+    ends = np.sort(rng.integers(0, len(swaps) + 1, size=rng.integers(0, 8))).tolist()
+    return grid, mask, h, swaps, ends
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+@settings(PROPERTY, max_examples=25)
+@given(chain=swap_chains())
+def test_swap_log_matches_one_swap_pricing(cap, chain):
+    # flushes fall every cap swaps, mid-sweep or not
+    with pytest.MonkeyPatch.context() as m:
+        _run_log(m, *chain, cap)
+
+
+def _line_chain(cells, moves):
+    """(grid, mask, swaps): in-cells on an 8 x 8 grid, all masked, and moves as
+    flat index pairs of the padded buffer."""
+    grid = np.zeros((8, 8), dtype=bool)
+    grid[tuple(zip(*cells))] = True
+    width = 8 + 2 * orc._PAD
+    flat = [(j + orc._PAD) * width + i + orc._PAD for move in moves for j, i in move]
+    return grid, np.ones_like(grid), list(zip(flat[::2], flat[1::2]))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+def test_swap_log_keeps_the_start_without_improvement(monkeypatch, cap):
+    # 2 x 2 block -> L -> T -> the block moved one cell right: equal, not lower
+    grid, mask, swaps = _line_chain([(2, 2), (2, 3), (3, 2), (3, 3)],
+                                    [((3, 3), (2, 4)), ((3, 2), (3, 3)), ((2, 2), (3, 4))])
+    log, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [0, 3], cap)
+    assert log.energy == log.best_energy
+    assert log.best == states[0] != states[-1]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+def test_swap_log_keeps_the_first_of_equal_minima(monkeypatch, cap):
+    # two singles -> a domino, moved right twice: three equal minima
+    grid, mask, swaps = _line_chain([(2, 1), (2, 5)],
+                                    [((2, 5), (2, 2)), ((2, 1), (2, 3)), ((2, 2), (2, 4))])
+    log, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [1, 1, 2], cap)
+    assert log.energy == log.best_energy < oracles.crofton_perimeter(grid, 0.125)
+    assert log.best == states[1] and len(set(states[1:])) == 3
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+def test_swap_log_best_on_the_last_swap_of_a_batch(monkeypatch, cap):
+    # a single moves away at equal energy, then joins the other: the best is
+    # swap 2, the last of a batch at caps 1 and 2; the domino then moves left
+    grid, mask, swaps = _line_chain([(2, 1), (2, 5)],
+                                    [((2, 5), (2, 6)), ((2, 6), (2, 2)), ((2, 2), (2, 0))])
+    log, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [2], cap)
+    assert log.best == states[2] != states[3]
+    assert log.best_energy == log.energy
+
+
+def test_anneal_memory_is_bounded_by_the_log_cap(square):
+    # the log holds at most cap = CHUNK_ENTRIES // 64 swaps: two stencil
+    # windows of 2 reach + 1 bytes each, and a kilobyte a swap for a
+    # flush's arrays.  With 64 bytes a padded cell for the counter and the
+    # mask, that bounds the chain's peak by the grid width alone
+    grid_n = 128
+    width = grid_n + 2 * orc._PAD
+    window = 2 * (3 * width + 3) + 1
+    bound = 64 * width * width + orc.CHUNK_ENTRIES // 64 * (2 * window + 1024)
+    orc.anneal_discrete(square, 0.5, 8, orc.AnnealSchedule(sweeps=2))  # one-time costs
+    tracemalloc.start()
+    try:
+        res = orc.anneal_discrete(square, 0.5, grid_n, orc.AnnealSchedule(sweeps=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    # the windows of every accepted swap would not fit
+    assert res.accepted * 2 * window > bound
 
 
 # Results of anneal_discrete with each sweep's moves drawn at once and

@@ -11,15 +11,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoperim import cli
+from isoperim import oracle as orc
 from isoperim import io as iio
 from isoperim.cli import _parse_sweep, main
 from isoperim.errors import (DegenerateError, DomainMismatchError, GeometryError,
                              NonConvexError, SamplerInfeasibleError,
                              ScheduleInvalidError, VolumeOutOfRangeError)
+from isoperim.family import build_family
 from isoperim.geometry import validate_polygon
 from isoperim.rearrange import GridFunction, RearrangementReport
 
@@ -380,6 +382,32 @@ def test_verify_with_anneal_writes_pgm(square_json, tmp_path):
     assert pgm[1].split() == ["32", "32"]
 
 
+@pytest.mark.parametrize("fraction", ["1e-31", "1e-40", "1e-100"])
+def test_verify_rejects_volumes_below_the_floor(square_json, tmp_path, capsys, fraction):
+    # a half-plane cut this small cannot be placed in absolute coordinates
+    floor = orc._volume_floor(validate_polygon(SQUARE))
+    out = tmp_path / "out"
+    code = main(["verify", "--domain", square_json, "--volume-fraction", fraction,
+                 "--samples", "200", "--out", str(out)])
+    assert code == cli.EXIT_VOLUME
+    assert capsys.readouterr().err.strip() == (
+        f"error: verification needs v of at least {floor:.6g} = (2^13 eps max|x|)^2 on "
+        f"this domain: a smaller half-plane cut is not resolved in absolute coordinates")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_verify_volume_floor_follows_the_coordinates(offset):
+    # the floor is (2^13 eps max|x|)^2; at the floor every competitor is drawn
+    domain = validate_polygon(np.array(SQUARE) + offset)
+    family = build_family(domain)
+    floor = orc._volume_floor(domain)
+    assert floor == (2 ** 13 * np.finfo(float).eps * (1.0 + offset)) ** 2
+    with pytest.raises(VolumeOutOfRangeError, match="at least"):
+        orc.verify_minimality(family, np.nextafter(floor, 0.0), 10, seed=0)
+    assert orc.verify_minimality(family, floor, 2000, seed=0).n_samples == 2000
+
+
 @pytest.mark.parametrize("flag,value,message", [
     ("--samples", "0", "--samples must be at least 1, got 0"),
     ("--samples", "-5", "--samples must be at least 1, got -5"),
@@ -520,6 +548,8 @@ def _cli_calls(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_cli_calls())
+@example((["verify", "--volume-fraction=1e-100", "--samples=200", "--seed=0", "--anneal=0"],
+          {"domain.json": json.dumps({"vertices": SQUARE})}, False))
 def test_cli_contract_on_generated_inputs(call):
     # every run exits with a documented code, prints at most one error line
     # and leaks no traceback or warning; minimizer and family succeed on every
