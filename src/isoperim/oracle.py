@@ -5,6 +5,8 @@ never beat the candidate shape, and a fixed-area simulated annealing
 search on a binary pixel grid scored by a multi-direction Cauchy-Crofton
 perimeter estimate (pixel-edge counting would reward axis-aligned shapes;
 line sampling over sixteen lattice directions is rotation-robust).
+A chain's stencil sums, 4-neighbour counts and transition counts all read
+one stencil: a cell's two Crofton neighbours along each direction.
 
 Competitors are drawn in blocks: a block takes its random numbers in one
 draw, hulls all its first rungs in one ``geometry.convex_hulls`` call,
@@ -519,7 +521,8 @@ def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
 
     The samplers are "hull" and "halfplane", and "disk" too when a disk of
     area v fits (v at most the largest ball's area).  A violation is a
-    competitor perimeter more than 1e-9 below the candidate perimeter.
+    competitor perimeter more than 1e-9 P(v) below the candidate perimeter
+    P(v), a threshold that scales with the domain.
     Violations are reported with full provenance rather than raised.
     Competitors come in blocks (``_blocks``); the first one that cannot
     be drawn, in sweep order, raises SamplerInfeasibleError, as does
@@ -543,7 +546,7 @@ def verify_minimality(family: MinimizerFamily, v: float, n_samples: int,
         block.raise_first()
         gap = block.perimeter - p_min
         gaps[block.start:block.start + len(gap)] = gap
-        for j in np.flatnonzero(gap < -PERIMETER_SLACK):
+        for j in np.flatnonzero(gap < -PERIMETER_SLACK * p_min):
             violations.append({"index": block.start + int(j), "gap": float(gap[j]),
                                "perimeter": float(block.perimeter[j]),
                                **block.provenance(j)})
@@ -591,66 +594,93 @@ _CROFTON_LEN = np.linalg.norm(_CROFTON_DIRS, axis=1)
 _PAD = 3  # widest stencil reach: every read of a grid cell's stencil stays in the buffer
 
 
-def _padded_buffer(grid):
-    """(bytearray, live 2-D bool view) of ``grid`` inside a zero margin of _PAD cells."""
-    padded = np.pad(np.asarray(grid).astype(bool), _PAD)
-    buf = bytearray(padded.tobytes())
-    return buf, np.frombuffer(buf, dtype=bool).reshape(padded.shape)
+class _Chain:
+    """One annealing chain on a binary grid: its state, read off one stencil,
+    and its log of accepted swaps.
 
+    Cell (j, i) is byte ``(j + 3) * width + i + 3`` of ``buf`` and of
+    ``mask_buf``; the zero margin is the outside.  Flat offset
+    ``o_k = b * width + a`` reaches the Crofton neighbour (a, b), and each
+    count the chain keeps is a sum of ``near_k(x) = buf[x + o_k] + buf[x - o_k]``
+    (cells beyond the buffer read as outside):
 
-class _CroftonCounter:
-    """Stencil state of a binary grid under boundary swaps.
+    - the stencil sums ``sums[x] = sum_k coef_k near_k(x)``, so a swap's
+      perimeter change is ``sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0)``;
+    - the in-cell 4-neighbours ``nin[x] = near_0(x) + near_4(x)``;
+    - the transition counts ``counts[k] = 2 |in| - sum_{x in} near_k(x)``
+      (both o_k neighbours of an in-cell lie in the buffer).
 
-    Cell (j, i) is byte ``(j + 3) * width + i + 3`` of ``buf``; the zero
-    margin is the outside, so stencil reads need no bounds checks.  Flat
-    offset ``b * width + a`` reaches the Crofton neighbour (a, b), and
-    ``g`` is a live boolean view of the grid.  Offsets are positive and reach
-    at most _PAD cells, so the transition counts, the differing flat pairs
-    of ``buf``, are the grid's: any other flat pair joins two margin cells.
-
-    ``sums`` keeps, per padded cell x, the stencil sum
-    ``sum_k coef_k * (buf[x + o_k] + buf[x - o_k])`` (cells beyond the
-    buffer read as outside), so a swap's perimeter change is
-    ``sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0)`` and only a
-    committed swap updates them.  ``nin`` keeps, per padded cell, its
-    count of in-cell 4-neighbours, and ``nin_cells`` is its live 2-D view.
-    ``counts`` recounts the transition counts from the grid; a chain's
-    exact counts after every swap come from its ``_SwapLog``.
+    ``swap(p, q)`` logs p, q and both cells' windows ``buf[x - reach : x +
+    reach + 1]`` (``reach = 3 * width + 3``), then commits the swap and
+    updates ``sums`` and ``nin``.  At ``cap = CHUNK_ENTRIES // 64`` logged
+    swaps, and once more when the chain ends (``flush``), the windows give
+    each swap's count change, 2 (near_k(p) - near_k(q)), plus 2 when
+    q - p = +-o_k since p leaves before q joins.  Their running sums are the
+    counts after each swap, and each energy is the Crofton perimeter of its
+    counts, summed in direction order.  ``best`` and ``best_energy`` follow
+    the first strict minimum, rebuilt by undoing the later swaps of its
+    batch, and each sweep marked by ``end_sweep`` gets the energy after its
+    last swap in ``trace``.
     """
 
-    def __init__(self, grid, cell):
-        self.buf, self.cells = _padded_buffer(grid)
-        self.g = self.cells[_PAD:-_PAD, _PAD:-_PAD]
-        self.width = self.cells.shape[1]
+    def __init__(self, grid, mask, cell, trace):
+        padded = np.pad(np.asarray(grid, dtype=bool), _PAD).view(np.uint8)
+        flat = padded.ravel()
+        self.buf = bytearray(flat)
+        self.mask_buf = bytearray(np.pad(np.asarray(mask, dtype=bool), _PAD))
+        self.width = width = padded.shape[1]
         self.coef = [float(w * (cell / ln)) for w, ln in zip(_CROFTON_W, _CROFTON_LEN)]
-        self.offsets = [int(b) * self.width + int(a) for a, b in _CROFTON_DIRS]
-        self.n4 = (1, -1, self.width, -self.width)
+        self.offsets = [int(b) * width + int(a) for a, b in _CROFTON_DIRS]
+        self.n4 = (1, -1, width, -width)
         self.adjacent_coef = {s * d: c for c, d in zip(self.coef, self.offsets) for s in (1, -1)}
-        self.sums = _stencil_sums(self.cells, self.coef).ravel().tolist()
-        ext = np.pad(self.cells, 1).astype(np.uint8)
-        nin = ext[:-2, 1:-1] + ext[2:, 1:-1] + ext[1:-1, :-2] + ext[1:-1, 2:]
-        self.nin = bytearray(nin.tobytes())
-        self.nin_cells = np.frombuffer(self.nin, dtype=np.uint8).reshape(nin.shape)
+        # one offset at a time: the build's temporaries take a few bytes a cell
+        inside = flat.view(bool)
+        n_in = int(np.count_nonzero(inside))
+        sums, nin, counts = np.zeros(len(flat)), np.zeros(len(flat), dtype=np.uint8), []
+        for c, d in zip(self.coef, self.offsets):
+            near = np.zeros(len(flat), dtype=np.uint8)
+            near[:-d] = flat[d:]
+            near[d:] += flat[:-d]
+            sums += c * near
+            counts.append(2 * n_in - int(near[inside].sum()))
+            if d in self.n4:
+                nin += near
+        self.sums, self.nin = sums.tolist(), bytearray(nin)
+        self.trace = trace
+        self.reach = 3 * width + 3
+        self.cap = max(1, CHUNK_ENTRIES // 64)
+        self.ps, self.qs, self.windows, self.marks = [], [], bytearray(), []
+        self.counts = np.array(counts)
+        self.energy = float(self.perimeter(self.counts))
+        self.best, self.best_energy = bytes(self.buf), self.energy
 
-    def counts(self):
-        """The grid's transition counts, one per direction, recounted from ``buf``."""
-        flat = self.cells.ravel()
-        return [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in self.offsets]
-
-    def perimeter(self, counts=None):
-        """Crofton perimeter of the grid's counts, or of the given counts (the
-        last axis runs over the directions), summed in direction order."""
-        counts = np.asarray(self.counts() if counts is None else counts)
+    def perimeter(self, counts):
+        """Crofton perimeter of counts (the last axis runs over the directions),
+        summed in direction order."""
         total = 0.0
         for k, c in enumerate(self.coef):
             total += c * counts[..., k]
         return 0.5 * total
 
-    def commit(self, p, q):
-        """Move in-cell p out and out-cell q in, and update the stencil sums
-        and 4-neighbour counts around p and q."""
-        self.buf[p] = 0
-        self.buf[q] = 1
+    def boundaries(self):
+        """Flat indices, in row-major order, of in-cells with an out 4-neighbour
+        and of masked out-cells with an in 4-neighbour."""
+        cells = np.frombuffer(self.buf, dtype=bool)
+        nin = np.frombuffer(self.nin, dtype=np.uint8)
+        return (np.flatnonzero(cells & (nin < 4)),
+                np.flatnonzero((np.frombuffer(self.mask_buf, dtype=bool) > cells) & (nin > 0)))
+
+    def swap(self, p, q):
+        """Log the swap of in-cell p for out-cell q, and commit it: move p out
+        and q in, and update the stencil sums and 4-neighbour counts around
+        p and q."""
+        buf, reach = self.buf, self.reach
+        self.ps.append(p)
+        self.qs.append(q)
+        self.windows += buf[p - reach:p + reach + 1]
+        self.windows += buf[q - reach:q + reach + 1]
+        buf[p] = 0
+        buf[q] = 1
         sums = self.sums
         for c, d in zip(self.coef, self.offsets):
             sums[p + d] -= c
@@ -661,51 +691,6 @@ class _CroftonCounter:
         for d in self.n4:
             nin[p + d] -= 1
             nin[q + d] += 1
-
-    def boundaries(self, mask_cells):
-        """Flat indices, in row-major order, of in-cells with an out 4-neighbour
-        and of masked out-cells with an in 4-neighbour."""
-        cells, nin = self.cells, self.nin_cells
-        return (np.flatnonzero(cells & (nin < 4)),
-                np.flatnonzero((mask_cells > cells) & (nin > 0)))
-
-
-class _SwapLog:
-    """A chain's accepted swaps, priced into exact counts in batches.
-
-    ``swap(p, q)`` commits the swap to the counter and logs p, q and the
-    stencil windows ``buf[x - reach : x + reach + 1]`` of both cells, read
-    before the swap; ``reach = 3 * width + 3`` covers every offset.  At
-    ``cap = CHUNK_ENTRIES // 64`` swaps, and once more when the chain ends
-    (``flush``), the windows give each swap's count changes at once, as
-    the stencil pricing of one swap would: per direction, 2 (nb(p) - nb(q))
-    over p's and q's two neighbours, plus 2 when q - p = +-o_k, since p
-    has left before q joins.  Their running sums are the counts after
-    every swap, and each energy is the Crofton perimeter of its counts,
-    summed in direction order.  ``best`` and ``best_energy`` follow the
-    first strict minimum, whose bytes are the grid with the later swaps of
-    the batch undone, and the sweeps marked by ``end_sweep`` get the
-    energy after their last swap in ``trace``.
-    """
-
-    def __init__(self, counter, trace):
-        self.counter, self.trace = counter, trace
-        self.reach = 3 * counter.width + 3
-        self.cap = max(1, CHUNK_ENTRIES // 64)
-        self.offsets = np.array(counter.offsets)
-        self.ps, self.qs, self.windows, self.marks = [], [], bytearray(), []
-        self.counts = np.array(counter.counts())
-        self.energy = float(counter.perimeter(self.counts))
-        self.best, self.best_energy = bytes(counter.buf), self.energy
-
-    def swap(self, p, q):
-        """Commit the swap of in-cell p for out-cell q, and log it."""
-        buf, reach = self.counter.buf, self.reach
-        self.ps.append(p)
-        self.qs.append(q)
-        self.windows += buf[p - reach:p + reach + 1]
-        self.windows += buf[q - reach:q + reach + 1]
-        self.counter.commit(p, q)
         if len(self.ps) == self.cap:
             self.flush()
 
@@ -715,12 +700,13 @@ class _SwapLog:
 
     def priced(self):
         """(counts, energies) after each logged swap."""
+        offsets = np.array(self.offsets)
         win = np.frombuffer(self.windows, dtype=np.uint8).reshape(len(self.ps), 2, -1)
-        near = win[:, :, self.reach + self.offsets] + win[:, :, self.reach - self.offsets]
+        near = win[:, :, self.reach + offsets] + win[:, :, self.reach - offsets]
         step = np.abs(np.array(self.qs) - np.array(self.ps))
-        delta = 2 * (near[:, 0].astype(np.int64) - near[:, 1] + (step[:, None] == self.offsets))
+        delta = 2 * (near[:, 0].astype(np.int64) - near[:, 1] + (step[:, None] == offsets))
         counts = self.counts + np.cumsum(delta, axis=0)
-        return counts, self.counter.perimeter(counts)
+        return counts, self.perimeter(counts)
 
     def flush(self):
         """Price the logged swaps, follow the best state and fill the marked
@@ -729,7 +715,7 @@ class _SwapLog:
             counts, energies = self.priced()
             i = int(np.argmin(energies))
             if energies[i] < self.best_energy:
-                best = bytearray(self.counter.buf)
+                best = bytearray(self.buf)
                 for p, q in zip(self.ps[:i:-1], self.qs[:i:-1]):
                     best[q] = 0
                     best[p] = 1
@@ -742,19 +728,6 @@ class _SwapLog:
             sweeps, at = zip(*self.marks)
             self.trace[list(sweeps)] = ends[list(at)]
         self.ps, self.qs, self.windows, self.marks = [], [], bytearray(), []
-
-
-def _stencil_sums(cells, coef):
-    """sum_k coef_k * (cells[x + (a_k, b_k)] + cells[x - (a_k, b_k)]) at every cell x,
-    reading cells beyond the array as outside."""
-    ny, nx = cells.shape
-    ext = np.pad(cells.astype(float), _PAD)
-    sums = np.zeros((ny, nx))
-    for (a, b), c in zip(_CROFTON_DIRS, coef):
-        fwd = ext[_PAD + b:_PAD + b + ny, _PAD + a:_PAD + a + nx]
-        back = ext[_PAD - b:_PAD - b + ny, _PAD - a:_PAD - a + nx]
-        sums += c * (fwd + back)
-    return sums
 
 
 @dataclass(frozen=True)
@@ -801,10 +774,10 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
     in-set, so the cell count is conserved exactly.  Each sweep draws all
     its moves and acceptance limits at once (``_sweep_moves``).  The
     energy is the Crofton perimeter: a proposal is decided on the
-    counter's kept stencil sums and 4-neighbour counts, and an accepted
+    chain's kept stencil sums and 4-neighbour counts, and an accepted
     swap is committed and logged.  The exact transition counts, whose
     perimeter is the energy of record, the energy trace and the best
-    state come from the log (``_SwapLog``) in batches.  Starts from a
+    state come from the log in batches (``_Chain``).  Starts from a
     compact axis-aligned block at a seeded position.
     """
     if (isinstance(grid_n, bool) or not isinstance(grid_n, (int, np.integer))
@@ -815,37 +788,37 @@ def anneal_discrete(domain: ConvexPolygon, v: float, grid_n: int,
     schedule.validate()
     rng, mask, grid, h, origin = _anneal_start(domain, v, grid_n, seed)
     count = int(grid.sum())
-    counter = _CroftonCounter(grid, h)
-    buf, nin, sums, adjacent_coef = counter.buf, counter.nin, counter.sums, counter.adjacent_coef
-    mask_buf, mask_cells = _padded_buffer(mask)
     trace = np.empty(schedule.sweeps)
-    log = _SwapLog(counter, trace)
+    chain = _Chain(grid, mask, h, trace)
+    buf, mask_buf, nin, sums = chain.buf, chain.mask_buf, chain.nin, chain.sums
+    adjacent_coef = chain.adjacent_coef
+    cells = np.frombuffer(buf, dtype=bool)
     temp = schedule.t0_cells * h
     proposals = accepted = 0
 
     with np.errstate(divide="ignore"):
         for sweep in range(schedule.sweeps):
-            bd_in, bd_out = counter.boundaries(mask_cells)
+            bd_in, bd_out = chain.boundaries()
             if len(bd_in) == 0 or len(bd_out) == 0:
-                log.flush()
-                trace[sweep:] = log.energy
+                chain.flush()
+                trace[sweep:] = chain.energy
                 break
             proposals += len(bd_in)
             for p, q, limit in _sweep_moves(rng, bd_in, bd_out, temp):
                 # valid: p is in with an out 4-neighbour, q a masked out-cell with an in one
                 if (buf[p] and not buf[q] and mask_buf[q] and nin[p] < 4 and nin[q]
                         and sums[p] - sums[q] + adjacent_coef.get(q - p, 0.0) <= limit):
-                    log.swap(p, q)
+                    chain.swap(p, q)
                     accepted += 1
-            log.end_sweep(sweep)
+            chain.end_sweep(sweep)
             temp *= schedule.ratio
-            if np.count_nonzero(counter.g) != count:  # swap moves conserve the count
+            if np.count_nonzero(cells) != count:  # swap moves conserve the count
                 raise RuntimeError(f"anneal sweep {sweep} changed the cell count from {count}")
-    log.flush()
+    chain.flush()
 
-    best_grid = _unpad(log.best, counter.cells.shape)
+    best_grid = _unpad(chain.best, chain.width)
     assert int(best_grid.sum()) == count
-    return AnnealResult(grid=best_grid, perimeter=log.best_energy, origin=origin,
+    return AnnealResult(grid=best_grid, perimeter=chain.best_energy, origin=origin,
                         cell=h, in_count=count, seed=seed, energy_trace=trace,
                         temperature_final=float(temp), proposals=proposals,
                         accepted=accepted)
@@ -887,9 +860,9 @@ def _sweep_moves(rng, bd_in, bd_out, temp):
     return zip(ps, qs, limits.tolist())
 
 
-def _unpad(buf, shape):
-    """Copy of the grid held in a padded byte buffer of the given 2-D shape."""
-    cells = np.frombuffer(buf, dtype=bool).reshape(shape)
+def _unpad(buf, width):
+    """Copy of the grid held in a padded byte buffer of the given width."""
+    cells = np.frombuffer(buf, dtype=bool).reshape(-1, width)
     return cells[_PAD:-_PAD, _PAD:-_PAD].copy()
 
 

@@ -8,13 +8,17 @@ the unit square, the default schedule of 400 sweeps) on the 16-wide grid
 of the ``verify-square`` benchmark workload and on a 64-wide grid.  Per
 case it prints the median wall time of the three chains over the
 repeats, that time per sweep and per accepted swap, and the share of it
-spent in ``_SwapLog.flush``, which prices the logged swaps in batches
-of ``CHUNK_ENTRIES // 64``, with the number of flushes.
+spent in ``_Chain.flush``, which prices the logged swaps in batches of
+``CHUNK_ENTRIES // 64``, with the number of flushes.  Then it prints the
+median time to build a chain's start state (``_Chain``) on the seed-0
+start block at widths 16, 64 and 256.
 """
 
 import argparse
 import statistics
 import time
+
+import numpy as np
 
 from isoperim import oracle as orc
 from isoperim.geometry import validate_polygon
@@ -25,22 +29,34 @@ SEEDS = (0, 1, 2)
 
 def run_chains(domain, grid_n):
     """(wall s, flush s, flushes, sweeps, accepted) of the three chains."""
-    flush, spent = orc._SwapLog.flush, []
+    flush, spent = orc._Chain.flush, []
 
-    def timed(log):
+    def timed(chain):
         t0 = time.perf_counter()
-        flush(log)
+        flush(chain)
         spent.append(time.perf_counter() - t0)
 
-    orc._SwapLog.flush = timed
+    orc._Chain.flush = timed
     try:
         t0 = time.perf_counter()
         results = [orc.anneal_discrete(domain, 0.9, grid_n, seed=s) for s in SEEDS]
         wall = time.perf_counter() - t0
     finally:
-        orc._SwapLog.flush = flush
+        orc._Chain.flush = flush
     return (wall, sum(spent), len(spent), sum(len(r.energy_trace) for r in results),
             sum(r.accepted for r in results))
+
+
+def build_time(domain, grid_n, repeats):
+    """Median wall time of building the chain of the seed-0 start block."""
+    _, mask, grid, h, _ = orc._anneal_start(domain, 0.9, grid_n, 0)
+    trace = np.empty(orc.AnnealSchedule().sweeps)
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        orc._Chain(grid, mask, h, trace)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def main(argv=None):
@@ -58,6 +74,9 @@ def main(argv=None):
         print(f"{f'square {grid_n}-wide, 3 chains':26s} {1e3 * wall:10.1f}"
               f" {1e3 * wall / sweeps:9.4f} {1e6 * wall / accepted:8.2f}"
               f" {100 * share:8.1f} {flushes:8d} {accepted:9d}")
+    print(f"\n{'chain build':26s} {'ms':>10s}")
+    for grid_n in (16, 64, 256):
+        print(f"{f'square {grid_n}-wide':26s} {1e3 * build_time(square, grid_n, 5 * args.repeats):10.3f}")
 
 
 if __name__ == "__main__":

@@ -822,26 +822,72 @@ def lp_inradius(polygon):
     return float(res.x[2]) * polygon.scale
 
 
-def price(counter, counts, p, q):
-    """(counts, perimeter) of a ``_CroftonCounter`` with the given counts once
-    in-cell p leaves and out-cell q joins, one swap at a time.
+def padded(grid):
+    """(bytearray, live 2-D bool view) of ``grid`` inside a zero margin of
+    ``_PAD`` cells: a chain's buffer layout, built without a chain."""
+    cells = np.pad(np.asarray(grid).astype(bool), orc._PAD)
+    buf = bytearray(cells.tobytes())
+    return buf, np.frombuffer(buf, dtype=bool).reshape(cells.shape)
+
+
+def chain(grid, h):
+    """A ``_Chain`` on grid with cell side h, masked by all of the grid, and
+    with no trace."""
+    return orc._Chain(grid, np.ones(np.shape(grid), dtype=bool), h, None)
+
+
+def chain_cells(chain):
+    """Live 2-D bool view of a ``_Chain``'s padded buffer."""
+    return np.frombuffer(chain.buf, dtype=bool).reshape(-1, chain.width)
+
+
+def chain_grid(chain):
+    """Copy of a ``_Chain``'s grid, without the margin."""
+    return orc._unpad(chain.buf, chain.width)
+
+
+def flat_counts(chain):
+    """A ``_Chain``'s transition counts, recounted as the differing flat pairs
+    (x, x + o_k) of its buffer.  Offsets are positive and reach at most
+    ``_PAD`` cells, so any flat pair that is not a grid pair joins two
+    margin cells."""
+    flat = np.frombuffer(chain.buf, dtype=bool)
+    return [int(np.count_nonzero(flat[d:] != flat[:-d])) for d in chain.offsets]
+
+
+def stencil_sums(cells, coef):
+    """sum_k coef_k * (cells[x + (a_k, b_k)] + cells[x - (a_k, b_k)]) at every cell x,
+    reading cells beyond the array as outside, from 2-D shifted slices."""
+    ny, nx = cells.shape
+    ext = np.pad(cells.astype(float), orc._PAD)
+    sums = np.zeros((ny, nx))
+    for (a, b), c in zip(orc._CROFTON_DIRS, coef):
+        fwd = ext[orc._PAD + b:orc._PAD + b + ny, orc._PAD + a:orc._PAD + a + nx]
+        back = ext[orc._PAD - b:orc._PAD - b + ny, orc._PAD - a:orc._PAD - a + nx]
+        sums += c * (fwd + back)
+    return sums
+
+
+def price(chain, counts, p, q):
+    """(counts, perimeter) of a ``_Chain`` with the given counts once in-cell p
+    leaves and out-cell q joins, one swap at a time.
 
     Per direction p leaving adds 2 (nb1 + nb2) - 2 and q joining adds
     2 - 2 (nb1 + nb2), reading p as already out; the grid is untouched.
     """
-    buf = counter.buf
+    buf = chain.buf
     after = [n + 2 * (buf[p + d] + buf[p - d] - buf[q + d] - buf[q - d])
-             for n, d in zip(counts, counter.offsets)]
-    if abs(q - p) in counter.offsets:
-        after[counter.offsets.index(abs(q - p))] += 2  # q's neighbour p has already left
-    return after, perimeter(counter, after)
+             for n, d in zip(counts, chain.offsets)]
+    if abs(q - p) in chain.offsets:
+        after[chain.offsets.index(abs(q - p))] += 2  # q's neighbour p has already left
+    return after, perimeter(chain, after)
 
 
-def perimeter(counter, counts) -> float:
-    """Crofton perimeter of a ``_CroftonCounter``'s counts, summed in direction
-    order over Python floats."""
+def perimeter(chain, counts) -> float:
+    """Crofton perimeter of a ``_Chain``'s counts, summed in direction order
+    over Python floats."""
     total = 0.0
-    for c, n in zip(counter.coef, counts):
+    for c, n in zip(chain.coef, counts):
         total += c * n
     return 0.5 * total
 
@@ -852,21 +898,25 @@ def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
     Fed the same per-sweep draws, each proposal is priced into exact
     transition counts and decided on ``after - current``, the perimeter
     change between the counts' perimeters, instead of on the kept
-    stencil sums; the best state is copied at every improvement.
+    stencil sums; the best state is copied at every improvement.  Of the
+    chain it reads only the start bytes, offsets and weights: the mask,
+    the boundary lists, validity, the counts and the swaps all come from
+    the grid bytes.
     """
     schedule = schedule or orc.AnnealSchedule()
-    rng, mask, grid, h, origin = orc._anneal_start(domain, v, grid_n, seed)
-    counter = orc._CroftonCounter(grid, h)
-    buf, n4 = counter.buf, counter.n4
-    mask_buf, mask_cells = orc._padded_buffer(mask)
-    counts = counter.counts()
-    current = perimeter(counter, counts)
+    rng, mask, start, h, origin = orc._anneal_start(domain, v, grid_n, seed)
+    ref = chain(start, h)
+    buf = ref.buf
+    n4 = (1, -1, ref.width, -ref.width)
+    mask_buf, mask_cells = padded(mask)
+    counts = flat_counts(ref)
+    current = perimeter(ref, counts)
     best, best_energy = bytes(buf), current
     temp = schedule.t0_cells * h
     trace = np.empty(schedule.sweeps)
     proposals = accepted = 0
     for sweep in range(schedule.sweeps):
-        bd_in, bd_out = _boundaries(counter.cells, mask_cells)
+        bd_in, bd_out = _boundaries(chain_cells(ref), mask_cells)
         if len(bd_in) == 0 or len(bd_out) == 0:
             trace[sweep:] = current
             break
@@ -876,18 +926,18 @@ def priced_anneal(domain, v, grid_n, schedule=None, seed=0):
         for p, q, limit in moves:
             if not _valid_swap(buf, mask_buf, n4, p, q):
                 continue
-            after_counts, after = price(counter, counts, p, q)
+            after_counts, after = price(ref, counts, p, q)
             if after - current <= limit:
-                counter.commit(p, q)
+                buf[p], buf[q] = 0, 1
                 counts, current = after_counts, after
                 accepted += 1
                 if current < best_energy:
                     best, best_energy = bytes(buf), current
         trace[sweep] = current
         temp *= schedule.ratio
-    grid = orc._unpad(best, counter.cells.shape)
-    return orc.AnnealResult(grid=grid, perimeter=float(best_energy), origin=origin,
-                            cell=h, in_count=int(grid.sum()), seed=seed,
+    best_grid = orc._unpad(best, ref.width)
+    return orc.AnnealResult(grid=best_grid, perimeter=float(best_energy), origin=origin,
+                            cell=h, in_count=int(best_grid.sum()), seed=seed,
                             energy_trace=trace, temperature_final=float(temp),
                             proposals=proposals, accepted=accepted)
 
@@ -947,7 +997,7 @@ def _valid_swap(buf, mask, n4, p, q):
     return _has_neighbor(buf, n4, p, 0) and _has_neighbor(buf, n4, q, 1)
 
 
-def delta(counter, p, q):
+def delta(chain, p, q):
     """Perimeter change once in-cell p leaves and out-cell q joins.
 
     Per direction, p leaving changes the perimeter by its neighbours'
@@ -956,26 +1006,26 @@ def delta(counter, p, q):
     is q's neighbour along direction k.  ``anneal_discrete`` reads the
     same expression inline.
     """
-    sums = counter.sums
-    return sums[p] - sums[q] + counter.adjacent_coef.get(q - p, 0.0)
+    sums = chain.sums
+    return sums[p] - sums[q] + chain.adjacent_coef.get(q - p, 0.0)
 
 
-def index(counter, j, i):
-    """Byte of cell (j, i) in a ``_CroftonCounter``'s padded buffer."""
-    return (int(j) + orc._PAD) * counter.width + int(i) + orc._PAD
+def index(chain, j, i):
+    """Byte of cell (j, i) in a ``_Chain``'s padded buffer."""
+    return (int(j) + orc._PAD) * chain.width + int(i) + orc._PAD
 
 
-def flip(counter, counts, j, i):
-    """Toggle cell (j, i) of a ``_CroftonCounter`` with the given counts, and
-    its stencil sums; returns the counts after the toggle."""
-    x = index(counter, j, i)
-    buf = counter.buf
+def flip(chain, counts, j, i):
+    """Toggle cell (j, i) of a ``_Chain`` with the given counts, and its
+    stencil sums; returns the counts after the toggle."""
+    x = index(chain, j, i)
+    buf = chain.buf
     sign = 1 if buf[x] else -1
     counts = [n + sign * (2 * (buf[x + d] + buf[x - d]) - 2)
-              for n, d in zip(counts, counter.offsets)]
+              for n, d in zip(counts, chain.offsets)]
     buf[x] ^= 1
-    sums = counter.sums
-    for c, d in zip(counter.coef, counter.offsets):
+    sums = chain.sums
+    for c, d in zip(chain.coef, chain.offsets):
         sums[x + d] -= sign * c
         sums[x - d] -= sign * c
     return counts

@@ -1,11 +1,13 @@
-"""The annealing oracle's stencil pricing, its swap log and its pinned seeded results.
+"""The annealing chain's stencil state, its swap log and its pinned seeded results.
 
-Each swap is priced from the counter's flat Crofton stencil without
-touching the grid (``oracles.price``). The property tests compare the
-priced counts with transition counts recomputed from scratch after the
-swap, the kept stencil sums with a rebuild after a run of committed
-swaps, and the kept 4-neighbour counts and the boundary lists read off
-them with recounts along short seeded chains.  The chain's exact counts,
+A chain's start sums, 4-neighbour counts and transition counts, read
+off one stencil, must equal 2-D references bit for bit.  Each swap is
+priced from the chain's flat Crofton stencil without touching the grid
+(``oracles.price``). The property tests compare the priced counts with
+transition counts recomputed from scratch after the swap, the kept
+stencil sums with a rebuild after a run of committed swaps, and the
+kept 4-neighbour counts and the boundary lists read off them with
+recounts along short seeded chains.  The chain's exact counts,
 energies, trace and best state come from a swap log priced in batches;
 its counts must equal recounts after every swap and its energies the
 one-swap pricing bit for bit, wherever the batches end.  The golden
@@ -20,7 +22,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import convolve
 
@@ -87,9 +89,46 @@ def coupled_swaps(draw, direction, sign, place):
     return grid, p, q
 
 
+@st.composite
+def start_grids(draw):
+    """Grids of 1 x 1 to 9 x 9: random, empty, full, or random with an
+    in-cell on each edge."""
+    ny, nx = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["random", "empty", "full", "edges"]))
+    if kind in ("empty", "full"):
+        return np.full((ny, nx), kind == "full")
+    grid = _random_grid(draw, ny, nx)
+    if kind == "edges":
+        grid[0, draw(st.integers(0, nx - 1))] = grid[-1, draw(st.integers(0, nx - 1))] = True
+        grid[draw(st.integers(0, ny - 1)), 0] = grid[draw(st.integers(0, ny - 1)), -1] = True
+    return grid
+
+
+_CROSS = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(start_grids())
+@example(np.zeros((1, 1), dtype=bool))
+@example(np.ones((1, 1), dtype=bool))
+@example(np.array([[True, False, True, True, False, True, False, False, True]]))
+@example(np.array([[True], [True], [False], [True], [False], [False], [True], [True], [False]]))
+def test_start_state_reads_one_stencil(grid):
+    # margin cells included: the sums and neighbour counts cover the whole buffer
+    h = 0.125
+    chain = oracles.chain(grid, h)
+    cells = oracles.chain_cells(chain)
+    assert chain.buf == oracles.padded(grid)[0]
+    assert np.array(chain.sums).tobytes() == oracles.stencil_sums(cells, chain.coef).tobytes()
+    assert chain.counts.tolist() == [oracles.transition_count(grid, a, b) for a, b in DIRS]
+    nin = np.frombuffer(chain.nin, dtype=np.uint8).reshape(cells.shape)
+    assert np.array_equal(nin, convolve(cells.astype(int), _CROSS, mode="constant"))
+    assert chain.energy == oracles.crofton_perimeter(grid, h)
+
+
 def _is_valid_swap(grid, p, q):
-    buf, cells = orc._padded_buffer(grid)
-    mask_buf, _ = orc._padded_buffer(np.ones_like(grid))
+    buf, cells = oracles.padded(grid)
+    mask_buf, _ = oracles.padded(np.ones_like(grid))
     width = cells.shape[1]
     p, q = ((j + orc._PAD) * width + i + orc._PAD for j, i in (p, q))
     return oracles._valid_swap(buf, mask_buf, (1, -1, width, -width), p, q)
@@ -97,11 +136,11 @@ def _is_valid_swap(grid, p, q):
 
 def _check_priced_swap(grid, p, q):
     h = 0.125
-    counter = orc._CroftonCounter(grid, h)
-    pi, qi = oracles.index(counter, *p), oracles.index(counter, *q)
-    before = counter.counts()
+    chain = oracles.chain(grid, h)
+    pi, qi = oracles.index(chain, *p), oracles.index(chain, *q)
+    before = oracles.flat_counts(chain)
 
-    counts, after = oracles.price(counter, before, pi, qi)
+    counts, after = oracles.price(chain, before, pi, qi)
 
     swapped = grid.copy()
     swapped[p] = False
@@ -109,12 +148,14 @@ def _check_priced_swap(grid, p, q):
     assert counts == [oracles.transition_count(swapped, a, b) for a, b in DIRS]
     assert after == oracles.crofton_perimeter(swapped, h)
     # pricing leaves the state alone
-    assert np.array_equal(counter.g, grid)
-    assert counter.counts() == before
-    counter.commit(pi, qi)
-    assert np.array_equal(counter.g, swapped)
-    assert counter.counts() == counts
-    assert counter.perimeter() == after
+    assert np.array_equal(oracles.chain_grid(chain), grid)
+    assert oracles.flat_counts(chain) == before
+    chain.swap(pi, qi)
+    assert np.array_equal(oracles.chain_grid(chain), swapped)
+    assert oracles.flat_counts(chain) == counts
+    chain.flush()
+    assert chain.counts.tolist() == counts
+    assert chain.energy == after
 
 
 @pytest.mark.parametrize("place", ["border", "interior"])
@@ -149,26 +190,26 @@ def test_counter_flip_matches_price():
     rng = np.random.default_rng(5)
     grid = rng.random((12, 10)) < 0.5
     grid[3, 4], grid[4, 5] = True, False
-    flipped = orc._CroftonCounter(grid, 0.1)
-    counts = oracles.flip(flipped, flipped.counts(), 3, 4)
+    flipped = oracles.chain(grid, 0.1)
+    counts = oracles.flip(flipped, oracles.flat_counts(flipped), 3, 4)
     counts = oracles.flip(flipped, counts, 4, 5)
-    priced = orc._CroftonCounter(grid, 0.1)
-    want, _ = oracles.price(priced, priced.counts(),
+    priced = oracles.chain(grid, 0.1)
+    want, _ = oracles.price(priced, oracles.flat_counts(priced),
                             oracles.index(priced, 3, 4), oracles.index(priced, 4, 5))
-    assert counts == want == flipped.counts()
+    assert counts == want == oracles.flat_counts(flipped)
 
 
-def _check_kept_sums(counter, swaps):
+def _check_kept_sums(chain, swaps):
     """The kept stencil sums match a rebuild, and price each valid swap as
     ``oracles.price`` does."""
-    rebuilt = orc._stencil_sums(counter.cells, counter.coef).ravel()
-    kept = np.array(counter.sums)
+    rebuilt = oracles.stencil_sums(oracles.chain_cells(chain), chain.coef).ravel()
+    kept = np.array(chain.sums)
     assert np.max(np.abs(kept - rebuilt)) <= 1e-12 * np.max(rebuilt)
-    counts = counter.counts()
-    current = oracles.perimeter(counter, counts)
+    counts = oracles.flat_counts(chain)
+    current = oracles.perimeter(chain, counts)
     for p, q in swaps:
-        _, after = oracles.price(counter, counts, p, q)
-        assert abs(oracles.delta(counter, p, q) - (after - current)) <= 1e-12 * current
+        _, after = oracles.price(chain, counts, p, q)
+        assert abs(oracles.delta(chain, p, q) - (after - current)) <= 1e-12 * current
 
 
 @pytest.mark.parametrize("direction", range(len(DIRS)))
@@ -179,54 +220,62 @@ def test_kept_sums_follow_commits(direction, data):
     sign = data.draw(st.sampled_from([1, -1]))
     place = data.draw(st.sampled_from(["border", "interior"]))
     grid, p, q = data.draw(coupled_swaps(direction, sign, place))
-    counter = orc._CroftonCounter(grid, 0.125)
-    mask_buf, _ = orc._padded_buffer(np.ones_like(grid))
-    swaps = [(oracles.index(counter, *p), oracles.index(counter, *q))]
-    assume(oracles._valid_swap(counter.buf, mask_buf, counter.n4, *swaps[0]))
+    chain = oracles.chain(grid, 0.125)
+    mask_buf, _ = oracles.padded(np.ones_like(grid))
+    swaps = [(oracles.index(chain, *p), oracles.index(chain, *q))]
+    assume(oracles._valid_swap(chain.buf, mask_buf, chain.n4, *swaps[0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    counts = counter.counts()
+    counts = oracles.flat_counts(chain)
     for _ in range(data.draw(st.integers(1, 12))):
-        _check_kept_sums(counter, swaps)
-        counts = oracles.price(counter, counts, *swaps[0])[0]
-        counter.commit(*swaps[0])
-        cells = [oracles.index(counter, j, i) for j, i in
+        _check_kept_sums(chain, swaps)
+        counts = oracles.price(chain, counts, *swaps[0])[0]
+        chain.swap(*swaps[0])
+        cells = [oracles.index(chain, j, i) for j, i in
                  zip(rng.integers(grid.shape[0], size=16), rng.integers(grid.shape[1], size=16))]
         swaps = [m for m in zip(cells[::2], cells[1::2])
-                 if oracles._valid_swap(counter.buf, mask_buf, counter.n4, *m)]
+                 if oracles._valid_swap(chain.buf, mask_buf, chain.n4, *m)]
         if not swaps:
             break
-    _check_kept_sums(counter, swaps)
-    assert counts == counter.counts() == [oracles.transition_count(counter.g, a, b)
-                                          for a, b in DIRS]
+    _check_kept_sums(chain, swaps)
+    chain.flush()
+    assert counts == chain.counts.tolist() == oracles.flat_counts(chain) == [
+        oracles.transition_count(oracles.chain_grid(chain), a, b) for a, b in DIRS]
 
 
 TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
 
-class _CheckedCounter(orc._CroftonCounter):
-    """The chain's counter, checking its kept 4-neighbour counts at every
-    sweep's boundary lists and every commit against fresh recounts and
-    the grid-byte reference."""
+class _CheckedChain(orc._Chain):
+    """The chain, checking its kept 4-neighbour counts at every sweep's
+    boundary lists and every swap against fresh recounts, and its lists
+    and swaps against the grid-byte reference on a mask padded apart."""
+
+    def __init__(self, grid, mask, cell, trace):
+        super().__init__(grid, mask, cell, trace)
+        self.ref_mask_buf, self.ref_mask_cells = oracles.padded(mask)
+        self.touched, self.adjacent_swaps = False, 0
 
     def check_counts(self):
-        cross = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        recount = convolve(self.cells.astype(int), cross, mode="constant")
-        assert np.array_equal(self.nin_cells, recount)
+        cells = oracles.chain_cells(self)
+        recount = convolve(cells.astype(int), _CROSS, mode="constant")
+        assert np.array_equal(np.frombuffer(self.nin, dtype=np.uint8).reshape(cells.shape),
+                              recount)
 
-    def boundaries(self, mask_cells):
+    def boundaries(self):
         self.check_counts()
-        bd_in, bd_out = super().boundaries(mask_cells)
-        ref_in, ref_out = oracles._boundaries(self.cells, mask_cells)
+        bd_in, bd_out = super().boundaries()
+        cells, mask_cells = oracles.chain_cells(self), self.ref_mask_cells
+        ref_in, ref_out = oracles._boundaries(cells, mask_cells)
         assert np.array_equal(bd_in, ref_in) and np.array_equal(bd_out, ref_out)
         # an in-cell beside a cell outside the mask: the set touches the mask's edge
-        self.touched |= bool(np.any(self.cells & (convolve(
+        self.touched |= bool(np.any(cells & (convolve(
             ~mask_cells, np.ones((3, 3), bool), mode="constant") > 0)))
         return bd_in, bd_out
 
-    def commit(self, p, q):
-        assert oracles._valid_swap(self.buf, self.mask_buf, self.n4, p, q)
+    def swap(self, p, q):
+        assert oracles._valid_swap(self.buf, self.ref_mask_buf, self.n4, p, q)
         self.adjacent_swaps += (q - p) in self.n4
-        super().commit(p, q)
+        super().swap(p, q)
         self.check_counts()
 
 
@@ -234,69 +283,68 @@ class _CheckedCounter(orc._CroftonCounter):
 @given(shape=st.sampled_from(["square", "triangle"]), grid_n=st.integers(4, 12),
        fill=st.floats(0.3, 0.9), seed=st.integers(0, 2**16))
 def test_kept_neighbour_counts_follow_the_chain(shape, grid_n, fill, seed):
-    # the chain runs with a counter that checks itself; fill is a share of the area
+    # the chain runs checking itself; fill is a share of the area
     domain = validate_polygon(SQUARE if shape == "square" else TRIANGLE)
     v = fill * (1.0 if shape == "square" else 0.5)
     _, mask, _, _, _ = orc._anneal_start(domain, v, grid_n, seed)
-    counters = []
+    chains = []
 
-    def checked(grid, cell):
-        counter = _CheckedCounter(grid, cell)
-        counter.mask_buf, _ = orc._padded_buffer(mask)
-        counter.touched, counter.adjacent_swaps = False, 0
-        counters.append(counter)
-        return counter
+    def checked(grid, chain_mask, cell, trace):
+        assert np.array_equal(chain_mask, mask)
+        chains.append(_CheckedChain(grid, chain_mask, cell, trace))
+        return chains[-1]
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(orc, "_CroftonCounter", checked)
+        m.setattr(orc, "_Chain", checked)
         res = orc.anneal_discrete(domain, v, grid_n, orc.AnnealSchedule(sweeps=40), seed=seed)
-    (counter,) = counters
+    (chain,) = chains
     assert res.accepted > 0
-    assert counter.touched and counter.adjacent_swaps > 0
+    assert chain.touched and chain.adjacent_swaps > 0
 
 
 def _run_log(monkeypatch, grid, mask, h, swaps, ends, cap):
-    """Feed swaps (flat index pairs) to a ``_SwapLog`` flushing every ``cap``
+    """Feed swaps (flat index pairs) to a ``_Chain`` flushing every ``cap``
     swaps, marking a sweep end after the swaps counted in ``ends``; check it
-    against one-swap pricing and recounts, and return the log with the grid
-    bytes after each swap (the start first)."""
+    against one-swap pricing and recounts, and return the chain with the
+    grid bytes after each swap (the start first)."""
     monkeypatch.setattr(orc, "CHUNK_ENTRIES", 64 * cap)
-    counter = orc._CroftonCounter(grid, h)
-    mask_buf, _ = orc._padded_buffer(mask)
+    mask_buf, _ = oracles.padded(mask)
     trace = np.full(len(ends), np.nan)
-    log = orc._SwapLog(counter, trace)
-    assert log.cap == cap
+    chain = orc._Chain(grid, mask, h, trace)
+    assert chain.cap == cap
     priced = []
 
     def spy():
-        priced.append(orc._SwapLog.priced(log))
+        priced.append(orc._Chain.priced(chain))
         return priced[-1]
 
-    log.priced = spy
+    chain.priced = spy
 
-    counts = counter.counts()
-    energies, states = [oracles.perimeter(counter, counts)], [bytes(counter.buf)]
+    counts = oracles.flat_counts(chain)
+    assert chain.counts.tolist() == counts
+    energies, states = [oracles.perimeter(chain, counts)], [bytes(chain.buf)]
     recounts, want_trace = [], []
     best, best_energy = states[0], energies[0]
     sweep = 0
     for n, (p, q) in enumerate(swaps):
         while sweep < len(ends) and ends[sweep] == n:
-            log.end_sweep(sweep)
+            chain.end_sweep(sweep)
             want_trace.append(energies[-1])
             sweep += 1
-        assert oracles._valid_swap(counter.buf, mask_buf, counter.n4, p, q)
-        counts, energy = oracles.price(counter, counts, p, q)
-        log.swap(p, q)
-        recounts.append([oracles.transition_count(counter.g, a, b) for a, b in DIRS])
+        assert oracles._valid_swap(chain.buf, mask_buf, chain.n4, p, q)
+        counts, energy = oracles.price(chain, counts, p, q)
+        chain.swap(p, q)
+        recounts.append([oracles.transition_count(oracles.chain_grid(chain), a, b)
+                         for a, b in DIRS])
         assert counts == recounts[-1]
         energies.append(energy)
-        states.append(bytes(counter.buf))
+        states.append(bytes(chain.buf))
         if energy < best_energy:
             best, best_energy = states[-1], energy
     for sweep in range(sweep, len(ends)):
-        log.end_sweep(sweep)
+        chain.end_sweep(sweep)
         want_trace.append(energies[-1])
-    log.flush()
+    chain.flush()
 
     # one batch per cap swaps, the last one maybe short
     assert [len(e) for _, e in priced] == [min(cap, len(swaps) - i)
@@ -304,12 +352,12 @@ def _run_log(monkeypatch, grid, mask, h, swaps, ends, cap):
     if priced:
         assert np.concatenate([c for c, _ in priced]).tolist() == recounts
         assert np.concatenate([e for _, e in priced]).tobytes() == np.array(energies[1:]).tobytes()
-    assert log.counts.tolist() == counter.counts() == (recounts or [counts])[-1]
-    assert log.energy == energies[-1]
-    assert log.best == best and log.best_energy == best_energy
+    assert chain.counts.tolist() == oracles.flat_counts(chain) == (recounts or [counts])[-1]
+    assert chain.energy == energies[-1]
+    assert chain.best == best and chain.best_energy == best_energy
     assert trace.tobytes() == np.array(want_trace).tobytes()
-    assert not (log.ps or log.qs or log.windows or log.marks)
-    return log, states
+    assert not (chain.ps or chain.qs or chain.windows or chain.marks)
+    return chain, states
 
 
 @st.composite
@@ -322,17 +370,16 @@ def swap_chains(draw):
     _, mask, _, h, _ = orc._anneal_start(domain, domain.area / 2, grid_n, seed)
     rng = np.random.default_rng(seed)
     grid = mask & (rng.random(mask.shape) < draw(st.floats(0.2, 0.8)))
-    counter = orc._CroftonCounter(grid, h)
-    _, mask_cells = orc._padded_buffer(mask)
+    chain = orc._Chain(grid, mask, h, None)
     swaps = []
     for _ in range(draw(st.integers(1, 30))):
-        bd_in, bd_out = counter.boundaries(mask_cells)
+        bd_in, bd_out = chain.boundaries()
         if not (len(bd_in) and len(bd_out)):
             break
         moves = zip(rng.choice(bd_in, 8).tolist(), rng.choice(bd_out, 8).tolist())
-        swaps.append(min(moves, key=lambda m: oracles.delta(counter, *m)) if len(swaps) % 2
+        swaps.append(min(moves, key=lambda m: oracles.delta(chain, *m)) if len(swaps) % 2
                      else next(moves))
-        counter.commit(*swaps[-1])
+        chain.swap(*swaps[-1])
     ends = np.sort(rng.integers(0, len(swaps) + 1, size=rng.integers(0, 8))).tolist()
     return grid, mask, h, swaps, ends
 
@@ -361,9 +408,9 @@ def test_swap_log_keeps_the_start_without_improvement(monkeypatch, cap):
     # 2 x 2 block -> L -> T -> the block moved one cell right: equal, not lower
     grid, mask, swaps = _line_chain([(2, 2), (2, 3), (3, 2), (3, 3)],
                                     [((3, 3), (2, 4)), ((3, 2), (3, 3)), ((2, 2), (3, 4))])
-    log, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [0, 3], cap)
-    assert log.energy == log.best_energy
-    assert log.best == states[0] != states[-1]
+    chain, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [0, 3], cap)
+    assert chain.energy == chain.best_energy
+    assert chain.best == states[0] != states[-1]
 
 
 @pytest.mark.parametrize("cap", [1, 2, 7])
@@ -371,9 +418,9 @@ def test_swap_log_keeps_the_first_of_equal_minima(monkeypatch, cap):
     # two singles -> a domino, moved right twice: three equal minima
     grid, mask, swaps = _line_chain([(2, 1), (2, 5)],
                                     [((2, 5), (2, 2)), ((2, 1), (2, 3)), ((2, 2), (2, 4))])
-    log, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [1, 1, 2], cap)
-    assert log.energy == log.best_energy < oracles.crofton_perimeter(grid, 0.125)
-    assert log.best == states[1] and len(set(states[1:])) == 3
+    chain, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [1, 1, 2], cap)
+    assert chain.energy == chain.best_energy < oracles.crofton_perimeter(grid, 0.125)
+    assert chain.best == states[1] and len(set(states[1:])) == 3
 
 
 @pytest.mark.parametrize("cap", [1, 2, 7])
@@ -382,16 +429,16 @@ def test_swap_log_best_on_the_last_swap_of_a_batch(monkeypatch, cap):
     # swap 2, the last of a batch at caps 1 and 2; the domino then moves left
     grid, mask, swaps = _line_chain([(2, 1), (2, 5)],
                                     [((2, 5), (2, 6)), ((2, 6), (2, 2)), ((2, 2), (2, 0))])
-    log, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [2], cap)
-    assert log.best == states[2] != states[3]
-    assert log.best_energy == log.energy
+    chain, states = _run_log(monkeypatch, grid, mask, 0.125, swaps, [2], cap)
+    assert chain.best == states[2] != states[3]
+    assert chain.best_energy == chain.energy
 
 
 def test_anneal_memory_is_bounded_by_the_log_cap(square):
     # the log holds at most cap = CHUNK_ENTRIES // 64 swaps: two stencil
     # windows of 2 reach + 1 bytes each, and a kilobyte a swap for a
-    # flush's arrays.  With 64 bytes a padded cell for the counter and the
-    # mask, that bounds the chain's peak by the grid width alone
+    # flush's arrays.  With 64 bytes a padded cell for the chain's state and
+    # the mask, that bounds the chain's peak by the grid width alone
     grid_n = 128
     width = grid_n + 2 * orc._PAD
     window = 2 * (3 * width + 3) + 1

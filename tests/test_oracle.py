@@ -10,7 +10,7 @@ from isoperim.family import build_family
 from isoperim.geometry import _shoelace, validate_polygon
 
 import oracles
-from conftest import ellipse_polygon, regular_polygon
+from conftest import SQUARE, ellipse_polygon, regular_polygon
 
 
 def _raster(shape_fn, n=256, lo=0.0, hi=1.0):
@@ -22,40 +22,40 @@ def _raster(shape_fn, n=256, lo=0.0, hi=1.0):
 
 def test_crofton_axis_square():
     grid, h = _raster(lambda X, Y: (np.abs(X - 0.5) <= 0.25) & (np.abs(Y - 0.5) <= 0.25))
-    assert orc._CroftonCounter(grid, h).perimeter() == pytest.approx(2.0, rel=0.02)
+    assert oracles.chain(grid, h).energy == pytest.approx(2.0, rel=0.02)
 
 
 def test_crofton_disk():
     grid, h = _raster(lambda X, Y: (X - 0.5) ** 2 + (Y - 0.5) ** 2 <= 0.09)
-    assert orc._CroftonCounter(grid, h).perimeter() == pytest.approx(2 * np.pi * 0.3, rel=0.02)
+    assert oracles.chain(grid, h).energy == pytest.approx(2 * np.pi * 0.3, rel=0.02)
 
 
 def test_crofton_rotated_square():
     grid, h = _raster(lambda X, Y: (np.abs(X - 0.5) + np.abs(Y - 0.5)) <= 0.25 * np.sqrt(2))
     axis, _ = _raster(lambda X, Y: (np.abs(X - 0.5) <= 0.25) & (np.abs(Y - 0.5) <= 0.25))
-    p_rot = orc._CroftonCounter(grid, h).perimeter()
-    p_axis = orc._CroftonCounter(axis, h).perimeter()
+    p_rot = oracles.chain(grid, h).energy
+    p_axis = oracles.chain(axis, h).energy
     assert p_rot == pytest.approx(2.0, rel=0.02)
     assert p_rot == pytest.approx(p_axis, rel=0.03)
 
 
 def test_crofton_empty_grid():
-    assert orc._CroftonCounter(np.zeros((8, 8), dtype=bool), 0.1).perimeter() == 0.0
+    assert oracles.chain(np.zeros((8, 8), dtype=bool), 0.1).energy == 0.0
 
 
 def test_crofton_counter_matches_batch():
     rng = np.random.default_rng(3)
     grid = rng.random((48, 48)) < 0.4
     h = 1 / 48
-    counter = orc._CroftonCounter(grid, h)
-    assert counter.perimeter() == pytest.approx(oracles.crofton_perimeter(grid, h), abs=1e-12)
-    counts = counter.counts()
+    chain = oracles.chain(grid, h)
+    assert chain.energy == pytest.approx(oracles.crofton_perimeter(grid, h), abs=1e-12)
+    counts = chain.counts.tolist()
     for _ in range(300):
         j, i = rng.integers(0, 48, 2)
-        counts = oracles.flip(counter, counts, j, i)
-    assert counts == counter.counts()
-    assert counter.perimeter(counts) == pytest.approx(
-        oracles.crofton_perimeter(counter.g, h), abs=1e-12)
+        counts = oracles.flip(chain, counts, j, i)
+    assert counts == oracles.flat_counts(chain)
+    assert chain.perimeter(np.array(counts)) == pytest.approx(
+        oracles.crofton_perimeter(oracles.chain_grid(chain), h), abs=1e-12)
 
 
 def _edge_grids():
@@ -77,12 +77,12 @@ def _edge_grids():
 def test_flat_counts_match_shifted_counts(grid):
     h = 0.125
     counts = [oracles.transition_count(grid, int(a), int(b)) for a, b in orc._CROFTON_DIRS]
-    counter = orc._CroftonCounter(grid, h)
-    assert counter.counts() == counts
+    chain = oracles.chain(grid, h)
+    assert chain.counts.tolist() == oracles.flat_counts(chain) == counts
     total = 0.0
     for w, ln, n in zip(orc._CROFTON_W, orc._CROFTON_LEN, counts):
         total += w * (h / ln) * n
-    assert counter.perimeter() == 0.5 * total
+    assert chain.energy == 0.5 * total
 
 
 def test_hull_sampler(square_family):
@@ -480,6 +480,20 @@ def test_verify_minimality_disk_equality(rect_family):
     assert report.samplers == ["hull", "halfplane", "disk"]
     assert report.passed
     assert abs(report.min_gap) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [10.0 ** e for e in range(-6, 7)], ids=lambda s: f"x{s:g}")
+def test_violation_threshold_scales_with_the_candidate(scale):
+    # at half the unit square the candidate is a disk: a candidate perimeter
+    # 1e-6 too long loses to each of the 100 disk competitors in 300 at
+    # every scale, and the true one to none
+    family = build_family(validate_polygon(np.array(SQUARE) * scale))
+    v = 0.5 * family.v_max
+    assert orc.verify_minimality(family, v, 300, seed=1).violations == []
+    family.perimeter = lambda v, exact=family.perimeter: exact(v) * (1.0 + 1e-6)
+    violations = orc.verify_minimality(family, v, 300, seed=1).violations
+    assert len(violations) == 100
+    assert {w["sampler"] for w in violations} == {"disk"}
 
 
 def test_verify_minimality_stadium(rect_family):

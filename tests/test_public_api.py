@@ -4,8 +4,8 @@ A change that adds or removes a public name has to edit this set too.
 Every public name is used by the library itself or traced by the
 benchmark, so no entry point lives on for the tests alone; and every
 defaulted parameter of a public function, or of a method of a public
-class or of ErosionStructure, is passed by some call in the library, so
-no option does either.
+class, of ErosionStructure or of ``oracle._Chain``, is passed by some
+call in the library, so no option does either.
 """
 
 import ast
@@ -14,6 +14,7 @@ from pathlib import Path
 
 import isoperim
 from isoperim.geometry import ErosionStructure
+from isoperim.oracle import _Chain
 
 from test_tracing_targets import _load_tracing
 
@@ -71,10 +72,11 @@ def test_every_public_name_is_used_by_the_library_or_traced():
 
 def _callables():
     """(label, the name a call uses, parameters) for each public function and
-    each method of a public class or of ErosionStructure.  A method is
+    each method of a public class, of ErosionStructure or of the annealing
+    chain ``oracle._Chain``.  A method is
     labelled ``Class.method``; a constructor is labelled and called by its
     class name."""
-    out, classes = [], [ErosionStructure]
+    out, classes = [], [ErosionStructure, _Chain]
     for name in isoperim.__all__:
         obj = getattr(isoperim, name)
         if inspect.isfunction(obj):
@@ -97,7 +99,8 @@ def _callables():
 
 
 def _passed(callables):
-    """{label: the parameter names some call in the library passes}.
+    """({label: the parameter names some call in the library passes},
+    {label: the parameter names some call in the library leaves out}).
 
     A call is matched by name alone, so it counts for every callable of
     that name.  ``**kwargs`` may pass any parameter; an unpacked ``*args``
@@ -108,6 +111,7 @@ def _passed(callables):
     for label, call, params in callables:
         by_call.setdefault(call, []).append((label, params))
     out = {label: set() for label, _, _ in callables}
+    left = {label: set() for label, _, _ in callables}
     for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
@@ -117,19 +121,26 @@ def _passed(callables):
             starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
             n = starred[0] if starred else len(node.args)
             for label, params in by_call.get(name, ()):
-                if any(k.arg is None for k in node.keywords):
-                    out[label].update(p.name for p in params)
-                out[label].update(p.name for p in params[:n])
+                given = {k.arg for k in node.keywords}
+                if None in given:
+                    given.update(p.name for p in params)
+                given.update(p.name for p in params[:n])
                 if starred:
-                    out[label].update(p.name for p in params[n:] if p.default is p.empty)
-                out[label].update(k.arg for k in node.keywords)
-    return out
+                    given.update(p.name for p in params[n:] if p.default is p.empty)
+                out[label] |= given - {None}
+                left[label].update(p.name for p in params if p.name not in given)
+    return out, left
 
 
 def test_every_defaulted_parameter_is_passed_by_the_library():
     # an option that only the tests set is a code path the program never takes
     callables = _callables()
-    passed = _passed(callables)
+    passed, left = _passed(callables)
     unpassed = {(label, p.name) for label, _, params in callables for p in params
                 if p.default is not p.empty and p.name not in passed[label]}
     assert sorted(unpassed) == sorted(UNPASSED)
+    # a private class has no outside callers: a default that every library
+    # call overrides is read by the tests alone
+    overridden = {(label, p.name) for label, _, params in callables if label.startswith("_")
+                  for p in params if p.default is not p.empty and p.name not in left[label]}
+    assert sorted(overridden) == []
