@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import io, oracle, rearrange, svgout
+from . import io, svgout
 from .errors import DomainMismatchError, GeometryError, VolumeOutOfRangeError
 from .family import KINDS, build_family
 
@@ -34,6 +34,7 @@ ANNEAL_BAND = 0.05
 SWEEP_MAX_STEPS = 10_000
 SAMPLES_MAX = 10 ** 6
 LEVELS_MIN, LEVELS_MAX = 16, 4096
+SUBCOMMANDS = ("minimizer", "family", "rearrange", "verify")
 
 
 def _volume_from_args(args, v_max) -> float:
@@ -118,6 +119,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_rearrange(args) -> int:
+    from . import rearrange
     if not LEVELS_MIN <= args.levels <= LEVELS_MAX:
         raise ValueError(f"--levels must be from {LEVELS_MIN} to {LEVELS_MAX}, "
                          f"got {args.levels}")
@@ -148,6 +150,7 @@ def cmd_rearrange(args) -> int:
 
 
 def _check_verify_counts(args):
+    from . import oracle
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.samples < 1:
@@ -160,6 +163,7 @@ def _check_verify_counts(args):
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
     _check_verify_counts(args)
     domain = io.load_domain(args.domain)
     family = build_family(domain)
@@ -196,11 +200,19 @@ def cmd_verify(args) -> int:
     return 0 if ok else EXIT_CHECK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv.  If argv starts with a subcommand name, only that
+    subcommand gets its arguments (and their imports); argparse hands it the rest
+    of argv alone, so every parse, help text and error line is the full parser's."""
     top = argparse.ArgumentParser(prog="isoperim", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    only = argv[0] if argv and argv[0] in SUBCOMMANDS else None
 
-    def common(p, volume=False, grid=False):
+    def command(name, func, help, volume=False, grid=False):
+        p = sub.add_parser(name, help=help)
+        if only not in (None, name):
+            return None
+        p.set_defaults(func=func)
         p.add_argument("--domain", required=True, help="domain JSON file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--json", action="store_true",
@@ -211,33 +223,25 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--volume-fraction", type=float)
         if grid:
             p.add_argument("--grid", required=True, help="grid text file")
+        return p
 
-    p = sub.add_parser("minimizer", help="construct one minimizer shape")
-    common(p, volume=True)
-    p.set_defaults(func=cmd_minimizer)
-
-    p = sub.add_parser("family", help="sweep the family over volumes")
-    common(p)
-    p.add_argument("--sweep", required=True, metavar="a:b:n")
-    p.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("rearrange", help="convex rearrangement of a grid function")
-    common(p, grid=True)
-    p.add_argument("--levels", type=int, default=rearrange.DEFAULT_LEVELS)
-    p.set_defaults(func=cmd_rearrange)
-
-    p = sub.add_parser("verify", help="competitor sweep and annealing oracle")
-    common(p, volume=True)
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--anneal", type=int, default=0, metavar="N",
-                   help="also run the annealing oracle on an N^2 grid")
-    p.set_defaults(func=cmd_verify)
+    command("minimizer", cmd_minimizer, "construct one minimizer shape", volume=True)
+    if p := command("family", cmd_family, "sweep the family over volumes"):
+        p.add_argument("--sweep", required=True, metavar="a:b:n")
+    if p := command("rearrange", cmd_rearrange, "convex rearrangement of a grid function",
+                    grid=True):
+        from .rearrange import DEFAULT_LEVELS
+        p.add_argument("--levels", type=int, default=DEFAULT_LEVELS)
+    if p := command("verify", cmd_verify, "competitor sweep and annealing oracle", volume=True):
+        p.add_argument("--samples", type=int, default=10000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--anneal", type=int, default=0, metavar="N",
+                       help="also run the annealing oracle on an N^2 grid")
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

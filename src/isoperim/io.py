@@ -16,7 +16,6 @@ import warnings
 import numpy as np
 
 from .geometry import ConvexPolygon, validate_polygon
-from .rearrange import GridFunction
 
 
 def fmt9(x) -> float:
@@ -46,14 +45,18 @@ def json_text(obj) -> str:
 def load_domain(path) -> ConvexPolygon:
     """Read and validate a domain JSON file."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("domain file nests arrays or objects too deeply") from None
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError("domain file must be a JSON object with a 'vertices' key")
     return validate_polygon(data["vertices"])
 
 
-def read_grid(path, domain: ConvexPolygon) -> GridFunction:
+def read_grid(path, domain: ConvexPolygon) -> "GridFunction":
     """Parse a grid text file and bind it to a domain."""
+    from .rearrange import GridFunction
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 6:
@@ -70,7 +73,7 @@ def read_grid(path, domain: ConvexPolygon) -> GridFunction:
     return GridFunction(np.array([x0, y0]), np.array([dx, dy]), values, domain)
 
 
-def write_grid(u: GridFunction, path):
+def write_grid(u: "GridFunction", path):
     """Write a grid file; values round-trip exactly.
 
     Each distinct value is formatted once and the rows are built from that

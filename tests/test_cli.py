@@ -60,27 +60,54 @@ def test_minimizer_command(square_json, tmp_path, capsys):
     assert svg.startswith("<svg") and " A " in svg
 
 
-def test_import_and_minimizer_load_no_scipy(square_json, tmp_path):
-    # every subcommand, each in a fresh interpreter, runs without loading scipy
-    src = str(Path(__file__).resolve().parents[1] / "src")
+def _fresh(code, *args):
+    """The last stdout line of a fresh interpreter running ``code`` with the
+    repo's sources and perfbench on its path."""
+    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        p for p in (str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+_LOADED = ("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+           "             or m in ('isoperim.oracle', 'isoperim.rearrange')))\n")
+
+
+def test_import_and_minimizer_load_no_scipy(square_json, tmp_path):
+    # every subcommand, each in a fresh interpreter, runs without loading scipy;
+    # the grid and verification layers load only for the subcommands that run them
     grid_path = str(tmp_path / "cone.grid")
     iio.write_grid(cone_grid(validate_polygon(SQUARE), 40), grid_path)
     code = ("import json, sys\n"
             "import isoperim\n"
             "from isoperim.cli import main\n"
-            "assert main(json.loads(sys.argv[1])) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    for argv in (["minimizer", "--volume", "0.9"],
-                 ["family", "--sweep", "0.2:0.9:8"],
-                 ["rearrange", "--grid", grid_path, "--levels", "32"],
-                 ["verify", "--volume", "0.9", "--samples", "300"]):
+            "assert main(json.loads(sys.argv[1])) == 0\n" + _LOADED)
+    for argv, loaded in ((["minimizer", "--volume", "0.9"], []),
+                         (["family", "--sweep", "0.2:0.9:8"], []),
+                         (["rearrange", "--grid", grid_path, "--levels", "32"],
+                          ["isoperim.rearrange"]),
+                         (["verify", "--volume", "0.9", "--samples", "300"],
+                          ["isoperim.oracle"])):
         argv += ["--domain", square_json, "--out", str(tmp_path / argv[0])]
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[]", argv[0]
+        assert _fresh(code, json.dumps(argv)) == str(loaded), argv[0]
+    # the benchmark's set-up: import, read the domain, build the family
+    code = ("import sys\n"
+            "import isoperim\n"
+            "from isoperim import io\n"
+            "isoperim.build_family(io.load_domain(sys.argv[1]))\n" + _LOADED)
+    assert _fresh(code, square_json) == "[]"
+    # every name the benchmark's tracer patches resolves after importing the CLI alone
+    code = ("import isoperim.cli\n"
+            "from tracing import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "tracer.uninstall()\n"
+            "print('restored')\n")
+    assert _fresh(code) == "restored"
 
 
 def test_minimizer_stadium(rect_json, tmp_path):
@@ -153,6 +180,134 @@ def test_exit_code_per_error_class(monkeypatch, capsys, exc, code):
     assert capsys.readouterr().err == f"error: {exc}\n"
 
 
+# argparse's output at COLUMNS=80 under Python 3.11, captured from the parser
+# that added every subcommand's arguments on every call
+_USAGE = {
+    None: "usage: isoperim [-h] {minimizer,family,rearrange,verify} ...\n",
+    "minimizer": (
+        "usage: isoperim minimizer [-h] --domain DOMAIN [--out OUT] [--json]\n"
+        "                          (--volume VOLUME | --volume-fraction VOLUME_FRACTION)\n"),
+    "family": "usage: isoperim family [-h] --domain DOMAIN [--out OUT] [--json] --sweep a:b:n\n",
+    "rearrange": (
+        "usage: isoperim rearrange [-h] --domain DOMAIN [--out OUT] [--json] --grid\n"
+        "                          GRID [--levels LEVELS]\n"),
+    "verify": (
+        "usage: isoperim verify [-h] --domain DOMAIN [--out OUT] [--json]\n"
+        "                       (--volume VOLUME | --volume-fraction VOLUME_FRACTION)\n"
+        "                       [--samples SAMPLES] [--seed SEED] [--anneal N]\n"),
+}
+_HELP = {
+    None: _USAGE[None] + """
+Command-line front end. Subcommands: ``minimizer`` (one shape), ``family`` (a
+volume sweep), ``rearrange`` (convex rearrangement of a grid function plus its
+report), ``verify`` (competitor sweep and optional annealing oracle). Exit
+codes: 0 success, 2 parse or usage error (sampler and annealing schedule
+failures included), 3 geometry error, 4 volume out of range, 5 domain
+mismatch, 6 verification failure. Outputs are deterministic for a fixed config
+and seed; numbers are pinned to 9 significant digits.
+
+positional arguments:
+  {minimizer,family,rearrange,verify}
+    minimizer           construct one minimizer shape
+    family              sweep the family over volumes
+    rearrange           convex rearrangement of a grid function
+    verify              competitor sweep and annealing oracle
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "minimizer": _USAGE["minimizer"] + """
+options:
+  -h, --help            show this help message and exit
+  --domain DOMAIN       domain JSON file
+  --out OUT             output directory
+  --json                machine-readable stdout
+  --volume VOLUME
+  --volume-fraction VOLUME_FRACTION
+""",
+    "family": _USAGE["family"] + """
+options:
+  -h, --help       show this help message and exit
+  --domain DOMAIN  domain JSON file
+  --out OUT        output directory
+  --json           machine-readable stdout
+  --sweep a:b:n
+""",
+    "rearrange": _USAGE["rearrange"] + """
+options:
+  -h, --help       show this help message and exit
+  --domain DOMAIN  domain JSON file
+  --out OUT        output directory
+  --json           machine-readable stdout
+  --grid GRID      grid text file
+  --levels LEVELS
+""",
+    "verify": _USAGE["verify"] + """
+options:
+  -h, --help            show this help message and exit
+  --domain DOMAIN       domain JSON file
+  --out OUT             output directory
+  --json                machine-readable stdout
+  --volume VOLUME
+  --volume-fraction VOLUME_FRACTION
+  --samples SAMPLES
+  --seed SEED
+  --anneal N            also run the annealing oracle on an N^2 grid
+""",
+}
+_D = ["--domain", "d.json"]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["-h"], None), (["--help"], None), (["-h", "minimizer"], None),
+    (["minimizer", "-h"], "minimizer"), (["family", "-h"], "family"),
+    (["rearrange", "--help"], "rearrange"), (["verify", "-h"], "verify"),
+    (["verify", *_D, "--volume", "1", "--anneal", "3", "-h"], "verify"),
+])
+def test_help_is_pinned(monkeypatch, capsys, argv, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 0
+    assert capsys.readouterr() == (_HELP[name], "")
+
+
+@pytest.mark.parametrize("argv,name,message", [
+    ([], None, "the following arguments are required: command"),
+    (["bogus"], None, "argument command: invalid choice: 'bogus' "
+                      "(choose from 'minimizer', 'family', 'rearrange', 'verify')"),
+    (["Minimizer"], None, "argument command: invalid choice: 'Minimizer' "
+                          "(choose from 'minimizer', 'family', 'rearrange', 'verify')"),
+    (["--foo", "minimizer", *_D, "--volume", "1"], None, "unrecognized arguments: --foo"),
+    (["minimizer"], "minimizer", "the following arguments are required: --domain"),
+    (["minimizer", *_D], "minimizer",
+     "one of the arguments --volume --volume-fraction is required"),
+    (["minimizer", *_D, "--volume", "x"], "minimizer",
+     "argument --volume: invalid float value: 'x'"),
+    (["minimizer", *_D, "--volume", "1", "--volume-fraction", "0.5"], "minimizer",
+     "argument --volume-fraction: not allowed with argument --volume"),
+    (["minimizer", *_D, "--vol", "1"], "minimizer",
+     "ambiguous option: --vol could match --volume, --volume-fraction"),
+    (["minimizer", *_D, "--volume", "1", "--bogus"], None, "unrecognized arguments: --bogus"),
+    (["minimizer", *_D, "--volume", "1", "extra"], None, "unrecognized arguments: extra"),
+    (["family", *_D], "family", "the following arguments are required: --sweep"),
+    (["family", "minimizer", *_D, "--sweep", "0:1:3"], None,
+     "unrecognized arguments: minimizer"),
+    (["rearrange", *_D], "rearrange", "the following arguments are required: --grid"),
+    (["rearrange", *_D, "--grid", "g", "--levels", "x"], "rearrange",
+     "argument --levels: invalid int value: 'x'"),
+    (["verify", *_D, "--volume", "1", "--samples", "x"], "verify",
+     "argument --samples: invalid int value: 'x'"),
+    (["verify", *_D, "--volume", "1", "--anneal"], "verify",
+     "argument --anneal: expected one argument"),
+    (["verify", *_D, "--volume", "1", "--volume-fraction", "0.5"], "verify",
+     "argument --volume-fraction: not allowed with argument --volume"),
+])
+def test_usage_errors_are_pinned(monkeypatch, capsys, argv, name, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 2
+    prog = "isoperim" if name is None else f"isoperim {name}"
+    assert capsys.readouterr() == ("", f"{_USAGE[name]}{prog}: error: {message}\n")
+
+
 def _grid_text(dx="0.5", x0="-0.25", y0="-0.25", value="0", rows=4):
     """A 4 x 4 grid over the unit square, one margin cell wide, with ``value``
     at the inside cell (1, 1) and ``rows`` body rows."""
@@ -195,10 +350,15 @@ _MINIMIZER = ["minimizer", "--volume", "0.5"]
     (["family", "--sweep=nan:0.5:10"], {}, 2, "sweep ends must be finite"),
     (["family", "--sweep=-1e308:1e308:10"], {}, 4, "sweep outside (0, |domain|]"),
     (["verify", "--volume", "0.9", "--seed", "-1"], {}, 2, "--seed must be nonnegative, got -1"),
+    (_MINIMIZER, {"domain.json": "[" * 100_000 + "]" * 100_000}, 2,
+     "domain file nests arrays or objects too deeply"),
+    (_MINIMIZER, {"domain.json": '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"}, 2,
+     "domain file nests arrays or objects too deeply"),
 ], ids=["dx-inf", "dx-nan", "x0-nan", "y0-minus-inf", "value-nan", "value-inf",
         "value-negative", "ragged-body", "short-body", "no-body", "dx-overflow",
         "value-overflow", "bad-json", "string-coordinates", "boolean-coordinates", "non-convex",
-        "coincident-vertices", "sweep-inf", "sweep-nan", "sweep-overflow", "seed-negative"])
+        "coincident-vertices", "sweep-inf", "sweep-nan", "sweep-overflow", "seed-negative",
+        "deep-nesting", "deep-vertices"])
 def test_bad_input_gives_one_error_line(tmp_path, capsys, argv, files, code, message):
     files = {"domain.json": _domain_text(SQUARE), **files}
     for name, text in files.items():

@@ -10,7 +10,10 @@ call in the library, so no option does either.
 
 import ast
 import inspect
+import sys
 from pathlib import Path
+
+import pytest
 
 import isoperim
 from isoperim.geometry import ErosionStructure
@@ -53,6 +56,16 @@ def test_every_public_name_resolves():
     exec("from isoperim import *", namespace)
     for name in PUBLIC:
         assert getattr(isoperim, name) is namespace[name], name
+
+
+def test_public_names_resolve_lazily():
+    # the oracle and rearrange names come from the package's __getattr__
+    for name in isoperim.__all__:
+        obj = getattr(isoperim, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(isoperim.__all__) <= set(dir(isoperim))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        isoperim.no_such_name
 
 
 def test_every_public_name_is_used_by_the_library_or_traced():
