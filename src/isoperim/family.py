@@ -203,19 +203,40 @@ class MinimizerFamily:
         rel = pts - self._mid
         return rel @ self._axis, rel @ np.array([-self._axis[1], self._axis[0]])
 
-    def rank(self, points):
+    def rank(self, points, *, inside=False):
         """Smallest volume v with x in E(v) (the sentinel |Omega| outside).
 
         Domain membership is ConvexPolygon.contains_point at EPS_GEOM *
-        scale.  Near a vertex of interior angle theta it admits points up
-        to that tolerance / sin(theta / 2) outside the domain; such a point
-        lies in no disk inside the domain, so its exit radius is 0 and its
-        rank |Omega|: the opening at r = 0 is the domain itself.  The
-        structure's area at r = 0 can miss |Omega| by more than tol_area
-        (beside a nearly flat vertex it meets two nearly parallel edge
-        lines), and the opening area is flat to second order in r there,
-        so every exit radius whose area the structure cannot tell from its
-        area at r = 0 (a vertex's, about 1e-17 in floats) ranks |Omega|.
+        scale, and every point that passes is ranked by _rank_inside.  A
+        caller that already holds that test for every point passes
+        inside=True, and no second test is made: convex_rearrangement
+        does so with the cells of GridFunction.inside_mask, which is
+        bitwise contains_point at every cell centre.  Near a vertex of
+        interior angle theta the test admits points up to that tolerance /
+        sin(theta / 2) outside the domain (see _rank_inside for their rank).
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if inside:
+            out = self._rank_inside(pts)
+        else:
+            out = np.full(pts.shape[0], self.v_max)
+            member = self.domain.contains_point(pts)
+            out[member] = self._rank_inside(pts[member])
+        return float(out[0]) if np.asarray(points).ndim == 1 else out
+
+    def _rank_inside(self, pts):
+        """rank of (m, 2) points that pass the domain test, which is not
+        made again.  Every kernel below is elementwise, so a point's rank
+        does not depend on the others.
+
+        A point that the test admits outside the domain lies in no disk
+        inside it, so its exit radius is 0 and its rank |Omega|: the
+        opening at r = 0 is the domain itself.  The structure's area at
+        r = 0 can miss |Omega| by more than tol_area (beside a nearly flat
+        vertex it meets two nearly parallel edge lines), and the opening
+        area is flat to second order in r there, so every exit radius
+        whose area the structure cannot tell from its area at r = 0 (a
+        vertex's, about 1e-17 in floats) ranks |Omega|.
 
         Disk and stadium entries are closed-form.  An entry in the opening
         regime is the opening area at the exit radius of x, the largest r
@@ -224,28 +245,25 @@ class MinimizerFamily:
         radii it lives.  Work runs in blocks of bounded size, so memory
         does not grow with the number of points.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        scalar = np.asarray(points).ndim == 1
         out = np.full(pts.shape[0], self.v_max)
         balls = self.balls
         r_star = balls.inradius
 
-        inside = self.domain.contains_point(pts)
         a, b = self._spine_frame(pts)
         d_center = np.hypot(a, b)
         excess = np.maximum(np.abs(a) - 0.5 * balls.center_length, 0.0)
         d_spine = np.hypot(excess, b)
 
-        disk = inside & (d_center <= r_star)
+        disk = d_center <= r_star
         out[disk] = np.pi * d_center[disk] ** 2
 
-        stad = inside & ~disk & (d_spine <= r_star)
+        stad = ~disk & (d_spine <= r_star)
         if np.any(stad):
             reach = np.sqrt(np.maximum(r_star**2 - b[stad] ** 2, 0.0))
             ell = np.clip(2.0 * (np.abs(a[stad]) - reach), 0.0, balls.center_length)
             out[stad] = np.pi * r_star**2 + 2.0 * r_star * ell
 
-        rnd = inside & ~disk & ~stad
+        rnd = ~disk & ~stad
         if np.any(rnd):
             radius = self.structure.exit_radius(pts[rnd])
             # the opening at r = 0 is the domain itself, and its area is flat
@@ -254,7 +272,7 @@ class MinimizerFamily:
             area = self.structure.area_of_opening(np.append(radius, 0.0))
             out[rnd] = np.where(area[:-1] < area[-1], np.minimum(area[:-1], self.v_max),
                                 self.v_max)
-        return float(out[0]) if scalar else out
+        return out
 
 
 def build_family(domain: ConvexPolygon) -> MinimizerFamily:

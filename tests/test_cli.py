@@ -25,7 +25,7 @@ from isoperim.family import build_family
 from isoperim.geometry import validate_polygon
 from isoperim.rearrange import GridFunction, RearrangementReport
 
-from conftest import SQUARE, RECT21, cone_grid, ellipse_polygon
+from conftest import SQUARE, RECT21, cone_grid, valid_vertices
 
 R9 = float(np.sqrt(0.1 / (4.0 - np.pi)))
 P9 = 4.0 - (8.0 - 2.0 * np.pi) * R9
@@ -613,33 +613,6 @@ _MALFORMED = ["", "{", "{not json", "[]", "null", '{"vertices": 3}', '{"vertices
 _FRACTIONS = ["0", "1", "-0.5", "1.5", "nan", "inf", "-inf", "5e-324", "0.9999999999999999"]
 
 
-@st.composite
-def _valid_vertices(draw):
-    """A triangle with angles above 6 degrees, a sliver or a jittered 5- to
-    64-gon, rotated, scaled by 1e-6 to 1e6 and moved up to 1e6 of its sizes.
-    Near-parallel 4-gons, a known failure of the exact layer, are left out."""
-    kind = draw(st.sampled_from(["triangle", "sliver", "ngon"]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    if kind == "triangle":
-        arcs = rng.uniform(0.1, 1.0, 3)
-        theta = 2.0 * np.pi * np.cumsum(arcs) / arcs.sum()
-        v = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    elif kind == "sliver":
-        v = np.array([(0.0, 0.0), (1.0, 0.0), (rng.uniform(0.05, 0.95),
-                                                10.0 ** rng.uniform(-3.0, -1.0))])
-    else:
-        v = ellipse_polygon(seed, draw(st.integers(5, 64)), rng.uniform(1.0, 4.0),
-                            rng.uniform(0.0, 0.4))
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    v = v @ np.array([[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]])
-    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
-    out = draw(st.sampled_from([0.0, 10.0 ** draw(st.floats(0.0, 6.0))]))
-    direction = rng.normal(size=2)
-    v = scale * (v + out * np.ptp(v, axis=0).max() * direction / np.linalg.norm(direction))
-    return v[::-1] if draw(st.booleans()) else v
-
-
 def _grid(poly, n, rng):
     u = GridFunction.for_domain(poly, n)
     return u.with_values(np.where(u.inside_mask, rng.uniform(0.0, 1.0, u.values.shape), 0.0))
@@ -649,7 +622,7 @@ def _grid(poly, n, rng):
 def _cli_calls(draw):
     """(argv, {file name: text or grid}, whether the call must succeed)."""
     command = draw(st.sampled_from(["minimizer", "family", "rearrange", "verify"]))
-    verts = draw(_valid_vertices())
+    verts = draw(valid_vertices())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     poly = validate_polygon(verts)
     files = {"domain.json": json.dumps({"vertices": verts.tolist()}),

@@ -4,16 +4,19 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoperim import rearrange as rr
 from isoperim.errors import DomainMismatchError
 from isoperim.errors import GeometryError
-from isoperim.geometry import EPS_GEOM, validate_polygon
+from isoperim.family import build_family
+from isoperim.geometry import CHUNK_ENTRIES, EPS_GEOM, ConvexPolygon, validate_polygon
 from isoperim.rearrange import GridFunction
 
 import oracles
 from conftest import (SQUARE, cone_grid, disk_indicator_grid, ellipse_polygon, oscillation,
-                      random_polygon, regular_polygon, support_measure)
+                      random_polygon, regular_polygon, support_measure, valid_vertices)
 
 
 def test_grid_validation(square, rect21):
@@ -266,6 +269,41 @@ def test_rearrangement_domain_mismatch(rect21, square_family):
         rr.convex_rearrangement(u, square_family)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(valid_vertices(max_vertices=256), st.integers(4, 48), st.integers(0, 2**32 - 1),
+       st.sampled_from([97, CHUNK_ENTRIES]))
+def test_rearrangement_is_rank_on_inside_cells(vertices, n, seed, chunk):
+    # the cells of inside_mask skip rank's domain test and keep the bits of
+    # rank on every cell centre, in blocks of any size
+    family = build_family(validate_polygon(vertices))
+    frame = GridFunction.for_domain(family.domain, n)
+    rng = np.random.default_rng(seed)
+    u = frame.with_values(np.where(frame.inside_mask, rng.uniform(0.0, 1.0, frame.values.shape),
+                                   0.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rr, "CHUNK_ENTRIES", chunk)
+        ut = rr.convex_rearrangement(u, family)
+    inside = u.inside_mask
+    want = rr.decreasing_rearrangement(u)(family.rank(u.centers()[inside]))
+    assert np.array_equal(ut.values[inside], want)
+    assert not np.any(ut.values[~inside])
+
+
+def test_rearrangement_tests_no_point_twice(square_family, monkeypatch):
+    # inside_mask is the domain test at every cell centre; the rearrangement
+    # does not repeat it
+    u = cone_grid(square_family.domain, 40)
+    u.inside_mask
+    calls = []
+    contains_point = ConvexPolygon.contains_point
+    monkeypatch.setattr(ConvexPolygon, "contains_point",
+                        lambda *args, **kw: calls.append(args) or contains_point(*args, **kw))
+    rr.convex_rearrangement(u, square_family)
+    assert calls == []
+    square_family.rank(u.centers().reshape(-1, 2))
+    assert len(calls) == 1
+
+
 def test_rearrangement_matches_literal_definition(square, square_family):
     # oracle: u~(x) = inf{s >= 0 : x not in E(|{u > s}|)} scanned over the
     # value set, using only the member predicate
@@ -395,8 +433,9 @@ def test_report_does_not_depend_on_block_size(square, square_family, monkeypatch
 
 @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0], ids=["equal-max", "lower-max", "zero"])
 def test_report_marches_each_level_once(square, monkeypatch, scale):
-    # the report sweeps u and u_tilde once each over the thresholds of u,
-    # and both BV norms come from those two sweeps
+    # the report sweeps u for its lengths and u_tilde with its crossings,
+    # once each over the thresholds of u, and both BV norms come from those
+    # two sweeps
     u = cone_grid(square, 32)
     ut = u.with_values(scale * u.values)
     levels = 24
@@ -404,25 +443,30 @@ def test_report_marches_each_level_once(square, monkeypatch, scale):
     march = rr.march_levels
     calls, blocks, marched = [], [], []
 
-    def spy(*args):
-        calls.append(args)
-        for lengths, pts, counts in march(*args):
-            # at most one earlier block's crossings are alive: the report
-            # hulls each marcher block as it comes
-            assert sum(ref() is not None for ref in blocks) <= 1
-            assert len(lengths) == len(counts) and np.sum(counts) == len(pts)
-            blocks.append(weakref.ref(pts))
-            marched.append(len(counts))
+    def spy(*args, crossings=True):
+        calls.append(crossings)
+        for lengths, pts, counts in march(*args, crossings=crossings):
+            if crossings:
+                # at most one earlier block's crossings are alive: the
+                # report hulls each marcher block as it comes
+                assert sum(ref() is not None for ref in blocks) <= 1
+                assert len(lengths) == len(counts) and np.sum(counts) == len(pts)
+                blocks.append(weakref.ref(pts))
+            else:
+                assert pts is None and counts is None
+            marched.append(len(lengths))
             yield lengths, pts, counts
 
     monkeypatch.setattr(rr, "march_levels", spy)
     rep = rr.rearrangement_report(u, ut, levels)
-    assert len(calls) == 2
+    assert calls == [False, True]
     assert sum(marched) == 2 * levels
     assert scale == 0.0 or len(blocks) > 2
+    ts, per_u, per_ut = rep.levels["t"], rep.levels["per_u"], rep.levels["per_ut"]
+    full = [lengths for lengths, _, _ in march(u.values, u.origin, u.spacing, ts)]
+    assert np.array_equal(per_u, np.concatenate(full))
     assert rep.bv_u == rr.bv_norm_estimate(u, levels)
     l1 = float(np.sum(ut.values)) * ut.cell_area
-    ts, per_ut = rep.levels["t"], rep.levels["per_ut"]
     tv = float(np.trapezoid([per_ut[0], *per_ut, 0.0], [0.0, *ts, np.max(u.values)]))
     assert rep.bv_ut == (l1, tv, l1 + tv)
     if scale == 1.0:   # one grid serves both, so the library estimate agrees
@@ -483,6 +527,9 @@ def test_march_levels_matches_full_grid_passes(monkeypatch, chunk):
         origin, spacing = rng.normal(size=2), rng.uniform(0.1, 2.0, 2)
         lengths, levels = _levels(rr.march_levels(values, origin, spacing, ts))
         assert len(lengths) == len(levels) == len(ts)
+        alone = list(rr.march_levels(values, origin, spacing, ts, crossings=False))
+        assert all(pts is None and counts is None for _, pts, counts in alone)
+        assert np.array_equal(np.concatenate([b for b, _, _ in alone]), lengths)
         for t, length, pts in zip(ts, lengths, levels):
             ref_length, ref_pts = oracles._marching_squares(values, origin, spacing, t)
             assert length == ref_length
@@ -515,6 +562,19 @@ def test_march_levels_saddle_cells(values, t, length):
 def test_march_levels_rejects_descending_thresholds():
     with pytest.raises(ValueError, match="ascending"):
         next(rr.march_levels(np.ones((3, 3)), (0.0, 0.0), (1.0, 1.0), [0.5, 0.2]))
+
+
+@pytest.mark.parametrize("entry", [
+    lambda u: next(rr.march_levels(u.values, u.origin, u.spacing, [0.1, np.nan])),
+    lambda u: rr.level_perimeter(u, np.nan),
+    lambda u: rr.level_contour_points(u, np.nan),
+    lambda u: rr.distribution(u, np.nan),
+], ids=["march_levels", "level_perimeter", "level_contour_points", "distribution"])
+def test_nan_threshold_is_rejected(square, entry):
+    # a NaN threshold compares false with every sample: it would read as an
+    # empty level
+    with pytest.raises(ValueError, match="NaN"):
+        entry(cone_grid(square, 16))
 
 
 def test_report_memory_is_bounded(square, square_family):
