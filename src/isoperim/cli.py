@@ -13,6 +13,7 @@ pinned to 9 significant digits.
 
 import argparse
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -60,11 +61,11 @@ def cmd_minimizer(args) -> int:
     v = _volume_from_args(args, family.v_max)
     shape = family.minimizer(v)
     out = _outdir(args)
-    io.dump_json(shape.as_dict(), os.path.join(out, "shape.json"))
+    text = io.dump_json(shape.as_dict(), os.path.join(out, "shape.json"))
     with open(os.path.join(out, "shape.svg"), "w") as fh:
         fh.write(svgout.shape_svg(domain, shape))
     if args.json:
-        print(io.json_text(shape.as_dict()))
+        print(text)
     else:
         print(f"case={shape.kind} v={shape.volume:.9g} "
               f"P={shape.perimeter:.9g} k={shape.curvature:.9g}")
@@ -130,8 +131,7 @@ def cmd_rearrange(args) -> int:
     report = rearrange.rearrangement_report(u, ut, args.levels)
     out = _outdir(args)
     io.write_grid(ut, os.path.join(out, "u_tilde.grid"))
-    result = report.as_dict()
-    io.dump_json(result, os.path.join(out, "report.json"))
+    text = io.dump_json(report.as_dict(), os.path.join(out, "report.json"))
     io.write_report_csv(report, os.path.join(out, "report.csv"))
     _, levels = rearrange._threshold_grid(ut.values, 12)
     blocks = rearrange.march_levels(ut.values, ut.origin, ut.spacing, levels)
@@ -139,7 +139,7 @@ def cmd_rearrange(args) -> int:
     with open(os.path.join(out, "levels.svg"), "w") as fh:
         fh.write(svgout.contours_svg(domain, contour_sets))
     if args.json:
-        print(io.json_text(result))
+        print(text)
     else:
         gap = report.bv_u[2] - report.bv_ut[2]
         print(f"equimeasurable={'PASS' if report.equimeasurable_pass else 'FAIL'} "
@@ -162,6 +162,85 @@ def _check_verify_counts(args):
                          f"{oracle.ANNEAL_MAX_GRID}, got {args.anneal}")
 
 
+def _best_chain(domain, v, grid_n, seed):
+    """The annealing chain of seeds seed, seed + 1, seed + 2 with the least
+    perimeter, the first of them on a tie."""
+    from . import oracle
+    best = None
+    for s in range(3):
+        res = oracle.anneal_discrete(domain, v, grid_n, seed=seed + s)
+        if best is None or res.perimeter < best.perimeter:
+            best = res
+    return best
+
+
+class _Chains:
+    """``_best_chain`` in a forked child that runs while the caller sweeps, where
+    fork exists and the process may use at least two CPUs; elsewhere it runs
+    in-process when ``result`` is called.
+
+    The child pickles (True, result) or (False, the exception it raised) into
+    a pipe and leaves only through ``os._exit``, with status 0 once the whole
+    record is written, so it flushes no inherited stdio buffer and runs none
+    of the parent's clean-up.  ``result`` and ``cancel`` both reap the child.
+    """
+
+    def __init__(self, domain, v, grid_n, seed):
+        self._args, self._pid = (domain, v, grid_n, seed), None
+        if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) >= 2):
+            return
+        r, w = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:   # no process to spare: run in-process
+            os.close(r)
+            os.close(w)
+            return
+        if self._pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                try:
+                    record = (True, _best_chain(*self._args))
+                except BaseException as exc:
+                    record = (False, exc)
+                with open(w, "wb") as fh:
+                    pickle.dump(record, fh)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self._pipe = open(r, "rb")
+
+    def result(self):
+        """The best chain, or the exception the chains raised, raised here."""
+        if self._pid is None:
+            return _best_chain(*self._args)
+        try:
+            data = self._pipe.read()
+        except BaseException:
+            self.cancel()
+            raise
+        self._pipe.close()
+        _, status = os.waitpid(self._pid, 0)
+        if status:
+            raise ChildProcessError(f"annealing chains ended without a result (exit "
+                                    f"status {os.waitstatus_to_exitcode(status)})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def cancel(self):
+        """Kill the child, if there is one, and reap it."""
+        if self._pid is not None:
+            import signal
+            os.kill(self._pid, signal.SIGKILL)
+            self._pipe.close()
+            os.waitpid(self._pid, 0)
+
+
 def cmd_verify(args) -> int:
     from . import oracle
     _check_verify_counts(args)
@@ -170,16 +249,18 @@ def cmd_verify(args) -> int:
     v = _volume_from_args(args, family.v_max)
     if v >= family.v_max:
         raise VolumeOutOfRangeError("verification needs v strictly below |domain|")
-    report = oracle.verify_minimality(family, v, args.samples, seed=args.seed)
+    # the chains run beside the sweep; a sweep error still wins over theirs
+    chains = _Chains(domain, v, args.anneal, args.seed) if args.anneal else None
+    try:
+        report = oracle.verify_minimality(family, v, args.samples, seed=args.seed)
+    except BaseException:
+        if chains is not None:
+            chains.cancel()
+        raise
     result = report.as_dict()
     ok = report.passed
     if args.anneal:
-        best = None
-        for s in range(3):
-            res = oracle.anneal_discrete(domain, v, args.anneal,
-                                         seed=args.seed + s)
-            if best is None or res.perimeter < best.perimeter:
-                best = res
+        best = chains.result()
         ratio = best.perimeter / report.minimizer_perimeter
         result["anneal"] = {"grid_n": args.anneal, "perimeter": best.perimeter,
                             "ratio": ratio, "seed": best.seed}
@@ -188,9 +269,9 @@ def cmd_verify(args) -> int:
     out = _outdir(args)
     if args.anneal:
         io.write_pgm(best.grid, os.path.join(out, "anneal.pgm"))
-    io.dump_json(result, os.path.join(out, "verify.json"))
+    text = io.dump_json(result, os.path.join(out, "verify.json"))
     if args.json:
-        print(io.json_text(result))
+        print(text)
     else:
         line = (f"competitors={report.n_samples} violations={len(report.violations)} "
                 f"min_gap={report.min_gap:.9g}")

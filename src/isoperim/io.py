@@ -33,9 +33,12 @@ def _round_floats(obj):
     return obj
 
 
-def dump_json(obj, path):
+def dump_json(obj, path) -> str:
+    """Write obj's JSON text and a newline to path; return the text."""
+    text = json_text(obj)
     with open(path, "w") as fh:
-        fh.write(json_text(obj) + "\n")
+        fh.write(text + "\n")
+    return text
 
 
 def json_text(obj) -> str:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -540,6 +541,121 @@ def test_verify_with_anneal_writes_pgm(square_json, tmp_path):
     pgm = open(os.path.join(out, "anneal.pgm")).read().splitlines()
     assert pgm[0] == "P2"
     assert pgm[1].split() == ["32", "32"]
+
+
+def _cpus(monkeypatch, n):
+    """Let cmd_verify see n CPUs; with two it forks its annealing chains."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture()
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("anneal", ["16", "32"])
+def test_verify_outputs_do_not_depend_on_the_cpu_count(square_json, tmp_path, monkeypatch,
+                                                       capsys, no_child_left, anneal):
+    # the golden verify config: the chains forked beside the sweep (two CPUs)
+    # or run after it in-process (one CPU, or no process to fork) give the
+    # same bytes
+    forks = []
+    fork = os.fork
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    outputs = []
+    for n, forker in ((1, fork), (2, lambda: forks.append(1) or fork()), (2, no_fork)):
+        _cpus(monkeypatch, n)
+        monkeypatch.setattr(os, "fork", forker)
+        out = tmp_path / f"{len(outputs)}"
+        assert main(["verify", "--domain", square_json, "--volume", "0.9", "--samples", "2000",
+                     "--seed", "1", "--anneal", anneal, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out, (out / "verify.json").read_bytes(),
+                        (out / "anneal.pgm").read_bytes()))
+    assert forks == [1]
+    assert outputs[0] == outputs[1] == outputs[2]
+    if anneal == "16":
+        from test_golden_cli import VERIFY_GOLDEN
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in
+                zip(VERIFY_GOLDEN, outputs[0][1:])} == VERIFY_GOLDEN
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("argv,code,message", [
+    # the sweep and the chains both fail: the sweep's error wins
+    (["--volume-fraction", "1e-100", "--anneal", "6"], cli.EXIT_VOLUME,
+     "verification needs v of at least"),
+    # only the chains fail: their error, after the sweep
+    (["--volume", "0.1", "--anneal", "1"], cli.EXIT_PARSE,
+     "target area infeasible on this grid"),
+], ids=["sweep-and-chains-fail", "chains-fail"])
+def test_verify_error_order_holds_with_the_chains_forked(square_json, tmp_path, monkeypatch,
+                                                         capsys, no_child_left, cpus, argv,
+                                                         code, message):
+    _cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    assert main(["verify", "--domain", square_json, "--samples", "200", *argv,
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@needs_fork
+def test_verify_sweep_error_stops_a_running_chain(square_json, tmp_path, monkeypatch, capsys,
+                                                 no_child_left):
+    # the sweep fails while the child still anneals a 256-wide grid: the child
+    # is killed and reaped, and the sweep's error is the one reported
+    def fail(*args, **kwargs):
+        raise SamplerInfeasibleError("sweep failed")
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(orc, "verify_minimality", fail)
+    assert main(["verify", "--domain", square_json, "--volume", "0.9", "--anneal", "256",
+                 "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "error: sweep failed\n"
+
+
+@needs_fork
+def test_verify_chains_child_without_a_result(square_json, tmp_path, monkeypatch, capsys,
+                                              no_child_left):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_best_chain", lambda *args: os._exit(1))
+    assert main(["verify", "--domain", square_json, "--volume", "0.9", "--samples", "200",
+                 "--anneal", "16", "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == ("error: annealing chains ended without a result "
+                                       "(exit status 1)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimizer", "--volume", "0.9"],
+    ["family", "--sweep", "0.2:0.9:8"],
+    ["rearrange", "--levels", "16"],
+    ["verify", "--volume", "0.9", "--samples", "100", "--anneal", "8"],
+], ids=lambda argv: argv[0])
+def test_json_text_is_formatted_once(square_json, tmp_path, monkeypatch, capsys, no_child_left,
+                                     argv):
+    # --json prints the very text the JSON output file holds
+    grid_path = tmp_path / "cone.grid"
+    iio.write_grid(cone_grid(validate_polygon(SQUARE), 32), str(grid_path))
+    calls = []
+    json_text = iio.json_text
+    monkeypatch.setattr(iio, "json_text", lambda obj: calls.append(1) or json_text(obj))
+    out = tmp_path / "out"
+    extra = ["--grid", str(grid_path)] if argv[0] == "rearrange" else []
+    assert main([*argv, *extra, "--domain", square_json, "--json", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    printed = capsys.readouterr().out
+    written = {"minimizer": "shape.json", "rearrange": "report.json", "verify": "verify.json"}
+    if argv[0] in written:
+        assert (out / written[argv[0]]).read_text() == printed
 
 
 @pytest.mark.parametrize("fraction", ["1e-31", "1e-40", "1e-100"])
