@@ -174,15 +174,21 @@ def _best_chain(domain, v, grid_n, seed):
     return best
 
 
+class _RemoteTraceback(Exception):
+    """The traceback text of an exception raised in the forked child; ``result``
+    chains it as the cause of that exception, as ``concurrent.futures`` does."""
+
+
 class _Chains:
     """``_best_chain`` in a forked child that runs while the caller sweeps, where
     fork exists and the process may use at least two CPUs; elsewhere it runs
     in-process when ``result`` is called.
 
-    The child pickles (True, result) or (False, the exception it raised) into
-    a pipe and leaves only through ``os._exit``, with status 0 once the whole
-    record is written, so it flushes no inherited stdio buffer and runs none
-    of the parent's clean-up.  ``result`` and ``cancel`` both reap the child.
+    The child pickles (True, result) or (False, the exception it raised and
+    its traceback text) into a pipe and leaves only through ``os._exit``, with
+    status 0 once the whole record is written, so it flushes no inherited stdio
+    buffer and runs none of the parent's clean-up.  ``result`` and ``cancel``
+    both reap the child.
     """
 
     def __init__(self, domain, v, grid_n, seed):
@@ -204,7 +210,8 @@ class _Chains:
                 try:
                     record = (True, _best_chain(*self._args))
                 except BaseException as exc:
-                    record = (False, exc)
+                    import traceback
+                    record = (False, (exc, "".join(traceback.format_exception(exc))))
                 with open(w, "wb") as fh:
                     pickle.dump(record, fh)
                 status = 0
@@ -214,7 +221,8 @@ class _Chains:
         self._pipe = open(r, "rb")
 
     def result(self):
-        """The best chain, or the exception the chains raised, raised here."""
+        """The best chain, or the exception the chains raised, raised here; from
+        the child, with the child's traceback text as its cause."""
         if self._pid is None:
             return _best_chain(*self._args)
         try:
@@ -229,7 +237,8 @@ class _Chains:
                                     f"status {os.waitstatus_to_exitcode(status)})")
         ok, value = pickle.loads(data)
         if not ok:
-            raise value
+            exc, text = value
+            raise exc from _RemoteTraceback(f'\n"""\n{text}"""')
         return value
 
     def cancel(self):
@@ -283,16 +292,20 @@ def cmd_verify(args) -> int:
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
     """The parser for argv.  If argv starts with a subcommand name, only that
-    subcommand gets its arguments (and their imports); argparse hands it the rest
-    of argv alone, so every parse, help text and error line is the full parser's."""
+    subcommand's parser is built, with its arguments and their imports, and a
+    metavar keeps the full name list in the top-level usage line.  Any other
+    argv builds every parser and no metavar, which the errors that name a
+    missing or unknown command read.  argparse hands a subcommand the rest of
+    argv alone, so every parse, help text and error line is the full parser's."""
     top = argparse.ArgumentParser(prog="isoperim", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
     only = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    sub = top.add_subparsers(dest="command", required=True,
+                             metavar=None if only is None else "{%s}" % ",".join(SUBCOMMANDS))
 
     def command(name, func, help, volume=False, grid=False):
-        p = sub.add_parser(name, help=help)
         if only not in (None, name):
             return None
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         p.add_argument("--domain", required=True, help="domain JSON file")
         p.add_argument("--out", default=".", help="output directory")

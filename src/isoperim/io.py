@@ -97,23 +97,23 @@ def write_grid(u: "GridFunction", path):
 def write_pgm(grid, path):
     """Binary cell grid as an ASCII portable graymap (top row first)."""
     g = np.asarray(grid)
+    rows = np.array(["0", "255"], dtype=object)[g[::-1].astype(bool).astype(np.intp)]
     with open(path, "w") as fh:
         fh.write(f"P2\n{g.shape[1]} {g.shape[0]}\n255\n")
-        for row in g[::-1]:
-            fh.write(" ".join("255" if v else "0" for v in row) + "\n")
+        fh.writelines(" ".join(row) + "\n" for row in rows.tolist())
 
 
 def write_family_csv(rows, path):
     """CSV with columns v, case, r, perimeter, curvature."""
     with open(path, "w") as fh:
         fh.write("v,case,r,perimeter,curvature\n")
-        for v, case, r, p, k in rows:
-            fh.write(f"{v:.9g},{case},{r:.9g},{p:.9g},{k:.9g}\n")
+        fh.write("%.9g,%s,%.9g,%.9g,%.9g\n" * len(rows) % tuple(x for row in rows for x in row))
 
 
 def write_report_csv(report, path):
     """CSV with one row per level; the columns are those of report.levels."""
+    names = report.levels.dtype.names
     with open(path, "w") as fh:
-        fh.write(",".join(report.levels.dtype.names) + "\n")
-        for row in report.levels.tolist():
-            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+        fh.write(",".join(names) + "\n")
+        fh.write((",".join(["%.9g"] * len(names)) + "\n") * len(report.levels)
+                 % tuple(x for row in report.levels.tolist() for x in row))

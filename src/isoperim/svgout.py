@@ -25,7 +25,7 @@ def _rounded_boundary_path(body: RoundedBody) -> str:
         return ""
     if core.kind == "point":   # a full circle as two arcs
         ((x, y),) = core.points.tolist()
-        return f"M {x + r:.9g} {y:.9g} {arc} {x - r:.9g} {y:.9g} {arc} {x + r:.9g} {y:.9g} Z"
+        return f"M %.9g %.9g {arc} %.9g %.9g {arc} %.9g %.9g Z" % (x + r, y, x - r, y, x + r, y)
     # a segment is a degenerate 2-gon traversed forward and back; edge i
     # runs from a[i] to b[i] and is offset along its outward normal (CCW),
     # for the 2-gon on both sides.  Edges of no length are skipped.
@@ -35,20 +35,20 @@ def _rounded_boundary_path(body: RoundedBody) -> str:
     ln = np.sqrt(np.vecdot(e, e))   # the bits of np.linalg.norm of each row
     keep = ~(ln <= 0.0)
     off = r * (e[keep, ::-1] / ln[keep, None] * [1.0, -1.0])
-    # each edge's offset, joined to the next by an arc around their vertex
+    # each edge's offset, joined to the next by an arc around their vertex;
+    # one row per edge: its start and end point
     join = arc if r > 0.0 else "L"
-    starts = [f"{x:.9g} {y:.9g}" for x, y in (a[keep] + off).tolist()]
-    cmds = [f"{join} {s} L {x:.9g} {y:.9g}" for s, (x, y) in zip(starts, (b[keep] + off).tolist())]
-    cmds[0] = "M" + cmds[0][len(join):]
+    ends = np.concatenate([a[keep] + off, b[keep] + off], axis=1).ravel().tolist()
+    fmt = "M %.9g %.9g L %.9g %.9g" + f" {join} %.9g %.9g L %.9g %.9g" * (len(ends) // 4 - 1)
     if r > 0.0:   # closing arc back to the start point
-        cmds.append(f"{join} {starts[0]}")
-    cmds.append("Z")
-    return " ".join(cmds)
+        fmt += f" {join} %.9g %.9g"
+        ends += ends[:2]
+    return fmt % tuple(ends) + " Z"
 
 
 def _polygon_path(vertices) -> str:
-    (x, y), *rest = vertices.tolist()
-    return " ".join([f"M {x:.9g} {y:.9g}", *(f"L {x:.9g} {y:.9g}" for x, y in rest), "Z"])
+    return ("M %.9g %.9g" + " L %.9g %.9g" * (len(vertices) - 1) + " Z") % tuple(
+        vertices.ravel().tolist())
 
 
 def _document(domain: ConvexPolygon, body: str) -> str:
@@ -86,6 +86,6 @@ def contours_svg(domain: ConvexPolygon, contour_sets) -> str:
         pts = np.asarray(pts).reshape(-1, 2)
         if len(pts) > MAX_CONTOUR_POINTS:
             pts = pts[:: len(pts) // MAX_CONTOUR_POINTS + 1]
-        dots = "".join(f'<circle cx="{x:.9g}" cy="{y:.9g}" r="{r}"/>' for x, y in pts.tolist())
+        dots = f'<circle cx="%.9g" cy="%.9g" r="{r}"/>' * len(pts) % tuple(pts.ravel().tolist())
         rows.append(f'<g fill="#c02" stroke="none">{dots}</g>')
     return _document(domain, "\n".join(rows))

@@ -101,6 +101,7 @@ def main(script, doc, names, stages, input_name, repeats=21, argv=None):
     print(f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '(unset)')}, "
           f"{nproc} CPUs")
     records = json.loads(args.json.read_text()) if args.json and args.json.exists() else {}
+    width = max(14, *map(len, names))
     for k, (label, state, runs) in enumerate(zip(args.label, states, times)):
         print(f"tree {k}: {label} ({args.src[k]}), __pycache__ "
               f"{'present' if state['__pycache__'] else 'absent'}")
@@ -109,7 +110,7 @@ def main(script, doc, names, stages, input_name, repeats=21, argv=None):
             ts = [run[i] for run in runs]
             q1, med, q3 = statistics.quantiles(ts, n=4)
             figures[name] = {"median_ms": 1e3 * med, "q1_ms": 1e3 * q1, "q3_ms": 1e3 * q3}
-            line = f"  {name:14s} median {1e3 * med:8.2f} ms  [{1e3 * q1:.2f}-{1e3 * q3:.2f}]"
+            line = f"  {name:{width}s} median {1e3 * med:8.2f} ms  [{1e3 * q1:.2f}-{1e3 * q3:.2f}]"
             if k:
                 ratios = [t / run[i] for t, run in zip(ts, times[0])]
                 line += (f"  x{statistics.median(ratios):.3f} of tree 0, lower in "

@@ -16,7 +16,8 @@ validity from the grid bytes, the competitor sweep one
 competitor at a time, each hull by Qhull and by a quickhull that sorts
 its points by edge every round, each half-plane cut by a root per
 normal and a clip loop, the grid file writer by one ``repr`` per
-cell, and the SVG paths by one vertex at a time.
+cell, the SVG paths by one vertex at a time, and the CSV and graymap
+writers by one f-string per number or cell.
 """
 
 import heapq
@@ -1189,6 +1190,31 @@ def write_grid_per_cell(u, path):
                                          u.spacing[0], u.spacing[1])]
         fh.write(f"{u.nx} {u.ny} " + " ".join(head) + "\n")
         fh.writelines(" ".join(map(repr, row)) + "\n" for row in u.values.tolist())
+
+
+def write_pgm_per_cell(grid, path):
+    """The graymap of ``io.write_pgm``, one cell at a time."""
+    g = np.asarray(grid)
+    with open(path, "w") as fh:
+        fh.write(f"P2\n{g.shape[1]} {g.shape[0]}\n255\n")
+        for row in g[::-1]:
+            fh.write(" ".join("255" if v else "0" for v in row) + "\n")
+
+
+def write_family_csv_per_row(rows, path):
+    """The CSV of ``io.write_family_csv``, one f-string per row."""
+    with open(path, "w") as fh:
+        fh.write("v,case,r,perimeter,curvature\n")
+        for v, case, r, p, k in rows:
+            fh.write(f"{v:.9g},{case},{r:.9g},{p:.9g},{k:.9g}\n")
+
+
+def write_report_csv_per_number(report, path):
+    """The CSV of ``io.write_report_csv``, one f-string per number."""
+    with open(path, "w") as fh:
+        fh.write(",".join(report.levels.dtype.names) + "\n")
+        for row in report.levels.tolist():
+            fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
 
 
 def _f(x) -> str:

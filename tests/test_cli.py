@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -301,12 +302,32 @@ def test_help_is_pinned(monkeypatch, capsys, argv, name):
      "argument --anneal: expected one argument"),
     (["verify", *_D, "--volume", "1", "--volume-fraction", "0.5"], "verify",
      "argument --volume-fraction: not allowed with argument --volume"),
+    (["rearrange", *_D, "--grid", "g", "extra"], None, "unrecognized arguments: extra"),
+    (["verify", *_D, "--volume", "1", "extra"], None, "unrecognized arguments: extra"),
 ])
 def test_usage_errors_are_pinned(monkeypatch, capsys, argv, name, message):
     monkeypatch.setenv("COLUMNS", "80")
     assert main(argv) == 2
     prog = "isoperim" if name is None else f"isoperim {name}"
     assert capsys.readouterr() == ("", f"{_USAGE[name]}{prog}: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,parsers", [
+    ([], 5), (["-h"], 5), (["bogus"], 5), (["--foo", "minimizer"], 5),
+    (["minimizer", *_D, "--volume", "1"], 2), (["family", *_D, "--sweep", "0:1:3"], 2),
+    (["rearrange", *_D, "--grid", "g"], 2), (["verify", *_D, "--volume", "1"], 2),
+])
+def test_a_subcommand_builds_its_own_parser_only(monkeypatch, argv, parsers):
+    # the top-level parser and the invoked subcommand's; all five otherwise
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser(argv)
+    assert len(built) == parsers
 
 
 def _grid_text(dx="0.5", x0="-0.25", y0="-0.25", value="0", rows=4):
@@ -632,6 +653,40 @@ def test_verify_chains_child_without_a_result(square_json, tmp_path, monkeypatch
                  "--anneal", "16", "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
     assert capsys.readouterr().err == ("error: annealing chains ended without a result "
                                        "(exit status 1)\n")
+
+
+@needs_fork
+def test_verify_chains_child_error_keeps_its_frames(square_json, tmp_path, monkeypatch, capsys,
+                                                   no_child_left):
+    # an unexpected exception in the child is re-raised with the child's
+    # traceback text as its cause, which names the frame that raised it
+    def raising_in_the_child(*args, **kwargs):
+        raise RuntimeError("chain broke")
+    _cpus(monkeypatch, 2)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(orc, "anneal_discrete", raising_in_the_child)
+    with pytest.raises(RuntimeError, match="chain broke") as info:
+        main(["verify", "--domain", square_json, "--volume", "0.9", "--samples", "200",
+              "--anneal", "8", "--out", str(tmp_path / "out")])
+    assert forks == [1]
+    cause = str(info.value.__cause__)
+    assert isinstance(info.value.__cause__, cli._RemoteTraceback)
+    assert "in raising_in_the_child" in cause and "in _best_chain" in cause
+    assert cause.rstrip('"\n').endswith("RuntimeError: chain broke")
+
+
+@needs_fork
+def test_verify_chains_child_typed_error_prints_one_line(square_json, tmp_path, monkeypatch,
+                                                        capsys, no_child_left):
+    def infeasible(*args, **kwargs):
+        raise SamplerInfeasibleError("no chain today")
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(orc, "anneal_discrete", infeasible)
+    assert main(["verify", "--domain", square_json, "--volume", "0.9", "--samples", "200",
+                 "--anneal", "8", "--out", str(tmp_path / "out")]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "error: no chain today\n"
 
 
 @pytest.mark.parametrize("argv", [
